@@ -20,8 +20,8 @@ from .evalkit import (DetectionPrediction, GroundTruthInstance, LocalizerParams,
                       ground_truth_from_corpus, map_at, tiou)
 from .extract import FeatureTrack, extract_track, read_track, write_track
 from .pretrain import (Checkpoint, GlobalFeatureTable, HeadParams, LossWeights,
-                       TrainConfig, clip_loss, load_checkpoint, lr_at,
-                       precompute_global_features, save_checkpoint, train, validate)
+                       TrainConfig, load_checkpoint, lr_at, precompute_global_features,
+                       save_checkpoint, train, validate)
 from .sampler import (ClipLabels, ClipSpec, build_epoch, clip_frame_indices, clip_span,
                       sample_segment_clips, spatial_transform)
 

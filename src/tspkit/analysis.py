@@ -139,14 +139,3 @@ def aggregate_runs(runs: list[dict[str, float]]) -> dict[str, AggregateStat]:
         out[key] = AggregateStat(mean=mean, std=std, n=n)
     return out
 
-
-def write_aggregate_tsv(stats: dict[str, AggregateStat], path,
-                        flags_comment: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if flags_comment:
-            fh.write(f"# flags={flags_comment}\n")
-        if any(s.n == 1 for s in stats.values()):
-            fh.write("# n=1: std is 0 by convention\n")
-        fh.write("metric\tmean\tstd\tn\n")
-        for key, s in stats.items():
-            fh.write(f"{key}\t{s.mean!r}\t{s.std!r}\t{s.n}\n")

@@ -6,6 +6,11 @@ topologically sorted; ``Tape.backward`` walks it once in reverse and returns
 a gradient for every leaf that asked for one. Only the primitives needed by
 the clip encoder and the two-head loss are provided, all in 64-bit floats.
 
+The model ops work over a leading batch axis, and a batch of one is the
+per-sample case. An op whose inputs all have requires_grad false keeps no
+backward record, so a tape built from such leaves is a plain numpy forward
+pass; that is how the encoder's inference path runs.
+
 A tape and the tensors living on it belong to a single thread. Independent
 tapes can run concurrently; parameter value arrays are plain ndarrays and can
 be shared read-only.
@@ -111,57 +116,6 @@ def _same_tape(*tensors: Tensor) -> Tape:
     return tape
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of a (m,k) and b (k,n)."""
-    tape = _same_tape(a, b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.data.shape} x {b.data.shape}")
-    out = tape._node(a.data @ b.data, a.requires_grad or b.requires_grad)
-
-    def backward(g, accumulate):
-        if a.requires_grad:
-            accumulate(a, g @ b.data.T)
-        if b.requires_grad:
-            accumulate(b, a.data.T @ g)
-
-    tape._record(out, backward)
-    return out
-
-
-def matvec(w: Tensor, x: Tensor) -> Tensor:
-    """Matrix-vector product of w (m,k) and x (k,)."""
-    tape = _same_tape(w, x)
-    if w.data.ndim != 2 or x.data.ndim != 1 or w.data.shape[1] != x.data.shape[0]:
-        raise ShapeError(f"matvec: incompatible shapes {w.data.shape} x {x.data.shape}")
-    out = tape._node(w.data @ x.data, w.requires_grad or x.requires_grad)
-
-    def backward(g, accumulate):
-        if w.requires_grad:
-            accumulate(w, np.outer(g, x.data))
-        if x.requires_grad:
-            accumulate(x, w.data.T @ g)
-
-    tape._record(out, backward)
-    return out
-
-
-def vecmat(x: Tensor, w: Tensor) -> Tensor:
-    """Row-vector times matrix: x (k,) @ w (k,n) -> (n,)."""
-    tape = _same_tape(x, w)
-    if x.data.ndim != 1 or w.data.ndim != 2 or w.data.shape[0] != x.data.shape[0]:
-        raise ShapeError(f"vecmat: incompatible shapes {x.data.shape} x {w.data.shape}")
-    out = tape._node(x.data @ w.data, x.requires_grad or w.requires_grad)
-
-    def backward(g, accumulate):
-        if x.requires_grad:
-            accumulate(x, w.data @ g)
-        if w.requires_grad:
-            accumulate(w, np.outer(x.data, g))
-
-    tape._record(out, backward)
-    return out
-
-
 def reshape_slice(x: Tensor, start: int, shape: tuple[int, ...]) -> Tensor:
     """View a window of a flat vector as an array of the given shape."""
     tape = x.tape
@@ -197,65 +151,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def add_cols(x: Tensor, bias: Tensor) -> Tensor:
-    """Add a (d,) bias to every column of a (d,L) matrix."""
-    tape = _same_tape(x, bias)
-    if x.data.ndim != 2 or bias.data.shape != (x.data.shape[0],):
-        raise ShapeError(f"add_cols: shape mismatch {x.data.shape} vs {bias.data.shape}")
-    out = tape._node(x.data + bias.data[:, None], x.requires_grad or bias.requires_grad)
-
-    def backward(g, accumulate):
-        if x.requires_grad:
-            accumulate(x, g)
-        if bias.requires_grad:
-            accumulate(bias, g.sum(axis=1))
-
-    tape._record(out, backward)
-    return out
-
-
-def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """Width-3 temporal convolution with zero padding 1; length is preserved.
-
-    x is (d_in, L), kernel (d_out, d_in, 3), bias (d_out,).
-    """
-    tape = _same_tape(x, kernel, bias)
-    if kernel.data.ndim != 3 or kernel.data.shape[2] != 3:
-        raise ShapeError(f"conv1d_same: kernel must be (d_out, d_in, 3), got {kernel.data.shape}")
-    d_out, d_in, _ = kernel.data.shape
-    if x.data.ndim != 2 or x.data.shape[0] != d_in:
-        raise ShapeError(f"conv1d_same: input {x.data.shape} does not match kernel {kernel.data.shape}")
-    if bias.data.shape != (d_out,):
-        raise ShapeError(f"conv1d_same: bias {bias.data.shape} does not match d_out={d_out}")
-    length = x.data.shape[1]
-    if length < 1:
-        raise ShapeError("conv1d_same: empty time axis")
-
-    x_pad = np.zeros((d_in, length + 2), dtype=np.float64)
-    x_pad[:, 1:-1] = x.data
-    # (3*d_in, L) with tap index major, so kernel flattens to (d_out, 3*d_in)
-    windows = np.concatenate([x_pad[:, k:k + length] for k in range(3)], axis=0)
-    kernel_flat = kernel.data.transpose(0, 2, 1).reshape(d_out, 3 * d_in)
-    out_data = kernel_flat @ windows + bias.data[:, None]
-    out = tape._node(out_data, x.requires_grad or kernel.requires_grad or bias.requires_grad)
-
-    def backward(g, accumulate):
-        if kernel.requires_grad:
-            gk = (g @ windows.T).reshape(d_out, 3, d_in).transpose(0, 2, 1)
-            accumulate(kernel, gk)
-        if bias.requires_grad:
-            accumulate(bias, g.sum(axis=1))
-        if x.requires_grad:
-            g_windows = kernel_flat.T @ g
-            gx_pad = np.zeros_like(x_pad)
-            for k in range(3):
-                gx_pad[:, k:k + length] += g_windows[k * d_in:(k + 1) * d_in, :]
-            accumulate(x, gx_pad[:, 1:-1])
-
-    tape._record(out, backward)
-    return out
-
-
 def relu(x: Tensor) -> Tensor:
     tape = x.tape
     out = tape._node(np.maximum(x.data, 0.0), x.requires_grad)
@@ -267,129 +162,11 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
-def mean_over_time(x: Tensor) -> Tensor:
-    """Average a (d,L) activation over its time axis, yielding (d,)."""
-    tape = x.tape
-    if x.data.ndim != 2:
-        raise ShapeError(f"mean_over_time: expected (d,L), got {x.data.shape}")
-    length = x.data.shape[1]
-    out = tape._node(x.data.mean(axis=1), x.requires_grad)
-
-    def backward(g, accumulate):
-        accumulate(x, np.repeat(g[:, None] / length, length, axis=1))
-
-    tape._record(out, backward)
-    return out
-
-
-def concat(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate two vectors, (p,) ++ (q,) -> (p+q,)."""
-    tape = _same_tape(a, b)
-    if a.data.ndim != 1 or b.data.ndim != 1:
-        raise ShapeError(f"concat: vectors expected, got {a.data.shape} and {b.data.shape}")
-    p = a.data.shape[0]
-    out = tape._node(np.concatenate([a.data, b.data]), a.requires_grad or b.requires_grad)
-
-    def backward(g, accumulate):
-        if a.requires_grad:
-            accumulate(a, g[:p])
-        if b.requires_grad:
-            accumulate(b, g[p:])
-
-    tape._record(out, backward)
-    return out
-
-
-def _check_rows(rows) -> None:
-    if len(rows) == 0:
-        raise ValueError("pooling needs at least one row")
-    shape = rows[0].data.shape
-    for r in rows[1:]:
-        if r.data.shape != shape:
-            raise ShapeError(f"pooling rows disagree: {shape} vs {r.data.shape}")
-
-
-def elementwise_max(rows: list[Tensor]) -> Tensor:
-    """Coordinate-wise max over rows; grad goes to the first attaining row."""
-    _check_rows(rows)
-    tape = _same_tape(*rows)
-    stacked = np.stack([r.data for r in rows])
-    winners = np.argmax(stacked, axis=0)  # first occurrence wins ties
-    out = tape._node(stacked.max(axis=0), any(r.requires_grad for r in rows))
-
-    def backward(g, accumulate):
-        for i, r in enumerate(rows):
-            if r.requires_grad:
-                accumulate(r, g * (winners == i))
-
-    tape._record(out, backward)
-    return out
-
-
-def elementwise_mean(rows: list[Tensor]) -> Tensor:
-    """Coordinate-wise mean over rows, exactly invariant to row order."""
-    _check_rows(rows)
-    tape = _same_tape(*rows)
-    n = len(rows)
-    # summing per-coordinate sorted values makes the result independent of
-    # the order the rows were passed in
-    stacked = np.sort(np.stack([r.data for r in rows]), axis=0)
-    out = tape._node(np.add.reduce(stacked, axis=0) / n, any(r.requires_grad for r in rows))
-
-    def backward(g, accumulate):
-        for r in rows:
-            if r.requires_grad:
-                accumulate(r, g / n)
-
-    tape._record(out, backward)
-    return out
-
-
-def softmax_cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """Cross entropy of a (K,) logit vector against a class index, natural log."""
-    tape = logits.tape
-    if logits.data.ndim != 1:
-        raise ShapeError(f"softmax_cross_entropy: expected (K,), got {logits.data.shape}")
-    k = logits.data.shape[0]
-    if not 0 <= label < k:
-        raise ValueError(f"label {label} out of range for {k} classes")
-    shifted = logits.data - logits.data.max()
-    exps = np.exp(shifted)
-    probs = exps / exps.sum()
-    value = np.log(exps.sum()) - shifted[label]
-    out = tape._node(np.float64(value), logits.requires_grad)
-
-    def backward(g, accumulate):
-        grad = probs.copy()
-        grad[label] -= 1.0
-        accumulate(logits, g * grad)
-
-    tape._record(out, backward)
-    return out
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Stable softmax over the last axis of a plain array (no tape)."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
     return exps / exps.sum(axis=-1, keepdims=True)
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    """Inner product of two equal-length vectors, scalar output."""
-    tape = _same_tape(a, b)
-    if a.data.shape != b.data.shape or a.data.ndim != 1:
-        raise ShapeError(f"dot: shape mismatch {a.data.shape} vs {b.data.shape}")
-    out = tape._node(np.float64(a.data @ b.data), a.requires_grad or b.requires_grad)
-
-    def backward(g, accumulate):
-        if a.requires_grad:
-            accumulate(a, g * b.data)
-        if b.requires_grad:
-            accumulate(b, g * a.data)
-
-    tape._record(out, backward)
-    return out
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
@@ -404,35 +181,11 @@ def scale(x: Tensor, factor: float) -> Tensor:
     return out
 
 
-def add_n(terms: list[Tensor]) -> Tensor:
-    """Sum of equal-shape tensors."""
-    if len(terms) == 0:
-        raise ValueError("add_n needs at least one term")
-    tape = _same_tape(*terms)
-    shape = terms[0].data.shape
-    for t in terms[1:]:
-        if t.data.shape != shape:
-            raise ShapeError(f"add_n: shape mismatch {shape} vs {t.data.shape}")
-    total = terms[0].data.copy()
-    for t in terms[1:]:
-        total += t.data
-    out = tape._node(total, any(t.requires_grad for t in terms))
-
-    def backward(g, accumulate):
-        for t in terms:
-            if t.requires_grad:
-                accumulate(t, g)
-
-    tape._record(out, backward)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# batched primitives
+# batched model ops
 #
-# Same semantics as the per-sample ops above but over a leading batch axis, so
-# a training step records a handful of nodes instead of hundreds. The trainer
-# is the only intended consumer; the per-sample ops stay the reference.
+# Every op takes a leading batch axis, so a training step records a handful of
+# nodes whatever its batch size.
 
 
 def stem_affine(w: Tensor, x: Tensor, bias: Tensor) -> Tensor:
@@ -459,7 +212,10 @@ def stem_affine(w: Tensor, x: Tensor, bias: Tensor) -> Tensor:
 
 
 def conv1d_same_batch(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """conv1d_same over a batch: x (B,d_in,L) -> (B,d_out,L)."""
+    """Width-3 temporal convolution with zero padding 1; length is preserved.
+
+    x is (B, d_in, L), kernel (d_out, d_in, 3), bias (d_out,); out (B, d_out, L).
+    """
     tape = _same_tape(x, kernel, bias)
     if kernel.data.ndim != 3 or kernel.data.shape[2] != 3:
         raise ShapeError(f"conv1d_same_batch: kernel must be (d_out,d_in,3), got "
@@ -497,8 +253,9 @@ def conv1d_same_batch(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
 def mean_over_time_batch(x: Tensor) -> Tensor:
     """(B,d,L) -> (B,d) time average."""
     tape = x.tape
-    if x.data.ndim != 3:
-        raise ShapeError(f"mean_over_time_batch: expected (B,d,L), got {x.data.shape}")
+    if x.data.ndim != 3 or x.data.shape[2] < 1:
+        raise ShapeError(f"mean_over_time_batch: expected (B,d,L) with L >= 1, "
+                         f"got {x.data.shape}")
     length = x.data.shape[2]
     out = tape._node(x.data.mean(axis=2), x.requires_grad)
 

@@ -51,8 +51,13 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
     if known.config:
-        with open(known.config, "r", encoding="utf-8") as fh:
-            defaults = json.load(fh)
+        try:
+            with open(known.config, "r", encoding="utf-8") as fh:
+                defaults = json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"--config {known.config}: {exc.strerror}") from exc
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise UsageError(f"--config {known.config}: not valid JSON ({exc})") from exc
         if not isinstance(defaults, dict):
             raise UsageError("--config must hold a JSON object of flag defaults")
         mapped = {k.replace("-", "_"): v for k, v in defaults.items()}

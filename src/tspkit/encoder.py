@@ -4,6 +4,9 @@ The factorized shape mirrors the usual spatial/temporal decomposition at toy
 scale: frames are flattened and mixed by one affine layer (the "spatial"
 half), then width-3 temporal convolutions exchange information across the
 clip, and mean pooling over time yields the clip feature.
+
+There is one forward pass, ``forward_batch``, over a batch of clips on a tape.
+Inference runs the same function on a tape whose leaves need no gradient.
 """
 
 from __future__ import annotations
@@ -96,37 +99,8 @@ def param_count(config: EncoderConfig) -> int:
     return stem + config.blocks * per_block
 
 
-def _check_input(config: EncoderConfig, frames: np.ndarray) -> None:
-    if frames.ndim != 2 or frames.shape[0] != config.frame_dim or frames.shape[1] < 1:
-        raise ad.ShapeError(
-            f"encoder expects ({config.frame_dim}, L) flattened frames, got {frames.shape}")
-
-
-def forward(tape: ad.Tape, leaves: "EncoderLeaves", frames: np.ndarray) -> ad.Tensor:
-    """Differentiable forward pass on a tape; frames is (frame_dim, L)."""
-    _check_input(leaves.config, frames)
-    x = tape.tensor(frames)
-    h = ad.relu(ad.add_cols(ad.matmul(leaves.stem_weight, x), leaves.stem_bias))
-    for blk in leaves.blocks:
-        inner = ad.relu(ad.conv1d_same(h, blk[0], blk[1]))
-        inner = ad.conv1d_same(inner, blk[2], blk[3])
-        h = ad.relu(ad.add(inner, h))
-    return ad.mean_over_time(h)
-
-
-def forward_np(params: EncoderParams, frames: np.ndarray) -> np.ndarray:
-    """Plain-numpy forward pass, bit-identical to the tape version."""
-    _check_input(params.config, frames)
-    h = np.maximum(params.stem_weight @ frames + params.stem_bias[:, None], 0.0)
-    for blk in params.blocks:
-        inner = np.maximum(_conv_np(h, blk.conv1_kernel, blk.conv1_bias), 0.0)
-        inner = _conv_np(inner, blk.conv2_kernel, blk.conv2_bias)
-        h = np.maximum(inner + h, 0.0)
-    return h.mean(axis=1)
-
-
 def forward_batch(tape: ad.Tape, leaves: "EncoderLeaves", frames: np.ndarray) -> ad.Tensor:
-    """Differentiable batched forward: frames (B, frame_dim, L) -> (B, F)."""
+    """Differentiable forward pass: frames (B, frame_dim, L) -> (B, F) features."""
     if frames.ndim != 3 or frames.shape[1] != leaves.config.frame_dim:
         raise ad.ShapeError(f"encoder expects (B, {leaves.config.frame_dim}, L) frames, "
                             f"got {frames.shape}")
@@ -140,39 +114,22 @@ def forward_batch(tape: ad.Tape, leaves: "EncoderLeaves", frames: np.ndarray) ->
 
 
 def forward_np_batch(params: EncoderParams, frames: np.ndarray) -> np.ndarray:
-    """Vectorized numpy forward: frames (B, frame_dim, L) -> (B, F)."""
-    if frames.ndim != 3 or frames.shape[1] != params.config.frame_dim:
-        raise ad.ShapeError(f"encoder expects (B, {params.config.frame_dim}, L) frames, "
-                            f"got {frames.shape}")
-    h = np.tensordot(params.stem_weight, frames, axes=([1], [1])).transpose(1, 0, 2)
-    h += params.stem_bias[None, :, None]
-    np.maximum(h, 0.0, out=h)
-    for blk in params.blocks:
-        inner = np.maximum(_conv_np_batch(h, blk.conv1_kernel, blk.conv1_bias), 0.0)
-        inner = _conv_np_batch(inner, blk.conv2_kernel, blk.conv2_bias)
-        h = np.maximum(inner + h, 0.0)
-    return h.mean(axis=2)
+    """Inference forward: ``forward_batch`` on a throwaway tape.
+
+    The leaves need no gradient, so the tape keeps no backward record and the
+    result is the differentiable pass's value by construction.
+    """
+    tape = ad.Tape()
+    return forward_batch(tape, EncoderLeaves(tape, params, requires_grad=False), frames).data
 
 
-def _conv_np_batch(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    d_out, d_in, _ = kernel.shape
-    batch, _, length = x.shape
-    x_pad = np.zeros((batch, d_in, length + 2))
-    x_pad[:, :, 1:-1] = x
-    windows = np.concatenate([x_pad[:, :, k:k + length] for k in range(3)], axis=1)
-    kernel_flat = kernel.transpose(0, 2, 1).reshape(d_out, 3 * d_in)
-    out = np.tensordot(windows, kernel_flat, axes=([1], [1])).transpose(0, 2, 1)
-    out += bias[None, :, None]
-    return out
+def forward_np(params: EncoderParams, frames: np.ndarray) -> np.ndarray:
+    """One clip, (frame_dim, L) -> (F,): a batch of one through ``forward_np_batch``.
 
-
-def _conv_np(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    d_out, d_in, _ = kernel.shape
-    length = x.shape[1]
-    x_pad = np.zeros((d_in, length + 2))
-    x_pad[:, 1:-1] = x
-    windows = np.concatenate([x_pad[:, k:k + length] for k in range(3)], axis=0)
-    return kernel.transpose(0, 2, 1).reshape(d_out, 3 * d_in) @ windows + bias[:, None]
+    The library no longer calls it. It stays because ``perfbench/tracing.py``
+    looks this name up, and can go with the next change to the benchmark.
+    """
+    return forward_np_batch(params, frames[None])[0]
 
 
 class EncoderLeaves:

@@ -255,6 +255,8 @@ def detad_report(preds: list[DetectionPrediction], gts: list[GroundTruthInstance
     if not gts:
         raise EvalError("no ground-truth instances")
     gt_buckets = {g: detad_bucket(g.length) for g in gts}
+    # a prediction's best-overlap GT does not depend on the bucket
+    best = [_best_overlap_gt(p, gts) for p in preds]
     report: dict[str, dict] = {}
     for bucket in DETAD_BUCKETS:
         bucket_gts = [g for g in gts if gt_buckets[g] == bucket]
@@ -262,11 +264,7 @@ def detad_report(preds: list[DetectionPrediction], gts: list[GroundTruthInstance
         if not bucket_gts:
             report[bucket] = {"average_map": None, "share": share, "num_gt": 0}
             continue
-        kept = []
-        for p in preds:
-            best = _best_overlap_gt(p, gts)
-            if best is None or gt_buckets[best] == bucket:
-                kept.append(p)
+        kept = [p for p, g in zip(preds, best) if g is None or gt_buckets[g] == bucket]
         report[bucket] = {"average_map": average_map(kept, bucket_gts),
                           "share": share, "num_gt": len(bucket_gts)}
     return report

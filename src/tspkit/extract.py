@@ -17,7 +17,7 @@ import numpy as np
 from . import encoder as enc
 from .autodiff import softmax
 from .corpus import Corpus, VideoRecord
-from .pretrain import Checkpoint, logits_np, pool_features, video_clip_specs
+from .pretrain import Checkpoint, head_logits, video_global_feature
 from .sampler import ClipSpec, clip_span, flatten_clip, load_clip
 
 
@@ -62,12 +62,10 @@ def _video_global_feature(corpus: Corpus, video: VideoRecord, ckpt: Checkpoint) 
     if table is not None and video.id in table.features:
         return table.features[video.id]
     cfg = ckpt.config
-    specs = video_clip_specs(corpus, video.id, clips_per_segment=cfg.clips_per_segment,
-                             clip_len=cfg.clip_len, frame_stride=cfg.frame_stride,
-                             dense_hop=cfg.gvf_dense_hop)
-    feats = [enc.forward_np(ckpt.init_encoder, flatten_clip(load_clip(corpus, s, "test")))
-             for s in specs]
-    return pool_features(feats, cfg.global_pool)
+    return video_global_feature(corpus, video.id, ckpt.init_encoder, cfg.global_pool,
+                                clips_per_segment=cfg.clips_per_segment,
+                                clip_len=cfg.clip_len, frame_stride=cfg.frame_stride,
+                                dense_hop=cfg.gvf_dense_hop)
 
 
 def extract_track(corpus: Corpus, video: VideoRecord, ckpt: Checkpoint,
@@ -83,20 +81,14 @@ def extract_track(corpus: Corpus, video: VideoRecord, ckpt: Checkpoint,
                          f"corpus has {corpus.synth.channels}")
 
     global_feat = _video_global_feature(corpus, video, ckpt)
-    centers = list(range(0, video.num_frames, hop))
-    feats = np.empty((len(centers), ckpt.encoder.config.feature_dim))
-    probs = np.empty(len(centers)) if ckpt.mode != "tac" else None
-    logits = np.empty((len(centers), ckpt.heads.action_bias.shape[0]))
-    for i, center in enumerate(centers):
-        spec = ClipSpec(video.id, center, cfg.clip_len, cfg.frame_stride, "background")
-        frames = flatten_clip(load_clip(corpus, spec, "test"))
-        feat = enc.forward_np(ckpt.encoder, frames)
-        gfeat = global_feat if ckpt.mode == "tsp" else None
-        action, region = logits_np(feat, gfeat, ckpt.heads, ckpt.mode)
-        feats[i] = feat
-        logits[i] = action
-        if probs is not None:
-            probs[i] = softmax(region)[1]
+    centers = range(0, video.num_frames, hop)
+    frames = np.stack([flatten_clip(load_clip(
+        corpus, ClipSpec(video.id, c, cfg.clip_len, cfg.frame_stride, "background"), "test"))
+        for c in centers])
+    feats = enc.forward_np_batch(ckpt.encoder, frames)
+    gfeats = np.broadcast_to(global_feat, feats.shape) if ckpt.mode == "tsp" else None
+    logits, region = head_logits(feats, gfeats, ckpt.heads, ckpt.mode)
+    probs = None if region is None else softmax(region)[:, 1]
     return FeatureTrack(
         video_id=video.id, clip_len=cfg.clip_len, frame_stride=cfg.frame_stride,
         hop_frames=hop, fps=video.fps, num_frames=video.num_frames,

@@ -28,8 +28,8 @@ import numpy as np
 from . import autodiff as ad
 from . import encoder as enc
 from .corpus import Corpus
-from .sampler import (ClipLabels, ClipSpec, build_epoch, clip_span, flatten_clip,
-                      load_clip, test_clip_set, transformed_shape)
+from .sampler import (ClipSpec, build_epoch, flatten_clip, load_clip, test_clip_set,
+                      transformed_shape)
 from .seeding import rng_for
 
 CHECKPOINT_SCHEMA_VERSION = 1
@@ -224,21 +224,27 @@ def pool_features(features: list[np.ndarray], pool: str) -> np.ndarray:
     raise ValueError(f"unknown pool {pool!r}")
 
 
+def video_global_feature(corpus: Corpus, video_id: str, init_params: enc.EncoderParams,
+                         pool: str, *, clips_per_segment: int, clip_len: int,
+                         frame_stride: int, dense_hop: int | None = None) -> np.ndarray:
+    """One video's global feature: encoder features pooled over its clip set."""
+    specs = video_clip_specs(corpus, video_id, clips_per_segment=clips_per_segment,
+                             clip_len=clip_len, frame_stride=frame_stride, dense_hop=dense_hop)
+    if not specs:
+        raise ValueError(f"video {video_id!r} has no sampleable clips")
+    frames = np.stack([flatten_clip(load_clip(corpus, s, "test")) for s in specs])
+    return pool_features(list(enc.forward_np_batch(init_params, frames)), pool)
+
+
 def precompute_global_features(corpus: Corpus, init_params: enc.EncoderParams,
                                pool: str = "max", *, clips_per_segment: int = 5,
                                clip_len: int = 16, frame_stride: int = 2,
                                dense_hop: int | None = None) -> GlobalFeatureTable:
     """Pool encoder features over each video's deterministic clip set."""
-    table: dict[str, np.ndarray] = {}
-    for video_id in corpus.videos:
-        specs = video_clip_specs(corpus, video_id, clips_per_segment=clips_per_segment,
-                                 clip_len=clip_len, frame_stride=frame_stride,
-                                 dense_hop=dense_hop)
-        if not specs:
-            raise ValueError(f"video {video_id!r} has no sampleable clips")
-        stacked = np.stack([flatten_clip(load_clip(corpus, s, "test")) for s in specs])
-        feats = enc.forward_np_batch(init_params, stacked)
-        table[video_id] = pool_features(list(feats), pool)
+    table = {video_id: video_global_feature(
+                 corpus, video_id, init_params, pool, clips_per_segment=clips_per_segment,
+                 clip_len=clip_len, frame_stride=frame_stride, dense_hop=dense_hop)
+             for video_id in corpus.videos}
     return GlobalFeatureTable(table, pool, params_hash(init_params))
 
 
@@ -259,47 +265,21 @@ class HeadLeaves:
         return [self.action_weight, self.action_bias, self.region_weight, self.region_bias]
 
 
-def clip_loss(feat: ad.Tensor, global_feat: ad.Tensor | None, labels: ClipLabels,
-              heads: HeadLeaves, weights: LossWeights, mode: str) -> ad.Tensor:
-    """Two-branch per-clip loss.
+def head_logits(feats: np.ndarray, global_feats: np.ndarray | None, heads: HeadParams,
+                mode: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """(action, region) logits of (B, F) features without a tape; region is None
+    for tac. global_feats is (B, F), aligned with feats (tsp mode only).
 
-    Foreground: region term (label 1) plus action term; background: region
-    term alone (label 0). In tac mode only the action term exists and the
-    caller must supply foreground clips.
+    Each row goes through its own contiguous (1, F) product, so a clip's logits
+    are the bits of ``feat @ W + b`` for that clip alone, whatever batch (or
+    memory layout) it comes in.
     """
-    if mode == "tac":
-        if labels.action is None:
-            raise ValueError("tac mode trains on foreground clips only")
-        logits = ad.add(ad.vecmat(feat, heads.action_weight), heads.action_bias)
-        return ad.scale(ad.softmax_cross_entropy(logits, labels.action), weights.action)
-
-    if mode == "tsp":
-        if global_feat is None:
-            raise ValueError("tsp mode needs a global feature for the region head")
-        region_in = ad.concat(feat, global_feat)
-    elif mode == "tsp_nogvf":
-        region_in = feat
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    region_logits = ad.add(ad.vecmat(region_in, heads.region_weight), heads.region_bias)
-    loss = ad.scale(ad.softmax_cross_entropy(region_logits, labels.region), weights.region)
-    if labels.region == 1:
-        action_logits = ad.add(ad.vecmat(feat, heads.action_weight), heads.action_bias)
-        action_term = ad.scale(ad.softmax_cross_entropy(action_logits, labels.action),
-                               weights.action)
-        loss = ad.add(loss, action_term)
-    return loss
-
-
-def logits_np(feat: np.ndarray, global_feat: np.ndarray | None, head_params: HeadParams,
-              mode: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """(action_logits, region_logits) without a tape; region is None for tac."""
-    action = feat @ head_params.action_weight + head_params.action_bias
+    feats = np.ascontiguousarray(feats)
+    action = (feats[:, None, :] @ heads.action_weight)[:, 0] + heads.action_bias
     if mode == "tac":
         return action, None
-    region_in = feat if mode == "tsp_nogvf" else np.concatenate([feat, global_feat])
-    region = region_in @ head_params.region_weight + head_params.region_bias
+    region_in = feats if mode == "tsp_nogvf" else np.concatenate([feats, global_feats], axis=1)
+    region = (region_in[:, None, :] @ heads.region_weight)[:, 0] + heads.region_bias
     return action, region
 
 
@@ -322,6 +302,8 @@ def batch_loss_tensor(tape: ad.Tape, enc_leaves: enc.EncoderLeaves,
         terms.append(ad.scale(ad.cross_entropy_sum(logits, action_labels), weights.action))
     else:
         if mode == "tsp":
+            if global_feats is None:
+                raise ValueError("tsp mode needs global features for the region head")
             region_in = ad.hstack_rows(feats, tape.tensor(global_feats))
         else:
             region_in = feats
@@ -386,7 +368,9 @@ def _accuracy(enc_params: enc.EncoderParams, head_params: HeadParams, mode: str,
               table: GlobalFeatureTable | None,
               clips: _EvalSet) -> tuple[float, float | None]:
     feats = enc.forward_np_batch(enc_params, clips.frames)
-    action_logits = feats @ head_params.action_weight + head_params.action_bias
+    gfeats = (np.stack([table.features[vid] for vid in clips.video_ids])
+              if mode == "tsp" else None)
+    action_logits, region_logits = head_logits(feats, gfeats, head_params, mode)
     fg = clips.region_labels == 1
     if fg.any():
         action_acc = float(np.mean(np.argmax(action_logits[fg], axis=1)
@@ -395,12 +379,6 @@ def _accuracy(enc_params: enc.EncoderParams, head_params: HeadParams, mode: str,
         action_acc = 0.0
     if mode == "tac":
         return action_acc, None
-    if mode == "tsp":
-        gfeats = np.stack([table.features[vid] for vid in clips.video_ids])
-        region_in = np.concatenate([feats, gfeats], axis=1)
-    else:
-        region_in = feats
-    region_logits = region_in @ head_params.region_weight + head_params.region_bias
     region_acc = float(np.mean(np.argmax(region_logits, axis=1) == clips.region_labels))
     return action_acc, region_acc
 
@@ -585,13 +563,13 @@ def flatten_params(enc_params: enc.EncoderParams, head_params: HeadParams) -> np
 
 
 def two_head_loss_builder(enc_cfg: enc.EncoderConfig, num_classes: int, mode: str,
-                          clips: list[tuple[np.ndarray, ClipLabels]],
-                          global_feat: np.ndarray | None,
+                          frames: np.ndarray, region_labels: np.ndarray,
+                          action_labels: np.ndarray, global_feats: np.ndarray | None = None,
                           weights: LossWeights = LossWeights()):
     """A ``build(vec) -> (loss, leaf)`` closure over flattened parameters.
 
-    ``clips`` holds (frame_dim, L) arrays with their labels; the loss is the
-    mean of their per-clip losses, matching one training batch.
+    The loss is ``batch_loss_tensor`` of one batch, with every encoder and head
+    parameter a ``reshape_slice`` view of the single leaf holding ``vec``.
     """
     d = enc_cfg.embed_dim
     region_in = d if mode == "tsp_nogvf" else 2 * d
@@ -618,13 +596,8 @@ def two_head_loss_builder(enc_cfg: enc.EncoderConfig, num_classes: int, mode: st
         head_view = SimpleNamespace(
             action_weight=parts[-4], action_bias=parts[-3],
             region_weight=parts[-2], region_bias=parts[-1])
-
-        gfeat = tape.tensor(global_feat) if (mode == "tsp" and global_feat is not None) else None
-        terms = []
-        for frames, labels in clips:
-            feat = enc.forward(tape, enc_view, frames)
-            terms.append(clip_loss(feat, gfeat, labels, head_view, weights, mode))
-        loss = ad.scale(ad.add_n(terms), 1.0 / len(terms))
+        loss = batch_loss_tensor(tape, enc_view, head_view, frames, region_labels,
+                                 action_labels, global_feats, weights, mode)
         return loss, leaf
 
     return build

@@ -11,32 +11,27 @@ LN2 = 0.6931471805599453
 LN4 = 1.3862943611198906
 
 
-def finite_diff(f, x, h=1e-6):
-    """Independent central-difference gradient of a scalar function."""
-    g = np.zeros_like(x)
-    for j in range(x.size):
-        xp = x.copy()
-        xp.flat[j] += h
-        xm = x.copy()
-        xm.flat[j] -= h
-        g.flat[j] = (f(xp) - f(xm)) / (2 * h)
-    return g
+def weighted_sum(tape, vec, weights):
+    """Scalar sum_j weights[j] * vec[j] of a flat tensor, from kept primitives."""
+    terms = [ad.scale(ad.reshape_slice(vec, j, ()), float(w)) for j, w in enumerate(weights)]
+    total = terms[0]
+    for term in terms[1:]:
+        total = ad.add(total, term)
+    return total
 
 
-def rel_err(a, b):
-    return np.max(np.abs(a - b) / np.maximum.reduce([np.abs(a), np.abs(b),
-                                                     np.full_like(a, 1e-3)]))
+def zeros(tape, n):
+    return tape.tensor(np.zeros(n))
 
 
 # ---------------------------------------------------------------------------
-# matmul
+# matrix products (linear_rows)
 
 
 def test_matmul_identity():
     tape = ad.Tape()
-    eye = tape.tensor(np.eye(2))
     m = tape.tensor([[1.0, 2.0], [3.0, 4.0]])
-    out = ad.matmul(eye, m)
+    out = ad.linear_rows(m, tape.tensor(np.eye(2)), zeros(tape, 2))
     assert np.array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
 
 
@@ -44,7 +39,7 @@ def test_matmul_selector_row():
     tape = ad.Tape()
     sel = tape.tensor([[1.0, 0.0]])
     col = tape.tensor([[2.0], [5.0]])
-    assert np.array_equal(ad.matmul(sel, col).data, [[2.0]])
+    assert np.array_equal(ad.linear_rows(sel, col, zeros(tape, 1)).data, [[2.0]])
 
 
 def test_matmul_shape_error_names_both_shapes():
@@ -52,44 +47,31 @@ def test_matmul_shape_error_names_both_shapes():
     a = tape.tensor(np.zeros((3, 4)))
     b = tape.tensor(np.zeros((3, 2)))
     with pytest.raises(ad.ShapeError, match=r"\(3, 4\).*\(3, 2\)"):
-        ad.matmul(a, b)
+        ad.linear_rows(a, b, zeros(tape, 2))
 
 
 def test_matmul_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
-    shapes = {"a": (3, 4), "b": (4, 2)}
-    vec0 = rng.standard_normal(3 * 4 + 4 * 2)
-    u = rng.standard_normal(3)
-    v = rng.standard_normal(2)
+    vec0 = rng.standard_normal(3 * 4 + 4 * 2 + 2)
 
     def build(vec):
         tape = ad.Tape()
         leaf = tape.tensor(vec, requires_grad=True)
-        a = ad.reshape_slice(leaf, 0, shapes["a"])
-        b = ad.reshape_slice(leaf, 12, shapes["b"])
-        out = ad.matmul(a, b)
-        projected = ad.vecmat(tape.tensor(u), out)  # (2,)
-        return ad.dot(projected, tape.tensor(v)), leaf
+        a = ad.reshape_slice(leaf, 0, (3, 4))
+        b = ad.reshape_slice(leaf, 12, (4, 2))
+        bias = ad.reshape_slice(leaf, 20, (2,))
+        return ad.cross_entropy_sum(ad.linear_rows(a, b, bias), [1, 0, 1]), leaf
 
     res = ad.gradient_check(build, vec0, coords=vec0.size, h=1e-6)
     assert res.max_rel_err <= 1e-5
 
 
-def test_dot_quadratic_gradient():
-    tape = ad.Tape()
-    x = tape.tensor([3.0], requires_grad=True)
-    loss = ad.dot(x, x)
-    grads = tape.backward(loss)
-    assert loss.item() == 9.0
-    assert np.array_equal(grads[x.node_id], [6.0])
-
-
 def test_composite_graph_gradients():
-    # matmul -> add_cols -> relu -> conv -> mean -> concat -> vecmat -> CE
+    # stem -> relu -> conv -> mean -> hstack -> take_rows -> linear -> CE
     rng = np.random.default_rng(3)
     shapes = {
-        "w": (5, 4), "x": (4, 6), "b": (5,), "k": (5, 5, 3), "kb": (5,),
-        "other": (3,), "head": (8, 4),
+        "w": (5, 4), "x": (2, 4, 6), "b": (5,), "k": (5, 5, 3), "kb": (5,),
+        "other": (2, 3), "head": (8, 4), "hb": (4,),
     }
     sizes = {name: int(np.prod(s)) for name, s in shapes.items()}
     total = sum(sizes.values())
@@ -103,68 +85,69 @@ def test_composite_graph_gradients():
         for name, shape in shapes.items():
             parts[name] = ad.reshape_slice(leaf, off, shape)
             off += sizes[name]
-        h = ad.relu(ad.add_cols(ad.matmul(parts["w"], parts["x"]), parts["b"]))
-        h = ad.conv1d_same(h, parts["k"], parts["kb"])
-        feat = ad.mean_over_time(h)
-        both = ad.concat(feat, parts["other"])
-        logits = ad.vecmat(both, parts["head"])
-        return ad.softmax_cross_entropy(logits, 2), leaf
+        h = ad.relu(ad.stem_affine(parts["w"], parts["x"], parts["b"]))
+        h = ad.conv1d_same_batch(h, parts["k"], parts["kb"])
+        both = ad.hstack_rows(ad.mean_over_time_batch(h), parts["other"])
+        rows = ad.take_rows(both, np.array([1, 0, 1]))
+        logits = ad.linear_rows(rows, parts["head"], parts["hb"])
+        return ad.cross_entropy_sum(logits, [2, 0, 3]), leaf
 
     res = ad.gradient_check(build, vec0, coords=total, h=1e-6)
     assert res.max_rel_err <= 1e-5
 
 
+# ---------------------------------------------------------------------------
+# temporal convolution (conv1d_same_batch), batches of one
+
+
 def test_conv1d_identity_kernel():
     tape = ad.Tape()
-    x = tape.tensor(np.arange(8, dtype=float).reshape(2, 4))
+    x = tape.tensor(np.arange(8, dtype=float).reshape(1, 2, 4))
     kernel = np.zeros((2, 2, 3))
     kernel[0, 0, 1] = 1.0
     kernel[1, 1, 1] = 1.0
-    out = ad.conv1d_same(x, tape.tensor(kernel), tape.tensor(np.zeros(2)))
+    out = ad.conv1d_same_batch(x, tape.tensor(kernel), zeros(tape, 2))
     assert np.array_equal(out.data, x.data)
 
 
 def test_conv1d_ones_hand_case():
     tape = ad.Tape()
-    x = tape.tensor(np.ones((1, 4)))
+    x = tape.tensor(np.ones((1, 1, 4)))
     k = tape.tensor(np.ones((1, 1, 3)))
-    b = tape.tensor(np.zeros(1))
-    out = ad.conv1d_same(x, k, b)
-    assert np.array_equal(out.data, [[2.0, 3.0, 3.0, 2.0]])
+    out = ad.conv1d_same_batch(x, k, zeros(tape, 1))
+    assert np.array_equal(out.data, [[[2.0, 3.0, 3.0, 2.0]]])
 
 
 def test_conv1d_rejects_other_widths():
     tape = ad.Tape()
-    x = tape.tensor(np.ones((1, 4)))
+    x = tape.tensor(np.ones((1, 1, 4)))
     with pytest.raises(ad.ShapeError):
-        ad.conv1d_same(x, tape.tensor(np.ones((1, 1, 5))), tape.tensor(np.zeros(1)))
+        ad.conv1d_same_batch(x, tape.tensor(np.ones((1, 1, 5))), zeros(tape, 1))
 
 
 def test_conv1d_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
-    x0 = rng.standard_normal((3, 7))
+    x0 = rng.standard_normal((2, 3, 7))
     k0 = rng.standard_normal((2, 3, 3))
     b0 = rng.standard_normal(2)
-    probe = rng.standard_normal((2, 7))
     vec0 = np.concatenate([x0.ravel(), k0.ravel(), b0.ravel()])
 
     def build(vec):
         tape = ad.Tape()
         leaf = tape.tensor(vec, requires_grad=True)
-        x = ad.reshape_slice(leaf, 0, (3, 7))
-        k = ad.reshape_slice(leaf, 21, (2, 3, 3))
-        b = ad.reshape_slice(leaf, 39, (2,))
-        out = ad.conv1d_same(x, k, b)
-        # scalar projection: mean over time then dot with a fixed vector
-        feat = ad.mean_over_time(out)
-        return ad.dot(feat, tape.tensor(probe.mean(axis=1))), leaf
+        x = ad.reshape_slice(leaf, 0, (2, 3, 7))
+        k = ad.reshape_slice(leaf, 42, (2, 3, 3))
+        b = ad.reshape_slice(leaf, 60, (2,))
+        # scalar readout: mean over time, then a cross entropy per clip
+        feat = ad.mean_over_time_batch(ad.conv1d_same_batch(x, k, b))
+        return ad.cross_entropy_sum(feat, [0, 1]), leaf
 
     res = ad.gradient_check(build, vec0, coords=vec0.size)
     assert res.max_rel_err <= 1e-5
 
 
 # ---------------------------------------------------------------------------
-# elementwise ops
+# elementwise and row ops
 
 
 def test_relu_values():
@@ -173,77 +156,44 @@ def test_relu_values():
     assert np.array_equal(out.data, [0.0, 0.0, 2.0])
 
 
-def test_elementwise_max_and_mean_two_rows():
-    tape = ad.Tape()
-    rows = [tape.tensor([1.0, -2.0]), tape.tensor([0.0, 5.0])]
-    assert np.array_equal(ad.elementwise_max(rows).data, [1.0, 5.0])
-    assert np.array_equal(ad.elementwise_mean(rows).data, [0.5, 1.5])
-
-
-def test_pooling_permutation_invariance():
-    rng = np.random.default_rng(0)
-    rows_np = [rng.standard_normal(6) for _ in range(5)]
-    for perm_seed in range(4):
-        perm = np.random.default_rng(perm_seed).permutation(5)
-        tape = ad.Tape()
-        rows = [tape.tensor(r) for r in rows_np]
-        shuffled = [tape.tensor(rows_np[i]) for i in perm]
-        assert np.array_equal(ad.elementwise_max(rows).data,
-                              ad.elementwise_max(shuffled).data)
-        assert np.array_equal(ad.elementwise_mean(rows).data,
-                              ad.elementwise_mean(shuffled).data)
-
-
 def test_empty_pooling_rejected():
-    with pytest.raises(ValueError):
-        ad.elementwise_max([])
-
-
-def test_max_gradient_goes_to_first_attaining_row():
     tape = ad.Tape()
-    a = tape.tensor([1.0, 3.0], requires_grad=True)
-    b = tape.tensor([1.0, 5.0], requires_grad=True)
-    out = ad.elementwise_max([a, b])
-    loss = ad.dot(out, tape.tensor([1.0, 1.0]))
-    grads = tape.backward(loss)
-    assert np.array_equal(grads[a.node_id], [1.0, 0.0])  # tie at coord 0 -> first row
-    assert np.array_equal(grads[b.node_id], [0.0, 1.0])
+    with pytest.raises(ValueError):
+        ad.mean_over_time_batch(tape.tensor(np.zeros((1, 2, 0))))
 
 
 def test_concat_then_slice_recovers_inputs():
     rng = np.random.default_rng(2)
-    a_np = rng.standard_normal(4)
-    b_np = rng.standard_normal(3)
+    a_np = rng.standard_normal((2, 4))
+    b_np = rng.standard_normal((2, 3))
     tape = ad.Tape()
-    joined = ad.concat(tape.tensor(a_np), tape.tensor(b_np))
-    assert np.array_equal(joined.data[:4], a_np)
-    assert np.array_equal(joined.data[4:], b_np)
+    joined = ad.hstack_rows(tape.tensor(a_np), tape.tensor(b_np))
+    assert np.array_equal(joined.data[:, :4], a_np)
+    assert np.array_equal(joined.data[:, 4:], b_np)
 
 
 # ---------------------------------------------------------------------------
-# cross entropy
+# cross entropy (cross_entropy_sum), batches of one
+
+
+def ce(logits, label):
+    tape = ad.Tape()
+    return ad.cross_entropy_sum(tape.tensor([logits]), [label]).item()
 
 
 def test_cross_entropy_uniform_logits():
-    tape = ad.Tape()
-    loss4 = ad.softmax_cross_entropy(tape.tensor([0.0, 0.0, 0.0, 0.0]), 0)
-    loss2 = ad.softmax_cross_entropy(tape.tensor([0.0, 0.0]), 1)
-    assert math.isclose(loss4.item(), LN4, rel_tol=0, abs_tol=1e-12)
-    assert math.isclose(loss2.item(), LN2, rel_tol=0, abs_tol=1e-12)
+    assert math.isclose(ce([0.0, 0.0, 0.0, 0.0], 0), LN4, rel_tol=0, abs_tol=1e-12)
+    assert math.isclose(ce([0.0, 0.0], 1), LN2, rel_tol=0, abs_tol=1e-12)
 
 
 def test_cross_entropy_dominant_logit_no_overflow():
-    tape = ad.Tape()
-    loss = ad.softmax_cross_entropy(tape.tensor([100.0, 0.0]), 0)
-    assert 0.0 <= loss.item() < 1e-40
-    big = ad.softmax_cross_entropy(tape.tensor([1000.0, 0.0]), 1)
-    assert math.isfinite(big.item())
+    assert 0.0 <= ce([100.0, 0.0], 0) < 1e-40
+    assert math.isfinite(ce([1000.0, 0.0], 1))
 
 
 def test_cross_entropy_label_out_of_range():
-    tape = ad.Tape()
     with pytest.raises(ValueError):
-        ad.softmax_cross_entropy(tape.tensor([0.0, 0.0]), 2)
+        ce([0.0, 0.0], 2)
 
 
 def test_softmax_probabilities_sum_to_one():
@@ -252,9 +202,7 @@ def test_softmax_probabilities_sum_to_one():
         logits = rng.standard_normal(rng.integers(2, 9)) * rng.uniform(0.1, 30)
         probs = ad.softmax(logits)
         assert abs(probs.sum() - 1.0) <= 1e-12
-        tape = ad.Tape()
-        label = int(rng.integers(len(logits)))
-        assert ad.softmax_cross_entropy(tape.tensor(logits), label).item() >= 0.0
+        assert ce(logits, int(rng.integers(len(logits)))) >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +220,7 @@ def test_unreached_leaves_get_exact_zeros():
     tape = ad.Tape()
     x = tape.tensor([1.0, 2.0], requires_grad=True)
     unused = tape.tensor(np.ones((2, 3)), requires_grad=True)
-    loss = ad.dot(x, x)
+    loss = weighted_sum(tape, x, [1.0, 1.0])
     grads = tape.backward(loss)
     assert np.array_equal(grads[unused.node_id], np.zeros((2, 3)))
 
@@ -281,9 +229,10 @@ def test_backward_is_additive_over_shared_inputs():
     tape = ad.Tape()
     x = tape.tensor([1.0, -2.0, 3.0], requires_grad=True)
     y = ad.add(x, x)
-    loss = ad.dot(y, y)  # = 4 x.x -> grad 8x
+    weights = [0.5, -1.5, 2.0]
+    loss = weighted_sum(tape, y, weights)  # = 2 w.x -> grad 2w
     grads = tape.backward(loss)
-    assert np.allclose(grads[x.node_id], 8 * x.data, atol=1e-12)
+    assert np.array_equal(grads[x.node_id], 2 * np.array(weights))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +246,7 @@ def test_gradient_check_linear_model_is_exact():
     def build(vec):
         tape = ad.Tape()
         leaf = tape.tensor(vec, requires_grad=True)
-        return ad.dot(leaf, tape.tensor(slope)), leaf
+        return weighted_sum(tape, leaf, slope), leaf
 
     res = ad.gradient_check(build, rng.standard_normal(10), coords=10)
     assert res.max_rel_err <= 1e-10
@@ -307,7 +256,7 @@ def test_gradient_check_echoes_step_size():
     def build(vec):
         tape = ad.Tape()
         leaf = tape.tensor(vec, requires_grad=True)
-        return ad.dot(leaf, leaf), leaf
+        return weighted_sum(tape, leaf, [1.0, -1.0]), leaf
 
     res = ad.gradient_check(build, np.array([1.0, 2.0]), coords=2, h=1e-6)
     assert res.h == 1e-6

@@ -1,11 +1,16 @@
 """Clip encoder: shapes, init statistics, forward identities, gradients."""
 
 import numpy as np
+import pytest
 
 from tspkit import autodiff as ad
 from tspkit import encoder as enc
 from tspkit import pretrain
-from tspkit.sampler import ClipLabels
+
+
+def encode(params, clip):
+    """Feature of one (frame_dim, L) clip: a batch of one."""
+    return enc.forward_np_batch(params, clip[None])[0]
 
 
 def test_init_is_deterministic_per_seed():
@@ -44,7 +49,7 @@ def test_zero_input_no_blocks_gives_relu_of_bias():
     cfg = enc.EncoderConfig(channels_in=3, embed_dim=5, blocks=0)
     params = enc.init_params(cfg, seed=0)
     params.stem_bias[:] = np.array([-1.0, 0.5, 2.0, -0.25, 0.0])
-    out = enc.forward_np(params, np.zeros((3, 7)))
+    out = encode(params, np.zeros((3, 7)))
     assert np.array_equal(out, np.maximum(params.stem_bias, 0.0))
 
 
@@ -56,11 +61,11 @@ def test_time_constant_clip_equals_single_frame_output_stem_only():
     frame = np.random.default_rng(0).standard_normal(6)
     clip = np.repeat(frame[:, None], 16, axis=1)
     h = np.maximum(params.stem_weight @ clip + params.stem_bias[:, None], 0.0)
-    out = enc.forward_np(params, clip)
+    out = encode(params, clip)
     assert all(np.array_equal(h[:, j], h[:, 0]) for j in range(16))
     assert np.array_equal(out, h[:, 0])
     # the stand-alone L=1 pass may differ by BLAS kernel rounding only
-    single = enc.forward_np(params, frame[:, None])
+    single = encode(params, frame[:, None])
     np.testing.assert_allclose(out, single, rtol=0, atol=1e-15)
 
 
@@ -71,7 +76,10 @@ def test_time_constant_clip_has_constant_interior_activations():
     frame = np.random.default_rng(1).standard_normal(6)
     clip = np.repeat(frame[:, None], 16, axis=1)
     h = np.maximum(params.stem_weight @ clip + params.stem_bias[:, None], 0.0)
-    conv = enc._conv_np(h, params.blocks[0].conv1_kernel, params.blocks[0].conv1_bias)
+    tape = ad.Tape()
+    block = params.blocks[0]
+    conv = ad.conv1d_same_batch(tape.tensor(h[None]), tape.tensor(block.conv1_kernel),
+                                tape.tensor(block.conv1_bias)).data[0]
     interior = conv[:, 2:-2]
     assert np.all(interior == interior[:, :1])
     assert not np.array_equal(conv[:, 0], conv[:, 1])
@@ -81,41 +89,42 @@ def test_output_dim_is_feature_dim_for_any_length():
     cfg = enc.EncoderConfig(channels_in=4, embed_dim=7, blocks=1)
     params = enc.init_params(cfg, seed=1)
     for length in (1, 4, 16, 33):
-        out = enc.forward_np(params, np.ones((4, length)))
+        out = encode(params, np.ones((4, length)))
         assert out.shape == (7,)
 
 
 def test_tape_and_numpy_forward_agree_exactly():
+    # the training tape (gradient leaves) and the inference pass give the same
+    # bits; a batch row matches that clip's batch of one up to the BLAS, whose
+    # blocking of the conv products can depend on the batch size
     cfg = enc.EncoderConfig(channels_in=8, embed_dim=12, blocks=2)
     params = enc.init_params(cfg, seed=5)
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        frames = rng.standard_normal((8, 16))
-        tape = ad.Tape()
-        leaves = enc.EncoderLeaves(tape, params, requires_grad=False)
-        out_tape = enc.forward(tape, leaves, frames)
-        assert np.array_equal(out_tape.data, enc.forward_np(params, frames))
+    frames = np.random.default_rng(7).standard_normal((5, 8, 16))
+    tape = ad.Tape()
+    out_tape = enc.forward_batch(tape, enc.EncoderLeaves(tape, params), frames)
+    out_np = enc.forward_np_batch(params, frames)
+    assert np.array_equal(out_tape.data, out_np)
+    for i in range(5):
+        single = encode(params, frames[i])
+        assert np.array_equal(enc.forward_np(params, frames[i]), single)
+        np.testing.assert_allclose(out_np[i], single, rtol=0, atol=1e-13)
 
 
 def test_geometry_mismatch_raises():
     cfg = enc.EncoderConfig(channels_in=4, embed_dim=8, blocks=0)
     params = enc.init_params(cfg, seed=0)
-    try:
-        enc.forward_np(params, np.zeros((5, 16)))
-    except ad.ShapeError:
-        return
-    raise AssertionError("expected ShapeError")
+    with pytest.raises(ad.ShapeError):
+        enc.forward_np_batch(params, np.zeros((1, 5, 16)))
 
 
 def test_full_model_gradient_check_default_config():
     # default encoder width/depth (d=64, B=2) through the two-head loss
     cfg = enc.EncoderConfig(channels_in=16, embed_dim=64, blocks=2)
     rng = np.random.default_rng(11)
-    clips = [(rng.standard_normal((16, 16)) * 0.5, ClipLabels(1, 2)),
-             (rng.standard_normal((16, 16)) * 0.5, ClipLabels(0, None))]
-    gfeat = rng.standard_normal(64) * 0.5
-    build = pretrain.two_head_loss_builder(cfg, num_classes=8, mode="tsp",
-                                           clips=clips, global_feat=gfeat)
+    frames = rng.standard_normal((2, 16, 16)) * 0.5
+    gfeats = np.repeat(rng.standard_normal((1, 64)) * 0.5, 2, axis=0)
+    build = pretrain.two_head_loss_builder(cfg, 8, "tsp", frames, np.array([1, 0]),
+                                           np.array([2, -1]), gfeats)
     enc_params = enc.init_params(cfg, seed=0)
     heads = pretrain.init_heads(64, 8, "tsp", seed=0)
     vec = pretrain.flatten_params(enc_params, heads)

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from tspkit import corpus as cp
+from tspkit import encoder as enc
 from tspkit import extract as ex
 from tspkit import pretrain as pt
+from tspkit.autodiff import softmax
+from tspkit.sampler import ClipSpec, flatten_clip, load_clip
 
 
 def make_corpus(duration=77.5, fps=4.0, valid=True):
@@ -52,6 +55,30 @@ def test_classification_only_track_has_no_region_scores():
     track = ex.extract_track(corpus, corpus.videos["va_0"], ckpt)
     assert track.region_probs is None
     assert track.action_logits.shape == (len(track), 2)
+
+
+@pytest.mark.parametrize("mode", pt.MODES)
+def test_rows_equal_per_clip_reference(mode):
+    # one batched pass per video gives each clip's own features and logits
+    corpus = make_corpus()
+    ckpt = make_checkpoint(corpus, mode=mode)
+    video = corpus.videos["va_0"]
+    track = ex.extract_track(corpus, video, ckpt)
+    cfg, heads = ckpt.config, ckpt.heads
+    centers = range(0, video.num_frames, track.hop_frames)
+    assert len(track) == len(centers)
+    for i, center in enumerate(centers):
+        spec = ClipSpec(video.id, center, cfg.clip_len, cfg.frame_stride, "background")
+        feat = enc.forward_np(ckpt.encoder, flatten_clip(load_clip(corpus, spec, "test")))
+        assert np.array_equal(track.features[i], feat)
+        assert np.array_equal(track.action_logits[i],
+                              feat @ heads.action_weight + heads.action_bias)
+        if mode == "tac":
+            assert track.region_probs is None
+            continue
+        region_in = np.concatenate([feat, track.global_feature]) if mode == "tsp" else feat
+        region = region_in @ heads.region_weight + heads.region_bias
+        assert track.region_probs[i] == softmax(region)[1]
 
 
 def test_extraction_is_deterministic(tmp_path):

@@ -10,7 +10,6 @@ from tspkit import autodiff as ad
 from tspkit import corpus as cp
 from tspkit import encoder as enc
 from tspkit import pretrain as pt
-from tspkit.sampler import ClipLabels
 
 LN2 = math.log(2.0)
 LN4 = math.log(4.0)
@@ -23,27 +22,51 @@ def zero_heads(feature_dim, num_classes, mode):
     return heads
 
 
-def loss_value(labels, mode="tsp", weights=pt.LossWeights(), num_classes=4, feature_dim=6):
-    tape = ad.Tape()
-    heads = pt.HeadLeaves(tape, zero_heads(feature_dim, num_classes, mode))
-    feat = tape.tensor(np.ones(feature_dim))
-    gfeat = tape.tensor(np.ones(feature_dim)) if mode == "tsp" else None
-    return pt.clip_loss(feat, gfeat, labels, heads, weights, mode).item()
+SMALL_ENC = enc.EncoderConfig(channels_in=4, embed_dim=6, blocks=1)
+
+
+def clip_losses(frames, region, action, gfeats, mode="tsp", weights=pt.LossWeights(),
+                params=None, heads=None):
+    """(batch loss, [loss of each clip as a batch of one]) via batch_loss_tensor."""
+    params = params or enc.init_params(SMALL_ENC, seed=0)
+    heads = heads or zero_heads(SMALL_ENC.feature_dim, 4, mode)
+
+    def loss(rows):
+        tape = ad.Tape()
+        return pt.batch_loss_tensor(
+            tape, enc.EncoderLeaves(tape, params), pt.HeadLeaves(tape, heads), frames[rows],
+            region[rows], action[rows], None if gfeats is None else gfeats[rows],
+            weights, mode).item()
+
+    return loss(slice(None)), [loss(slice(i, i + 1)) for i in range(len(frames))]
+
+
+def loss_value(region, action, mode="tsp", weights=pt.LossWeights()):
+    """Loss of one random clip with zeroed heads (C=4), a batch of one."""
+    rng = np.random.default_rng(0)
+    frames = rng.standard_normal((1, SMALL_ENC.frame_dim, 16))
+    gfeats = rng.standard_normal((1, SMALL_ENC.feature_dim)) if mode == "tsp" else None
+    batch, _ = clip_losses(frames, np.array([region]), np.array([action]), gfeats, mode,
+                           weights)
+    return batch
 
 
 def test_foreground_loss_closed_form():
-    # zeroed heads, C=4: region ln2 + action ln4
-    assert abs(loss_value(ClipLabels(1, 2)) - (LN4 + LN2)) <= 1e-9
+    # zeroed heads, C=4: region ln2 + action ln4, whatever the clip feature
+    assert abs(loss_value(1, 2) - (LN4 + LN2)) <= 1e-9
+    assert abs(loss_value(1, 2, mode="tsp_nogvf") - (LN4 + LN2)) <= 1e-9
+    assert abs(loss_value(1, 2, mode="tac") - LN4) <= 1e-9
 
 
 def test_background_loss_closed_form():
-    assert abs(loss_value(ClipLabels(0, None)) - LN2) <= 1e-9
+    assert abs(loss_value(0, -1) - LN2) <= 1e-9
+    assert abs(loss_value(0, -1, mode="tsp_nogvf") - LN2) <= 1e-9
 
 
 def test_zero_action_weight_leaves_region_term():
     w = pt.LossWeights(action=0.0, region=1.0)
-    assert abs(loss_value(ClipLabels(1, 2), weights=w) - LN2) <= 1e-9
-    assert abs(loss_value(ClipLabels(0, None), weights=w) - LN2) <= 1e-9
+    assert abs(loss_value(1, 2, weights=w) - LN2) <= 1e-9
+    assert abs(loss_value(0, -1, weights=w) - LN2) <= 1e-9
 
 
 def test_background_only_batch_has_exactly_zero_action_gradients():
@@ -70,69 +93,37 @@ def test_background_only_batch_has_exactly_zero_action_gradients():
 
 
 def test_batched_loss_matches_per_clip_mean():
+    # the batch loss is the mean of its clips' losses, each run as a batch of one
     rng = np.random.default_rng(3)
-    cfg = enc.EncoderConfig(channels_in=4, embed_dim=6, blocks=1)
-    params = enc.init_params(cfg, seed=1)
-    heads = pt.init_heads(6, 4, "tsp", seed=1)
+    params = enc.init_params(SMALL_ENC, seed=1)
     frames = rng.standard_normal((6, 4, 16))
     gfeats = rng.standard_normal((6, 6))
     region = np.array([1, 0, 1, 0, 0, 1])
     action = np.array([2, -1, 0, -1, -1, 3])
-
-    tape = ad.Tape()
-    loss = pt.batch_loss_tensor(tape, enc.EncoderLeaves(tape, params),
-                                pt.HeadLeaves(tape, heads), frames, region, action,
-                                gfeats, pt.LossWeights(), "tsp")
-    per_clip = []
-    for i in range(6):
-        t2 = ad.Tape()
-        leaves = enc.EncoderLeaves(t2, params)
-        hl = pt.HeadLeaves(t2, heads)
-        feat = enc.forward(t2, leaves, frames[i])
-        labels = ClipLabels(int(region[i]), int(action[i]) if region[i] == 1 else None)
-        per_clip.append(pt.clip_loss(feat, t2.tensor(gfeats[i]), labels, hl,
-                                     pt.LossWeights(), "tsp").item())
-    assert abs(loss.item() - np.mean(per_clip)) <= 1e-12
+    for mode in pt.MODES:
+        rows = np.flatnonzero(region == 1) if mode == "tac" else np.arange(6)
+        batch, per_clip = clip_losses(frames[rows], region[rows], action[rows],
+                                      gfeats[rows], mode, params=params,
+                                      heads=pt.init_heads(6, 4, mode, seed=1))
+        assert abs(batch - np.mean(per_clip)) <= 1e-12
 
 
 def test_gradient_check_through_batched_loss():
-    cfg = enc.EncoderConfig(channels_in=4, embed_dim=6, blocks=1)
+    # two_head_loss_builder: batch_loss_tensor over reshape_slice views, per mode
     rng = np.random.default_rng(5)
     frames = rng.standard_normal((3, 4, 8)) * 0.5
-    region = np.array([1, 0, 1])
-    action = np.array([1, -1, 3])
     gfeats = rng.standard_normal((3, 6)) * 0.5
-
-    shapes = [(6, 4), (6,), (6, 6, 3), (6,), (6, 6, 3), (6,), (6, 4), (4,), (12, 2), (2,)]
-
-    def build(vec):
-        tape = ad.Tape()
-        leaf = tape.tensor(vec, requires_grad=True)
-        parts = []
-        off = 0
-        for shape in shapes:
-            parts.append(ad.reshape_slice(leaf, off, shape))
-            off += int(np.prod(shape))
-        from types import SimpleNamespace
-        enc_view = SimpleNamespace(config=cfg, stem_weight=parts[0], stem_bias=parts[1],
-                                   blocks=[tuple(parts[2:6])])
-        head_view = SimpleNamespace(action_weight=parts[6], action_bias=parts[7],
-                                    region_weight=parts[8], region_bias=parts[9])
-        feats = enc.forward_batch(tape, enc_view, frames)
-        region_in = ad.hstack_rows(feats, tape.tensor(gfeats))
-        region_logits = ad.linear_rows(region_in, head_view.region_weight,
-                                       head_view.region_bias)
-        loss = ad.cross_entropy_sum(region_logits, region)
-        fg = np.flatnonzero(region == 1)
-        fg_logits = ad.linear_rows(ad.take_rows(feats, fg), head_view.action_weight,
-                                   head_view.action_bias)
-        loss = ad.add(loss, ad.cross_entropy_sum(fg_logits, action[fg]))
-        return ad.scale(loss, 1.0 / 3), leaf
-
-    total = sum(int(np.prod(s)) for s in shapes)
-    vec0 = np.random.default_rng(7).standard_normal(total) * 0.6
-    res = ad.gradient_check(build, vec0, coords=120, h=1e-6, seed=1)
-    assert res.max_rel_err <= 1e-5
+    for mode, region, action in (("tsp", [1, 0, 1], [1, -1, 3]),
+                                 ("tsp_nogvf", [1, 0, 1], [1, -1, 3]),
+                                 ("tac", [1, 1, 1], [1, 0, 3])):
+        build = pt.two_head_loss_builder(SMALL_ENC, 4, mode, frames, np.array(region),
+                                         np.array(action),
+                                         gfeats if mode == "tsp" else None)
+        vec0 = pt.flatten_params(enc.init_params(SMALL_ENC, seed=0),
+                                 pt.init_heads(6, 4, mode, seed=0))
+        vec0 = vec0 + np.random.default_rng(7).standard_normal(vec0.size) * 0.3
+        res = ad.gradient_check(build, vec0, coords=120, h=1e-6, seed=1)
+        assert res.max_rel_err <= 1e-5, mode
 
 
 # ---------------------------------------------------------------------------
