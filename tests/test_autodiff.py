@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tspkit import autodiff as ad
+from tspkit import pretrain as pt
 
 LN2 = 0.6931471805599453
 LN4 = 1.3862943611198906
@@ -154,6 +155,27 @@ def test_relu_values():
     tape = ad.Tape()
     out = ad.relu(tape.tensor([-1.0, 0.0, 2.0]))
     assert np.array_equal(out.data, [0.0, 0.0, 2.0])
+
+
+def test_elementwise_max_and_mean_two_rows():
+    rows = [np.array([1.0, -2.0]), np.array([0.0, 5.0])]
+    assert np.array_equal(pt.pool_features(rows, "max"), [1.0, 5.0])
+    assert np.array_equal(pt.pool_features(rows, "avg"), [0.5, 1.5])
+    # the tape's time mean pools the same rows laid out along the time axis
+    tape = ad.Tape()
+    over_time = tape.tensor(np.stack(rows, axis=1)[None])
+    assert np.array_equal(ad.mean_over_time_batch(over_time).data, [[0.5, 1.5]])
+
+
+def test_pooling_permutation_invariance():
+    rng = np.random.default_rng(0)
+    rows = [rng.standard_normal(6) for _ in range(5)]
+    for perm_seed in range(4):
+        perm = np.random.default_rng(perm_seed).permutation(5)
+        shuffled = [rows[i] for i in perm]
+        for pool in ("max", "avg"):
+            assert np.array_equal(pt.pool_features(rows, pool),
+                                  pt.pool_features(shuffled, pool))
 
 
 def test_empty_pooling_rejected():
