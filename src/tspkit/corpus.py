@@ -121,7 +121,14 @@ class SynthConfig:
 
 
 class Corpus:
-    """Immutable after construction; safe for concurrent readers."""
+    """A manifest's classes and videos, plus caches filled lazily on first use.
+
+    The manifest fields are not changed after construction, but the object is
+    not immutable: the caches (segments, frames, prototypes) are dicts and
+    attributes filled without a lock, so concurrent first uses may each
+    compute the same entry. Every cached value is a pure function of the
+    manifest, and the cached arrays are read-only.
+    """
 
     def __init__(self, classes: list[str], videos: dict[str, VideoRecord],
                  synth: SynthInfo | None = None):

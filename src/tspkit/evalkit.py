@@ -11,6 +11,7 @@ curve up to 100 proposals.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,32 +160,28 @@ def average_map(preds: list[DetectionPrediction], gts: list[GroundTruthInstance]
 # proposal metrics
 
 
-def _recall_at(props_by_video: dict[str, list[ProposalPrediction]],
-               gts: list[GroundTruthInstance], budget: int, thr: float) -> float:
-    """Class-free greedy 1:1 matching, highest-overlap pairs first."""
-    total = len(gts)
-    matched_total = 0
-    gts_by_video: dict[str, list[GroundTruthInstance]] = {}
-    for g in gts:
-        gts_by_video.setdefault(g.video_id, []).append(g)
-    for video_id, video_gts in gts_by_video.items():
-        props = props_by_video.get(video_id, [])[:budget]
-        pairs = []
-        for pi, p in enumerate(props):
-            for gi, g in enumerate(video_gts):
-                overlap = tiou((p.t_start, p.t_end), (g.t_start, g.t_end))
-                if overlap >= thr:
-                    pairs.append((-overlap, pi, gi))
-        pairs.sort()
-        used_p: set[int] = set()
-        used_g: set[int] = set()
-        for _, pi, gi in pairs:
-            if pi in used_p or gi in used_g:
-                continue
+def _segment_iou(props: np.ndarray, gts: np.ndarray) -> np.ndarray:
+    """(P, G) tIoU matrix of (P, 2) and (G, 2) segment arrays.
+
+    Same arithmetic as ``tiou``, elementwise, so each entry equals its scalar
+    result exactly.
+    """
+    p0, p1 = props[:, :1], props[:, 1:]
+    g0, g1 = gts[:, 0], gts[:, 1]
+    inter = np.minimum(p1, g1) - np.maximum(p0, g0)
+    union = np.maximum(p1, g1) - np.minimum(p0, g0)
+    return np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0.0)
+
+
+def _greedy_match_count(prop_ranks: list[int], gt_indices: list[int]) -> int:
+    """Size of the greedy 1:1 matching over pairs given in priority order."""
+    used_p: set[int] = set()
+    used_g: set[int] = set()
+    for pi, gi in zip(prop_ranks, gt_indices):
+        if pi not in used_p and gi not in used_g:
             used_p.add(pi)
             used_g.add(gi)
-            matched_total += 1
-    return matched_total / total
+    return len(used_p)
 
 
 def _proposals_by_video(proposals: list[ProposalPrediction]
@@ -199,15 +196,48 @@ def _proposals_by_video(proposals: list[ProposalPrediction]
 
 def ar_at_an(proposals: list[ProposalPrediction], gts: list[GroundTruthInstance],
              an_values: tuple[int, ...]) -> list[tuple[int, float]]:
-    """Average recall (over the tIoU grid) at each per-video proposal budget."""
+    """Average recall (over the tIoU grid) at each per-video proposal budget.
+
+    A budget keeps each video's top-scoring proposals. Within a video,
+    proposals and GTs are matched class-free and 1:1, greedily, highest
+    overlap first; ties go to the higher-ranked proposal, then the earlier GT.
+    """
     if not gts:
         raise EvalError("no ground-truth instances")
+    if not an_values or min(an_values) < 1:
+        raise ValueError(f"proposal budgets must be positive, got {an_values!r}")
     by_video = _proposals_by_video(proposals)
-    out = []
-    for budget in an_values:
-        recalls = [_recall_at(by_video, gts, budget, thr) for thr in TIOU_GRID]
-        out.append((budget, float(np.mean(recalls))))
-    return out
+    gts_by_video: dict[str, list[GroundTruthInstance]] = {}
+    for g in gts:
+        gts_by_video.setdefault(g.video_id, []).append(g)
+    matched = np.zeros((len(an_values), len(TIOU_GRID)), dtype=np.int64)
+    for video_id, video_gts in gts_by_video.items():
+        props = by_video.get(video_id)
+        if not props:
+            continue
+        overlap = _segment_iou(np.array([(p.t_start, p.t_end) for p in props]),
+                               np.array([(g.t_start, g.t_end) for g in video_gts]))
+        ranks, gt_idx = np.nonzero(overlap >= TIOU_GRID[0])
+        if not len(ranks):
+            continue
+        pair_overlap = overlap[ranks, gt_idx]
+        order = np.lexsort((gt_idx, ranks, -pair_overlap))
+        ranks, gt_idx, pair_overlap = ranks[order], gt_idx[order], pair_overlap[order]
+        for t, thr in enumerate(TIOU_GRID):
+            # overlaps descend, so the pairs that qualify at thr are a prefix
+            n = int(np.count_nonzero(pair_overlap >= thr))
+            thr_ranks, thr_gts = ranks[:n], gt_idx[:n]
+            # budgets that admit the same pairs share one matching
+            admitted = np.searchsorted(np.sort(thr_ranks), an_values).tolist()
+            counts: dict[int, int] = {}
+            for budget, k in zip(an_values, admitted):
+                if k not in counts:
+                    keep = thr_ranks < budget
+                    counts[k] = _greedy_match_count(thr_ranks[keep].tolist(),
+                                                    thr_gts[keep].tolist())
+            matched[:, t] += [counts[k] for k in admitted]
+    recall = matched / len(gts)
+    return [(budget, float(np.mean(row))) for budget, row in zip(an_values, recall)]
 
 
 def auc_100(proposals: list[ProposalPrediction], gts: list[GroundTruthInstance]) -> float:
@@ -392,18 +422,57 @@ def save_predictions(preds_by_video: dict[str, list], path, invocation: str | No
         fh.write("\n")
 
 
+def _finite(value) -> float | None:
+    """``value`` as a float if it is a finite JSON number, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return number if math.isfinite(number) else None
+
+
 def load_predictions(path, kind: str = "detections"):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Read a predictions file written by ``save_predictions``.
+
+    Raises EvalError, naming the file, video and row, for any row a metric
+    could not score as written.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise EvalError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise EvalError(f"{path}: top level must be an object of video ids to predictions")
     out = []
     for video_id, rows in doc.items():
         if video_id.startswith("__"):
             continue
-        for row in rows:
-            t0, t1 = float(row["segment"][0]), float(row["segment"][1])
+        if not isinstance(rows, list):
+            raise EvalError(f"{path}: video {video_id!r}: predictions must be a list")
+        for i, row in enumerate(rows):
+            where = f"{path}: video {video_id!r} row {i}"
+            if not isinstance(row, dict):
+                raise EvalError(f"{where}: prediction must be an object")
+            segment = row.get("segment")
+            t0 = t1 = None
+            if isinstance(segment, list) and len(segment) == 2:
+                t0, t1 = _finite(segment[0]), _finite(segment[1])
+            if t0 is None or t1 is None or t0 > t1:
+                raise EvalError(f"{where}: segment must be two finite numbers "
+                                f"[t_start, t_end] with t_start <= t_end, got {segment!r}")
+            score = _finite(row.get("score"))
+            if score is None:
+                raise EvalError(f"{where}: score must be a finite number, "
+                                f"got {row.get('score')!r}")
             if kind == "detections":
-                out.append(DetectionPrediction(video_id, int(row["label"]), t0, t1,
-                                               float(row["score"])))
+                label = row.get("label")
+                if isinstance(label, bool) or not isinstance(label, int):
+                    raise EvalError(f"{where}: label must be an integer class index, "
+                                    f"got {label!r}")
+                out.append(DetectionPrediction(video_id, label, t0, t1, score))
             else:
-                out.append(ProposalPrediction(video_id, t0, t1, float(row["score"])))
+                out.append(ProposalPrediction(video_id, t0, t1, score))
     return out

@@ -17,7 +17,7 @@ import numpy as np
 from . import encoder as enc
 from .autodiff import softmax
 from .corpus import Corpus, VideoRecord
-from .pretrain import Checkpoint, head_logits, video_global_feature
+from .pretrain import Checkpoint, checkpoint_global_feature, head_logits
 from .sampler import ClipSpec, clip_span, flatten_clip, load_clip
 
 
@@ -57,17 +57,6 @@ def default_hop(clip_len: int, frame_stride: int) -> int:
     return clip_span(clip_len, frame_stride)
 
 
-def _video_global_feature(corpus: Corpus, video: VideoRecord, ckpt: Checkpoint) -> np.ndarray:
-    table = ckpt.global_features
-    if table is not None and video.id in table.features:
-        return table.features[video.id]
-    cfg = ckpt.config
-    return video_global_feature(corpus, video.id, ckpt.init_encoder, cfg.global_pool,
-                                clips_per_segment=cfg.clips_per_segment,
-                                clip_len=cfg.clip_len, frame_stride=cfg.frame_stride,
-                                dense_hop=cfg.gvf_dense_hop)
-
-
 def extract_track(corpus: Corpus, video: VideoRecord, ckpt: Checkpoint,
                   hop: int | None = None) -> FeatureTrack:
     """Tile one video with clips and run the checkpoint over them."""
@@ -80,7 +69,7 @@ def extract_track(corpus: Corpus, video: VideoRecord, ckpt: Checkpoint,
         raise TrackError(f"checkpoint expects {ckpt.encoder.config.channels_in} channels, "
                          f"corpus has {corpus.synth.channels}")
 
-    global_feat = _video_global_feature(corpus, video, ckpt)
+    global_feat = checkpoint_global_feature(corpus, video.id, ckpt)
     centers = range(0, video.num_frames, hop)
     frames = np.stack([flatten_clip(load_clip(
         corpus, ClipSpec(video.id, c, cfg.clip_len, cfg.frame_stride, "background"), "test"))

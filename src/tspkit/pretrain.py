@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
@@ -248,6 +249,19 @@ def precompute_global_features(corpus: Corpus, init_params: enc.EncoderParams,
     return GlobalFeatureTable(table, pool, params_hash(init_params))
 
 
+def checkpoint_global_feature(corpus: Corpus, video_id: str, ckpt: "Checkpoint") -> np.ndarray:
+    """A video's global feature under a checkpoint: its table entry, else
+    recomputed from the frozen init encoder (videos outside the training corpus)."""
+    table = ckpt.global_features
+    if table is not None and video_id in table.features:
+        return table.features[video_id]
+    cfg = ckpt.config
+    return video_global_feature(corpus, video_id, ckpt.init_encoder, cfg.global_pool,
+                                clips_per_segment=cfg.clips_per_segment,
+                                clip_len=cfg.clip_len, frame_stride=cfg.frame_stride,
+                                dense_hop=cfg.gvf_dense_hop)
+
+
 # ---------------------------------------------------------------------------
 # loss
 
@@ -365,10 +379,10 @@ def _eval_clips(corpus: Corpus, split: str, cfg: TrainConfig) -> _EvalSet:
 
 
 def _accuracy(enc_params: enc.EncoderParams, head_params: HeadParams, mode: str,
-              table: GlobalFeatureTable | None,
+              global_features: Mapping[str, np.ndarray] | None,
               clips: _EvalSet) -> tuple[float, float | None]:
     feats = enc.forward_np_batch(enc_params, clips.frames)
-    gfeats = (np.stack([table.features[vid] for vid in clips.video_ids])
+    gfeats = (np.stack([global_features[vid] for vid in clips.video_ids])
               if mode == "tsp" else None)
     action_logits, region_logits = head_logits(feats, gfeats, head_params, mode)
     fg = clips.region_labels == 1
@@ -386,8 +400,12 @@ def _accuracy(enc_params: enc.EncoderParams, head_params: HeadParams, mode: str,
 def validate(checkpoint: "Checkpoint", corpus: Corpus, split: str) -> dict:
     """Clip accuracies of a checkpoint on a split; region_acc is None for tac."""
     clips = _eval_clips(corpus, split, checkpoint.config)
+    global_features = None
+    if checkpoint.mode == "tsp":
+        global_features = {vid: checkpoint_global_feature(corpus, vid, checkpoint)
+                           for vid in dict.fromkeys(clips.video_ids)}
     action_acc, region_acc = _accuracy(checkpoint.encoder, checkpoint.heads,
-                                       checkpoint.mode, checkpoint.global_features, clips)
+                                       checkpoint.mode, global_features, clips)
     if checkpoint.mode == "tac":
         region_acc = None
     return {"action_acc": action_acc, "region_acc": region_acc}
@@ -431,6 +449,7 @@ def train(corpus: Corpus, cfg: TrainConfig,
             clip_len=cfg.clip_len, frame_stride=cfg.frame_stride,
             dense_hop=cfg.gvf_dense_hop)
 
+    table_features = None if table is None else table.features
     num_classes = len(corpus.classes)
     weights = cfg.loss_weights
     valid_clips = _eval_clips(corpus, "valid", cfg)
@@ -483,7 +502,7 @@ def train(corpus: Corpus, cfg: TrainConfig,
 
         if cfg.epochs == 0:
             action_acc, region_acc = _accuracy(enc_params, head_params, cfg.mode,
-                                               table, valid_clips)
+                                               table_features, valid_clips)
             score = _selection_score(action_acc, region_acc, cfg.mode)
             candidates.append((score, head_lr, -1, enc_params.copy(), head_params.copy()))
             continue
@@ -529,7 +548,7 @@ def train(corpus: Corpus, cfg: TrainConfig,
                 break
 
             action_acc, region_acc = _accuracy(enc_params, head_params, cfg.mode,
-                                               table, valid_clips)
+                                               table_features, valid_clips)
             rows.append(TrainLogRow(epoch, head_lr, float(np.mean(epoch_losses)),
                                     action_acc, region_acc, mult))
             score = _selection_score(action_acc, region_acc, cfg.mode)

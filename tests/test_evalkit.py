@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tspkit import evalkit as ev
 from tspkit.extract import FeatureTrack
@@ -145,6 +147,15 @@ def test_tiou_matches_oracle_and_range():
         assert 0.0 <= val <= 1.0
 
 
+def test_segment_iou_matrix_equals_scalar_tiou():
+    # half-second grid: identical, nested, touching and zero-length segments
+    segs = [(a / 2.0, b / 2.0) for a in range(0, 12, 3) for b in range(a, 14, 2)]
+    matrix = ev._segment_iou(np.array(segs), np.array(segs))
+    for i, a in enumerate(segs):
+        for j, b in enumerate(segs):
+            assert matrix[i, j] == ev.tiou(a, b)
+
+
 # ---------------------------------------------------------------------------
 # AP / mAP
 
@@ -271,6 +282,77 @@ def test_ar_auc_match_brute_force_on_random_instances():
                        for thr in ev.TIOU_GRID) / len(ev.TIOU_GRID)
             assert abs(got - want) <= 1e-12, f"trial {trial} budget {budget}"
         assert abs(ev.auc_100(props, gts) - oracle_auc(props, gts)) <= 1e-12
+
+
+@pytest.mark.parametrize("props, gts, want", [
+    # A ties on G1 and G2; B reaches only G1 at tIoU 0.65..0.8. Taking the
+    # earlier GT for A leaves B unmatched there.
+    ([P("v0", 0.5, 10.5, 0.9), P("v0", 0.0, 8.0, 0.5)],
+     [G("v0", 0, 0.0, 10.0), G("v0", 0, 1.0, 11.0)], 0.6),
+    # A and B tie on G1; only A reaches G2 at tIoU 0.7..0.8. The higher-ranked
+    # A takes G1, which leaves G2 unmatched there.
+    ([P("v0", 1.0, 10.0, 0.9), P("v0", 0.0, 9.0, 0.5)],
+     [G("v0", 0, 0.0, 10.0), G("v0", 0, 1.0, 12.0)], 0.65),
+])
+def test_overlap_ties_go_to_higher_ranked_proposal_then_earlier_gt(props, gts, want):
+    (_, ar), = ev.ar_at_an(props, gts, (2,))
+    assert ar == oracle_average_recall(props, gts, 2)
+    assert ar == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("budgets", [(), (0,), (-1,), (1, 0, 5)])
+def test_ar_at_an_rejects_empty_or_nonpositive_budgets(budgets):
+    gts = [G("v0", 0, 5.0, 10.0)]
+    props = [P("v0", 5.0, 10.0, 0.9), P("v0", 0.0, 1.0, 0.1)]
+    with pytest.raises(ValueError, match="budgets"):
+        ev.ar_at_an(props, gts, budgets)
+
+
+@st.composite
+def proposal_problems(draw):
+    """GTs on v0/v1 and proposals on v0/v1/v2 (v2 has no GT), on a half-second
+    grid with coarse scores, so score and overlap ties and touching segments
+    are common; some proposals are duplicated, and one optional pair overlaps
+    at exactly a TIOU_GRID threshold."""
+    def segment(min_len):
+        t0 = draw(st.integers(0, 40)) / 2.0
+        return t0, t0 + draw(st.integers(min_len, 24)) / 2.0
+
+    gts = [G(draw(st.sampled_from(("v0", "v1"))), 0, *segment(1))
+           for _ in range(draw(st.integers(1, 4)))]
+    props = [P(draw(st.sampled_from(("v0", "v1", "v2"))), *segment(0),
+               draw(st.integers(0, 4)) / 4.0)
+             for _ in range(draw(st.integers(0, 10)))]
+    if props:
+        props += [props[i] for i in draw(st.lists(st.integers(0, len(props) - 1),
+                                                  max_size=3))]
+    if draw(st.booleans()):
+        t0 = draw(st.integers(0, 40)) / 2.0
+        k = draw(st.integers(0, len(ev.TIOU_GRID) - 1))
+        gts.append(G("v1", 0, t0, t0 + 20.0))
+        props.append(P("v1", t0, t0 + 10.0 + k, draw(st.integers(0, 4)) / 4.0))
+        assert ev.tiou((t0, t0 + 10.0 + k), (t0, t0 + 20.0)) == ev.TIOU_GRID[k]
+    return draw(st.permutations(props)), gts
+
+
+def oracle_average_recall(props, gts, budget):
+    return float(np.mean([oracle_recall(props, gts, budget, thr) for thr in ev.TIOU_GRID]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(proposal_problems(), st.lists(st.integers(1, 16), min_size=1, max_size=4))
+def test_ar_at_an_equals_oracle_exactly(problem, budgets):
+    props, gts = problem
+    want = [(b, oracle_average_recall(props, gts, b)) for b in budgets]
+    assert ev.ar_at_an(props, gts, tuple(budgets)) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(proposal_problems())
+def test_auc_100_equals_oracle_exactly(problem):
+    props, gts = problem
+    curve = [oracle_average_recall(props, gts, b) for b in range(1, 101)]
+    assert ev.auc_100(props, gts) == float(np.mean(curve) * 100.0)
 
 
 # ---------------------------------------------------------------------------

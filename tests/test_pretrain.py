@@ -355,6 +355,15 @@ def test_validate_reports_no_region_accuracy_for_tac():
     assert 0.0 <= out["action_acc"] <= 1.0
 
 
+def test_validate_recomputes_global_features_missing_from_the_table():
+    corpus = small_corpus()
+    ckpt, _ = pt.train(corpus, tiny_train_cfg(epochs=0, warmup_epochs=0))
+    full = pt.validate(ckpt, corpus, "valid")
+    table = ckpt.global_features
+    ckpt.global_features = pt.GlobalFeatureTable({}, table.pool, table.source)
+    assert pt.validate(ckpt, corpus, "valid") == full
+
+
 def test_region_accuracy_hits_95_on_separable_noiseless_corpus():
     corpus = cp.generate_synthetic(
         cp.SynthConfig(videos_per_subset=(30, 10, 0), duration_range=(150.0, 300.0),
