@@ -325,13 +325,14 @@ def _cmd_eval_prop(args) -> int:
     if not gts:
         raise UsageError(f"subset {args.subset!r} has no annotated instances")
     props = evalkit.load_predictions(args.proposals, kind="proposals")
-    curve = evalkit.ar_at_an(props, gts, (1, 10, 100))
+    curve = evalkit.ar_at_an(props, gts, evalkit.AUC_BUDGETS)
+    ar_at = dict(curve)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(f"# flags={_flags_comment()}\n")
         fh.write("metric\tvalue\n")
-        for budget, ar in curve:
-            fh.write(f"AR@{budget}\t{ar!r}\n")
-        fh.write(f"AUC\t{evalkit.auc_100(props, gts)!r}\n")
+        for budget in (1, 10, 100):
+            fh.write(f"AR@{budget}\t{ar_at[budget]!r}\n")
+        fh.write(f"AUC\t{evalkit.auc_of_curve(curve)!r}\n")
     print(f"wrote {args.out}")
     return 0
 

@@ -6,6 +6,12 @@ parameters needed to synthesize frames procedurally: every frame is a class
 (or background) prototype vector plus seeded Gaussian noise, so a corpus of
 hours of "video" stays a few kilobytes on disk and is reproducible bit for
 bit from the manifest alone.
+
+The noise of frame ``i`` of a video is keyed per frame, as part of the
+manifest contract: it is ``rng_for(frame_seed, "frame-noise",
+i).standard_normal(frame_dim)``, scaled by ``noise_sigma``. ``video_frames``
+draws a whole video's noise at once with ``seeding.normal_rows``, which
+yields the same bits.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .seeding import rng_for
+from .seeding import normal_rows, rng_for
 
 SCHEMA_VERSION = 1
 SUBSETS = ("train", "valid", "test")
@@ -190,35 +196,35 @@ class Corpus:
             self._bg_prototypes[video.id] = proto
         return proto
 
-    def _prototype_at(self, video: VideoRecord, t: float) -> np.ndarray:
-        segs = self.segments(video.id)
-        seg = segs[-1]
-        for cand in segs:  # segments partition [0, duration]; membership is half-open
-            if t < cand.t_end:
-                seg = cand
-                break
+    def _segment_prototype(self, video: VideoRecord, seg: RegionSegment) -> np.ndarray:
         if seg.kind == "foreground":
             return self.prototypes[self.class_index(seg.class_label)]
         return self.background_prototype(video)
 
     def frame(self, video: VideoRecord, frame_index: int) -> np.ndarray:
-        """Synthesize one frame, shape (channels, height, width)."""
-        info = self._require_synth()
+        """One frame, shape (channels, height, width): a writable copy of its cached row."""
         if not 0 <= frame_index < video.num_frames:
             raise ValueError(f"frame index {frame_index} out of range for {video.id!r} "
                              f"({video.num_frames} frames)")
-        base = self._prototype_at(video, frame_index / video.fps)
-        value = base
-        if info.noise_sigma > 0.0:
-            noise = rng_for(video.frame_seed, "frame-noise", frame_index).standard_normal(info.frame_dim)
-            value = base + info.noise_sigma * noise
-        return value.reshape(info.channels, info.height, info.width).astype(np.float64)
+        return self.video_frames(video)[frame_index].copy()
 
     def video_frames(self, video: VideoRecord) -> np.ndarray:
         """All frames of a video, shape (num_frames, channels, height, width); cached."""
         cached = self._frame_cache.get(video.id)
         if cached is None:
-            cached = np.stack([self.frame(video, i) for i in range(video.num_frames)])
+            info = self._require_synth()
+            segs = self.segments(video.id)
+            # segments partition [0, duration]; membership is half-open, and
+            # a time past the last end falls in the last segment
+            ends = np.array([seg.t_end for seg in segs])
+            times = np.arange(video.num_frames) / video.fps
+            seg_index = np.minimum(np.searchsorted(ends, times, side="right"), len(segs) - 1)
+            used, inverse = np.unique(seg_index, return_inverse=True)
+            cached = np.stack([self._segment_prototype(video, segs[j]) for j in used])[inverse]
+            if info.noise_sigma > 0.0:
+                cached += info.noise_sigma * normal_rows(
+                    video.frame_seed, "frame-noise", count=video.num_frames, dim=info.frame_dim)
+            cached = cached.reshape(-1, info.channels, info.height, info.width)
             cached.setflags(write=False)
             self._frame_cache[video.id] = cached
         return cached

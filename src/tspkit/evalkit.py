@@ -24,6 +24,8 @@ from .extract import FeatureTrack
 # comparisons agree with division-computed overlaps at the boundaries
 TIOU_GRID = tuple((10 + i) / 20 for i in range(10))
 DETAD_BUCKETS = ("XS", "S", "M", "L", "XL")
+# per-video proposal budgets whose mean AR is the AR-AN AUC
+AUC_BUDGETS = tuple(range(1, 101))
 
 
 class EvalError(ValueError):
@@ -240,10 +242,14 @@ def ar_at_an(proposals: list[ProposalPrediction], gts: list[GroundTruthInstance]
     return [(budget, float(np.mean(row))) for budget, row in zip(an_values, recall)]
 
 
+def auc_of_curve(curve: list[tuple[int, float]]) -> float:
+    """Mean AR of an ``ar_at_an`` curve over ``AUC_BUDGETS``, in percent."""
+    return float(np.mean([ar for _, ar in curve]) * 100.0)
+
+
 def auc_100(proposals: list[ProposalPrediction], gts: list[GroundTruthInstance]) -> float:
     """Mean AR over budgets 1..100, in percent."""
-    curve = ar_at_an(proposals, gts, tuple(range(1, 101)))
-    return float(np.mean([ar for _, ar in curve]) * 100.0)
+    return auc_of_curve(ar_at_an(proposals, gts, AUC_BUDGETS))
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +442,12 @@ def _finite(value) -> float | None:
 def load_predictions(path, kind: str = "detections"):
     """Read a predictions file written by ``save_predictions``.
 
-    Raises EvalError, naming the file, video and row, for any row a metric
-    could not score as written.
+    ``kind`` is ``"detections"`` or ``"proposals"``; any other value raises
+    ValueError. Raises EvalError, naming the file, video and row, for any row
+    a metric could not score as written.
     """
+    if kind not in ("detections", "proposals"):
+        raise ValueError(f"kind must be 'detections' or 'proposals', got {kind!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -4,6 +4,11 @@ Every random draw in the library comes from ``rng_for(...)`` with an explicit
 key, so identical inputs give bit-identical outputs on any platform. String
 parts are folded in via sha256 rather than ``hash()`` (which is salted per
 process).
+
+``normal_rows(*prefix, count, dim)`` is defined by ``rng_for``: its row ``i``
+is ``rng_for(*prefix, i).standard_normal(dim)``, bit for bit. It only gets
+there faster, by running numpy's ``SeedSequence`` entropy mixing for all
+indices at once and reseeding one ``PCG64`` per row.
 """
 
 from __future__ import annotations
@@ -38,3 +43,99 @@ def _as_ints(parts) -> list[int]:
 def rng_for(*parts) -> np.random.Generator:
     """A PCG64 generator keyed by the given ints/strings."""
     return np.random.default_rng(np.random.SeedSequence(_as_ints(parts)))
+
+
+# Constants of numpy's SeedSequence (numpy/random/bit_generator.pyx) and of
+# PCG64's seeding (pcg_setseq_128_srandom_r in numpy/random/src/pcg64).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG_MULT_128 = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uint32_words(n: int) -> list[int]:
+    """SeedSequence's split of a nonnegative int into little-endian 32-bit words."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _hasher(hash_const: int, mult: int):
+    """SeedSequence's hashmix over arrays of uint32 words, one word per key.
+
+    The multiplier constant evolves the same way for every key, so it stays a
+    Python int; the words wrap mod 2**32 like the C code.
+    """
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * mult) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _pcg64_seeds(entropy: list[np.ndarray]) -> np.ndarray:
+    """``SeedSequence(words).generate_state(4, np.uint64)`` for every key at once.
+
+    ``entropy`` holds the keys' uint32 words column by column; the result is
+    (keys, 4) uint64. The first loops are SeedSequence.mix_entropy, the last
+    one generate_state.
+    """
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, len(entropy)):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(entropy[src]))
+
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    words = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(2 * 4)]
+    # little-endian pairs of 32-bit words make the 64-bit words
+    return np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(words[0::2], words[1::2])],
+                    axis=1)
+
+
+def normal_rows(*prefix, count: int, dim: int) -> np.ndarray:
+    """``np.stack([rng_for(*prefix, i).standard_normal(dim) for i in range(count)])``.
+
+    Bit-identical to that stack, shape (count, dim); ``count`` 0 gives an
+    empty (0, dim) array. Each index must be one 32-bit seed word, so
+    ``count`` is at most 2**32.
+    """
+    if not 0 <= count <= 1 << 32:
+        raise ValueError(f"count must be in [0, 2**32], got {count}")
+    out = np.empty((count, dim), dtype=np.float64)
+    fixed = [w for part in _as_ints(prefix) for w in _uint32_words(part)]
+    index = np.arange(count, dtype=np.uint32)
+    entropy = [np.full(count, w, dtype=np.uint32) for w in fixed] + [index]
+    seeds = _pcg64_seeds(entropy).tolist()
+
+    bit_gen = np.random.PCG64(0)
+    gen = np.random.Generator(bit_gen)
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for row, (s_hi, s_lo, i_hi, i_lo) in zip(out, seeds):
+        # pcg_setseq_128_srandom_r: inc = seq << 1 | 1, then two LCG steps
+        # from state 0 with the seed added in between
+        inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
+        pcg["inc"] = inc
+        pcg["state"] = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT_128 + inc) & _MASK128
+        bit_gen.state = state
+        gen.standard_normal(out=row)
+    return out

@@ -101,3 +101,26 @@ def test_detections_without_an_integer_label_exit_1(case, manifest, tmp_path, ca
     code, err, _, out = run_eval("eval-prop", text, manifest, tmp_path, capsys)
     assert (code, err) == (0, "")
     assert out.exists()
+
+
+def test_eval_prop_report_reads_ar_and_auc_off_one_curve(manifest, tmp_path, capsys):
+    from tspkit import corpus, evalkit
+
+    gts = evalkit.ground_truth_from_corpus(corpus.load_manifest(manifest), "valid")
+    # per video: each GT, a shifted copy of it and a long low-scored miss
+    preds = {}
+    for g in gts:
+        preds.setdefault(g.video_id, []).extend([
+            evalkit.ProposalPrediction(g.video_id, g.t_start, g.t_end, 0.9),
+            evalkit.ProposalPrediction(g.video_id, g.t_start + 0.3 * g.length,
+                                       g.t_end + 0.3 * g.length, 0.8),
+            evalkit.ProposalPrediction(g.video_id, 0.0, 0.5, 0.1)])
+    path = tmp_path / "props.json"
+    evalkit.save_predictions(preds, path)
+    out = tmp_path / "report.tsv"
+    assert cli.main(["eval-prop", "--manifest", str(manifest), "--proposals", str(path),
+                     "--out", str(out)]) == 0
+    props = evalkit.load_predictions(path, kind="proposals")
+    want = [f"AR@{budget}\t{ar!r}" for budget, ar in evalkit.ar_at_an(props, gts, (1, 10, 100))]
+    want.append(f"AUC\t{evalkit.auc_100(props, gts)!r}")
+    assert out.read_text().splitlines()[2:] == want

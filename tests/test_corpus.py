@@ -1,5 +1,6 @@
 """Corpus schema, region derivation, and synthetic generation."""
 
+import hashlib
 import json
 import math
 import statistics
@@ -239,3 +240,53 @@ def test_frame_index_out_of_range():
     video = list(corpus.videos.values())[0]
     with pytest.raises(ValueError):
         corpus.frame(video, video.num_frames)
+
+
+def test_frame_on_a_segment_boundary_takes_the_later_segment():
+    # membership is half-open: at 4 fps, frame 8 (t = 2.0) starts the action
+    # and frame 12 (t = 3.0) is already background again
+    synth = synth_corpus(noise=0.0)
+    video = cp.VideoRecord("edge", "train", 5.0, 4.0,
+                           [cp.AnnotationInstance(synth.classes[1], 2.0, 3.0)], 17)
+    corpus = cp.Corpus(synth.classes, {video.id: video}, synth.synth)
+    proto = corpus.prototypes[1]
+    frames = corpus.video_frames(video).reshape(video.num_frames, -1)
+    on_action = [i for i in range(video.num_frames) if np.array_equal(frames[i], proto)]
+    assert on_action == list(range(8, 12))
+    assert np.array_equal(frames[12], corpus.background_prototype(video))
+
+def test_frame_is_a_writable_copy_of_its_video_row():
+    corpus = synth_corpus(noise=0.5)
+    video = list(corpus.videos.values())[0]
+    frames = corpus.video_frames(video)
+    assert not frames.flags.writeable
+    for i in (0, 7, video.num_frames - 1):
+        frame = corpus.frame(video, i)
+        assert frame.shape == frames.shape[1:]
+        assert np.array_equal(frame, frames[i])
+        frame += 1.0  # writable, and the cache keeps its bits
+        assert not np.array_equal(frame, frames[i])
+    assert np.array_equal(corpus.video_frames(video), frames)
+
+
+# sha256 of every video's frame shape and float64 bytes, in video order, for the
+# small corpus of synth_corpus(noise, mode, seed=3). The frame noise is keyed per
+# frame, rng_for(frame_seed, "frame-noise", i), as the manifest contract says;
+# these digests were taken from the per-frame implementation.
+FRAME_DIGESTS = {
+    (0.5, "hard"): "4a26105b4e4819bfcadbfe65fa2a5a8c48c620bfe131c38998ae795c00ac3555",
+    (0.5, "pure"): "16ca85d8cb47e0b63a6ddcba8715ab3c96aa91851d3426a86cd2ac856cd528a3",
+    (0.0, "hard"): "dcbd94ff3c106908b268e27f62153cde8aceca96c94754da1eeceb1349b2029a",
+    (0.0, "pure"): "0d2cb5db4e74807ba7b19df5339e9fd95fdcc49669114ede242355646eaa3726",
+}
+
+
+@pytest.mark.parametrize("noise, mode", sorted(FRAME_DIGESTS))
+def test_video_frames_match_golden_digest(noise, mode):
+    corpus = synth_corpus(noise=noise, mode=mode)
+    digest = hashlib.sha256()
+    for video in corpus.videos.values():
+        frames = corpus.video_frames(video)
+        digest.update(repr(frames.shape).encode())
+        digest.update(np.ascontiguousarray(frames, dtype="<f8").tobytes())
+    assert digest.hexdigest() == FRAME_DIGESTS[noise, mode]

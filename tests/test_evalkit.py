@@ -495,3 +495,11 @@ def test_predictions_round_trip(tmp_path):
     ppath = tmp_path / "props.json"
     ev.save_predictions(props, ppath)
     assert ev.load_predictions(ppath, kind="proposals") == [P("v0", 1.0, 2.0, 0.5)]
+
+
+@pytest.mark.parametrize("kind", ["detection", "Proposals", ""])
+def test_load_predictions_rejects_unknown_kind(tmp_path, kind):
+    path = tmp_path / "dets.json"
+    ev.save_predictions({"v0": [D("v0", 1, 0.0, 5.0, 0.75)]}, path)
+    with pytest.raises(ValueError, match="kind"):
+        ev.load_predictions(path, kind=kind)
