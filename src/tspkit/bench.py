@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -145,3 +146,16 @@ def write_bench_table(table: dict[str, dict[str, AggregateStat]], path,
                     fields += ["n/a", "n/a"]
             fields.append(str(n))
             fh.write("\t".join(fields) + "\n")
+
+
+def write_cell_tables(per_seed: dict[int, dict[str, dict[str, float]]], out_dir,
+                      flags_comment: str) -> None:
+    """One ``cell_seed<seed>.tsv`` per seed: every (mode, metric) value, sorted.
+    Each file starts with its ``# flags=`` line, even an empty one."""
+    for seed in sorted(per_seed):
+        with open(Path(out_dir) / f"cell_seed{seed}.tsv", "w", encoding="utf-8") as fh:
+            fh.write(f"# flags={flags_comment}\n")
+            fh.write("mode\tmetric\tvalue\n")
+            for mode in sorted(per_seed[seed]):
+                for metric in sorted(per_seed[seed][mode]):
+                    fh.write(f"{mode}\t{metric}\t{per_seed[seed][mode][metric]!r}\n")

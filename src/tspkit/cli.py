@@ -401,14 +401,7 @@ def _cmd_bench(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     table, per_seed = bench.run_bench(corpus, bench_cfg)
-    for seed in sorted(per_seed):
-        cell_path = out_dir / f"cell_seed{seed}.tsv"
-        with open(cell_path, "w", encoding="utf-8") as fh:
-            fh.write(f"# flags={_flags_comment()}\n")
-            fh.write("mode\tmetric\tvalue\n")
-            for mode in sorted(per_seed[seed]):
-                for metric in sorted(per_seed[seed][mode]):
-                    fh.write(f"{mode}\t{metric}\t{per_seed[seed][mode][metric]!r}\n")
+    bench.write_cell_tables(per_seed, out_dir, flags_comment=_flags_comment())
     bench.write_bench_table(table, out_dir / "bench_table.tsv",
                             flags_comment=_flags_comment())
     for mode, stats in table.items():

@@ -268,10 +268,10 @@ def _validate_video(vid: str, rec: VideoRecord, classes: list[str]) -> None:
         raise ManifestError(f"video {vid!r}: id must match [A-Za-z0-9_.-]+")
     if rec.subset not in SUBSETS:
         raise ManifestError(f"video {vid!r}: unknown subset {rec.subset!r}")
-    if rec.duration_sec <= 0:
-        raise ManifestError(f"video {vid!r}: duration_sec must be positive")
-    if rec.fps <= 0:
-        raise ManifestError(f"video {vid!r}: fps must be positive")
+    if not 0 < rec.duration_sec < math.inf:
+        raise ManifestError(f"video {vid!r}: duration_sec must be positive and finite")
+    if not 0 < rec.fps < math.inf:
+        raise ManifestError(f"video {vid!r}: fps must be positive and finite")
     if rec.num_frames < 1:
         raise ManifestError(f"video {vid!r}: no frames (duration_sec * fps < 1)")
     class_set = set(classes)
@@ -318,6 +318,8 @@ def corpus_from_dict(doc: dict) -> Corpus:
     if not isinstance(raw_videos, dict):
         raise ManifestError("videos must be an object keyed by video id")
     for vid, raw in raw_videos.items():
+        if not isinstance(raw, dict):
+            raise ManifestError(f"video {vid!r}: record must be an object")
         try:
             anns = [AnnotationInstance(a["label"], float(a["segment"][0]), float(a["segment"][1]))
                     for a in raw.get("annotations", [])]
@@ -369,7 +371,12 @@ def load_manifest(path) -> Corpus:
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
                             f"{exc.msg}") from exc
-    return corpus_from_dict(doc)
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    try:
+        return corpus_from_dict(doc)
+    except ManifestError as exc:
+        raise ManifestError(f"{path}: {exc}") from exc
 
 
 def save_manifest(corpus: Corpus, path) -> None:

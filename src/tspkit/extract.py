@@ -18,7 +18,7 @@ from . import encoder as enc
 from .autodiff import softmax
 from .corpus import Corpus, VideoRecord
 from .pretrain import Checkpoint, checkpoint_global_feature, head_logits
-from .sampler import ClipSpec, clip_span, flatten_clip, load_clip
+from .sampler import ClipSpec, clip_batch, clip_span
 
 
 class TrackError(ValueError):
@@ -71,9 +71,8 @@ def extract_track(corpus: Corpus, video: VideoRecord, ckpt: Checkpoint,
 
     global_feat = checkpoint_global_feature(corpus, video.id, ckpt)
     centers = range(0, video.num_frames, hop)
-    frames = np.stack([flatten_clip(load_clip(
-        corpus, ClipSpec(video.id, c, cfg.clip_len, cfg.frame_stride, "background"), "test"))
-        for c in centers])
+    frames = clip_batch(corpus, [ClipSpec(video.id, c, cfg.clip_len, cfg.frame_stride,
+                                          "background") for c in centers], "test")
     feats = enc.forward_np_batch(ckpt.encoder, frames)
     gfeats = np.broadcast_to(global_feat, feats.shape) if ckpt.mode == "tsp" else None
     logits, region = head_logits(feats, gfeats, ckpt.heads, ckpt.mode)
@@ -120,27 +119,31 @@ def write_track(track: FeatureTrack, path, flags_comment: str | None = None) -> 
 
 def read_track(path) -> FeatureTrack:
     header: dict[str, str] = {}
-    rows: list[list[str]] = []
+    rows: list[tuple[int, list[str]]] = []
     columns: list[str] | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, value = body.split("=", 1)
-                    header[key.strip()] = value
-                continue
-            if columns is None:
-                columns = line.split(",")
-                continue
-            fields = line.split(",")
-            if len(fields) != len(columns):
-                raise TrackError(f"{path}: row {lineno}: expected {len(columns)} fields, "
-                                 f"got {len(fields)}")
-            rows.append(fields)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise TrackError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body:
+                key, value = body.split("=", 1)
+                header[key.strip()] = value
+            continue
+        if columns is None:
+            columns = line.split(",")
+            continue
+        fields = line.split(",")
+        if len(fields) != len(columns):
+            raise TrackError(f"{path}: row {lineno}: expected {len(columns)} fields, "
+                             f"got {len(fields)}")
+        rows.append((lineno, fields))
 
     required = ("video_id", "clip_len", "frame_stride", "hop_frames", "fps",
                 "num_frames", "feature_dim", "num_classes", "checkpoint_id", "gvf")
@@ -150,16 +153,22 @@ def read_track(path) -> FeatureTrack:
     if columns is None:
         raise TrackError(f"{path}: no column header row")
 
-    dim = int(header["feature_dim"])
-    classes = int(header["num_classes"])
+    try:
+        dim = int(header["feature_dim"])
+        classes = int(header["num_classes"])
+        counts = {k: int(header[k]) for k in ("clip_len", "frame_stride", "hop_frames",
+                                              "num_frames")}
+        fps = float(header["fps"])
+        global_feature = np.array([float(v) for v in header["gvf"].split(";")]
+                                  if header["gvf"] else [], dtype=np.float64)
+    except ValueError as exc:
+        raise TrackError(f"{path}: bad header value ({exc})") from exc
     expected_cols = (["t_center"] + [f"f_{j}" for j in range(dim)] + ["p_fg"]
                      + [f"a_{j}" for j in range(classes)])
     if columns != expected_cols:
         raise TrackError(f"{path}: column header does not match feature_dim={dim}, "
                          f"num_classes={classes}")
 
-    global_feature = np.array([float(v) for v in header["gvf"].split(";")] if header["gvf"]
-                              else [], dtype=np.float64)
     if global_feature.shape[0] != dim:
         raise TrackError(f"{path}: gvf length {global_feature.shape[0]} != feature_dim {dim}")
 
@@ -169,19 +178,20 @@ def read_track(path) -> FeatureTrack:
     logits = np.empty((n, classes))
     probs = np.empty(n)
     has_probs = True  # an empty p_fg field marks a track without region scores
-    for i, fields in enumerate(rows):
-        center_times[i] = float(fields[0])
-        features[i] = [float(v) for v in fields[1:1 + dim]]
-        p = fields[1 + dim]
-        if p == "":
-            has_probs = False
-        else:
-            probs[i] = float(p)
-        logits[i] = [float(v) for v in fields[2 + dim:]]
+    for i, (lineno, fields) in enumerate(rows):
+        try:
+            center_times[i] = float(fields[0])
+            features[i] = [float(v) for v in fields[1:1 + dim]]
+            p = fields[1 + dim]
+            if p == "":
+                has_probs = False
+            else:
+                probs[i] = float(p)
+            logits[i] = [float(v) for v in fields[2 + dim:]]
+        except ValueError as exc:
+            raise TrackError(f"{path}: row {lineno}: {exc}") from exc
     return FeatureTrack(
-        video_id=header["video_id"], clip_len=int(header["clip_len"]),
-        frame_stride=int(header["frame_stride"]), hop_frames=int(header["hop_frames"]),
-        fps=float(header["fps"]), num_frames=int(header["num_frames"]),
+        video_id=header["video_id"], **counts, fps=fps,
         checkpoint_id=header["checkpoint_id"], global_feature=global_feature,
         center_times=center_times, features=features,
         region_probs=probs if has_probs else None,

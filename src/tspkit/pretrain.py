@@ -22,14 +22,13 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import autodiff as ad
 from . import encoder as enc
 from .corpus import Corpus
-from .sampler import (ClipSpec, build_epoch, flatten_clip, load_clip, test_clip_set,
+from .sampler import (ClipLabels, ClipSpec, build_epoch, clip_batch, test_clip_set,
                       transformed_shape)
 from .seeding import rng_for
 
@@ -233,7 +232,7 @@ def video_global_feature(corpus: Corpus, video_id: str, init_params: enc.Encoder
                              clip_len=clip_len, frame_stride=frame_stride, dense_hop=dense_hop)
     if not specs:
         raise ValueError(f"video {video_id!r} has no sampleable clips")
-    frames = np.stack([flatten_clip(load_clip(corpus, s, "test")) for s in specs])
+    frames = clip_batch(corpus, specs, "test")
     return pool_features(list(enc.forward_np_batch(init_params, frames)), pool)
 
 
@@ -355,36 +354,48 @@ def lr_at(step: int, steps_per_epoch: int, cfg: TrainConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# validation
+# labeled batches and validation
 
 
-@dataclass
-class _EvalSet:
+@dataclass(frozen=True)
+class LabeledBatch:
+    """Clips gathered as encoder input, with their labels, in clip order."""
+
     frames: np.ndarray  # (B, frame_dim, L)
     region_labels: np.ndarray  # (B,)
     action_labels: np.ndarray  # (B,), -1 on background rows
     video_ids: list[str]
 
+    def global_rows(self, features: Mapping[str, np.ndarray] | None) -> np.ndarray | None:
+        """(B, F) global features aligned with the clips; None without a table."""
+        return None if features is None else np.stack([features[v] for v in self.video_ids])
 
-def _eval_clips(corpus: Corpus, split: str, cfg: TrainConfig) -> _EvalSet:
+
+def labeled_batch(corpus: Corpus, items: list[tuple[ClipSpec, ClipLabels]], mode: str,
+                  rng: np.random.Generator | None = None) -> LabeledBatch:
+    """(spec, labels) items gathered into one batch; rng draws the train-mode crops."""
+    specs = [spec for spec, _ in items]
+    return LabeledBatch(
+        clip_batch(corpus, specs, mode, rng),
+        np.array([labels.region for _, labels in items]),
+        np.array([-1 if labels.action is None else labels.action for _, labels in items]),
+        [spec.video_id for spec in specs])
+
+
+def _eval_clips(corpus: Corpus, split: str, cfg: TrainConfig) -> LabeledBatch:
     items = test_clip_set(corpus, split, clips_per_segment=cfg.clips_per_segment,
                           clip_len=cfg.clip_len, frame_stride=cfg.frame_stride)
     if not items:
         raise ValueError(f"split {split!r} has no clips")
-    frames = np.stack([flatten_clip(load_clip(corpus, spec, "test")) for spec, _ in items])
-    region = np.array([labels.region for _, labels in items])
-    action = np.array([labels.action if labels.action is not None else -1
-                       for _, labels in items])
-    return _EvalSet(frames, region, action, [spec.video_id for spec, _ in items])
+    return labeled_batch(corpus, items, "test")
 
 
 def _accuracy(enc_params: enc.EncoderParams, head_params: HeadParams, mode: str,
               global_features: Mapping[str, np.ndarray] | None,
-              clips: _EvalSet) -> tuple[float, float | None]:
+              clips: LabeledBatch) -> tuple[float, float | None]:
     feats = enc.forward_np_batch(enc_params, clips.frames)
-    gfeats = (np.stack([global_features[vid] for vid in clips.video_ids])
-              if mode == "tsp" else None)
-    action_logits, region_logits = head_logits(feats, gfeats, head_params, mode)
+    action_logits, region_logits = head_logits(feats, clips.global_rows(global_features),
+                                               head_params, mode)
     fg = clips.region_labels == 1
     if fg.any():
         action_acc = float(np.mean(np.argmax(action_logits[fg], axis=1)
@@ -406,8 +417,6 @@ def validate(checkpoint: "Checkpoint", corpus: Corpus, split: str) -> dict:
                            for vid in dict.fromkeys(clips.video_ids)}
     action_acc, region_acc = _accuracy(checkpoint.encoder, checkpoint.heads,
                                        checkpoint.mode, global_features, clips)
-    if checkpoint.mode == "tac":
-        region_acc = None
     return {"action_acc": action_acc, "region_acc": region_acc}
 
 
@@ -454,41 +463,18 @@ def train(corpus: Corpus, cfg: TrainConfig,
     weights = cfg.loss_weights
     valid_clips = _eval_clips(corpus, "valid", cfg)
 
-    def build_batches(epoch: int):
+    def build_batches(epoch: int) -> list[LabeledBatch]:
         items = build_epoch(
             corpus, "train", epoch, cfg.seed,
             clips_per_segment=cfg.clips_per_segment, clip_len=cfg.clip_len,
             frame_stride=cfg.frame_stride, fg_only=(cfg.mode == "tac"),
             resample_each_epoch=cfg.resample_each_epoch)
         aug_rng = rng_for(cfg.seed, "augment", epoch)
-        batches = []
-        for start in range(0, len(items), cfg.batch_size):
-            chunk = items[start:start + cfg.batch_size]
-            frames = np.stack([flatten_clip(load_clip(corpus, spec, "train", aug_rng))
-                               for spec, _ in chunk])
-            region_labels = np.array([labels.region for _, labels in chunk])
-            action_labels = np.array([labels.action if labels.action is not None else -1
-                                      for _, labels in chunk])
-            gfeats = None
-            if cfg.mode == "tsp":
-                gfeats = np.stack([table.features[spec.video_id] for spec, _ in chunk])
-            batches.append((frames, region_labels, action_labels, gfeats))
-        return batches
+        return [labeled_batch(corpus, items[start:start + cfg.batch_size], "train", aug_rng)
+                for start in range(0, len(items), cfg.batch_size)]
 
-    # epochs are identical across grid cells (same seed), so cache the
-    # assembled batches up to a memory budget
-    batch_cache: dict[int, list] = {}
-    cache_bytes = 0
-
-    def epoch_batches(epoch: int):
-        nonlocal cache_bytes
-        if epoch in batch_cache:
-            return batch_cache[epoch]
-        batches = build_batches(epoch)
-        if cache_bytes < 200 * 1024 * 1024:
-            batch_cache[epoch] = batches
-            cache_bytes += sum(b[0].nbytes for b in batches)
-        return batches
+    # every grid cell trains on the same epochs (same seed), so build them once
+    epochs = [build_batches(epoch) for epoch in range(cfg.epochs)]
 
     rows: list[TrainLogRow] = []
     candidates = []  # (score, head_lr, epoch, encoder snapshot, heads snapshot)
@@ -508,22 +494,20 @@ def train(corpus: Corpus, cfg: TrainConfig,
             continue
 
         step = 0
-        steps_per_epoch = None
+        steps_per_epoch = len(epochs[0])
         diverged = False
-        for epoch in range(cfg.epochs):
-            batches = epoch_batches(epoch)
-            if steps_per_epoch is None:
-                steps_per_epoch = len(batches)
+        for epoch, batches in enumerate(epochs):
             epoch_losses = []
             mult = 1.0
-            for frames, region_labels, action_labels, gfeats in batches:
+            for batch in batches:
                 mult = lr_at(step, steps_per_epoch, cfg)
 
                 tape = ad.Tape()
                 enc_leaves = enc.EncoderLeaves(tape, enc_params)
                 head_leaves = HeadLeaves(tape, head_params)
-                batch_loss = batch_loss_tensor(tape, enc_leaves, head_leaves, frames,
-                                               region_labels, action_labels, gfeats,
+                batch_loss = batch_loss_tensor(tape, enc_leaves, head_leaves, batch.frames,
+                                               batch.region_labels, batch.action_labels,
+                                               batch.global_rows(table_features),
                                                weights, cfg.mode)
                 loss_value = batch_loss.item()
                 if not math.isfinite(loss_value):
@@ -571,55 +555,6 @@ def train(corpus: Corpus, cfg: TrainConfig,
                       init_encoder=init_enc, global_features=table, selection=selection,
                       seed=cfg.seed)
     return ckpt, rows
-
-
-# ---------------------------------------------------------------------------
-# parameter vector packing (used by gradient checks)
-
-
-def flatten_params(enc_params: enc.EncoderParams, head_params: HeadParams) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in enc_params.arrays() + head_params.arrays()])
-
-
-def two_head_loss_builder(enc_cfg: enc.EncoderConfig, num_classes: int, mode: str,
-                          frames: np.ndarray, region_labels: np.ndarray,
-                          action_labels: np.ndarray, global_feats: np.ndarray | None = None,
-                          weights: LossWeights = LossWeights()):
-    """A ``build(vec) -> (loss, leaf)`` closure over flattened parameters.
-
-    The loss is ``batch_loss_tensor`` of one batch, with every encoder and head
-    parameter a ``reshape_slice`` view of the single leaf holding ``vec``.
-    """
-    d = enc_cfg.embed_dim
-    region_in = d if mode == "tsp_nogvf" else 2 * d
-    shapes = [(d, enc_cfg.frame_dim), (d,)]
-    for _ in range(enc_cfg.blocks):
-        shapes += [(d, d, 3), (d,), (d, d, 3), (d,)]
-    shapes += [(d, num_classes), (num_classes,), (region_in, 2), (2,)]
-
-    def build(vec: np.ndarray):
-        tape = ad.Tape()
-        leaf = tape.tensor(vec, requires_grad=True)
-        parts = []
-        offset = 0
-        for shape in shapes:
-            size = int(np.prod(shape))
-            parts.append(ad.reshape_slice(leaf, offset, shape))
-            offset += size
-        if offset != vec.size:
-            raise ValueError(f"parameter vector has {vec.size} entries, expected {offset}")
-
-        enc_view = SimpleNamespace(
-            config=enc_cfg, stem_weight=parts[0], stem_bias=parts[1],
-            blocks=[tuple(parts[2 + 4 * i: 6 + 4 * i]) for i in range(enc_cfg.blocks)])
-        head_view = SimpleNamespace(
-            action_weight=parts[-4], action_bias=parts[-3],
-            region_weight=parts[-2], region_bias=parts[-1])
-        loss = batch_loss_tensor(tape, enc_view, head_view, frames, region_labels,
-                                 action_labels, global_feats, weights, mode)
-        return loss, leaf
-
-    return build
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +656,9 @@ def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
 
 
 def checkpoint_from_dict(doc: dict) -> Checkpoint:
-    if not isinstance(doc, dict) or doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
+    if not isinstance(doc, dict):
+        raise CheckpointError("checkpoint root must be an object")
+    if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint schema_version {doc.get('schema_version')!r}")
     try:
@@ -748,7 +685,7 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
             seed=doc["seed"],
             schema_version=doc["schema_version"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
     if doc.get("checkpoint_id") != ckpt.checkpoint_id:
         raise CheckpointError("checkpoint_id mismatch (file corrupt or edited)")
@@ -767,7 +704,12 @@ def load_checkpoint(path) -> Checkpoint:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path}: not valid JSON ({exc.msg} at line {exc.lineno})") from exc
-    return checkpoint_from_dict(doc)
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    try:
+        return checkpoint_from_dict(doc)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
 
 
 def write_train_log(rows: list[TrainLogRow], path, header_comment: str | None = None) -> None:

@@ -5,6 +5,11 @@ stride and clamp at the video edges (frame replication). Training draws clip
 centers uniformly inside each region segment (temporal jittering) while test
 sampling places them at fixed fractions, so evaluation paths are exactly
 reproducible.
+
+``clip_batch`` is the one input path: training, validation, global-feature
+pooling and dense extraction all gather their clips through it, with one
+fancy index per clip into the cached frames. ``load_clip`` assembles a single
+clip the plain way and is kept as its reference.
 """
 
 from __future__ import annotations
@@ -49,9 +54,9 @@ def clip_span(clip_len: int, frame_stride: int) -> int:
     return (clip_len - 1) * frame_stride + 1
 
 
-def clip_frame_indices(center: int, clip_len: int, frame_stride: int,
-                       num_frames: int) -> np.ndarray:
-    """The L frame indices of a clip, clamped to [0, num_frames-1]."""
+def clip_frame_indices(center, clip_len: int, frame_stride: int, num_frames) -> np.ndarray:
+    """The L frame indices of a clip, clamped to [0, num_frames-1]; (B, 1) arrays
+    of centers and frame counts give the (B, L) indices of B clips."""
     left = (clip_len - 1) // 2
     offsets = (np.arange(clip_len) - left) * frame_stride
     return np.clip(center + offsets, 0, num_frames - 1)
@@ -156,7 +161,11 @@ def spatial_transform(frames: np.ndarray, mode: str,
 
 def load_clip(corpus: Corpus, spec: ClipSpec, mode: str,
               rng: np.random.Generator | None = None) -> np.ndarray:
-    """Assemble a clip tensor (c, L, h', w') from procedural frames."""
+    """One clip tensor (c, L, h', w'), assembled on its own.
+
+    The reference for ``clip_batch``, which tests compare against; the
+    benchmark's tracer also wraps this name. No pipeline path calls it.
+    """
     video = corpus.videos[spec.video_id]
     indices = clip_frame_indices(spec.center_frame, spec.clip_len, spec.frame_stride,
                                  video.num_frames)
@@ -165,10 +174,31 @@ def load_clip(corpus: Corpus, spec: ClipSpec, mode: str,
     return spatial_transform(frames, mode, rng)
 
 
-def flatten_clip(clip: np.ndarray) -> np.ndarray:
-    """(c, L, h, w) -> (c*h*w, L): one flattened frame per column."""
-    c, length, h, w = clip.shape
-    return clip.transpose(0, 2, 3, 1).reshape(c * h * w, length)
+def clip_batch(corpus: Corpus, specs: list[ClipSpec], mode: str,
+               rng: np.random.Generator | None = None) -> np.ndarray:
+    """Clips as encoder input (B, frame_dim, L): one flattened frame per column.
+
+    Row b holds ``load_clip(corpus, specs[b], mode, rng)`` with its (c, h, w)
+    axes flattened, bit for bit. Frames larger than the crop go through
+    ``spatial_transform`` clip by clip, in spec order, so a train-mode ``rng``
+    is drawn in the same order as per-clip loading would draw it.
+    """
+    if not specs:
+        raise ValueError("no clips to gather")
+    clip_len, stride = specs[0].clip_len, specs[0].frame_stride
+    if any((s.clip_len, s.frame_stride) != (clip_len, stride) for s in specs):
+        raise ValueError("clips in one batch must share clip_len and frame_stride")
+    videos = [corpus.videos[s.video_id] for s in specs]
+    centers = np.array([[s.center_frame] for s in specs])
+    num_frames = np.array([[v.num_frames] for v in videos])
+    indices = clip_frame_indices(centers, clip_len, stride, num_frames)  # (B, L)
+    frames = np.stack([corpus.video_frames(v)[idx] for v, idx in zip(videos, indices)])
+    if max(frames.shape[3:]) > CROP_SIZE:  # (B, L, c, h, w)
+        frames = np.stack([spatial_transform(clip.transpose(1, 0, 2, 3), mode, rng)
+                           for clip in frames]).transpose(0, 2, 1, 3, 4)
+    # contiguous, as per-clip stacking gave, so the encoder's products see one layout
+    flat = frames.transpose(0, 2, 3, 4, 1).reshape(len(specs), -1, clip_len)
+    return np.ascontiguousarray(flat)
 
 
 def segment_clip_pool(corpus: Corpus, split: str, *, mode: str,

@@ -124,3 +124,121 @@ def test_eval_prop_report_reads_ar_and_auc_off_one_curve(manifest, tmp_path, cap
     want = [f"AR@{budget}\t{ar!r}" for budget, ar in evalkit.ar_at_an(props, gts, (1, 10, 100))]
     want.append(f"AUC\t{evalkit.auc_100(props, gts)!r}")
     assert out.read_text().splitlines()[2:] == want
+
+
+# ---------------------------------------------------------------------------
+# malformed manifest, checkpoint and track files
+
+
+@pytest.fixture(scope="module")
+def good_files(tmp_path_factory):
+    """A small manifest, a tsp checkpoint trained on it, and one of its tracks."""
+    from tspkit import corpus as corpus_mod, extract, pretrain
+
+    root = tmp_path_factory.mktemp("good")
+    manifest_path = root / "corpus.json"
+    assert cli.main(["gen-corpus", "--out", str(manifest_path), "--train-videos", "1",
+                     "--valid-videos", "1", "--classes", "2"]) == 0
+    corpus = corpus_mod.load_manifest(manifest_path)
+    cfg = pretrain.TrainConfig(epochs=0, warmup_epochs=0, head_lr_grid=(0.004,),
+                               embed_dim=4, blocks=0, init="random")
+    ckpt, _ = pretrain.train(corpus, cfg)
+    ckpt_path = root / "ckpt.json"
+    pretrain.save_checkpoint(ckpt, ckpt_path)
+    track_path = root / "track.csv"
+    extract.write_track(extract.extract_track(corpus, corpus.subset_videos("valid")[0], ckpt),
+                        track_path)
+    return {"manifest": manifest_path, "checkpoint": ckpt_path, "track": track_path}
+
+
+def edit_json(change):
+    def mutate(text):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc)
+    return mutate
+
+
+def first_video(doc):
+    return doc["videos"][sorted(doc["videos"])[0]]
+
+
+def set_video(**fields):
+    return edit_json(lambda doc: first_video(doc).update(fields))
+
+
+def set_bias(value):
+    return edit_json(lambda doc: doc["heads"]["action_bias"]["data"].__setitem__(0, value))
+
+
+def replace_video_record(doc):
+    doc["videos"][sorted(doc["videos"])[0]] = []
+
+
+def replace_first_field(text):
+    lines = text.splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if line.startswith("0.0,"))
+    lines[row] = "zz" + lines[row][3:]
+    return "".join(lines)
+
+
+TRUNCATED = ("truncated", lambda text: text[:len(text) // 2])
+NOT_JSON = ("not_json", lambda text: "this is not json\n")
+NOT_UTF8 = ("not_utf8", lambda text: b"\xff\xfe\x00{")
+ROOT_LIST = ("root_not_object", lambda text: "[1, 2]")
+WRONG_VERSION = ("wrong_schema_version", edit_json(lambda doc: doc.update(schema_version=99)))
+# (file, case, text of the good file -> text or bytes of the bad one)
+BAD_FILES = [
+    *[("manifest", *case) for case in (TRUNCATED, NOT_JSON, NOT_UTF8, ROOT_LIST,
+                                       WRONG_VERSION)],
+    ("manifest", "video_not_object", edit_json(replace_video_record)),
+    ("manifest", "no_subset", edit_json(lambda doc: first_video(doc).pop("subset"))),
+    ("manifest", "string_duration", set_video(duration_sec="abc")),
+    ("manifest", "nan_duration", set_video(duration_sec=float("nan"))),
+    ("manifest", "infinite_fps", set_video(fps=float("inf"))),
+    *[("checkpoint", *case) for case in (TRUNCATED, NOT_JSON, NOT_UTF8, ROOT_LIST,
+                                         WRONG_VERSION)],
+    ("checkpoint", "no_heads", edit_json(lambda doc: doc.pop("heads"))),
+    ("checkpoint", "features_not_object",
+     edit_json(lambda doc: doc["global_features"].update(features=[]))),
+    ("checkpoint", "string_weight", set_bias("x")),
+    ("checkpoint", "nan_weight", set_bias(float("nan"))),
+    ("track", "truncated", lambda text: text[:text.index("# feature_dim")]),
+    ("track", "not_utf8", NOT_UTF8[1]),
+    ("track", "renamed_column", lambda text: text.replace(",f_0,", ",g_0,")),
+    ("track", "string_feature_dim", lambda text: text.replace("# feature_dim=4",
+                                                              "# feature_dim=abc")),
+    ("track", "string_gvf", lambda text: text.replace("# gvf=", "# gvf=x;")),
+    ("track", "string_field", replace_first_field),
+]
+
+
+def run_with_bad_file(kind, bad, good_files, tmp_path):
+    out = tmp_path / "out"
+    files = {**good_files, kind: bad}
+    if kind == "track":
+        argv = ["localize", "--tracks", str(bad), "--detections-out", str(out),
+                "--proposals-out", str(tmp_path / "props.json")]
+    else:
+        argv = ["extract", "--manifest", str(files["manifest"]),
+                "--checkpoint", str(files["checkpoint"]), "--out-dir", str(out)]
+    return cli.main(argv), out
+
+
+@pytest.mark.parametrize("kind,case,mutate", BAD_FILES,
+                         ids=[f"{kind}-{case}" for kind, case, _ in BAD_FILES])
+def test_malformed_input_file_exits_1_with_one_error_line_naming_it(
+        kind, case, mutate, good_files, tmp_path, capsys):
+    capsys.readouterr()
+    bad = tmp_path / f"bad_{kind}"
+    content = mutate(good_files[kind].read_text(encoding="utf-8"))
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(content, encoding="utf-8")
+    code, out = run_with_bad_file(kind, bad, good_files, tmp_path)
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith(f"error: {bad}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from flat_params import flatten_params, two_head_loss_builder
 from tspkit import autodiff as ad
 from tspkit import encoder as enc
 from tspkit import pretrain
@@ -123,10 +124,10 @@ def test_full_model_gradient_check_default_config():
     rng = np.random.default_rng(11)
     frames = rng.standard_normal((2, 16, 16)) * 0.5
     gfeats = np.repeat(rng.standard_normal((1, 64)) * 0.5, 2, axis=0)
-    build = pretrain.two_head_loss_builder(cfg, 8, "tsp", frames, np.array([1, 0]),
-                                           np.array([2, -1]), gfeats)
+    build = two_head_loss_builder(cfg, 8, "tsp", frames, np.array([1, 0]),
+                                  np.array([2, -1]), gfeats)
     enc_params = enc.init_params(cfg, seed=0)
     heads = pretrain.init_heads(64, 8, "tsp", seed=0)
-    vec = pretrain.flatten_params(enc_params, heads)
+    vec = flatten_params(enc_params, heads)
     res = ad.gradient_check(build, vec, coords=100, h=1e-6, seed=0)
     assert res.max_rel_err <= 1e-5

@@ -8,7 +8,7 @@ from tspkit import encoder as enc
 from tspkit import extract as ex
 from tspkit import pretrain as pt
 from tspkit.autodiff import softmax
-from tspkit.sampler import ClipSpec, flatten_clip, load_clip
+from tspkit.sampler import ClipSpec, load_clip
 
 
 def make_corpus(duration=77.5, fps=4.0, valid=True):
@@ -69,7 +69,8 @@ def test_rows_equal_per_clip_reference(mode):
     assert len(track) == len(centers)
     for i, center in enumerate(centers):
         spec = ClipSpec(video.id, center, cfg.clip_len, cfg.frame_stride, "background")
-        feat = enc.forward_np(ckpt.encoder, flatten_clip(load_clip(corpus, spec, "test")))
+        clip = load_clip(corpus, spec, "test")  # (c, L, h, w) -> (c*h*w, L)
+        feat = enc.forward_np(ckpt.encoder, clip.transpose(0, 2, 3, 1).reshape(-1, cfg.clip_len))
         assert np.array_equal(track.features[i], feat)
         assert np.array_equal(track.action_logits[i],
                               feat @ heads.action_weight + heads.action_bias)

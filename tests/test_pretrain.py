@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from flat_params import flatten_params, two_head_loss_builder
 from tspkit import autodiff as ad
 from tspkit import corpus as cp
 from tspkit import encoder as enc
@@ -116,11 +117,10 @@ def test_gradient_check_through_batched_loss():
     for mode, region, action in (("tsp", [1, 0, 1], [1, -1, 3]),
                                  ("tsp_nogvf", [1, 0, 1], [1, -1, 3]),
                                  ("tac", [1, 1, 1], [1, 0, 3])):
-        build = pt.two_head_loss_builder(SMALL_ENC, 4, mode, frames, np.array(region),
-                                         np.array(action),
-                                         gfeats if mode == "tsp" else None)
-        vec0 = pt.flatten_params(enc.init_params(SMALL_ENC, seed=0),
-                                 pt.init_heads(6, 4, mode, seed=0))
+        build = two_head_loss_builder(SMALL_ENC, 4, mode, frames, np.array(region),
+                                      np.array(action), gfeats if mode == "tsp" else None)
+        vec0 = flatten_params(enc.init_params(SMALL_ENC, seed=0),
+                              pt.init_heads(6, 4, mode, seed=0))
         vec0 = vec0 + np.random.default_rng(7).standard_normal(vec0.size) * 0.3
         res = ad.gradient_check(build, vec0, coords=120, h=1e-6, seed=1)
         assert res.max_rel_err <= 1e-5, mode
@@ -161,10 +161,11 @@ def test_single_clip_video_feature_is_that_clips_feature():
     cfg = enc.EncoderConfig(channels_in=4, embed_dim=5, blocks=0)
     params = enc.init_params(cfg, seed=0)
     table = pt.precompute_global_features(corpus, params, "max", clips_per_segment=1)
-    from tspkit.sampler import flatten_clip, load_clip
+    from tspkit.sampler import load_clip
     spec = pt.video_clip_specs(corpus, "v", clips_per_segment=1, clip_len=16,
                                frame_stride=2)[0]
-    feat = enc.forward_np(params, flatten_clip(load_clip(corpus, spec, "test")))
+    clip = load_clip(corpus, spec, "test")  # (c, L, h, w) -> (c*h*w, L)
+    feat = enc.forward_np(params, clip.transpose(0, 2, 3, 1).reshape(-1, 16))
     assert np.array_equal(table.features["v"], feat)
 
 
@@ -260,6 +261,18 @@ def test_training_is_deterministic_bytewise(tmp_path):
     pt.save_checkpoint(ckpt2, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert rows1 == rows2
+
+
+# computed with per-clip loading, before clips were gathered in batches, on
+# numpy 2.4 with OpenBLAS; a different BLAS may round the products differently
+GOLDEN_CHECKPOINT_IDS = {"tsp": "175d0959ef2b", "tsp_nogvf": "9a373b307944",
+                         "tac": "b673dc834671"}
+
+
+@pytest.mark.parametrize("mode", pt.MODES)
+def test_tiny_training_matches_golden_checkpoint_id(mode):
+    ckpt, _ = pt.train(small_corpus(), tiny_train_cfg(mode=mode))
+    assert ckpt.checkpoint_id == GOLDEN_CHECKPOINT_IDS[mode]
 
 
 def test_selection_attains_maximum_recorded_score():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tspkit import corpus as cp
 from tspkit import sampler as sp
@@ -108,6 +110,69 @@ def test_resize_preserves_constant_frames():
     frames = np.full((2, 1, 256, 340), 3.25)
     out = sp.spatial_transform(frames, "test")
     assert np.allclose(out, 3.25, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched clip gather
+
+
+def gather_corpus(channels, height, width):
+    """Three short videos of different lengths (6, 13 and 18 frames at 2 fps)."""
+    videos = {f"v{k}": cp.VideoRecord(f"v{k}", "train", duration, 2.0,
+                                      [cp.AnnotationInstance("a", 1.0, 2.5)], 10 + k)
+              for k, duration in enumerate((3.0, 6.5, 9.0))}
+    return cp.Corpus(["a"], videos, cp.SynthInfo(0, 0.5, "pure", channels, height, width))
+
+
+SMALL_FRAMES = gather_corpus(3, 2, 3)  # (c, h, w) distinct, so axis order matters
+LARGE_FRAMES = gather_corpus(1, 130, 170)  # resized to 128x167, then cropped
+
+
+@st.composite
+def clip_specs(draw, corpus):
+    """Mixed-video specs sharing one geometry; centers reach past both ends."""
+    clip_len = draw(st.sampled_from([1, 2, 5, 16]))
+    stride = draw(st.sampled_from([1, 2, 3]))
+    specs = []
+    for _ in range(draw(st.integers(1, 6))):
+        video = corpus.videos[draw(st.sampled_from(sorted(corpus.videos)))]
+        last = video.num_frames - 1
+        center = draw(st.sampled_from([0, 1, last - 1, last]) | st.integers(-2, last + 2))
+        specs.append(sp.ClipSpec(video.id, center, clip_len, stride, "foreground", 0))
+    return specs
+
+
+def reference_batch(corpus, specs, mode, rng=None):
+    """``load_clip`` per spec, each (c, L, h, w) clip flattened to (c*h*w, L)."""
+    return np.stack([sp.load_clip(corpus, s, mode, rng).transpose(0, 2, 3, 1)
+                     .reshape(-1, s.clip_len) for s in specs])
+
+
+@settings(max_examples=60, deadline=None)
+@given(clip_specs(SMALL_FRAMES), st.sampled_from(["train", "test"]))
+def test_clip_batch_equals_stacked_load_clip(specs, mode):
+    got = sp.clip_batch(SMALL_FRAMES, specs, mode)
+    assert got.shape == (len(specs), 18, specs[0].clip_len)
+    assert np.array_equal(got, reference_batch(SMALL_FRAMES, specs, mode))
+
+
+@settings(max_examples=15, deadline=None)
+@given(clip_specs(LARGE_FRAMES), st.sampled_from(["train", "test"]), st.integers(0, 2**32))
+def test_clip_batch_crops_large_frames_like_load_clip(specs, mode, seed):
+    # one rng per side, drawn in the same order: same crops, same state after
+    rng_got, rng_want = rng_for(seed), rng_for(seed)
+    got = sp.clip_batch(LARGE_FRAMES, specs, mode, rng_got)
+    assert got.shape == (len(specs), 112 * 112, specs[0].clip_len)
+    assert np.array_equal(got, reference_batch(LARGE_FRAMES, specs, mode, rng_want))
+    assert rng_got.integers(2**62) == rng_want.integers(2**62)
+
+
+def test_clip_batch_rejects_empty_and_mixed_geometry():
+    with pytest.raises(ValueError, match="no clips"):
+        sp.clip_batch(SMALL_FRAMES, [], "test")
+    specs = [sp.ClipSpec("v0", 2, 4, 2, "background"), sp.ClipSpec("v1", 2, 4, 1, "background")]
+    with pytest.raises(ValueError, match="share"):
+        sp.clip_batch(SMALL_FRAMES, specs, "test")
 
 
 # ---------------------------------------------------------------------------
