@@ -4,7 +4,14 @@ CPU-only and numpy-backed: synthetic untrimmed-video corpora, a tiny
 autodiff engine and clip encoder, two-head pretraining with a frozen global
 video feature, dense feature extraction, temporal-localization metrics, and
 feature-similarity analysis.
+
+Importing it runs BLAS on one thread per process unless already set (see ``bench``).
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .analysis import (AggregateStat, ContrastStats, SimilarityMatrix, aggregate_runs,
                        contrast_stats, cosine_matrix, export_pgm)

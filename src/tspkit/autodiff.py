@@ -185,82 +185,95 @@ def scale(x: Tensor, factor: float) -> Tensor:
 # batched model ops
 #
 # Every op takes a leading batch axis, so a training step records a handful of
-# nodes whatever its batch size.
+# nodes whatever its batch size. Activations are time-major, (B, L, d), so each
+# layer is one 2-D matmul over all B·L frames. Weight gradients multiply a
+# contiguous (d, B·L) gradient copy, and bias and time sums reduce a contiguous
+# (B, d, L) copy: the operands a channel-major pass gives numpy, so both round alike.
 
 
-def stem_affine(w: Tensor, x: Tensor, bias: Tensor) -> Tensor:
-    """Per-frame affine over a batch: w (d,K) applied to x (B,K,L) plus bias (d,)."""
-    tape = _same_tape(w, x, bias)
-    if x.data.ndim != 3 or w.data.ndim != 2 or w.data.shape[1] != x.data.shape[1]:
-        raise ShapeError(f"stem_affine: incompatible shapes {w.data.shape} x {x.data.shape}")
+def _channel_major(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a.transpose(0, 2, 1))
+
+
+def affine_frames(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """Per-frame affine over a batch: x (B,L,K) @ w (d,K).T + bias (d,) -> (B,L,d)."""
+    tape = _same_tape(x, w, bias)
+    if x.data.ndim != 3 or w.data.ndim != 2 or w.data.shape[1] != x.data.shape[2]:
+        raise ShapeError(f"affine_frames: incompatible shapes {x.data.shape} x {w.data.shape}")
     if bias.data.shape != (w.data.shape[0],):
-        raise ShapeError(f"stem_affine: bias {bias.data.shape} vs d={w.data.shape[0]}")
-    out_data = np.tensordot(w.data, x.data, axes=([1], [1])).transpose(1, 0, 2)
-    out_data += bias.data[None, :, None]
-    out = tape._node(out_data, w.requires_grad or x.requires_grad or bias.requires_grad)
+        raise ShapeError(f"affine_frames: bias {bias.data.shape} vs d={w.data.shape[0]}")
+    batch, length, k = x.data.shape
+    x2d = x.data.reshape(batch * length, k)
+    out = tape._node((x2d @ w.data.T + bias.data).reshape(batch, length, -1),
+                     w.requires_grad or x.requires_grad or bias.requires_grad)
 
     def backward(g, accumulate):
+        g2d = g.reshape(batch * length, -1)
         if w.requires_grad:
-            accumulate(w, np.tensordot(g, x.data, axes=([0, 2], [0, 2])))
+            accumulate(w, np.ascontiguousarray(g2d.T) @ x2d)
         if x.requires_grad:
-            accumulate(x, np.tensordot(g, w.data, axes=([1], [0])).transpose(0, 2, 1))
+            accumulate(x, (g2d @ w.data).reshape(x.data.shape))
         if bias.requires_grad:
-            accumulate(bias, g.sum(axis=(0, 2)))
+            accumulate(bias, _channel_major(g).sum(axis=(0, 2)))
 
     tape._record(out, backward)
     return out
 
 
-def conv1d_same_batch(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
+def conv1d_same(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     """Width-3 temporal convolution with zero padding 1; length is preserved.
 
-    x is (B, d_in, L), kernel (d_out, d_in, 3), bias (d_out,); out (B, d_out, L).
+    x is (B, L, d_in), kernel (d_out, d_in, 3), bias (d_out,); out (B, L, d_out).
+    Each frame's row of the (B·L, 3·d_in) window matrix holds its previous,
+    own and next frame (zeros past the clip ends), so the convolution is one
+    product with the flattened kernel.
     """
     tape = _same_tape(x, kernel, bias)
     if kernel.data.ndim != 3 or kernel.data.shape[2] != 3:
-        raise ShapeError(f"conv1d_same_batch: kernel must be (d_out,d_in,3), got "
+        raise ShapeError(f"conv1d_same: kernel must be (d_out,d_in,3), got "
                          f"{kernel.data.shape}")
     d_out, d_in, _ = kernel.data.shape
-    if x.data.ndim != 3 or x.data.shape[1] != d_in:
-        raise ShapeError(f"conv1d_same_batch: input {x.data.shape} vs kernel "
-                         f"{kernel.data.shape}")
-    batch, _, length = x.data.shape
-    x_pad = np.zeros((batch, d_in, length + 2), dtype=np.float64)
-    x_pad[:, :, 1:-1] = x.data
-    windows = np.concatenate([x_pad[:, :, k:k + length] for k in range(3)], axis=1)
+    if x.data.ndim != 3 or x.data.shape[2] != d_in:
+        raise ShapeError(f"conv1d_same: input {x.data.shape} vs kernel {kernel.data.shape}")
+    batch, length, _ = x.data.shape
+    windows = np.zeros((batch, length, 3 * d_in))
+    windows[:, 1:, :d_in] = x.data[:, :-1]
+    windows[:, :, d_in:2 * d_in] = x.data
+    windows[:, :-1, 2 * d_in:] = x.data[:, 1:]
+    windows = windows.reshape(batch * length, 3 * d_in)
     kernel_flat = kernel.data.transpose(0, 2, 1).reshape(d_out, 3 * d_in)
-    out_data = np.tensordot(windows, kernel_flat, axes=([1], [1])).transpose(0, 2, 1)
-    out_data += bias.data[None, :, None]
-    out = tape._node(out_data, x.requires_grad or kernel.requires_grad or bias.requires_grad)
+    out = tape._node((windows @ kernel_flat.T + bias.data).reshape(batch, length, d_out),
+                     x.requires_grad or kernel.requires_grad or bias.requires_grad)
 
     def backward(g, accumulate):
+        g2d = g.reshape(batch * length, d_out)
         if kernel.requires_grad:
-            gk = np.tensordot(g, windows, axes=([0, 2], [0, 2]))
+            gk = np.ascontiguousarray(g2d.T) @ windows
             accumulate(kernel, gk.reshape(d_out, 3, d_in).transpose(0, 2, 1))
         if bias.requires_grad:
-            accumulate(bias, g.sum(axis=(0, 2)))
+            accumulate(bias, _channel_major(g).sum(axis=(0, 2)))
         if x.requires_grad:
-            g_windows = np.tensordot(g, kernel_flat, axes=([1], [0])).transpose(0, 2, 1)
-            gx_pad = np.zeros_like(x_pad)
-            for k in range(3):
-                gx_pad[:, :, k:k + length] += g_windows[:, k * d_in:(k + 1) * d_in, :]
-            accumulate(x, gx_pad[:, :, 1:-1])
+            g_windows = (g2d @ kernel_flat).reshape(batch, length, 3 * d_in)
+            gx = np.zeros_like(x.data)  # summed in window order, from zero
+            gx[:, :-1] += g_windows[:, 1:, :d_in]
+            gx += g_windows[:, :, d_in:2 * d_in]
+            gx[:, 1:] += g_windows[:, :-1, 2 * d_in:]
+            accumulate(x, gx)
 
     tape._record(out, backward)
     return out
 
 
-def mean_over_time_batch(x: Tensor) -> Tensor:
-    """(B,d,L) -> (B,d) time average."""
+def mean_over_time(x: Tensor) -> Tensor:
+    """(B,L,d) -> (B,d) time average."""
     tape = x.tape
-    if x.data.ndim != 3 or x.data.shape[2] < 1:
-        raise ShapeError(f"mean_over_time_batch: expected (B,d,L) with L >= 1, "
-                         f"got {x.data.shape}")
-    length = x.data.shape[2]
-    out = tape._node(x.data.mean(axis=2), x.requires_grad)
+    if x.data.ndim != 3 or x.data.shape[1] < 1:
+        raise ShapeError(f"mean_over_time: expected (B,L,d) with L >= 1, got {x.data.shape}")
+    length = x.data.shape[1]
+    out = tape._node(_channel_major(x.data).mean(axis=2), x.requires_grad)
 
     def backward(g, accumulate):
-        accumulate(x, np.repeat(g[:, :, None] / length, length, axis=2))
+        accumulate(x, np.repeat(g[:, None, :] / length, length, axis=1))
 
     tape._record(out, backward)
     return out

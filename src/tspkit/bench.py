@@ -6,6 +6,10 @@ run over the evaluation split, and the baseline localizer turns the tracks
 into detections and proposals. Per-mode metrics are aggregated as mean and
 sample std over seeds. Seeds are independent, so they may run in worker
 processes; results are merged by sorted seed and are identical either way.
+
+Threading: one forked worker per core (``worker_count``), each running BLAS on
+one thread, as ``import tspkit`` sets it. A host that imported numpy before
+tspkit keeps its own BLAS pool, and with it threads that contend for the cores.
 """
 
 from __future__ import annotations

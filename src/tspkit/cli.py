@@ -23,10 +23,6 @@ class UsageError(Exception):
     """Configuration contradiction: maps to exit code 2."""
 
 
-def _flags_comment() -> str:
-    return " ".join(sys.argv[1:])
-
-
 def _load_corpus(path) -> corpus_mod.Corpus:
     if not os.path.exists(path):
         raise FileNotFoundError(f"manifest not found: {path}")
@@ -110,7 +106,7 @@ def _cmd_gen_corpus(args) -> int:
     cfg = _synth_config(args)
     corpus = corpus_mod.generate_synthetic(cfg, args.seed)
     doc = corpus_mod.corpus_to_dict(corpus)
-    doc["__invocation__"] = _flags_comment()
+    doc["__invocation__"] = args.flags
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -176,12 +172,12 @@ def _cmd_pretrain(args) -> int:
         init_encoder = pretrain.load_checkpoint(args.init_checkpoint).encoder
     ckpt, rows = pretrain.train(corpus, cfg, init_encoder=init_encoder)
     doc = pretrain.checkpoint_to_dict(ckpt)
-    doc["__invocation__"] = _flags_comment()
+    doc["__invocation__"] = args.flags
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     log_path = args.log or f"{args.out}.log.tsv"
-    pretrain.write_train_log(rows, log_path, header_comment=f"flags={_flags_comment()}")
+    pretrain.write_train_log(rows, log_path, header_comment=f"flags={args.flags}")
     sel = ckpt.selection
     print(f"wrote {args.out} (selected head_lr={sel.head_lr}, epoch={sel.epoch}, "
           f"score={sel.score:.4f})")
@@ -210,7 +206,7 @@ def _cmd_extract(args) -> int:
     for video in videos:
         track = extract_mod.extract_track(corpus, video, ckpt, hop=args.hop)
         extract_mod.write_track(track, out_dir / f"{video.id}.csv",
-                                flags_comment=_flags_comment())
+                                flags_comment=args.flags)
     print(f"wrote {len(videos)} tracks to {out_dir}")
     return 0
 
@@ -269,8 +265,8 @@ def _cmd_localize(args) -> int:
         dets, props = evalkit.baseline_localize(track, params, source)
         dets_by_video[track.video_id] = dets
         props_by_video[track.video_id] = props
-    evalkit.save_predictions(dets_by_video, args.detections_out, invocation=_flags_comment())
-    evalkit.save_predictions(props_by_video, args.proposals_out, invocation=_flags_comment())
+    evalkit.save_predictions(dets_by_video, args.detections_out, invocation=args.flags)
+    evalkit.save_predictions(props_by_video, args.proposals_out, invocation=args.flags)
     total = sum(len(v) for v in dets_by_video.values())
     print(f"wrote {total} detections for {len(dets_by_video)} videos")
     return 0
@@ -293,7 +289,7 @@ def _cmd_eval_det(args) -> int:
         raise UsageError(f"subset {args.subset!r} has no annotated instances")
     preds = evalkit.load_predictions(args.detections, kind="detections")
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(f"# flags={_flags_comment()}\n")
+        fh.write(f"# flags={args.flags}\n")
         fh.write("metric\tvalue\n")
         for thr in evalkit.TIOU_GRID:
             fh.write(f"mAP@{thr:.2f}\t{evalkit.map_at(preds, gts, thr)!r}\n")
@@ -328,7 +324,7 @@ def _cmd_eval_prop(args) -> int:
     curve = evalkit.ar_at_an(props, gts, evalkit.AUC_BUDGETS)
     ar_at = dict(curve)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(f"# flags={_flags_comment()}\n")
+        fh.write(f"# flags={args.flags}\n")
         fh.write("metric\tvalue\n")
         for budget in (1, 10, 100):
             fh.write(f"AR@{budget}\t{ar_at[budget]!r}\n")
@@ -353,11 +349,11 @@ def _cmd_analyze_sim(args) -> int:
         raise FileNotFoundError(f"track video {track.video_id!r} not in manifest")
     video = corpus.videos[track.video_id]
     matrix = analysis.cosine_matrix(track)
-    analysis.write_matrix_csv(matrix, f"{args.out_prefix}.csv", flags_comment=_flags_comment())
+    analysis.write_matrix_csv(matrix, f"{args.out_prefix}.csv", flags_comment=args.flags)
     analysis.export_pgm(matrix, f"{args.out_prefix}.pgm")
     stats = analysis.contrast_stats(track, video)
     with open(f"{args.out_prefix}_contrast.tsv", "w", encoding="utf-8") as fh:
-        fh.write(f"# flags={_flags_comment()}\n")
+        fh.write(f"# flags={args.flags}\n")
         fh.write("metric\tvalue\n")
         for name, value in (("intra_fg", stats.intra_fg), ("fg_bg", stats.fg_bg),
                             ("intra_bg", stats.intra_bg), ("contrast", stats.contrast)):
@@ -401,9 +397,9 @@ def _cmd_bench(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     table, per_seed = bench.run_bench(corpus, bench_cfg)
-    bench.write_cell_tables(per_seed, out_dir, flags_comment=_flags_comment())
+    bench.write_cell_tables(per_seed, out_dir, flags_comment=args.flags)
     bench.write_bench_table(table, out_dir / "bench_table.tsv",
-                            flags_comment=_flags_comment())
+                            flags_comment=args.flags)
     for mode, stats in table.items():
         parts = []
         for metric in bench.BENCH_METRICS:
@@ -452,6 +448,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        args.flags = " ".join(argv)  # the invocation every output file records
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -312,6 +312,12 @@ def corpus_from_dict(doc: dict) -> Corpus:
         if synth.background_mode not in ("pure", "hard"):
             raise ManifestError(f"bad synth block: unknown background mode "
                                 f"{synth.background_mode!r}")
+        if not 0.0 <= synth.noise_sigma < math.inf:
+            raise ManifestError(f"bad synth block: noise_sigma {synth.noise_sigma!r} is not "
+                                f"a finite nonnegative number")
+        if min(synth.channels, synth.height, synth.width) < 1:
+            raise ManifestError(f"bad synth block: frame geometry {synth.channels}x"
+                                f"{synth.height}x{synth.width} has an axis below 1")
 
     videos = {}
     raw_videos = doc.get("videos")

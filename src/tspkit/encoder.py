@@ -7,6 +7,9 @@ clip, and mean pooling over time yields the clip feature.
 
 There is one forward pass, ``forward_batch``, over a batch of clips on a tape.
 Inference runs the same function on a tape whose leaves need no gradient.
+Clips are time-major, (B, L, frame_dim): one flattened frame per row, as
+``sampler.clip_batch`` gathers them, and every layer is one matmul over all
+the batch's frames.
 """
 
 from __future__ import annotations
@@ -100,17 +103,17 @@ def param_count(config: EncoderConfig) -> int:
 
 
 def forward_batch(tape: ad.Tape, leaves: "EncoderLeaves", frames: np.ndarray) -> ad.Tensor:
-    """Differentiable forward pass: frames (B, frame_dim, L) -> (B, F) features."""
-    if frames.ndim != 3 or frames.shape[1] != leaves.config.frame_dim:
-        raise ad.ShapeError(f"encoder expects (B, {leaves.config.frame_dim}, L) frames, "
+    """Differentiable forward pass: frames (B, L, frame_dim) -> (B, F) features."""
+    if frames.ndim != 3 or frames.shape[2] != leaves.config.frame_dim:
+        raise ad.ShapeError(f"encoder expects (B, L, {leaves.config.frame_dim}) frames, "
                             f"got {frames.shape}")
     x = tape.tensor(frames)
-    h = ad.relu(ad.stem_affine(leaves.stem_weight, x, leaves.stem_bias))
+    h = ad.relu(ad.affine_frames(x, leaves.stem_weight, leaves.stem_bias))
     for blk in leaves.blocks:
-        inner = ad.relu(ad.conv1d_same_batch(h, blk[0], blk[1]))
-        inner = ad.conv1d_same_batch(inner, blk[2], blk[3])
+        inner = ad.relu(ad.conv1d_same(h, blk[0], blk[1]))
+        inner = ad.conv1d_same(inner, blk[2], blk[3])
         h = ad.relu(ad.add(inner, h))
-    return ad.mean_over_time_batch(h)
+    return ad.mean_over_time(h)
 
 
 def forward_np_batch(params: EncoderParams, frames: np.ndarray) -> np.ndarray:
@@ -129,7 +132,7 @@ def forward_np(params: EncoderParams, frames: np.ndarray) -> np.ndarray:
     The library no longer calls it. It stays because ``perfbench/tracing.py``
     looks this name up, and can go with the next change to the benchmark.
     """
-    return forward_np_batch(params, frames[None])[0]
+    return forward_np_batch(params, frames.T[None])[0]
 
 
 class EncoderLeaves:

@@ -34,7 +34,7 @@ class FeatureTrack:
     fps: float
     num_frames: int
     checkpoint_id: str
-    global_feature: np.ndarray  # (F,)
+    global_feature: np.ndarray  # (F,) for tsp; (0,) for modes without a global feature
     center_times: np.ndarray  # (n,) seconds
     features: np.ndarray  # (n, F)
     region_probs: np.ndarray | None  # (n,) foreground probability; None for tac
@@ -69,12 +69,13 @@ def extract_track(corpus: Corpus, video: VideoRecord, ckpt: Checkpoint,
         raise TrackError(f"checkpoint expects {ckpt.encoder.config.channels_in} channels, "
                          f"corpus has {corpus.synth.channels}")
 
-    global_feat = checkpoint_global_feature(corpus, video.id, ckpt)
+    tsp = ckpt.mode == "tsp"
+    global_feat = checkpoint_global_feature(corpus, video.id, ckpt) if tsp else np.empty(0)
     centers = range(0, video.num_frames, hop)
     frames = clip_batch(corpus, [ClipSpec(video.id, c, cfg.clip_len, cfg.frame_stride,
                                           "background") for c in centers], "test")
     feats = enc.forward_np_batch(ckpt.encoder, frames)
-    gfeats = np.broadcast_to(global_feat, feats.shape) if ckpt.mode == "tsp" else None
+    gfeats = np.broadcast_to(global_feat, feats.shape) if tsp else None
     logits, region = head_logits(feats, gfeats, ckpt.heads, ckpt.mode)
     probs = None if region is None else softmax(region)[:, 1]
     return FeatureTrack(
@@ -169,8 +170,9 @@ def read_track(path) -> FeatureTrack:
         raise TrackError(f"{path}: column header does not match feature_dim={dim}, "
                          f"num_classes={classes}")
 
-    if global_feature.shape[0] != dim:
-        raise TrackError(f"{path}: gvf length {global_feature.shape[0]} != feature_dim {dim}")
+    if global_feature.shape[0] not in (0, dim):
+        raise TrackError(f"{path}: gvf length {global_feature.shape[0]} is neither 0 nor "
+                         f"feature_dim {dim}")
 
     n = len(rows)
     center_times = np.empty(n)

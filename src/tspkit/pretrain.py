@@ -303,7 +303,7 @@ def batch_loss_tensor(tape: ad.Tape, enc_leaves: enc.EncoderLeaves,
                       mode: str) -> ad.Tensor:
     """Mean of the per-clip two-branch losses over one batch, on the tape.
 
-    frames is (B, frame_dim, L); action_labels holds the class index for
+    frames is (B, L, frame_dim); action_labels holds the class index for
     foreground rows (ignored elsewhere); global_feats is (B, F) rows aligned
     with the batch (tsp mode only).
     """
@@ -361,7 +361,7 @@ def lr_at(step: int, steps_per_epoch: int, cfg: TrainConfig) -> float:
 class LabeledBatch:
     """Clips gathered as encoder input, with their labels, in clip order."""
 
-    frames: np.ndarray  # (B, frame_dim, L)
+    frames: np.ndarray  # (B, L, frame_dim)
     region_labels: np.ndarray  # (B,)
     action_labels: np.ndarray  # (B,), -1 on background rows
     video_ids: list[str]

@@ -176,12 +176,12 @@ def load_clip(corpus: Corpus, spec: ClipSpec, mode: str,
 
 def clip_batch(corpus: Corpus, specs: list[ClipSpec], mode: str,
                rng: np.random.Generator | None = None) -> np.ndarray:
-    """Clips as encoder input (B, frame_dim, L): one flattened frame per column.
+    """Clips as time-major encoder input (B, L, frame_dim): one flattened frame per row.
 
-    Row b holds ``load_clip(corpus, specs[b], mode, rng)`` with its (c, h, w)
-    axes flattened, bit for bit. Frames larger than the crop go through
-    ``spatial_transform`` clip by clip, in spec order, so a train-mode ``rng``
-    is drawn in the same order as per-clip loading would draw it.
+    Clip b holds ``load_clip(corpus, specs[b], mode, rng)`` with its (c, h, w)
+    axes flattened and time first, bit for bit. Frames larger than the crop go
+    through ``spatial_transform`` clip by clip, in spec order, so a train-mode
+    ``rng`` is drawn in the same order as per-clip loading would draw it.
     """
     if not specs:
         raise ValueError("no clips to gather")
@@ -196,9 +196,7 @@ def clip_batch(corpus: Corpus, specs: list[ClipSpec], mode: str,
     if max(frames.shape[3:]) > CROP_SIZE:  # (B, L, c, h, w)
         frames = np.stack([spatial_transform(clip.transpose(1, 0, 2, 3), mode, rng)
                            for clip in frames]).transpose(0, 2, 1, 3, 4)
-    # contiguous, as per-clip stacking gave, so the encoder's products see one layout
-    flat = frames.transpose(0, 2, 3, 4, 1).reshape(len(specs), -1, clip_len)
-    return np.ascontiguousarray(flat)
+    return frames.reshape(len(specs), clip_len, -1)
 
 
 def segment_clip_pool(corpus: Corpus, split: str, *, mode: str,

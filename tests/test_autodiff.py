@@ -71,7 +71,7 @@ def test_composite_graph_gradients():
     # stem -> relu -> conv -> mean -> hstack -> take_rows -> linear -> CE
     rng = np.random.default_rng(3)
     shapes = {
-        "w": (5, 4), "x": (2, 4, 6), "b": (5,), "k": (5, 5, 3), "kb": (5,),
+        "w": (5, 4), "x": (2, 6, 4), "b": (5,), "k": (5, 5, 3), "kb": (5,),
         "other": (2, 3), "head": (8, 4), "hb": (4,),
     }
     sizes = {name: int(np.prod(s)) for name, s in shapes.items()}
@@ -86,9 +86,9 @@ def test_composite_graph_gradients():
         for name, shape in shapes.items():
             parts[name] = ad.reshape_slice(leaf, off, shape)
             off += sizes[name]
-        h = ad.relu(ad.stem_affine(parts["w"], parts["x"], parts["b"]))
-        h = ad.conv1d_same_batch(h, parts["k"], parts["kb"])
-        both = ad.hstack_rows(ad.mean_over_time_batch(h), parts["other"])
+        h = ad.relu(ad.affine_frames(parts["x"], parts["w"], parts["b"]))
+        h = ad.conv1d_same(h, parts["k"], parts["kb"])
+        both = ad.hstack_rows(ad.mean_over_time(h), parts["other"])
         rows = ad.take_rows(both, np.array([1, 0, 1]))
         logits = ad.linear_rows(rows, parts["head"], parts["hb"])
         return ad.cross_entropy_sum(logits, [2, 0, 3]), leaf
@@ -98,37 +98,37 @@ def test_composite_graph_gradients():
 
 
 # ---------------------------------------------------------------------------
-# temporal convolution (conv1d_same_batch), batches of one
+# temporal convolution (conv1d_same), time-major batches of one
 
 
 def test_conv1d_identity_kernel():
     tape = ad.Tape()
-    x = tape.tensor(np.arange(8, dtype=float).reshape(1, 2, 4))
+    x = tape.tensor(np.arange(8, dtype=float).reshape(1, 2, 4).transpose(0, 2, 1))
     kernel = np.zeros((2, 2, 3))
     kernel[0, 0, 1] = 1.0
     kernel[1, 1, 1] = 1.0
-    out = ad.conv1d_same_batch(x, tape.tensor(kernel), zeros(tape, 2))
+    out = ad.conv1d_same(x, tape.tensor(kernel), zeros(tape, 2))
     assert np.array_equal(out.data, x.data)
 
 
 def test_conv1d_ones_hand_case():
     tape = ad.Tape()
-    x = tape.tensor(np.ones((1, 1, 4)))
+    x = tape.tensor(np.ones((1, 4, 1)))
     k = tape.tensor(np.ones((1, 1, 3)))
-    out = ad.conv1d_same_batch(x, k, zeros(tape, 1))
-    assert np.array_equal(out.data, [[[2.0, 3.0, 3.0, 2.0]]])
+    out = ad.conv1d_same(x, k, zeros(tape, 1))
+    assert np.array_equal(out.data, [[[2.0], [3.0], [3.0], [2.0]]])
 
 
 def test_conv1d_rejects_other_widths():
     tape = ad.Tape()
-    x = tape.tensor(np.ones((1, 1, 4)))
+    x = tape.tensor(np.ones((1, 4, 1)))
     with pytest.raises(ad.ShapeError):
-        ad.conv1d_same_batch(x, tape.tensor(np.ones((1, 1, 5))), zeros(tape, 1))
+        ad.conv1d_same(x, tape.tensor(np.ones((1, 1, 5))), zeros(tape, 1))
 
 
 def test_conv1d_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
-    x0 = rng.standard_normal((2, 3, 7))
+    x0 = rng.standard_normal((2, 7, 3))
     k0 = rng.standard_normal((2, 3, 3))
     b0 = rng.standard_normal(2)
     vec0 = np.concatenate([x0.ravel(), k0.ravel(), b0.ravel()])
@@ -136,11 +136,11 @@ def test_conv1d_gradients_match_finite_differences():
     def build(vec):
         tape = ad.Tape()
         leaf = tape.tensor(vec, requires_grad=True)
-        x = ad.reshape_slice(leaf, 0, (2, 3, 7))
+        x = ad.reshape_slice(leaf, 0, (2, 7, 3))
         k = ad.reshape_slice(leaf, 42, (2, 3, 3))
         b = ad.reshape_slice(leaf, 60, (2,))
         # scalar readout: mean over time, then a cross entropy per clip
-        feat = ad.mean_over_time_batch(ad.conv1d_same_batch(x, k, b))
+        feat = ad.mean_over_time(ad.conv1d_same(x, k, b))
         return ad.cross_entropy_sum(feat, [0, 1]), leaf
 
     res = ad.gradient_check(build, vec0, coords=vec0.size)
@@ -163,8 +163,8 @@ def test_elementwise_max_and_mean_two_rows():
     assert np.array_equal(pt.pool_features(rows, "avg"), [0.5, 1.5])
     # the tape's time mean pools the same rows laid out along the time axis
     tape = ad.Tape()
-    over_time = tape.tensor(np.stack(rows, axis=1)[None])
-    assert np.array_equal(ad.mean_over_time_batch(over_time).data, [[0.5, 1.5]])
+    over_time = tape.tensor(np.stack(rows)[None])
+    assert np.array_equal(ad.mean_over_time(over_time).data, [[0.5, 1.5]])
 
 
 def test_pooling_permutation_invariance():
@@ -181,7 +181,7 @@ def test_pooling_permutation_invariance():
 def test_empty_pooling_rejected():
     tape = ad.Tape()
     with pytest.raises(ValueError):
-        ad.mean_over_time_batch(tape.tensor(np.zeros((1, 2, 0))))
+        ad.mean_over_time(tape.tensor(np.zeros((1, 0, 2))))
 
 
 def test_concat_then_slice_recovers_inputs():

@@ -1,6 +1,7 @@
 """Command-line exit codes and error messages."""
 
 import json
+import sys
 
 import pytest
 
@@ -28,6 +29,15 @@ def test_missing_config_is_a_usage_error(tmp_path, capsys):
     assert code == 2
     assert err == f"error: --config {path}: No such file or directory\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_in_process_call_records_its_own_argv_not_the_hosts(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["host-program", "--host-flag"])
+    path = tmp_path / "corpus.json"
+    argv = ["gen-corpus", "--out", str(path), "--train-videos", "1", "--valid-videos", "1",
+            "--classes", "2"]
+    assert cli.main(argv) == 0
+    assert json.loads(path.read_text())["__invocation__"] == " ".join(argv)
 
 
 @pytest.fixture
@@ -167,6 +177,10 @@ def set_video(**fields):
     return edit_json(lambda doc: first_video(doc).update(fields))
 
 
+def set_synth(**fields):
+    return edit_json(lambda doc: doc["synth"].update(fields))
+
+
 def set_bias(value):
     return edit_json(lambda doc: doc["heads"]["action_bias"]["data"].__setitem__(0, value))
 
@@ -196,6 +210,12 @@ BAD_FILES = [
     ("manifest", "string_duration", set_video(duration_sec="abc")),
     ("manifest", "nan_duration", set_video(duration_sec=float("nan"))),
     ("manifest", "infinite_fps", set_video(fps=float("inf"))),
+    ("manifest", "nan_noise_sigma", set_synth(noise_sigma=float("nan"))),
+    ("manifest", "infinite_noise_sigma", set_synth(noise_sigma=float("inf"))),
+    ("manifest", "negative_noise_sigma", set_synth(noise_sigma=-0.5)),
+    ("manifest", "zero_channels", set_synth(channels=0)),
+    ("manifest", "zero_height", set_synth(height=0)),
+    ("manifest", "zero_width", set_synth(width=0)),
     *[("checkpoint", *case) for case in (TRUNCATED, NOT_JSON, NOT_UTF8, ROOT_LIST,
                                          WRONG_VERSION)],
     ("checkpoint", "no_heads", edit_json(lambda doc: doc.pop("heads"))),

@@ -1,5 +1,7 @@
 """Clip encoder: shapes, init statistics, forward identities, gradients."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,8 @@ from tspkit import pretrain
 
 
 def encode(params, clip):
-    """Feature of one (frame_dim, L) clip: a batch of one."""
-    return enc.forward_np_batch(params, clip[None])[0]
+    """Feature of one (frame_dim, L) clip: a time-major batch of one."""
+    return enc.forward_np_batch(params, clip.T[None])[0]
 
 
 def test_init_is_deterministic_per_seed():
@@ -79,8 +81,8 @@ def test_time_constant_clip_has_constant_interior_activations():
     h = np.maximum(params.stem_weight @ clip + params.stem_bias[:, None], 0.0)
     tape = ad.Tape()
     block = params.blocks[0]
-    conv = ad.conv1d_same_batch(tape.tensor(h[None]), tape.tensor(block.conv1_kernel),
-                                tape.tensor(block.conv1_bias)).data[0]
+    conv = ad.conv1d_same(tape.tensor(h.T[None]), tape.tensor(block.conv1_kernel),
+                          tape.tensor(block.conv1_bias)).data[0].T
     interior = conv[:, 2:-2]
     assert np.all(interior == interior[:, :1])
     assert not np.array_equal(conv[:, 0], conv[:, 1])
@@ -100,14 +102,14 @@ def test_tape_and_numpy_forward_agree_exactly():
     # blocking of the conv products can depend on the batch size
     cfg = enc.EncoderConfig(channels_in=8, embed_dim=12, blocks=2)
     params = enc.init_params(cfg, seed=5)
-    frames = np.random.default_rng(7).standard_normal((5, 8, 16))
+    frames = np.random.default_rng(7).standard_normal((5, 8, 16)).transpose(0, 2, 1)
     tape = ad.Tape()
     out_tape = enc.forward_batch(tape, enc.EncoderLeaves(tape, params), frames)
     out_np = enc.forward_np_batch(params, frames)
     assert np.array_equal(out_tape.data, out_np)
     for i in range(5):
-        single = encode(params, frames[i])
-        assert np.array_equal(enc.forward_np(params, frames[i]), single)
+        single = encode(params, frames[i].T)
+        assert np.array_equal(enc.forward_np(params, frames[i].T), single)
         np.testing.assert_allclose(out_np[i], single, rtol=0, atol=1e-13)
 
 
@@ -131,3 +133,46 @@ def test_full_model_gradient_check_default_config():
     vec = flatten_params(enc_params, heads)
     res = ad.gradient_check(build, vec, coords=100, h=1e-6, seed=0)
     assert res.max_rel_err <= 1e-5
+
+
+# sha256 of the float64 bytes, computed with the channel-major (B, frame_dim, L)
+# encoder before it became time-major, on numpy 2.4 with OpenBLAS: the two
+# layouts round identically. A different BLAS may round the products differently.
+GOLDEN_FORWARD_DIGESTS = {
+    (16, 1): "64158aa0475c6da264616fef68791fd46c3316299bf4dcb15e46fb98cb0c878d",
+    (64, 2): "133518c104e0b5318225172863dc969b445aaa32534a39c4d6142e80e9f84542",
+}
+GOLDEN_TRAIN_STEP_GRADS_DIGEST = (
+    "bee7031560e7689a105ccb5337c3bfb1cf24e325787e66ae481f6353406ff820")
+
+
+def digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("embed_dim,blocks", sorted(GOLDEN_FORWARD_DIGESTS))
+def test_batch_forward_matches_golden_digest(embed_dim, blocks):
+    frames = np.random.default_rng(7).standard_normal((32, 16, 16))  # (B, L, frame_dim)
+    cfg = enc.EncoderConfig(channels_in=16, embed_dim=embed_dim, blocks=blocks)
+    feats = enc.forward_np_batch(enc.init_params(cfg, seed=0), frames)
+    assert digest([feats]) == GOLDEN_FORWARD_DIGESTS[(embed_dim, blocks)]
+
+
+def test_bench_shape_training_step_gradients_match_golden_digest():
+    # the study's encoder (embed 16, one block) on a 32-clip tsp batch
+    rng = np.random.default_rng(11)
+    frames = np.abs(rng.standard_normal((32, 16, 16)))
+    region = np.arange(32) % 2
+    action = np.where(region == 1, rng.integers(0, 8, 32), -1)
+    gfeats = rng.standard_normal((32, 16))
+    params = enc.init_params(enc.EncoderConfig(channels_in=16, embed_dim=16, blocks=1), 0)
+    tape = ad.Tape()
+    leaves = enc.EncoderLeaves(tape, params)
+    heads = pretrain.HeadLeaves(tape, pretrain.init_heads(16, 8, "tsp", 0))
+    loss = pretrain.batch_loss_tensor(tape, leaves, heads, frames, region, action, gfeats,
+                                      pretrain.LossWeights(), "tsp")
+    grads = tape.backward(loss)
+    assert digest([grads[t.node_id] for t in leaves.tensors()]) == GOLDEN_TRAIN_STEP_GRADS_DIGEST

@@ -156,6 +156,30 @@ def test_corrupt_row_reports_row_number(tmp_path):
         ex.read_track(path)
 
 
+@pytest.mark.parametrize("mode", ["tsp_nogvf", "tac"])
+def test_modes_without_global_feature_write_an_empty_gvf(tmp_path, mode):
+    corpus = make_corpus()
+    ckpt = make_checkpoint(corpus, mode=mode)
+    track = ex.extract_track(corpus, corpus.videos["va_0"], ckpt)
+    assert track.global_feature.shape == (0,)
+    path = tmp_path / "t.csv"
+    ex.write_track(track, path)
+    assert "# gvf=\n" in path.read_text().splitlines(keepends=True)
+    assert_tracks_equal(track, ex.read_track(path))
+
+
+def test_gvf_of_another_length_rejected(tmp_path):
+    corpus = make_corpus()
+    track = ex.extract_track(corpus, corpus.videos["va_0"], make_checkpoint(corpus))
+    path = tmp_path / "t.csv"
+    ex.write_track(track, path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines = [("# gvf=1.0;2.0\n" if line.startswith("# gvf=") else line) for line in lines]
+    path.write_text("".join(lines))
+    with pytest.raises(ex.TrackError, match="gvf length 2"):
+        ex.read_track(path)
+
+
 def test_unknown_video_global_feature_recomputed():
     corpus = make_corpus()
     ckpt = make_checkpoint(corpus)

@@ -45,7 +45,7 @@ def clip_losses(frames, region, action, gfeats, mode="tsp", weights=pt.LossWeigh
 def loss_value(region, action, mode="tsp", weights=pt.LossWeights()):
     """Loss of one random clip with zeroed heads (C=4), a batch of one."""
     rng = np.random.default_rng(0)
-    frames = rng.standard_normal((1, SMALL_ENC.frame_dim, 16))
+    frames = rng.standard_normal((1, SMALL_ENC.frame_dim, 16)).transpose(0, 2, 1)
     gfeats = rng.standard_normal((1, SMALL_ENC.feature_dim)) if mode == "tsp" else None
     batch, _ = clip_losses(frames, np.array([region]), np.array([action]), gfeats, mode,
                            weights)
@@ -75,7 +75,7 @@ def test_background_only_batch_has_exactly_zero_action_gradients():
     cfg = enc.EncoderConfig(channels_in=4, embed_dim=6, blocks=1)
     params = enc.init_params(cfg, seed=0)
     heads = pt.init_heads(6, 4, "tsp", seed=0)
-    frames = rng.standard_normal((5, 4, 16))
+    frames = rng.standard_normal((5, 4, 16)).transpose(0, 2, 1)
     gfeats = rng.standard_normal((5, 6))
 
     tape = ad.Tape()
@@ -97,7 +97,7 @@ def test_batched_loss_matches_per_clip_mean():
     # the batch loss is the mean of its clips' losses, each run as a batch of one
     rng = np.random.default_rng(3)
     params = enc.init_params(SMALL_ENC, seed=1)
-    frames = rng.standard_normal((6, 4, 16))
+    frames = rng.standard_normal((6, 4, 16)).transpose(0, 2, 1)
     gfeats = rng.standard_normal((6, 6))
     region = np.array([1, 0, 1, 0, 0, 1])
     action = np.array([2, -1, 0, -1, -1, 3])
@@ -112,7 +112,7 @@ def test_batched_loss_matches_per_clip_mean():
 def test_gradient_check_through_batched_loss():
     # two_head_loss_builder: batch_loss_tensor over reshape_slice views, per mode
     rng = np.random.default_rng(5)
-    frames = rng.standard_normal((3, 4, 8)) * 0.5
+    frames = rng.standard_normal((3, 4, 8)).transpose(0, 2, 1) * 0.5
     gfeats = rng.standard_normal((3, 6)) * 0.5
     for mode, region, action in (("tsp", [1, 0, 1], [1, -1, 3]),
                                  ("tsp_nogvf", [1, 0, 1], [1, -1, 3]),

@@ -143,16 +143,16 @@ def clip_specs(draw, corpus):
 
 
 def reference_batch(corpus, specs, mode, rng=None):
-    """``load_clip`` per spec, each (c, L, h, w) clip flattened to (c*h*w, L)."""
-    return np.stack([sp.load_clip(corpus, s, mode, rng).transpose(0, 2, 3, 1)
-                     .reshape(-1, s.clip_len) for s in specs])
+    """``load_clip`` per spec, each (c, L, h, w) clip flattened to (L, c*h*w)."""
+    return np.stack([sp.load_clip(corpus, s, mode, rng).transpose(1, 0, 2, 3)
+                     .reshape(s.clip_len, -1) for s in specs])
 
 
 @settings(max_examples=60, deadline=None)
 @given(clip_specs(SMALL_FRAMES), st.sampled_from(["train", "test"]))
 def test_clip_batch_equals_stacked_load_clip(specs, mode):
     got = sp.clip_batch(SMALL_FRAMES, specs, mode)
-    assert got.shape == (len(specs), 18, specs[0].clip_len)
+    assert got.shape == (len(specs), specs[0].clip_len, 18)
     assert np.array_equal(got, reference_batch(SMALL_FRAMES, specs, mode))
 
 
@@ -162,7 +162,7 @@ def test_clip_batch_crops_large_frames_like_load_clip(specs, mode, seed):
     # one rng per side, drawn in the same order: same crops, same state after
     rng_got, rng_want = rng_for(seed), rng_for(seed)
     got = sp.clip_batch(LARGE_FRAMES, specs, mode, rng_got)
-    assert got.shape == (len(specs), 112 * 112, specs[0].clip_len)
+    assert got.shape == (len(specs), specs[0].clip_len, 112 * 112)
     assert np.array_equal(got, reference_batch(LARGE_FRAMES, specs, mode, rng_want))
     assert rng_got.integers(2**62) == rng_want.integers(2**62)
 
