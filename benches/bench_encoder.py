@@ -41,8 +41,9 @@ def params():
 
 def train_step(enc_params, heads, frames, region, action, gfeats):
     tape = ad.Tape()
-    enc_leaves = enc.EncoderLeaves(tape, enc_params)
-    loss = pt.batch_loss_tensor(tape, enc_leaves, pt.HeadLeaves(tape, heads), frames,
+    enc_leaves, head_leaves = (params.map(lambda a: tape.tensor(a, True))
+                               for params in (enc_params, heads))
+    loss = pt.batch_loss_tensor(tape, enc_leaves, head_leaves, frames,
                                 region, action, gfeats, pt.LossWeights(), "tsp")
     return tape.backward(loss)
 

@@ -28,7 +28,7 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    """A node on a tape: an owned float64 ndarray plus grad bookkeeping."""
+    """A node on a tape: a float64 ndarray plus grad bookkeeping."""
 
     __slots__ = ("data", "requires_grad", "tape", "node_id")
 
@@ -58,8 +58,12 @@ class Tape:
         self._num_nodes = 0
 
     def tensor(self, data, requires_grad: bool = False) -> Tensor:
-        """Create a leaf holding a private float64 copy of ``data``."""
-        arr = np.array(data, dtype=np.float64)
+        """Create a leaf over ``data`` as float64, without a copy if it already is.
+
+        No op writes into a leaf's array, so a leaf may share it with the
+        caller; the caller must not change it while the tape is in use.
+        """
+        arr = np.asarray(data, dtype=np.float64)
         t = self._node(arr, requires_grad)
         self._leaves.append(t)
         return t

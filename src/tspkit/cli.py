@@ -105,11 +105,7 @@ def _synth_config(args) -> corpus_mod.SynthConfig:
 def _cmd_gen_corpus(args) -> int:
     cfg = _synth_config(args)
     corpus = corpus_mod.generate_synthetic(cfg, args.seed)
-    doc = corpus_mod.corpus_to_dict(corpus)
-    doc["__invocation__"] = args.flags
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    corpus_mod.save_manifest(corpus, args.out, invocation=args.flags)
     print(f"wrote {args.out}: {len(corpus.videos)} videos, {len(corpus.classes)} classes")
     return 0
 
@@ -171,11 +167,7 @@ def _cmd_pretrain(args) -> int:
     if args.init_checkpoint:
         init_encoder = pretrain.load_checkpoint(args.init_checkpoint).encoder
     ckpt, rows = pretrain.train(corpus, cfg, init_encoder=init_encoder)
-    doc = pretrain.checkpoint_to_dict(ckpt)
-    doc["__invocation__"] = args.flags
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    pretrain.save_checkpoint(ckpt, args.out, invocation=args.flags)
     log_path = args.log or f"{args.out}.log.tsv"
     pretrain.write_train_log(rows, log_path, header_comment=f"flags={args.flags}")
     sel = ckpt.selection

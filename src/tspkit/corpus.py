@@ -19,7 +19,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 
@@ -298,15 +299,9 @@ def corpus_from_dict(doc: dict) -> Corpus:
     synth = None
     if "synth" in doc:
         s = doc["synth"]
-        try:
-            synth = SynthInfo(
-                master_seed=int(s["master_seed"]),
-                noise_sigma=float(s["noise_sigma"]),
-                background_mode=str(s["background_mode"]),
-                channels=int(s["channels"]),
-                height=int(s["height"]),
-                width=int(s["width"]),
-            )
+        try:  # each field's annotated type parses its value
+            synth = SynthInfo(**{name: cast(s[name])
+                                 for name, cast in get_type_hints(SynthInfo).items()})
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"bad synth block: {exc}") from exc
         if synth.background_mode not in ("pure", "hard"):
@@ -347,14 +342,7 @@ def corpus_from_dict(doc: dict) -> Corpus:
 def corpus_to_dict(corpus: Corpus) -> dict:
     doc: dict = {"schema_version": SCHEMA_VERSION, "classes": list(corpus.classes)}
     if corpus.synth is not None:
-        doc["synth"] = {
-            "master_seed": corpus.synth.master_seed,
-            "noise_sigma": corpus.synth.noise_sigma,
-            "background_mode": corpus.synth.background_mode,
-            "channels": corpus.synth.channels,
-            "height": corpus.synth.height,
-            "width": corpus.synth.width,
-        }
+        doc["synth"] = asdict(corpus.synth)
     doc["videos"] = {
         vid: {
             "subset": rec.subset,
@@ -385,9 +373,13 @@ def load_manifest(path) -> Corpus:
         raise ManifestError(f"{path}: {exc}") from exc
 
 
-def save_manifest(corpus: Corpus, path) -> None:
+def save_manifest(corpus: Corpus, path, invocation: str | None = None) -> None:
+    """``invocation`` goes under the reserved "__invocation__" key, which readers skip."""
+    doc = corpus_to_dict(corpus)
+    if invocation is not None:
+        doc["__invocation__"] = invocation
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(corpus_to_dict(corpus), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -6,7 +6,9 @@ half), then width-3 temporal convolutions exchange information across the
 clip, and mean pooling over time yields the clip feature.
 
 There is one forward pass, ``forward_batch``, over a batch of clips on a tape.
-Inference runs the same function on a tape whose leaves need no gradient.
+Its parameters are an ``EncoderParams`` record whose arrays are tape leaves,
+``params.map(lambda a: tape.tensor(a, True))``; inference runs the same
+function on a tape whose leaves need no gradient.
 Clips are time-major, (B, L, frame_dim): one flattened frame per row, as
 ``sampler.clip_batch`` gathers them, and every layer is one matmul over all
 the batch's frames.
@@ -14,7 +16,7 @@ the batch's frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -45,8 +47,29 @@ class EncoderConfig:
             raise ValueError("blocks must be nonnegative")
 
 
+class ParamRecord:
+    """A dataclass of parameter arrays; everything else derives from ``map``.
+
+    ``map(fn)`` returns the same record with ``fn`` applied to every array, in
+    ``arrays()`` order. Tape leaves are ``map(lambda a: tape.tensor(a, True))``,
+    a copy is ``map(np.copy)``, and a checkpoint stores the record with each
+    array mapped to its JSON form. By default every field is an array.
+    """
+
+    def map(self, fn):
+        return type(self)(*[fn(getattr(self, f.name)) for f in fields(self)])
+
+    def arrays(self) -> list[np.ndarray]:
+        out: list[np.ndarray] = []
+        self.map(out.append)
+        return out
+
+    def copy(self):
+        return self.map(np.copy)
+
+
 @dataclass
-class BlockParams:
+class BlockParams(ParamRecord):
     conv1_kernel: np.ndarray  # (d, d, 3)
     conv1_bias: np.ndarray  # (d,)
     conv2_kernel: np.ndarray
@@ -54,27 +77,15 @@ class BlockParams:
 
 
 @dataclass
-class EncoderParams:
+class EncoderParams(ParamRecord):
     config: EncoderConfig
     stem_weight: np.ndarray  # (d, frame_dim)
     stem_bias: np.ndarray  # (d,)
     blocks: list[BlockParams] = field(default_factory=list)
 
-    def arrays(self) -> list[np.ndarray]:
-        out = [self.stem_weight, self.stem_bias]
-        for b in self.blocks:
-            out += [b.conv1_kernel, b.conv1_bias, b.conv2_kernel, b.conv2_bias]
-        return out
-
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            self.config,
-            self.stem_weight.copy(),
-            self.stem_bias.copy(),
-            [BlockParams(b.conv1_kernel.copy(), b.conv1_bias.copy(),
-                         b.conv2_kernel.copy(), b.conv2_bias.copy())
-             for b in self.blocks],
-        )
+    def map(self, fn) -> "EncoderParams":
+        return EncoderParams(self.config, fn(self.stem_weight), fn(self.stem_bias),
+                             [b.map(fn) for b in self.blocks])
 
 
 def init_params(config: EncoderConfig, seed: int) -> EncoderParams:
@@ -102,16 +113,19 @@ def param_count(config: EncoderConfig) -> int:
     return stem + config.blocks * per_block
 
 
-def forward_batch(tape: ad.Tape, leaves: "EncoderLeaves", frames: np.ndarray) -> ad.Tensor:
-    """Differentiable forward pass: frames (B, L, frame_dim) -> (B, F) features."""
+def forward_batch(tape: ad.Tape, leaves: EncoderParams, frames: np.ndarray) -> ad.Tensor:
+    """Differentiable forward pass: frames (B, L, frame_dim) -> (B, F) features.
+
+    ``leaves`` is an ``EncoderParams`` whose arrays are tensors on ``tape``.
+    """
     if frames.ndim != 3 or frames.shape[2] != leaves.config.frame_dim:
         raise ad.ShapeError(f"encoder expects (B, L, {leaves.config.frame_dim}) frames, "
                             f"got {frames.shape}")
     x = tape.tensor(frames)
     h = ad.relu(ad.affine_frames(x, leaves.stem_weight, leaves.stem_bias))
     for blk in leaves.blocks:
-        inner = ad.relu(ad.conv1d_same(h, blk[0], blk[1]))
-        inner = ad.conv1d_same(inner, blk[2], blk[3])
+        inner = ad.relu(ad.conv1d_same(h, blk.conv1_kernel, blk.conv1_bias))
+        inner = ad.conv1d_same(inner, blk.conv2_kernel, blk.conv2_bias)
         h = ad.relu(ad.add(inner, h))
     return ad.mean_over_time(h)
 
@@ -123,7 +137,7 @@ def forward_np_batch(params: EncoderParams, frames: np.ndarray) -> np.ndarray:
     result is the differentiable pass's value by construction.
     """
     tape = ad.Tape()
-    return forward_batch(tape, EncoderLeaves(tape, params, requires_grad=False), frames).data
+    return forward_batch(tape, params.map(tape.tensor), frames).data
 
 
 def forward_np(params: EncoderParams, frames: np.ndarray) -> np.ndarray:
@@ -134,22 +148,3 @@ def forward_np(params: EncoderParams, frames: np.ndarray) -> np.ndarray:
     """
     return forward_np_batch(params, frames.T[None])[0]
 
-
-class EncoderLeaves:
-    """Encoder parameters registered as requires_grad leaves on one tape."""
-
-    def __init__(self, tape: ad.Tape, params: EncoderParams, requires_grad: bool = True):
-        self.config = params.config
-        self.stem_weight = tape.tensor(params.stem_weight, requires_grad)
-        self.stem_bias = tape.tensor(params.stem_bias, requires_grad)
-        self.blocks = [
-            (tape.tensor(b.conv1_kernel, requires_grad), tape.tensor(b.conv1_bias, requires_grad),
-             tape.tensor(b.conv2_kernel, requires_grad), tape.tensor(b.conv2_bias, requires_grad))
-            for b in params.blocks
-        ]
-
-    def tensors(self) -> list[ad.Tensor]:
-        out = [self.stem_weight, self.stem_bias]
-        for blk in self.blocks:
-            out.extend(blk)
-        return out

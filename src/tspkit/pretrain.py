@@ -21,15 +21,15 @@ import hashlib
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from . import encoder as enc
 from .corpus import Corpus
-from .sampler import (ClipLabels, ClipSpec, build_epoch, clip_batch, test_clip_set,
-                      transformed_shape)
+from .sampler import (ClipLabels, ClipSpec, build_epoch, clip_batch, sample_segment_clips,
+                      test_clip_set, transformed_shape)
 from .seeding import rng_for
 
 CHECKPOINT_SCHEMA_VERSION = 1
@@ -41,17 +41,11 @@ class CheckpointError(ValueError):
 
 
 @dataclass
-class HeadParams:
+class HeadParams(enc.ParamRecord):
     action_weight: np.ndarray  # (F, C)
     action_bias: np.ndarray  # (C,)
     region_weight: np.ndarray  # (2F, 2) or (F, 2) without the global feature
     region_bias: np.ndarray  # (2,)
-
-    def arrays(self) -> list[np.ndarray]:
-        return [self.action_weight, self.action_bias, self.region_weight, self.region_bias]
-
-    def copy(self) -> "HeadParams":
-        return HeadParams(*[a.copy() for a in self.arrays()])
 
 
 @dataclass(frozen=True)
@@ -202,8 +196,6 @@ def video_clip_specs(corpus: Corpus, video_id: str, *, clips_per_segment: int,
     if dense_hop is not None:
         centers = range(0, video.num_frames, dense_hop)
         return [ClipSpec(video_id, c, clip_len, frame_stride, "background") for c in centers]
-    from .sampler import sample_segment_clips
-
     specs: list[ClipSpec] = []
     for segment in corpus.segments(video_id):
         class_index = (corpus.class_index(segment.class_label)
@@ -265,19 +257,6 @@ def checkpoint_global_feature(corpus: Corpus, video_id: str, ckpt: "Checkpoint")
 # loss
 
 
-class HeadLeaves:
-    """Head parameters registered on a tape."""
-
-    def __init__(self, tape: ad.Tape, params: HeadParams, requires_grad: bool = True):
-        self.action_weight = tape.tensor(params.action_weight, requires_grad)
-        self.action_bias = tape.tensor(params.action_bias, requires_grad)
-        self.region_weight = tape.tensor(params.region_weight, requires_grad)
-        self.region_bias = tape.tensor(params.region_bias, requires_grad)
-
-    def tensors(self) -> list[ad.Tensor]:
-        return [self.action_weight, self.action_bias, self.region_weight, self.region_bias]
-
-
 def head_logits(feats: np.ndarray, global_feats: np.ndarray | None, heads: HeadParams,
                 mode: str) -> tuple[np.ndarray, np.ndarray | None]:
     """(action, region) logits of (B, F) features without a tape; region is None
@@ -296,16 +275,17 @@ def head_logits(feats: np.ndarray, global_feats: np.ndarray | None, heads: HeadP
     return action, region
 
 
-def batch_loss_tensor(tape: ad.Tape, enc_leaves: enc.EncoderLeaves,
-                      head_leaves: "HeadLeaves", frames: np.ndarray,
+def batch_loss_tensor(tape: ad.Tape, enc_leaves: enc.EncoderParams,
+                      head_leaves: HeadParams, frames: np.ndarray,
                       region_labels: np.ndarray, action_labels: np.ndarray,
                       global_feats: np.ndarray | None, weights: LossWeights,
                       mode: str) -> ad.Tensor:
     """Mean of the per-clip two-branch losses over one batch, on the tape.
 
-    frames is (B, L, frame_dim); action_labels holds the class index for
-    foreground rows (ignored elsewhere); global_feats is (B, F) rows aligned
-    with the batch (tsp mode only).
+    The two parameter records hold tensors on ``tape``. frames is
+    (B, L, frame_dim); action_labels holds the class index for foreground rows
+    (ignored elsewhere); global_feats is (B, F) rows aligned with the batch
+    (tsp mode only).
     """
     batch = frames.shape[0]
     feats = enc.forward_batch(tape, enc_leaves, frames)
@@ -503,8 +483,8 @@ def train(corpus: Corpus, cfg: TrainConfig,
                 mult = lr_at(step, steps_per_epoch, cfg)
 
                 tape = ad.Tape()
-                enc_leaves = enc.EncoderLeaves(tape, enc_params)
-                head_leaves = HeadLeaves(tape, head_params)
+                enc_leaves, head_leaves = (params.map(lambda a: tape.tensor(a, True))
+                                           for params in (enc_params, head_params))
                 batch_loss = batch_loss_tensor(tape, enc_leaves, head_leaves, batch.frames,
                                                batch.region_labels, batch.action_labels,
                                                batch.global_rows(table_features),
@@ -516,7 +496,7 @@ def train(corpus: Corpus, cfg: TrainConfig,
                 epoch_losses.append(loss_value)
                 grads = tape.backward(batch_loss)
 
-                leaf_groups = (enc_leaves.tensors(), head_leaves.tensors())
+                leaf_groups = (enc_leaves.arrays(), head_leaves.arrays())
                 for arrays, leaves, vels, lr in zip(group_arrays, leaf_groups,
                                                     velocity, group_lrs):
                     eff = lr * mult
@@ -543,12 +523,8 @@ def train(corpus: Corpus, cfg: TrainConfig,
         raise RuntimeError("every grid cell diverged; nothing to select")
 
     # ties resolve to the smaller head lr, then the earlier epoch
-    candidates.sort(key=lambda c: (c[1], c[2]))
-    best = None
-    for cand in candidates:
-        if best is None or cand[0] > best[0]:
-            best = cand
-    score, head_lr, epoch, enc_snap, head_snap = best
+    score, head_lr, epoch, enc_snap, head_snap = max(
+        candidates, key=lambda c: (c[0], -c[1], -c[2]))
 
     selection = SelectionRecord(head_lr=head_lr, epoch=epoch, score=score, rows=rows)
     ckpt = Checkpoint(mode=cfg.mode, config=cfg, encoder=enc_snap, heads=head_snap,
@@ -566,53 +542,17 @@ def _array_to_json(arr: np.ndarray) -> dict:
 
 
 def _array_from_json(doc: dict) -> np.ndarray:
-    arr = np.asarray(doc["data"], dtype=np.float64).reshape(doc["shape"])
-    return arr
+    return np.asarray(doc["data"], dtype=np.float64).reshape(doc["shape"])
 
 
 def _encoder_to_json(params: enc.EncoderParams) -> dict:
-    cfg = params.config
-    return {
-        "config": {"channels_in": cfg.channels_in, "height": cfg.height, "width": cfg.width,
-                   "embed_dim": cfg.embed_dim, "blocks": cfg.blocks},
-        "stem_weight": _array_to_json(params.stem_weight),
-        "stem_bias": _array_to_json(params.stem_bias),
-        "blocks": [
-            {"conv1_kernel": _array_to_json(b.conv1_kernel),
-             "conv1_bias": _array_to_json(b.conv1_bias),
-             "conv2_kernel": _array_to_json(b.conv2_kernel),
-             "conv2_bias": _array_to_json(b.conv2_bias)}
-            for b in params.blocks
-        ],
-    }
+    return asdict(params.map(_array_to_json))
 
 
 def _encoder_from_json(doc: dict) -> enc.EncoderParams:
-    cfg = enc.EncoderConfig(**doc["config"])
-    return enc.EncoderParams(
-        cfg,
-        _array_from_json(doc["stem_weight"]),
-        _array_from_json(doc["stem_bias"]),
-        [enc.BlockParams(_array_from_json(b["conv1_kernel"]), _array_from_json(b["conv1_bias"]),
-                         _array_from_json(b["conv2_kernel"]), _array_from_json(b["conv2_bias"]))
-         for b in doc["blocks"]],
-    )
-
-
-def config_to_dict(cfg: TrainConfig) -> dict:
-    return {
-        "mode": cfg.mode, "global_pool": cfg.global_pool, "encoder_lr": cfg.encoder_lr,
-        "head_lr_grid": list(cfg.head_lr_grid), "epochs": cfg.epochs,
-        "warmup_epochs": cfg.warmup_epochs, "decay_epochs": list(cfg.decay_epochs),
-        "decay_gamma": cfg.decay_gamma, "batch_size": cfg.batch_size,
-        "momentum": cfg.momentum, "seed": cfg.seed, "init": cfg.init,
-        "clips_per_segment": cfg.clips_per_segment, "clip_len": cfg.clip_len,
-        "frame_stride": cfg.frame_stride, "embed_dim": cfg.embed_dim,
-        "blocks": cfg.blocks, "action_loss_weight": cfg.action_loss_weight,
-        "region_loss_weight": cfg.region_loss_weight,
-        "resample_each_epoch": cfg.resample_each_epoch,
-        "gvf_dense_hop": cfg.gvf_dense_hop,
-    }
+    return enc.EncoderParams(**{**doc, "config": enc.EncoderConfig(**doc["config"]),
+                                "blocks": [enc.BlockParams(**b) for b in doc["blocks"]]}
+                             ).map(_array_from_json)
 
 
 def config_from_dict(doc: dict) -> TrainConfig:
@@ -623,34 +563,21 @@ def config_from_dict(doc: dict) -> TrainConfig:
 
 
 def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
+    table = ckpt.global_features
     return {
         "schema_version": ckpt.schema_version,
         "mode": ckpt.mode,
         "seed": ckpt.seed,
-        "config": config_to_dict(ckpt.config),
+        "config": asdict(ckpt.config),
         "encoder": _encoder_to_json(ckpt.encoder),
-        "heads": {name: _array_to_json(arr) for name, arr in
-                  zip(("action_weight", "action_bias", "region_weight", "region_bias"),
-                      ckpt.heads.arrays())},
+        "heads": asdict(ckpt.heads.map(_array_to_json)),
         "init_encoder": _encoder_to_json(ckpt.init_encoder),
-        "global_features": None if ckpt.global_features is None else {
-            "pool": ckpt.global_features.pool,
-            "source": ckpt.global_features.source,
-            "features": {vid: arr.tolist() for vid, arr in
-                         sorted(ckpt.global_features.features.items())},
+        "global_features": None if table is None else {
+            "pool": table.pool,
+            "source": table.source,
+            "features": {vid: arr.tolist() for vid, arr in sorted(table.features.items())},
         },
-        "selection": {
-            "head_lr": ckpt.selection.head_lr,
-            "epoch": ckpt.selection.epoch,
-            "score": ckpt.selection.score,
-            "rows": [
-                {"epoch": r.epoch, "head_lr": r.head_lr,
-                 "mean_train_loss": r.mean_train_loss, "action_acc": r.action_acc,
-                 "region_acc": r.region_acc, "lr_multiplier": r.lr_multiplier,
-                 "diverged": r.diverged}
-                for r in ckpt.selection.rows
-            ],
-        },
+        "selection": asdict(ckpt.selection),
         "checkpoint_id": ckpt.checkpoint_id,
     }
 
@@ -662,8 +589,7 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
         raise CheckpointError(
             f"unsupported checkpoint schema_version {doc.get('schema_version')!r}")
     try:
-        heads = HeadParams(*[_array_from_json(doc["heads"][k]) for k in
-                             ("action_weight", "action_bias", "region_weight", "region_bias")])
+        heads = HeadParams(**doc["heads"]).map(_array_from_json)
         gf = doc["global_features"]
         table = None
         if gf is not None:
@@ -671,9 +597,7 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
                 {vid: np.asarray(v, dtype=np.float64) for vid, v in gf["features"].items()},
                 gf["pool"], gf["source"])
         sel = doc["selection"]
-        selection = SelectionRecord(
-            head_lr=sel["head_lr"], epoch=sel["epoch"], score=sel["score"],
-            rows=[TrainLogRow(**r) for r in sel["rows"]])
+        selection = SelectionRecord(**{**sel, "rows": [TrainLogRow(**r) for r in sel["rows"]]})
         ckpt = Checkpoint(
             mode=doc["mode"],
             config=config_from_dict(doc["config"]),
@@ -692,9 +616,13 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
     return ckpt
 
 
-def save_checkpoint(ckpt: Checkpoint, path) -> None:
+def save_checkpoint(ckpt: Checkpoint, path, invocation: str | None = None) -> None:
+    """``invocation`` goes under the reserved "__invocation__" key, which readers skip."""
+    doc = checkpoint_to_dict(ckpt)
+    if invocation is not None:
+        doc["__invocation__"] = invocation
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(checkpoint_to_dict(ckpt), fh, indent=1, sort_keys=True)
+        json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus, RegionSegment, VideoRecord
+from .seeding import rng_for
 
 log = logging.getLogger(__name__)
 _warned_splits: set[tuple[str, int]] = set()
@@ -240,8 +241,6 @@ def build_epoch(corpus: Corpus, split: str, epoch_index: int, seed: int, *,
     epoch is balanced to the smaller of the foreground/background pools
     unless fg_only is set (classification-only training).
     """
-    from .seeding import rng_for
-
     pool_key = epoch_index if resample_each_epoch else 0
     rng = rng_for(seed, "epoch", pool_key, split)
     fg, bg = segment_clip_pool(corpus, split, mode="train",

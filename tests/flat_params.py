@@ -1,6 +1,9 @@
-"""Gradient-check helpers: the two-head loss as a function of one flat vector."""
+"""Gradient-check helpers: the two-head loss as a function of one flat vector.
 
-from types import SimpleNamespace
+The parameter records are laid end to end in ``arrays()`` order; ``map`` over a
+template record puts each ``reshape_slice`` view of the flat leaf back into its
+field.
+"""
 
 import numpy as np
 
@@ -22,12 +25,9 @@ def two_head_loss_builder(enc_cfg: enc.EncoderConfig, num_classes: int, mode: st
     The loss is ``batch_loss_tensor`` of one batch, with every encoder and head
     parameter a ``reshape_slice`` view of the single leaf holding ``vec``.
     """
-    d = enc_cfg.embed_dim
-    region_in = d if mode == "tsp_nogvf" else 2 * d
-    shapes = [(d, enc_cfg.frame_dim), (d,)]
-    for _ in range(enc_cfg.blocks):
-        shapes += [(d, d, 3), (d,), (d, d, 3), (d,)]
-    shapes += [(d, num_classes), (num_classes,), (region_in, 2), (2,)]
+    templates = (enc.init_params(enc_cfg, seed=0),
+                 pt.init_heads(enc_cfg.feature_dim, num_classes, mode, seed=0))
+    shapes = [a.shape for t in templates for a in t.arrays()]
 
     def build(vec: np.ndarray):
         tape = ad.Tape()
@@ -41,12 +41,8 @@ def two_head_loss_builder(enc_cfg: enc.EncoderConfig, num_classes: int, mode: st
         if offset != vec.size:
             raise ValueError(f"parameter vector has {vec.size} entries, expected {offset}")
 
-        enc_view = SimpleNamespace(
-            config=enc_cfg, stem_weight=parts[0], stem_bias=parts[1],
-            blocks=[tuple(parts[2 + 4 * i: 6 + 4 * i]) for i in range(enc_cfg.blocks)])
-        head_view = SimpleNamespace(
-            action_weight=parts[-4], action_bias=parts[-3],
-            region_weight=parts[-2], region_bias=parts[-1])
+        views = iter(parts)
+        enc_view, head_view = (t.map(lambda _: next(views)) for t in templates)
         loss = pt.batch_loss_tensor(tape, enc_view, head_view, frames, region_labels,
                                     action_labels, global_feats, weights, mode)
         return loss, leaf

@@ -151,7 +151,7 @@ def good_files(tmp_path_factory):
                      "--valid-videos", "1", "--classes", "2"]) == 0
     corpus = corpus_mod.load_manifest(manifest_path)
     cfg = pretrain.TrainConfig(epochs=0, warmup_epochs=0, head_lr_grid=(0.004,),
-                               embed_dim=4, blocks=0, init="random")
+                               embed_dim=4, blocks=1, init="random")
     ckpt, _ = pretrain.train(corpus, cfg)
     ckpt_path = root / "ckpt.json"
     pretrain.save_checkpoint(ckpt, ckpt_path)
@@ -183,6 +183,14 @@ def set_synth(**fields):
 
 def set_bias(value):
     return edit_json(lambda doc: doc["heads"]["action_bias"]["data"].__setitem__(0, value))
+
+
+def add_heads_key(doc):
+    doc["heads"]["extra"] = doc["heads"]["action_bias"]
+
+
+def replace_block_record(doc):
+    doc["encoder"]["blocks"][0] = [1.0, 2.0]
 
 
 def replace_video_record(doc):
@@ -219,6 +227,8 @@ BAD_FILES = [
     *[("checkpoint", *case) for case in (TRUNCATED, NOT_JSON, NOT_UTF8, ROOT_LIST,
                                          WRONG_VERSION)],
     ("checkpoint", "no_heads", edit_json(lambda doc: doc.pop("heads"))),
+    ("checkpoint", "heads_extra_key", edit_json(add_heads_key)),
+    ("checkpoint", "block_not_object", edit_json(replace_block_record)),
     ("checkpoint", "features_not_object",
      edit_json(lambda doc: doc["global_features"].update(features=[]))),
     ("checkpoint", "string_weight", set_bias("x")),

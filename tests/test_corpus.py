@@ -290,3 +290,26 @@ def test_video_frames_match_golden_digest(noise, mode):
         digest.update(repr(frames.shape).encode())
         digest.update(np.ascontiguousarray(frames, dtype="<f8").tobytes())
     assert digest.hexdigest() == FRAME_DIGESTS[noise, mode]
+
+
+# sha256 of save_manifest's bytes for synth_corpus(), taken before the synth block
+# was written with dataclasses.asdict: pins the file layout (key names, nesting,
+# number formatting), which the frame digests above do not see
+GOLDEN_MANIFEST_DIGEST = "d13d60eda4c2166b0102ad1780efaadf434d42b4d6c59baa462350971490abeb"
+
+
+def test_saved_manifest_matches_golden_digest(tmp_path):
+    path = tmp_path / "m.json"
+    cp.save_manifest(synth_corpus(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_MANIFEST_DIGEST
+
+
+def test_saved_invocation_is_one_key_that_loading_skips(tmp_path):
+    corpus = synth_corpus()
+    plain, tagged = tmp_path / "plain.json", tmp_path / "tagged.json"
+    cp.save_manifest(corpus, plain)
+    cp.save_manifest(corpus, tagged, invocation="gen-corpus --seed 3")
+    doc = json.loads(tagged.read_text())
+    assert doc.pop("__invocation__") == "gen-corpus --seed 3"
+    assert doc == json.loads(plain.read_text())
+    assert cp.corpus_to_dict(cp.load_manifest(tagged)) == cp.corpus_to_dict(corpus)

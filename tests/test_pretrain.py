@@ -1,5 +1,6 @@
 """Two-head loss, global features, schedule, trainer, and checkpoints."""
 
+import hashlib
 import json
 import math
 
@@ -35,7 +36,7 @@ def clip_losses(frames, region, action, gfeats, mode="tsp", weights=pt.LossWeigh
     def loss(rows):
         tape = ad.Tape()
         return pt.batch_loss_tensor(
-            tape, enc.EncoderLeaves(tape, params), pt.HeadLeaves(tape, heads), frames[rows],
+            tape, params.map(tape.tensor), heads.map(tape.tensor), frames[rows],
             region[rows], action[rows], None if gfeats is None else gfeats[rows],
             weights, mode).item()
 
@@ -79,8 +80,8 @@ def test_background_only_batch_has_exactly_zero_action_gradients():
     gfeats = rng.standard_normal((5, 6))
 
     tape = ad.Tape()
-    enc_leaves = enc.EncoderLeaves(tape, params)
-    head_leaves = pt.HeadLeaves(tape, heads)
+    enc_leaves = params.map(lambda a: tape.tensor(a, True))
+    head_leaves = heads.map(lambda a: tape.tensor(a, True))
     loss = pt.batch_loss_tensor(tape, enc_leaves, head_leaves, frames,
                                 np.zeros(5, dtype=int), np.full(5, -1), gfeats,
                                 pt.LossWeights(), "tsp")
@@ -273,6 +274,24 @@ GOLDEN_CHECKPOINT_IDS = {"tsp": "175d0959ef2b", "tsp_nogvf": "9a373b307944",
 def test_tiny_training_matches_golden_checkpoint_id(mode):
     ckpt, _ = pt.train(small_corpus(), tiny_train_cfg(mode=mode))
     assert ckpt.checkpoint_id == GOLDEN_CHECKPOINT_IDS[mode]
+
+
+# sha256 of save_checkpoint's bytes for the same runs, taken before the records
+# were written with dataclasses.asdict: pins the file layout (key names, nesting,
+# number formatting), which the ids above do not see
+GOLDEN_CHECKPOINT_FILE_DIGESTS = {
+    "tsp": "b25333f817b793ac58c232815ff1d76daa52d2dee950ba3b6b02a09e9799d895",
+    "tsp_nogvf": "16a5f315552a64a1d49708b6ef0b8450d691e372220621a10f306bf17456c394",
+    "tac": "dea1fcbdf178e68b0d4cbcff6b3a892bee6789404eb810366a5c6a04c03fb0f8",
+}
+
+
+@pytest.mark.parametrize("mode", pt.MODES)
+def test_tiny_training_checkpoint_file_matches_golden_digest(mode, tmp_path):
+    ckpt, _ = pt.train(small_corpus(), tiny_train_cfg(mode=mode))
+    path = tmp_path / "ckpt.json"
+    pt.save_checkpoint(ckpt, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CHECKPOINT_FILE_DIGESTS[mode]
 
 
 def test_selection_attains_maximum_recorded_score():
