@@ -44,7 +44,7 @@ def train_step(enc_params, heads, frames, region, action, gfeats):
     enc_leaves, head_leaves = (params.map(lambda a: tape.tensor(a, True))
                                for params in (enc_params, heads))
     loss = pt.batch_loss_tensor(tape, enc_leaves, head_leaves, frames,
-                                region, action, gfeats, pt.LossWeights(), "tsp")
+                                region, action, gfeats, pt.TrainConfig(mode="tsp"))
     return tape.backward(loss)
 
 

@@ -28,8 +28,6 @@ from .seeding import normal_rows, rng_for
 
 SCHEMA_VERSION = 1
 SUBSETS = ("train", "valid", "test")
-# frames needed by the default clip geometry (16 frames, stride 2)
-DEFAULT_CLIP_SPAN = 31
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
 

@@ -18,7 +18,7 @@ from . import encoder as enc
 from .autodiff import softmax
 from .corpus import Corpus, VideoRecord
 from .pretrain import Checkpoint, checkpoint_global_feature, head_logits
-from .sampler import ClipSpec, clip_batch, clip_span
+from .sampler import clip_batch, clip_span, dense_clip_specs
 
 
 class TrackError(ValueError):
@@ -40,41 +40,25 @@ class FeatureTrack:
     region_probs: np.ndarray | None  # (n,) foreground probability; None for tac
     action_logits: np.ndarray  # (n, C)
 
-    @property
-    def feature_dim(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def num_classes(self) -> int:
-        return self.action_logits.shape[1]
-
     def __len__(self) -> int:
         return self.features.shape[0]
 
 
-def default_hop(clip_len: int, frame_stride: int) -> int:
-    """Hop that tiles the video with non-overlapping receptive fields."""
-    return clip_span(clip_len, frame_stride)
-
-
 def extract_track(corpus: Corpus, video: VideoRecord, ckpt: Checkpoint,
                   hop: int | None = None) -> FeatureTrack:
-    """Tile one video with clips and run the checkpoint over them."""
+    """Tile one video with clips and run the checkpoint over them; the default
+    hop tiles it with non-overlapping receptive fields."""
     cfg = ckpt.config
     if hop is None:
-        hop = default_hop(cfg.clip_len, cfg.frame_stride)
-    if hop < 1:
-        raise ValueError("hop must be positive")
+        hop = clip_span(cfg.clip_len, cfg.frame_stride)
     if corpus.synth is not None and ckpt.encoder.config.channels_in != corpus.synth.channels:
         raise TrackError(f"checkpoint expects {ckpt.encoder.config.channels_in} channels, "
                          f"corpus has {corpus.synth.channels}")
 
     tsp = ckpt.mode == "tsp"
     global_feat = checkpoint_global_feature(corpus, video.id, ckpt) if tsp else np.empty(0)
-    centers = range(0, video.num_frames, hop)
-    frames = clip_batch(corpus, [ClipSpec(video.id, c, cfg.clip_len, cfg.frame_stride,
-                                          "background") for c in centers], "test")
-    feats = enc.forward_np_batch(ckpt.encoder, frames)
+    specs = dense_clip_specs(video, cfg.clip_len, cfg.frame_stride, hop)
+    feats = enc.forward_np_batch(ckpt.encoder, clip_batch(corpus, specs, "test"))
     gfeats = np.broadcast_to(global_feat, feats.shape) if tsp else None
     logits, region = head_logits(feats, gfeats, ckpt.heads, ckpt.mode)
     probs = None if region is None else softmax(region)[:, 1]
@@ -82,7 +66,7 @@ def extract_track(corpus: Corpus, video: VideoRecord, ckpt: Checkpoint,
         video_id=video.id, clip_len=cfg.clip_len, frame_stride=cfg.frame_stride,
         hop_frames=hop, fps=video.fps, num_frames=video.num_frames,
         checkpoint_id=ckpt.checkpoint_id, global_feature=global_feat,
-        center_times=np.array([c / video.fps for c in centers]),
+        center_times=np.array([spec.center_frame / video.fps for spec in specs]),
         features=feats, region_probs=probs, action_logits=logits)
 
 

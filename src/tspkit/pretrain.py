@@ -21,15 +21,15 @@ import hashlib
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from . import encoder as enc
 from .corpus import Corpus
-from .sampler import (ClipLabels, ClipSpec, build_epoch, clip_batch, sample_segment_clips,
-                      test_clip_set, transformed_shape)
+from .sampler import (ClipSpec, build_epoch, clip_batch, dense_clip_specs, test_clip_set,
+                      transformed_shape, video_segment_clips)
 from .seeding import rng_for
 
 CHECKPOINT_SCHEMA_VERSION = 1
@@ -46,16 +46,6 @@ class HeadParams(enc.ParamRecord):
     action_bias: np.ndarray  # (C,)
     region_weight: np.ndarray  # (2F, 2) or (F, 2) without the global feature
     region_bias: np.ndarray  # (2,)
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    action: float = 1.0
-    region: float = 1.0
-
-    def validate(self) -> None:
-        if self.action < 0 or self.region < 0 or (self.action == 0 and self.region == 0):
-            raise ValueError("loss weights must be nonnegative and not both zero")
 
 
 @dataclass
@@ -109,11 +99,9 @@ class TrainConfig:
                 raise ValueError("warmup_epochs must be < epochs")
             if any(not 0 <= d < self.epochs for d in self.decay_epochs):
                 raise ValueError("decay epochs out of range")
-        LossWeights(self.action_loss_weight, self.region_loss_weight).validate()
-
-    @property
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(self.action_loss_weight, self.region_loss_weight)
+        action, region = self.action_loss_weight, self.region_loss_weight
+        if action < 0 or region < 0 or (action == 0 and region == 0):
+            raise ValueError("loss weights must be nonnegative and not both zero")
 
 
 @dataclass
@@ -149,18 +137,15 @@ class Checkpoint:
 
     @property
     def checkpoint_id(self) -> str:
-        digest = hashlib.sha256()
-        digest.update(self.mode.encode())
-        digest.update(str(self.seed).encode())
-        for arr in self.encoder.arrays() + self.heads.arrays():
+        return params_hash(self.encoder, self.heads, prefix=f"{self.mode}{self.seed}".encode())
+
+
+def params_hash(*records: enc.ParamRecord, prefix: bytes = b"") -> str:
+    """First 12 hex digits of the sha256 of ``prefix`` and the records' array bytes."""
+    digest = hashlib.sha256(prefix)
+    for record in records:
+        for arr in record.arrays():
             digest.update(arr.tobytes())
-        return digest.hexdigest()[:12]
-
-
-def params_hash(params: enc.EncoderParams) -> str:
-    digest = hashlib.sha256()
-    for arr in params.arrays():
-        digest.update(arr.tobytes())
     return digest.hexdigest()[:12]
 
 
@@ -187,23 +172,16 @@ def init_heads(feature_dim: int, num_classes: int, mode: str, seed: int) -> Head
 # global video features
 
 
-def video_clip_specs(corpus: Corpus, video_id: str, *, clips_per_segment: int,
-                     clip_len: int, frame_stride: int,
-                     dense_hop: int | None = None) -> list[ClipSpec]:
-    """Deterministic clip set covering one video (test-mode sampling, or a
-    dense regular grid when dense_hop is given)."""
+def video_clip_specs(corpus: Corpus, video_id: str, cfg: TrainConfig) -> list[ClipSpec]:
+    """The deterministic clip set a video's global feature pools over: test-mode
+    per-segment clips, or a dense grid at ``cfg.gvf_dense_hop``."""
     video = corpus.videos[video_id]
-    if dense_hop is not None:
-        centers = range(0, video.num_frames, dense_hop)
-        return [ClipSpec(video_id, c, clip_len, frame_stride, "background") for c in centers]
-    specs: list[ClipSpec] = []
-    for segment in corpus.segments(video_id):
-        class_index = (corpus.class_index(segment.class_label)
-                       if segment.kind == "foreground" else None)
-        specs.extend(sample_segment_clips(
-            segment, video, mode="test", n=clips_per_segment, rng=None,
-            clip_len=clip_len, frame_stride=frame_stride, class_index=class_index))
-    return specs
+    if cfg.gvf_dense_hop is not None:
+        return dense_clip_specs(video, cfg.clip_len, cfg.frame_stride, cfg.gvf_dense_hop)
+    segments = video_segment_clips(corpus, video, mode="test",
+                                   clips_per_segment=cfg.clips_per_segment,
+                                   clip_len=cfg.clip_len, frame_stride=cfg.frame_stride)
+    return [spec for clips in segments for spec in clips]
 
 
 def pool_features(features: list[np.ndarray], pool: str) -> np.ndarray:
@@ -217,27 +195,21 @@ def pool_features(features: list[np.ndarray], pool: str) -> np.ndarray:
 
 
 def video_global_feature(corpus: Corpus, video_id: str, init_params: enc.EncoderParams,
-                         pool: str, *, clips_per_segment: int, clip_len: int,
-                         frame_stride: int, dense_hop: int | None = None) -> np.ndarray:
+                         cfg: TrainConfig) -> np.ndarray:
     """One video's global feature: encoder features pooled over its clip set."""
-    specs = video_clip_specs(corpus, video_id, clips_per_segment=clips_per_segment,
-                             clip_len=clip_len, frame_stride=frame_stride, dense_hop=dense_hop)
+    specs = video_clip_specs(corpus, video_id, cfg)
     if not specs:
         raise ValueError(f"video {video_id!r} has no sampleable clips")
     frames = clip_batch(corpus, specs, "test")
-    return pool_features(list(enc.forward_np_batch(init_params, frames)), pool)
+    return pool_features(list(enc.forward_np_batch(init_params, frames)), cfg.global_pool)
 
 
 def precompute_global_features(corpus: Corpus, init_params: enc.EncoderParams,
-                               pool: str = "max", *, clips_per_segment: int = 5,
-                               clip_len: int = 16, frame_stride: int = 2,
-                               dense_hop: int | None = None) -> GlobalFeatureTable:
+                               cfg: TrainConfig) -> GlobalFeatureTable:
     """Pool encoder features over each video's deterministic clip set."""
-    table = {video_id: video_global_feature(
-                 corpus, video_id, init_params, pool, clips_per_segment=clips_per_segment,
-                 clip_len=clip_len, frame_stride=frame_stride, dense_hop=dense_hop)
+    table = {video_id: video_global_feature(corpus, video_id, init_params, cfg)
              for video_id in corpus.videos}
-    return GlobalFeatureTable(table, pool, params_hash(init_params))
+    return GlobalFeatureTable(table, cfg.global_pool, params_hash(init_params))
 
 
 def checkpoint_global_feature(corpus: Corpus, video_id: str, ckpt: "Checkpoint") -> np.ndarray:
@@ -246,11 +218,7 @@ def checkpoint_global_feature(corpus: Corpus, video_id: str, ckpt: "Checkpoint")
     table = ckpt.global_features
     if table is not None and video_id in table.features:
         return table.features[video_id]
-    cfg = ckpt.config
-    return video_global_feature(corpus, video_id, ckpt.init_encoder, cfg.global_pool,
-                                clips_per_segment=cfg.clips_per_segment,
-                                clip_len=cfg.clip_len, frame_stride=cfg.frame_stride,
-                                dense_hop=cfg.gvf_dense_hop)
+    return video_global_feature(corpus, video_id, ckpt.init_encoder, ckpt.config)
 
 
 # ---------------------------------------------------------------------------
@@ -278,21 +246,21 @@ def head_logits(feats: np.ndarray, global_feats: np.ndarray | None, heads: HeadP
 def batch_loss_tensor(tape: ad.Tape, enc_leaves: enc.EncoderParams,
                       head_leaves: HeadParams, frames: np.ndarray,
                       region_labels: np.ndarray, action_labels: np.ndarray,
-                      global_feats: np.ndarray | None, weights: LossWeights,
-                      mode: str) -> ad.Tensor:
+                      global_feats: np.ndarray | None, cfg: TrainConfig) -> ad.Tensor:
     """Mean of the per-clip two-branch losses over one batch, on the tape.
 
     The two parameter records hold tensors on ``tape``. frames is
     (B, L, frame_dim); action_labels holds the class index for foreground rows
     (ignored elsewhere); global_feats is (B, F) rows aligned with the batch
-    (tsp mode only).
+    (tsp mode only). ``cfg`` gives the mode and the two heads' loss weights.
     """
-    batch = frames.shape[0]
+    batch, mode = frames.shape[0], cfg.mode
     feats = enc.forward_batch(tape, enc_leaves, frames)
     terms: list[ad.Tensor] = []
     if mode == "tac":
         logits = ad.linear_rows(feats, head_leaves.action_weight, head_leaves.action_bias)
-        terms.append(ad.scale(ad.cross_entropy_sum(logits, action_labels), weights.action))
+        terms.append(ad.scale(ad.cross_entropy_sum(logits, action_labels),
+                              cfg.action_loss_weight))
     else:
         if mode == "tsp":
             if global_feats is None:
@@ -303,14 +271,14 @@ def batch_loss_tensor(tape: ad.Tape, enc_leaves: enc.EncoderParams,
         region_logits = ad.linear_rows(region_in, head_leaves.region_weight,
                                        head_leaves.region_bias)
         terms.append(ad.scale(ad.cross_entropy_sum(region_logits, region_labels),
-                              weights.region))
+                              cfg.region_loss_weight))
         fg_rows = np.flatnonzero(region_labels == 1)
         if len(fg_rows):
             fg_feats = ad.take_rows(feats, fg_rows)
             fg_logits = ad.linear_rows(fg_feats, head_leaves.action_weight,
                                        head_leaves.action_bias)
             terms.append(ad.scale(ad.cross_entropy_sum(fg_logits, action_labels[fg_rows]),
-                                  weights.action))
+                                  cfg.action_loss_weight))
     total = terms[0] if len(terms) == 1 else ad.add(terms[0], terms[1])
     return ad.scale(total, 1.0 / batch)
 
@@ -351,23 +319,22 @@ class LabeledBatch:
         return None if features is None else np.stack([features[v] for v in self.video_ids])
 
 
-def labeled_batch(corpus: Corpus, items: list[tuple[ClipSpec, ClipLabels]], mode: str,
+def labeled_batch(corpus: Corpus, specs: list[ClipSpec], mode: str,
                   rng: np.random.Generator | None = None) -> LabeledBatch:
-    """(spec, labels) items gathered into one batch; rng draws the train-mode crops."""
-    specs = [spec for spec, _ in items]
+    """Clips gathered into one batch, labeled by kind and class index; rng draws crops."""
     return LabeledBatch(
         clip_batch(corpus, specs, mode, rng),
-        np.array([labels.region for _, labels in items]),
-        np.array([-1 if labels.action is None else labels.action for _, labels in items]),
+        np.array([int(spec.kind == "foreground") for spec in specs]),
+        np.array([-1 if spec.class_index is None else spec.class_index for spec in specs]),
         [spec.video_id for spec in specs])
 
 
 def _eval_clips(corpus: Corpus, split: str, cfg: TrainConfig) -> LabeledBatch:
-    items = test_clip_set(corpus, split, clips_per_segment=cfg.clips_per_segment,
+    specs = test_clip_set(corpus, split, clips_per_segment=cfg.clips_per_segment,
                           clip_len=cfg.clip_len, frame_stride=cfg.frame_stride)
-    if not items:
+    if not specs:
         raise ValueError(f"split {split!r} has no clips")
-    return labeled_batch(corpus, items, "test")
+    return labeled_batch(corpus, specs, "test")
 
 
 def _accuracy(enc_params: enc.EncoderParams, head_params: HeadParams, mode: str,
@@ -404,8 +371,8 @@ def validate(checkpoint: "Checkpoint", corpus: Corpus, split: str) -> dict:
 # training
 
 
-def _selection_score(action_acc: float, region_acc: float | None, mode: str) -> float:
-    if mode == "tac" or region_acc is None:
+def _selection_score(action_acc: float, region_acc: float | None) -> float:
+    if region_acc is None:  # tac
         return action_acc
     return 0.5 * (action_acc + region_acc)
 
@@ -431,33 +398,37 @@ def train(corpus: Corpus, cfg: TrainConfig,
         base_ckpt, _ = train(corpus, base_cfg)
         init_enc = base_ckpt.encoder.copy()
 
-    table = None
-    if cfg.mode == "tsp":
-        table = precompute_global_features(
-            corpus, init_enc, cfg.global_pool, clips_per_segment=cfg.clips_per_segment,
-            clip_len=cfg.clip_len, frame_stride=cfg.frame_stride,
-            dense_hop=cfg.gvf_dense_hop)
+    table = precompute_global_features(corpus, init_enc, cfg) if cfg.mode == "tsp" else None
 
     table_features = None if table is None else table.features
     num_classes = len(corpus.classes)
-    weights = cfg.loss_weights
     valid_clips = _eval_clips(corpus, "valid", cfg)
 
     def build_batches(epoch: int) -> list[LabeledBatch]:
-        items = build_epoch(
+        specs = build_epoch(
             corpus, "train", epoch, cfg.seed,
             clips_per_segment=cfg.clips_per_segment, clip_len=cfg.clip_len,
             frame_stride=cfg.frame_stride, fg_only=(cfg.mode == "tac"),
             resample_each_epoch=cfg.resample_each_epoch)
         aug_rng = rng_for(cfg.seed, "augment", epoch)
-        return [labeled_batch(corpus, items[start:start + cfg.batch_size], "train", aug_rng)
-                for start in range(0, len(items), cfg.batch_size)]
+        return [labeled_batch(corpus, specs[start:start + cfg.batch_size], "train", aug_rng)
+                for start in range(0, len(specs), cfg.batch_size)]
 
     # every grid cell trains on the same epochs (same seed), so build them once
     epochs = [build_batches(epoch) for epoch in range(cfg.epochs)]
 
     rows: list[TrainLogRow] = []
-    candidates = []  # (score, head_lr, epoch, encoder snapshot, heads snapshot)
+    best = None  # (selection key, head_lr, epoch, encoder snapshot, heads snapshot)
+
+    def validate_and_select(head_lr: float, epoch: int, enc_params: enc.EncoderParams,
+                            head_params: HeadParams) -> tuple[float, float | None]:
+        """Validation accuracies; the parameters are kept if they beat the best so far."""
+        nonlocal best
+        accs = _accuracy(enc_params, head_params, cfg.mode, table_features, valid_clips)
+        key = (_selection_score(*accs), -head_lr, -epoch)  # ties: smaller lr, earlier epoch
+        if best is None or key > best[0]:
+            best = (key, head_lr, epoch, enc_params.copy(), head_params.copy())
+        return accs
 
     for head_lr in cfg.head_lr_grid:
         enc_params = init_enc.copy()
@@ -467,10 +438,7 @@ def train(corpus: Corpus, cfg: TrainConfig,
         group_lrs = (cfg.encoder_lr, head_lr)
 
         if cfg.epochs == 0:
-            action_acc, region_acc = _accuracy(enc_params, head_params, cfg.mode,
-                                               table_features, valid_clips)
-            score = _selection_score(action_acc, region_acc, cfg.mode)
-            candidates.append((score, head_lr, -1, enc_params.copy(), head_params.copy()))
+            validate_and_select(head_lr, -1, enc_params, head_params)
             continue
 
         step = 0
@@ -487,8 +455,7 @@ def train(corpus: Corpus, cfg: TrainConfig,
                                            for params in (enc_params, head_params))
                 batch_loss = batch_loss_tensor(tape, enc_leaves, head_leaves, batch.frames,
                                                batch.region_labels, batch.action_labels,
-                                               batch.global_rows(table_features),
-                                               weights, cfg.mode)
+                                               batch.global_rows(table_features), cfg)
                 loss_value = batch_loss.item()
                 if not math.isfinite(loss_value):
                     diverged = True
@@ -511,21 +478,15 @@ def train(corpus: Corpus, cfg: TrainConfig,
                                         None, mult, diverged=True))
                 break
 
-            action_acc, region_acc = _accuracy(enc_params, head_params, cfg.mode,
-                                               table_features, valid_clips)
+            action_acc, region_acc = validate_and_select(head_lr, epoch, enc_params,
+                                                         head_params)
             rows.append(TrainLogRow(epoch, head_lr, float(np.mean(epoch_losses)),
                                     action_acc, region_acc, mult))
-            score = _selection_score(action_acc, region_acc, cfg.mode)
-            candidates.append((score, head_lr, epoch, enc_params.copy(),
-                               head_params.copy()))
 
-    if not candidates:
+    if best is None:
         raise RuntimeError("every grid cell diverged; nothing to select")
 
-    # ties resolve to the smaller head lr, then the earlier epoch
-    score, head_lr, epoch, enc_snap, head_snap = max(
-        candidates, key=lambda c: (c[0], -c[1], -c[2]))
-
+    (score, _, _), head_lr, epoch, enc_snap, head_snap = best
     selection = SelectionRecord(head_lr=head_lr, epoch=epoch, score=score, rows=rows)
     ckpt = Checkpoint(mode=cfg.mode, config=cfg, encoder=enc_snap, heads=head_snap,
                       init_encoder=init_enc, global_features=table, selection=selection,
@@ -545,8 +506,13 @@ def _array_from_json(doc: dict) -> np.ndarray:
     return np.asarray(doc["data"], dtype=np.float64).reshape(doc["shape"])
 
 
-def _encoder_to_json(params: enc.EncoderParams) -> dict:
-    return asdict(params.map(_array_to_json))
+def _to_json(obj):
+    """Dataclasses as dicts, lists item by item; unlike ``asdict``, nothing is deep-copied."""
+    if is_dataclass(obj):
+        return {f.name: _to_json(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, list):
+        return [_to_json(item) for item in obj]
+    return obj
 
 
 def _encoder_from_json(doc: dict) -> enc.EncoderParams:
@@ -568,18 +534,33 @@ def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
         "schema_version": ckpt.schema_version,
         "mode": ckpt.mode,
         "seed": ckpt.seed,
-        "config": asdict(ckpt.config),
-        "encoder": _encoder_to_json(ckpt.encoder),
-        "heads": asdict(ckpt.heads.map(_array_to_json)),
-        "init_encoder": _encoder_to_json(ckpt.init_encoder),
+        "config": _to_json(ckpt.config),
+        "encoder": _to_json(ckpt.encoder.map(_array_to_json)),
+        "heads": _to_json(ckpt.heads.map(_array_to_json)),
+        "init_encoder": _to_json(ckpt.init_encoder.map(_array_to_json)),
         "global_features": None if table is None else {
             "pool": table.pool,
             "source": table.source,
             "features": {vid: arr.tolist() for vid, arr in sorted(table.features.items())},
         },
-        "selection": asdict(ckpt.selection),
+        "selection": _to_json(ckpt.selection),
         "checkpoint_id": ckpt.checkpoint_id,
     }
+
+
+def _check_shapes(ckpt: Checkpoint) -> None:
+    """Raise ValueError unless each array has the shape its config, mode and class count imply."""
+    feature_dim = ckpt.encoder.config.feature_dim
+    encoder = enc.init_params(ckpt.encoder.config, 0).map(np.shape)
+    heads = init_heads(feature_dim, ckpt.heads.action_bias.size, ckpt.mode, 0).map(np.shape)
+    for name, expected in (("encoder", encoder), ("init_encoder", encoder), ("heads", heads)):
+        shapes = getattr(ckpt, name).map(np.shape)
+        if shapes != expected:
+            raise ValueError(f"{name} shapes {shapes}, expected {expected}")
+    table = ckpt.global_features
+    for vid, row in ({} if table is None else table.features).items():
+        if row.shape != (feature_dim,):
+            raise ValueError(f"global feature {vid!r} has shape {row.shape}, not ({feature_dim},)")
 
 
 def checkpoint_from_dict(doc: dict) -> Checkpoint:
@@ -609,6 +590,7 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
             seed=doc["seed"],
             schema_version=doc["schema_version"],
         )
+        _check_shapes(ckpt)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
     if doc.get("checkpoint_id") != ckpt.checkpoint_id:

@@ -4,7 +4,8 @@ Clips are defined by a center frame; the frame indices fan out at a fixed
 stride and clamp at the video edges (frame replication). Training draws clip
 centers uniformly inside each region segment (temporal jittering) while test
 sampling places them at fixed fractions, so evaluation paths are exactly
-reproducible.
+reproducible. A clip's kind and class index are its labels: foreground or
+background for the region head, and the action class of a foreground clip.
 
 ``clip_batch`` is the one input path: training, validation, global-feature
 pooling and dense extraction all gather their clips through it, with one
@@ -42,12 +43,6 @@ class ClipSpec:
     frame_stride: int
     kind: str  # "foreground" | "background"
     class_index: int | None = None
-
-
-@dataclass(frozen=True)
-class ClipLabels:
-    region: int  # 1 foreground, 0 background
-    action: int | None = None  # class index, present iff region == 1
 
 
 def clip_span(clip_len: int, frame_stride: int) -> int:
@@ -102,6 +97,27 @@ def sample_segment_clips(segment: RegionSegment, video: VideoRecord, *,
         ClipSpec(video.id, int(c), clip_len, frame_stride, segment.kind, class_index)
         for c in centers
     ]
+
+
+def video_segment_clips(corpus: Corpus, video: VideoRecord, *, mode: str,
+                        clips_per_segment: int, clip_len: int, frame_stride: int,
+                        rng: np.random.Generator | None = None) -> list[list[ClipSpec]]:
+    """Each segment's clips, in segment order; empty for sub-frame segments."""
+    return [sample_segment_clips(
+                segment, video, mode=mode, n=clips_per_segment, rng=rng, clip_len=clip_len,
+                frame_stride=frame_stride,
+                class_index=(corpus.class_index(segment.class_label)
+                             if segment.kind == "foreground" else None))
+            for segment in corpus.segments(video.id)]
+
+
+def dense_clip_specs(video: VideoRecord, clip_len: int, frame_stride: int,
+                     hop: int) -> list[ClipSpec]:
+    """A regular grid of clips every ``hop`` frames from frame 0, unlabeled."""
+    if hop < 1:
+        raise ValueError("hop must be positive")
+    return [ClipSpec(video.id, c, clip_len, frame_stride, "background")
+            for c in range(0, video.num_frames, hop)]
 
 
 def transformed_shape(height: int, width: int) -> tuple[int, int]:
@@ -203,38 +219,29 @@ def clip_batch(corpus: Corpus, specs: list[ClipSpec], mode: str,
 def segment_clip_pool(corpus: Corpus, split: str, *, mode: str,
                       clips_per_segment: int, clip_len: int, frame_stride: int,
                       rng: np.random.Generator | None = None
-                      ) -> tuple[list[tuple[ClipSpec, ClipLabels]], list[tuple[ClipSpec, ClipLabels]]]:
+                      ) -> tuple[list[ClipSpec], list[ClipSpec]]:
     """Per-segment clips over a split, separated into (foreground, background)."""
-    fg: list[tuple[ClipSpec, ClipLabels]] = []
-    bg: list[tuple[ClipSpec, ClipLabels]] = []
+    pools: dict[str, list[ClipSpec]] = {"foreground": [], "background": []}
     skipped = 0
     for video in corpus.subset_videos(split):
-        for segment in corpus.segments(video.id):
-            class_index = (corpus.class_index(segment.class_label)
-                           if segment.kind == "foreground" else None)
-            clips = sample_segment_clips(segment, video, mode=mode, n=clips_per_segment,
-                                         rng=rng, clip_len=clip_len,
-                                         frame_stride=frame_stride, class_index=class_index)
-            if not clips:
-                skipped += 1
-                continue
-            if segment.kind == "foreground":
-                labels = ClipLabels(1, class_index)
-                fg.extend((c, labels) for c in clips)
+        for clips in video_segment_clips(corpus, video, mode=mode,
+                                         clips_per_segment=clips_per_segment,
+                                         clip_len=clip_len, frame_stride=frame_stride, rng=rng):
+            if clips:
+                pools[clips[0].kind].extend(clips)
             else:
-                labels = ClipLabels(0, None)
-                bg.extend((c, labels) for c in clips)
+                skipped += 1
     if skipped and (split, skipped) not in _warned_splits:
         _warned_splits.add((split, skipped))
         log.warning("skipped %d sub-frame segments in split %r", skipped, split)
-    return fg, bg
+    return pools["foreground"], pools["background"]
 
 
 def build_epoch(corpus: Corpus, split: str, epoch_index: int, seed: int, *,
                 clips_per_segment: int = 5, clip_len: int = 16, frame_stride: int = 2,
                 fg_only: bool = False, resample_each_epoch: bool = True
-                ) -> list[tuple[ClipSpec, ClipLabels]]:
-    """One training epoch of labeled clips.
+                ) -> list[ClipSpec]:
+    """One training epoch of clips.
 
     Jittered centers and the majority-pool subsample are keyed by
     (seed, epoch_index), or by (seed, 0) when resampling is disabled; the
@@ -267,8 +274,7 @@ def build_epoch(corpus: Corpus, split: str, epoch_index: int, seed: int, *,
 
 
 def test_clip_set(corpus: Corpus, split: str, *, clips_per_segment: int = 5,
-                  clip_len: int = 16, frame_stride: int = 2
-                  ) -> list[tuple[ClipSpec, ClipLabels]]:
+                  clip_len: int = 16, frame_stride: int = 2) -> list[ClipSpec]:
     """Deterministic evaluation clips: uniform per-segment centers, no rng."""
     fg, bg = segment_clip_pool(corpus, split, mode="test",
                                clips_per_segment=clips_per_segment,

@@ -18,13 +18,14 @@ def flatten_params(enc_params: enc.EncoderParams, head_params: pt.HeadParams) ->
 
 def two_head_loss_builder(enc_cfg: enc.EncoderConfig, num_classes: int, mode: str,
                           frames: np.ndarray, region_labels: np.ndarray,
-                          action_labels: np.ndarray, global_feats: np.ndarray | None = None,
-                          weights: pt.LossWeights = pt.LossWeights()):
+                          action_labels: np.ndarray, global_feats: np.ndarray | None = None):
     """A ``build(vec) -> (loss, leaf)`` closure over flattened parameters.
 
-    The loss is ``batch_loss_tensor`` of one batch, with every encoder and head
-    parameter a ``reshape_slice`` view of the single leaf holding ``vec``.
+    The loss is ``batch_loss_tensor`` of one batch at unit loss weights, with
+    every encoder and head parameter a ``reshape_slice`` view of the single leaf
+    holding ``vec``.
     """
+    cfg = pt.TrainConfig(mode=mode)
     templates = (enc.init_params(enc_cfg, seed=0),
                  pt.init_heads(enc_cfg.feature_dim, num_classes, mode, seed=0))
     shapes = [a.shape for t in templates for a in t.arrays()]
@@ -44,7 +45,7 @@ def two_head_loss_builder(enc_cfg: enc.EncoderConfig, num_classes: int, mode: st
         views = iter(parts)
         enc_view, head_view = (t.map(lambda _: next(views)) for t in templates)
         loss = pt.batch_loss_tensor(tape, enc_view, head_view, frames, region_labels,
-                                    action_labels, global_feats, weights, mode)
+                                    action_labels, global_feats, cfg)
         return loss, leaf
 
     return build

@@ -193,6 +193,15 @@ def replace_block_record(doc):
     doc["encoder"]["blocks"][0] = [1.0, 2.0]
 
 
+def transpose_action_weight(doc):
+    doc["heads"]["action_weight"]["shape"].reverse()  # same bytes, so the same id
+
+
+def shorten_first_gvf_row(doc):
+    features = doc["global_features"]["features"]
+    features[sorted(features)[0]].pop()
+
+
 def replace_video_record(doc):
     doc["videos"][sorted(doc["videos"])[0]] = []
 
@@ -233,6 +242,8 @@ BAD_FILES = [
      edit_json(lambda doc: doc["global_features"].update(features=[]))),
     ("checkpoint", "string_weight", set_bias("x")),
     ("checkpoint", "nan_weight", set_bias(float("nan"))),
+    ("checkpoint", "heads_transposed", edit_json(transpose_action_weight)),
+    ("checkpoint", "gvf_short_row", edit_json(shorten_first_gvf_row)),
     ("track", "truncated", lambda text: text[:text.index("# feature_dim")]),
     ("track", "not_utf8", NOT_UTF8[1]),
     ("track", "renamed_column", lambda text: text.replace(",f_0,", ",g_0,")),

@@ -173,6 +173,6 @@ def test_bench_shape_training_step_gradients_match_golden_digest():
     leaves = params.map(lambda a: tape.tensor(a, True))
     heads = pretrain.init_heads(16, 8, "tsp", 0).map(lambda a: tape.tensor(a, True))
     loss = pretrain.batch_loss_tensor(tape, leaves, heads, frames, region, action, gfeats,
-                                      pretrain.LossWeights(), "tsp")
+                                      pretrain.TrainConfig(mode="tsp"))
     grads = tape.backward(loss)
     assert digest([grads[t.node_id] for t in leaves.arrays()]) == GOLDEN_TRAIN_STEP_GRADS_DIGEST

@@ -1,5 +1,7 @@
 """Dense extraction tiling and the track file round trip."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -190,3 +192,21 @@ def test_unknown_video_global_feature_recomputed():
                                                  ckpt.global_features.source)
     track = ex.extract_track(corpus, corpus.videos["va_0"], ckpt)
     assert np.array_equal(track.global_feature, full["va_0"])
+
+
+@pytest.mark.parametrize("pool", ["max", "avg"])
+def test_dense_global_feature_pools_the_init_encoders_track_at_that_hop(pool):
+    corpus = make_corpus()
+    ckpt = make_checkpoint(corpus, global_pool=pool, gvf_dense_hop=7)
+    init_ckpt = replace(ckpt, encoder=ckpt.init_encoder)
+    for vid, row in ckpt.global_features.features.items():
+        track = ex.extract_track(corpus, corpus.videos[vid], init_ckpt, hop=7)
+        assert np.array_equal(row, pt.pool_features(list(track.features), pool))
+
+
+def test_nonpositive_hop_rejected_for_tracks_and_dense_global_features():
+    corpus = make_corpus()
+    with pytest.raises(ValueError, match="hop must be positive"):
+        ex.extract_track(corpus, corpus.videos["va_0"], make_checkpoint(corpus), hop=0)
+    with pytest.raises(ValueError, match="hop must be positive"):
+        make_checkpoint(corpus, gvf_dense_hop=0)

@@ -27,29 +27,28 @@ def zero_heads(feature_dim, num_classes, mode):
 SMALL_ENC = enc.EncoderConfig(channels_in=4, embed_dim=6, blocks=1)
 
 
-def clip_losses(frames, region, action, gfeats, mode="tsp", weights=pt.LossWeights(),
-                params=None, heads=None):
+def clip_losses(frames, region, action, gfeats, cfg, params=None, heads=None):
     """(batch loss, [loss of each clip as a batch of one]) via batch_loss_tensor."""
     params = params or enc.init_params(SMALL_ENC, seed=0)
-    heads = heads or zero_heads(SMALL_ENC.feature_dim, 4, mode)
+    heads = heads or zero_heads(SMALL_ENC.feature_dim, 4, cfg.mode)
 
     def loss(rows):
         tape = ad.Tape()
         return pt.batch_loss_tensor(
             tape, params.map(tape.tensor), heads.map(tape.tensor), frames[rows],
             region[rows], action[rows], None if gfeats is None else gfeats[rows],
-            weights, mode).item()
+            cfg).item()
 
     return loss(slice(None)), [loss(slice(i, i + 1)) for i in range(len(frames))]
 
 
-def loss_value(region, action, mode="tsp", weights=pt.LossWeights()):
+def loss_value(region, action, mode="tsp", **weights):
     """Loss of one random clip with zeroed heads (C=4), a batch of one."""
     rng = np.random.default_rng(0)
     frames = rng.standard_normal((1, SMALL_ENC.frame_dim, 16)).transpose(0, 2, 1)
     gfeats = rng.standard_normal((1, SMALL_ENC.feature_dim)) if mode == "tsp" else None
-    batch, _ = clip_losses(frames, np.array([region]), np.array([action]), gfeats, mode,
-                           weights)
+    batch, _ = clip_losses(frames, np.array([region]), np.array([action]), gfeats,
+                           pt.TrainConfig(mode=mode, **weights))
     return batch
 
 
@@ -66,9 +65,15 @@ def test_background_loss_closed_form():
 
 
 def test_zero_action_weight_leaves_region_term():
-    w = pt.LossWeights(action=0.0, region=1.0)
-    assert abs(loss_value(1, 2, weights=w) - LN2) <= 1e-9
-    assert abs(loss_value(0, -1, weights=w) - LN2) <= 1e-9
+    assert abs(loss_value(1, 2, action_loss_weight=0.0) - LN2) <= 1e-9
+    assert abs(loss_value(0, -1, action_loss_weight=0.0) - LN2) <= 1e-9
+
+
+@pytest.mark.parametrize("action,region", [(-1.0, 1.0), (1.0, -0.5), (0.0, 0.0)])
+def test_negative_or_all_zero_loss_weights_rejected(action, region):
+    cfg = pt.TrainConfig(action_loss_weight=action, region_loss_weight=region)
+    with pytest.raises(ValueError, match="loss weights"):
+        cfg.validate()
 
 
 def test_background_only_batch_has_exactly_zero_action_gradients():
@@ -84,7 +89,7 @@ def test_background_only_batch_has_exactly_zero_action_gradients():
     head_leaves = heads.map(lambda a: tape.tensor(a, True))
     loss = pt.batch_loss_tensor(tape, enc_leaves, head_leaves, frames,
                                 np.zeros(5, dtype=int), np.full(5, -1), gfeats,
-                                pt.LossWeights(), "tsp")
+                                pt.TrainConfig(mode="tsp"))
     grads = tape.backward(loss)
     assert np.array_equal(grads[head_leaves.action_weight.node_id],
                           np.zeros_like(heads.action_weight))
@@ -105,7 +110,7 @@ def test_batched_loss_matches_per_clip_mean():
     for mode in pt.MODES:
         rows = np.flatnonzero(region == 1) if mode == "tac" else np.arange(6)
         batch, per_clip = clip_losses(frames[rows], region[rows], action[rows],
-                                      gfeats[rows], mode, params=params,
+                                      gfeats[rows], pt.TrainConfig(mode=mode), params=params,
                                       heads=pt.init_heads(6, 4, mode, seed=1))
         assert abs(batch - np.mean(per_clip)) <= 1e-12
 
@@ -161,10 +166,10 @@ def test_single_clip_video_feature_is_that_clips_feature():
                        cp.SynthInfo(0, 0.0, "pure", 4, 1, 1))
     cfg = enc.EncoderConfig(channels_in=4, embed_dim=5, blocks=0)
     params = enc.init_params(cfg, seed=0)
-    table = pt.precompute_global_features(corpus, params, "max", clips_per_segment=1)
+    gvf_cfg = pt.TrainConfig(global_pool="max", clips_per_segment=1)
+    table = pt.precompute_global_features(corpus, params, gvf_cfg)
     from tspkit.sampler import load_clip
-    spec = pt.video_clip_specs(corpus, "v", clips_per_segment=1, clip_len=16,
-                               frame_stride=2)[0]
+    [spec] = pt.video_clip_specs(corpus, "v", gvf_cfg)
     clip = load_clip(corpus, spec, "test")  # (c, L, h, w) -> (c*h*w, L)
     feat = enc.forward_np(params, clip.transpose(0, 2, 3, 1).reshape(-1, 16))
     assert np.array_equal(table.features["v"], feat)
@@ -176,10 +181,7 @@ def test_global_feature_table_is_frozen_through_training():
                          decay_epochs=(), head_lr_grid=(0.004,), seed=0, init="random")
     ckpt, _ = pt.train(corpus, cfg)
     before = {vid: arr.copy() for vid, arr in ckpt.global_features.features.items()}
-    recomputed = pt.precompute_global_features(
-        corpus, ckpt.init_encoder, ckpt.config.global_pool,
-        clips_per_segment=cfg.clips_per_segment, clip_len=cfg.clip_len,
-        frame_stride=cfg.frame_stride)
+    recomputed = pt.precompute_global_features(corpus, ckpt.init_encoder, ckpt.config)
     for vid in before:
         assert np.array_equal(before[vid], ckpt.global_features.features[vid])
         assert np.array_equal(before[vid], recomputed.features[vid])
@@ -190,7 +192,7 @@ def test_global_feature_table_is_frozen_through_training():
 def test_table_covers_all_subsets():
     corpus = small_corpus()
     params = enc.init_params(enc.EncoderConfig(channels_in=16, embed_dim=4, blocks=0), 0)
-    table = pt.precompute_global_features(corpus, params)
+    table = pt.precompute_global_features(corpus, params, pt.TrainConfig())
     assert set(table.features) == set(corpus.videos)
 
 
@@ -297,9 +299,18 @@ def test_tiny_training_checkpoint_file_matches_golden_digest(mode, tmp_path):
 def test_selection_attains_maximum_recorded_score():
     corpus = small_corpus()
     ckpt, rows = pt.train(corpus, tiny_train_cfg())
-    scores = [pt._selection_score(r.action_acc, r.region_acc, "tsp")
+    scores = [pt._selection_score(r.action_acc, r.region_acc)
               for r in rows if not r.diverged]
     assert ckpt.selection.score == max(scores)
+
+
+def test_selection_ties_go_to_the_smaller_head_lr_then_the_earlier_epoch():
+    # no step moves a parameter, so every grid cell and epoch scores the same
+    ckpt, rows = pt.train(small_corpus(), tiny_train_cfg(encoder_lr=0.0,
+                                                         head_lr_grid=(1e-300, 0.0)))
+    assert len(rows) == 4
+    assert len({pt._selection_score(r.action_acc, r.region_acc) for r in rows}) == 1
+    assert (ckpt.selection.head_lr, ckpt.selection.epoch) == (0.0, 0)
 
 
 def test_tac_mode_never_touches_region_head():
@@ -318,9 +329,9 @@ def test_epoch_balance_holds_across_seeds_and_epochs():
     from tspkit.sampler import build_epoch
     for seed in range(5):
         for epoch in range(8):
-            items = build_epoch(corpus, "train", epoch, seed)
-            fg = sum(1 for _, labels in items if labels.region == 1)
-            assert 2 * fg == len(items)
+            specs = build_epoch(corpus, "train", epoch, seed)
+            fg = sum(1 for spec in specs if spec.kind == "foreground")
+            assert 2 * fg == len(specs)
 
 
 # ---------------------------------------------------------------------------

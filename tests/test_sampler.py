@@ -188,8 +188,8 @@ def study_corpus(seed=0):
 def test_epoch_is_exactly_balanced():
     corpus = study_corpus()
     epoch = sp.build_epoch(corpus, "train", epoch_index=0, seed=0)
-    fg = sum(1 for _, labels in epoch if labels.region == 1)
-    bg = sum(1 for _, labels in epoch if labels.region == 0)
+    fg = sum(1 for spec in epoch if spec.kind == "foreground")
+    bg = sum(1 for spec in epoch if spec.kind == "background")
     assert fg == bg
     assert fg > 0
 
@@ -197,14 +197,14 @@ def test_epoch_is_exactly_balanced():
 def test_labels_follow_owning_segment():
     corpus = study_corpus()
     epoch = sp.build_epoch(corpus, "train", epoch_index=0, seed=0)
-    for spec, labels in epoch:
-        assert (labels.action is not None) == (labels.region == 1)
-        assert (spec.kind == "foreground") == (labels.region == 1)
+    for spec in epoch:
         video = corpus.videos[spec.video_id]
         t = spec.center_frame / video.fps
         seg = next(s for s in corpus.segments(spec.video_id)
                    if s.t_start <= t < s.t_end or s is corpus.segments(spec.video_id)[-1])
         assert seg.kind == spec.kind
+        assert spec.class_index == (corpus.class_index(seg.class_label)
+                                    if seg.kind == "foreground" else None)
 
 
 def test_forced_pool_sizes():
@@ -219,14 +219,14 @@ def test_different_epochs_resample_the_larger_pool():
     corpus = study_corpus()
     e0 = sp.build_epoch(corpus, "train", epoch_index=0, seed=0)
     e1 = sp.build_epoch(corpus, "train", epoch_index=1, seed=0)
-    c0 = sorted((s.video_id, s.center_frame) for s, _ in e0)
-    c1 = sorted((s.video_id, s.center_frame) for s, _ in e1)
+    c0 = sorted((s.video_id, s.center_frame) for s in e0)
+    c1 = sorted((s.video_id, s.center_frame) for s in e1)
     assert c0 != c1
     # disabling resampling pins the pool to the epoch-0 subsample
     f0 = sp.build_epoch(corpus, "train", 0, 0, resample_each_epoch=False)
     f1 = sp.build_epoch(corpus, "train", 1, 0, resample_each_epoch=False)
-    assert (sorted((s.video_id, s.center_frame) for s, _ in f0)
-            == sorted((s.video_id, s.center_frame) for s, _ in f1))
+    assert (sorted((s.video_id, s.center_frame) for s in f0)
+            == sorted((s.video_id, s.center_frame) for s in f1))
 
 
 def test_epoch_requires_both_kinds():
@@ -241,7 +241,7 @@ def test_fg_only_epoch_for_classification_mode():
     corpus = study_corpus()
     epoch = sp.build_epoch(corpus, "train", 0, 0, fg_only=True)
     assert epoch
-    assert all(labels.region == 1 for _, labels in epoch)
+    assert all(spec.kind == "foreground" for spec in epoch)
 
 
 def test_test_clip_set_is_deterministic():

@@ -6,14 +6,11 @@ makes that a tier-1 failure instead.
 """
 
 import sys
-from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-
-from perfbench.tracing import SPAN_FUNCTIONS, Tracer  # noqa: E402
-from tspkit import encoder as enc  # noqa: E402
+from perfbench.tracing import SPAN_FUNCTIONS, Tracer
+from tspkit import encoder as enc
 
 
 def test_tracer_installs_and_uninstalls_against_tspkit(tmp_path):
