@@ -7,14 +7,17 @@ into detections and proposals. Per-mode metrics are aggregated as mean and
 sample std over seeds. Seeds are independent, so they may run in worker
 processes; results are merged by sorted seed and are identical either way.
 
-Threading: one forked worker per core (``worker_count``), each running BLAS on
-one thread, as ``import tspkit`` sets it. A host that imported numpy before
-tspkit keeps its own BLAS pool, and with it threads that contend for the cores.
+Threading: the outermost pool owns the cores. Several seeds run in up to
+``worker_count`` forked workers, and ``train`` runs each worker's head-lr grid
+cells one after another. A single seed runs in this process, and ``train``
+forks its grid cells instead. ``TSPKIT_THREADS`` caps both pools. Every
+process runs BLAS on one thread, as ``import tspkit`` sets it. A host that
+imported numpy before tspkit keeps its own BLAS pool, which every seed or cell
+worker inherits, and with it threads that contend for the cores.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -26,7 +29,7 @@ from .corpus import Corpus, corpus_from_dict, corpus_to_dict
 from .evalkit import (LocalizerParams, auc_100, average_map, baseline_localize,
                       ground_truth_from_corpus)
 from .extract import extract_track
-from .pretrain import TrainConfig, train, validate
+from .pretrain import TrainConfig, train, validate, worker_count
 
 BENCH_METRICS = ("average_map", "auc", "region_acc", "contrast")
 
@@ -94,16 +97,6 @@ def _seed_worker(args) -> tuple[int, dict]:
     corpus_doc, bench_cfg, seed = args
     corpus = corpus_from_dict(corpus_doc)
     return seed, run_seed(corpus, bench_cfg, seed)
-
-
-def worker_count(num_cells: int) -> int:
-    """Cap from TSPKIT_THREADS, default the machine's available parallelism."""
-    raw = os.environ.get("TSPKIT_THREADS", "").strip()
-    if raw:
-        cap = max(1, int(raw))
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, num_cells))
 
 
 def run_bench(corpus: Corpus, bench_cfg: BenchConfig

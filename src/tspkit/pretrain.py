@@ -20,6 +20,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
@@ -99,6 +101,8 @@ class TrainConfig:
                 raise ValueError("warmup_epochs must be < epochs")
             if any(not 0 <= d < self.epochs for d in self.decay_epochs):
                 raise ValueError("decay epochs out of range")
+        if self.gvf_dense_hop is not None and self.gvf_dense_hop < 1:
+            raise ValueError(f"gvf_dense_hop must be positive, not {self.gvf_dense_hop}")
         action, region = self.action_loss_weight, self.region_loss_weight
         if action < 0 or region < 0 or (action == 0 and region == 0):
             raise ValueError("loss weights must be nonnegative and not both zero")
@@ -377,6 +381,124 @@ def _selection_score(action_acc: float, region_acc: float | None) -> float:
     return 0.5 * (action_acc + region_acc)
 
 
+def worker_count(num_tasks: int) -> int:
+    """Worker processes for ``num_tasks`` independent tasks: at most the CPUs
+    this process may run on, capped by TSPKIT_THREADS; 1 inside any
+    multiprocessing worker, so pools never nest."""
+    if multiprocessing.parent_process() is not None:
+        return 1
+    raw = os.environ.get("TSPKIT_THREADS", "").strip()
+    if raw:
+        cap = max(1, int(raw))
+    elif hasattr(os, "sched_getaffinity"):
+        cap = len(os.sched_getaffinity(0))
+    else:
+        cap = os.cpu_count() or 1
+    return max(1, min(cap, num_tasks))
+
+
+@dataclass(frozen=True)
+class _CellInputs:
+    """What every grid cell of one ``train`` call shares, built before any cell runs."""
+
+    cfg: TrainConfig
+    init_encoder: enc.EncoderParams
+    init_heads: HeadParams
+    epochs: list[list[LabeledBatch]]
+    valid_clips: LabeledBatch
+    global_features: Mapping[str, np.ndarray] | None
+
+
+def _train_cell(inputs: _CellInputs, head_lr: float) -> tuple[list[TrainLogRow], tuple | None]:
+    """One grid cell: its log rows, and its best (selection key, head_lr, epoch,
+    encoder snapshot, heads snapshot), None if it diverged before any validation."""
+    cfg, epochs, table_features = inputs.cfg, inputs.epochs, inputs.global_features
+    rows: list[TrainLogRow] = []
+    best = None
+
+    def validate_and_select(epoch: int, enc_params: enc.EncoderParams,
+                            head_params: HeadParams) -> tuple[float, float | None]:
+        """Validation accuracies; the parameters are kept if they beat the cell's best so far."""
+        nonlocal best
+        accs = _accuracy(enc_params, head_params, cfg.mode, table_features, inputs.valid_clips)
+        key = (_selection_score(*accs), -head_lr, -epoch)  # ties: smaller lr, earlier epoch
+        if best is None or key > best[0]:
+            best = (key, head_lr, epoch, enc_params.copy(), head_params.copy())
+        return accs
+
+    enc_params = inputs.init_encoder.copy()
+    head_params = inputs.init_heads.copy()
+    group_arrays = (enc_params.arrays(), head_params.arrays())
+    velocity = tuple([np.zeros_like(a) for a in group] for group in group_arrays)
+    group_lrs = (cfg.encoder_lr, head_lr)
+
+    if cfg.epochs == 0:
+        validate_and_select(-1, enc_params, head_params)
+        return rows, best
+
+    step = 0
+    steps_per_epoch = len(epochs[0])
+    for epoch, batches in enumerate(epochs):
+        epoch_losses = []
+        mult = 1.0
+        for batch in batches:
+            mult = lr_at(step, steps_per_epoch, cfg)
+
+            tape = ad.Tape()
+            enc_leaves, head_leaves = (params.map(lambda a: tape.tensor(a, True))
+                                       for params in (enc_params, head_params))
+            batch_loss = batch_loss_tensor(tape, enc_leaves, head_leaves, batch.frames,
+                                           batch.region_labels, batch.action_labels,
+                                           batch.global_rows(table_features), cfg)
+            loss_value = batch_loss.item()
+            if not math.isfinite(loss_value):
+                rows.append(TrainLogRow(epoch, head_lr, float("nan"), float("nan"),
+                                        None, mult, diverged=True))
+                return rows, best
+            epoch_losses.append(loss_value)
+            grads = tape.backward(batch_loss)
+
+            leaf_groups = (enc_leaves.arrays(), head_leaves.arrays())
+            for arrays, leaves, vels, lr in zip(group_arrays, leaf_groups,
+                                                velocity, group_lrs):
+                eff = lr * mult
+                for arr, leaf, vel in zip(arrays, leaves, vels):
+                    vel *= cfg.momentum
+                    vel += grads[leaf.node_id]
+                    arr -= eff * vel
+            step += 1
+
+        action_acc, region_acc = validate_and_select(epoch, enc_params, head_params)
+        rows.append(TrainLogRow(epoch, head_lr, float(np.mean(epoch_losses)),
+                                action_acc, region_acc, mult))
+    return rows, best
+
+
+_forked_cell_inputs: _CellInputs | None = None  # set only in a cell worker, by fork
+
+
+def _set_forked_cell_inputs(inputs: _CellInputs) -> None:
+    global _forked_cell_inputs
+    _forked_cell_inputs = inputs
+
+
+def _forked_cell(head_lr: float) -> tuple[list[TrainLogRow], tuple | None]:
+    return _train_cell(_forked_cell_inputs, head_lr)
+
+
+def _train_cells(inputs: _CellInputs) -> list[tuple[list[TrainLogRow], tuple | None]]:
+    """Every grid cell's result, in grid order: in forked workers when cores are
+    free (they inherit ``inputs``; only a head lr goes out and a result comes
+    back), else one after another in this process."""
+    grid = inputs.cfg.head_lr_grid
+    workers = worker_count(len(grid))
+    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [_train_cell(inputs, head_lr) for head_lr in grid]
+    with multiprocessing.get_context("fork").Pool(
+            workers, initializer=_set_forked_cell_inputs, initargs=(inputs,)) as pool:
+        return pool.map(_forked_cell, grid, chunksize=1)
+
+
 def train(corpus: Corpus, cfg: TrainConfig,
           init_encoder: enc.EncoderParams | None = None
           ) -> tuple[Checkpoint, list[TrainLogRow]]:
@@ -385,6 +507,15 @@ def train(corpus: Corpus, cfg: TrainConfig,
     ``init_encoder`` short-circuits the warm-start stage so several runs can
     share one base encoder (the classification-only pretraining that stands in
     for a large-scale pretrained initialization).
+
+    The grid cells are independent. Once the epochs, the validation clips and
+    the GVF table are built, the cells run in up to ``worker_count`` forked
+    processes, or one after another inside a multiprocessing worker (such as a
+    ``bench`` seed worker: the outermost pool owns the cores) or where fork is
+    unavailable. Rows are concatenated in grid order and the best selection
+    key wins, the first cell in grid order on a tie, so the checkpoint and the
+    rows are the same bytes at any worker count. A host that imported numpy
+    before tspkit gives each cell worker its own multi-threaded BLAS pool.
     """
     cfg.validate()
     enc_cfg = encoder_config_for(corpus, cfg)
@@ -400,10 +531,6 @@ def train(corpus: Corpus, cfg: TrainConfig,
 
     table = precompute_global_features(corpus, init_enc, cfg) if cfg.mode == "tsp" else None
 
-    table_features = None if table is None else table.features
-    num_classes = len(corpus.classes)
-    valid_clips = _eval_clips(corpus, "valid", cfg)
-
     def build_batches(epoch: int) -> list[LabeledBatch]:
         specs = build_epoch(
             corpus, "train", epoch, cfg.seed,
@@ -415,74 +542,19 @@ def train(corpus: Corpus, cfg: TrainConfig,
                 for start in range(0, len(specs), cfg.batch_size)]
 
     # every grid cell trains on the same epochs (same seed), so build them once
-    epochs = [build_batches(epoch) for epoch in range(cfg.epochs)]
+    inputs = _CellInputs(
+        cfg=cfg, init_encoder=init_enc,
+        init_heads=init_heads(enc_cfg.feature_dim, len(corpus.classes), cfg.mode, cfg.seed),
+        valid_clips=_eval_clips(corpus, "valid", cfg),
+        epochs=[build_batches(epoch) for epoch in range(cfg.epochs)],
+        global_features=None if table is None else table.features)
+    results = _train_cells(inputs)
 
-    rows: list[TrainLogRow] = []
-    best = None  # (selection key, head_lr, epoch, encoder snapshot, heads snapshot)
-
-    def validate_and_select(head_lr: float, epoch: int, enc_params: enc.EncoderParams,
-                            head_params: HeadParams) -> tuple[float, float | None]:
-        """Validation accuracies; the parameters are kept if they beat the best so far."""
-        nonlocal best
-        accs = _accuracy(enc_params, head_params, cfg.mode, table_features, valid_clips)
-        key = (_selection_score(*accs), -head_lr, -epoch)  # ties: smaller lr, earlier epoch
-        if best is None or key > best[0]:
-            best = (key, head_lr, epoch, enc_params.copy(), head_params.copy())
-        return accs
-
-    for head_lr in cfg.head_lr_grid:
-        enc_params = init_enc.copy()
-        head_params = init_heads(enc_cfg.feature_dim, num_classes, cfg.mode, cfg.seed)
-        group_arrays = (enc_params.arrays(), head_params.arrays())
-        velocity = tuple([np.zeros_like(a) for a in group] for group in group_arrays)
-        group_lrs = (cfg.encoder_lr, head_lr)
-
-        if cfg.epochs == 0:
-            validate_and_select(head_lr, -1, enc_params, head_params)
-            continue
-
-        step = 0
-        steps_per_epoch = len(epochs[0])
-        diverged = False
-        for epoch, batches in enumerate(epochs):
-            epoch_losses = []
-            mult = 1.0
-            for batch in batches:
-                mult = lr_at(step, steps_per_epoch, cfg)
-
-                tape = ad.Tape()
-                enc_leaves, head_leaves = (params.map(lambda a: tape.tensor(a, True))
-                                           for params in (enc_params, head_params))
-                batch_loss = batch_loss_tensor(tape, enc_leaves, head_leaves, batch.frames,
-                                               batch.region_labels, batch.action_labels,
-                                               batch.global_rows(table_features), cfg)
-                loss_value = batch_loss.item()
-                if not math.isfinite(loss_value):
-                    diverged = True
-                    break
-                epoch_losses.append(loss_value)
-                grads = tape.backward(batch_loss)
-
-                leaf_groups = (enc_leaves.arrays(), head_leaves.arrays())
-                for arrays, leaves, vels, lr in zip(group_arrays, leaf_groups,
-                                                    velocity, group_lrs):
-                    eff = lr * mult
-                    for arr, leaf, vel in zip(arrays, leaves, vels):
-                        vel *= cfg.momentum
-                        vel += grads[leaf.node_id]
-                        arr -= eff * vel
-                step += 1
-
-            if diverged:
-                rows.append(TrainLogRow(epoch, head_lr, float("nan"), float("nan"),
-                                        None, mult, diverged=True))
-                break
-
-            action_acc, region_acc = validate_and_select(head_lr, epoch, enc_params,
-                                                         head_params)
-            rows.append(TrainLogRow(epoch, head_lr, float(np.mean(epoch_losses)),
-                                    action_acc, region_acc, mult))
-
+    rows = [row for cell_rows, _ in results for row in cell_rows]
+    best = None  # a later cell must beat the key strictly, as within a cell
+    for _, cell_best in results:
+        if cell_best is not None and (best is None or cell_best[0] > best[0]):
+            best = cell_best
     if best is None:
         raise RuntimeError("every grid cell diverged; nothing to select")
 
@@ -570,6 +642,8 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
         raise CheckpointError(
             f"unsupported checkpoint schema_version {doc.get('schema_version')!r}")
     try:
+        if doc["mode"] not in MODES:
+            raise ValueError(f"unknown mode {doc['mode']!r}")
         heads = HeadParams(**doc["heads"]).map(_array_from_json)
         gf = doc["global_features"]
         table = None

@@ -1,9 +1,12 @@
-"""The study's threading model: worker processes, one BLAS thread each."""
+"""The threading model: seed and grid-cell worker processes, one BLAS thread each."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import tspkit
 from tspkit import bench
@@ -29,22 +32,50 @@ def test_import_caps_blas_at_one_thread_unless_set():
     assert blas_threads_after_import(OPENBLAS_NUM_THREADS="2") == "2"
 
 
-def write_tables(workers: str, out: Path, monkeypatch) -> dict[str, bytes]:
+def write_tables(workers: str, out: Path, monkeypatch, seeds: tuple[int, ...],
+                 head_lr_grid: tuple[float, ...]) -> dict[str, bytes]:
     monkeypatch.setenv("TSPKIT_THREADS", workers)
     corpus = cp.generate_synthetic(cp.SynthConfig(videos_per_subset=(6, 3, 0),
                                                   duration_range=(60.0, 120.0),
                                                   num_classes=3), seed=0)
     train = pt.TrainConfig(embed_dim=8, blocks=1, epochs=2, warmup_epochs=1,
-                           decay_epochs=(), head_lr_grid=(0.004,))
-    table, per_seed = bench.run_bench(corpus, bench.BenchConfig(seeds=(0, 1), train=train))
+                           decay_epochs=(), head_lr_grid=head_lr_grid)
+    table, per_seed = bench.run_bench(corpus, bench.BenchConfig(seeds=seeds, train=train))
     out.mkdir()
     bench.write_bench_table(table, out / "bench_table.tsv", flags_comment="f")
     bench.write_cell_tables(per_seed, out, flags_comment="f")
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
-def test_bench_tables_do_not_depend_on_worker_count(tmp_path, monkeypatch):
-    serial = write_tables("1", tmp_path / "serial", monkeypatch)
-    pooled = write_tables("2", tmp_path / "pooled", monkeypatch)
-    assert sorted(serial) == ["bench_table.tsv", "cell_seed0.tsv", "cell_seed1.tsv"]
+# two seeds take the workers and train their cells serially; one seed runs in
+# this process, so its grid cells take the workers
+@pytest.mark.parametrize("seeds,head_lr_grid", [((0, 1), (0.004,)),
+                                                ((0,), (0.002, 0.004, 0.006))],
+                         ids=["two_seeds", "one_seed_three_cells"])
+def test_bench_tables_do_not_depend_on_worker_count(seeds, head_lr_grid, tmp_path,
+                                                    monkeypatch):
+    serial = write_tables("1", tmp_path / "serial", monkeypatch, seeds, head_lr_grid)
+    pooled = write_tables("2", tmp_path / "pooled", monkeypatch, seeds, head_lr_grid)
+    assert sorted(serial) == ["bench_table.tsv", *(f"cell_seed{s}.tsv" for s in seeds)]
     assert serial == pooled
+
+
+def test_worker_count_is_one_inside_a_forked_worker(monkeypatch):
+    monkeypatch.setenv("TSPKIT_THREADS", "2")
+    assert bench.worker_count is pt.worker_count
+    assert pt.worker_count(5) == 2
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply_async(pt.worker_count, (5,)).get(timeout=60) == 1
+
+
+def test_worker_count_defaults_to_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("TSPKIT_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert pt.worker_count(5) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert (pt.worker_count(5), pt.worker_count(2)) == (3, 2)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert pt.worker_count(5) == 5
+    monkeypatch.setenv("TSPKIT_THREADS", "1")
+    assert pt.worker_count(5) == 1

@@ -202,6 +202,15 @@ def shorten_first_gvf_row(doc):
     features[sorted(features)[0]].pop()
 
 
+def set_unknown_mode(doc):
+    """Mode "bogus", with the id recomputed so that only the mode check can catch it."""
+    from tspkit import pretrain
+    ckpt = pretrain.checkpoint_from_dict(doc)
+    doc["mode"] = "bogus"
+    doc["checkpoint_id"] = pretrain.params_hash(ckpt.encoder, ckpt.heads,
+                                                prefix=f"bogus{ckpt.seed}".encode())
+
+
 def replace_video_record(doc):
     doc["videos"][sorted(doc["videos"])[0]] = []
 
@@ -244,6 +253,7 @@ BAD_FILES = [
     ("checkpoint", "nan_weight", set_bias(float("nan"))),
     ("checkpoint", "heads_transposed", edit_json(transpose_action_weight)),
     ("checkpoint", "gvf_short_row", edit_json(shorten_first_gvf_row)),
+    ("checkpoint", "bogus_mode", edit_json(set_unknown_mode)),
     ("track", "truncated", lambda text: text[:text.index("# feature_dim")]),
     ("track", "not_utf8", NOT_UTF8[1]),
     ("track", "renamed_column", lambda text: text.replace(",f_0,", ",g_0,")),

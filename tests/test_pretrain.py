@@ -76,6 +76,22 @@ def test_negative_or_all_zero_loss_weights_rejected(action, region):
         cfg.validate()
 
 
+@pytest.mark.parametrize("hop", [0, -4])
+def test_nonpositive_gvf_dense_hop_rejected_before_any_training(hop, monkeypatch):
+    pt.TrainConfig(gvf_dense_hop=None).validate()
+    pt.TrainConfig(gvf_dense_hop=1).validate()
+    cfg = pt.TrainConfig(gvf_dense_hop=hop)
+    with pytest.raises(ValueError, match="gvf_dense_hop must be positive"):
+        cfg.validate()
+
+    def no_training(*args):
+        raise AssertionError("a grid cell trained")
+
+    monkeypatch.setattr(pt, "_train_cells", no_training)
+    with pytest.raises(ValueError, match="gvf_dense_hop must be positive"):
+        pt.train(small_corpus(), tiny_train_cfg(init="tac", gvf_dense_hop=hop))
+
+
 def test_background_only_batch_has_exactly_zero_action_gradients():
     rng = np.random.default_rng(0)
     cfg = enc.EncoderConfig(channels_in=4, embed_dim=6, blocks=1)
@@ -254,16 +270,48 @@ def test_zero_epochs_returns_initialization_smallest_lr():
     assert all(np.array_equal(a, b) for a, b in zip(ckpt.encoder.arrays(), init.arrays()))
 
 
-def test_training_is_deterministic_bytewise(tmp_path):
+def train_at(threads: str, corpus, cfg, monkeypatch):
+    """``train`` with its grid cells in at most ``threads`` processes."""
+    monkeypatch.setenv("TSPKIT_THREADS", threads)
+    return pt.train(corpus, cfg)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_training_is_deterministic_bytewise(threads, tmp_path, monkeypatch):
+    # the tac warm start is a grid-searched run of its own, so it pools too
     corpus = small_corpus()
-    cfg = tiny_train_cfg()
-    ckpt1, rows1 = pt.train(corpus, cfg)
-    ckpt2, rows2 = pt.train(corpus, cfg)
+    cfg = tiny_train_cfg(init="tac")
+    ckpt1, rows1 = train_at("1", corpus, cfg, monkeypatch)
+    ckpt2, rows2 = train_at(threads, corpus, cfg, monkeypatch)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     pt.save_checkpoint(ckpt1, p1)
     pt.save_checkpoint(ckpt2, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert rows1 == rows2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_diverged_cell_is_logged_in_grid_order_at_any_worker_count(monkeypatch):
+    corpus = small_corpus()
+    cfg = tiny_train_cfg(head_lr_grid=(0.002, 1e300, 0.006))
+    runs = [train_at(threads, corpus, cfg, monkeypatch) for threads in ("1", "2")]
+    for ckpt, rows in runs:
+        assert [(r.head_lr, r.epoch, r.diverged) for r in rows] == [
+            (0.002, 0, False), (0.002, 1, False), (1e300, 0, True),
+            (0.006, 0, False), (0.006, 1, False)]
+        assert ckpt.selection.head_lr != 1e300
+    (serial, serial_rows), (pooled, pooled_rows) = runs
+    assert repr(serial_rows) == repr(pooled_rows)  # repr: a diverged row holds NaN
+    assert (serial.selection.head_lr, serial.selection.epoch, serial.checkpoint_id) == (
+        pooled.selection.head_lr, pooled.selection.epoch, pooled.checkpoint_id)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_every_cell_diverging_is_an_error(threads, monkeypatch):
+    with pytest.raises(RuntimeError, match="every grid cell diverged"):
+        train_at(threads, small_corpus(), tiny_train_cfg(head_lr_grid=(1e300, 1e301)),
+                 monkeypatch)
 
 
 # computed with per-clip loading, before clips were gathered in batches, on
