@@ -15,7 +15,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from .analysis import (AggregateStat, ContrastStats, SimilarityMatrix, aggregate_runs,
                        contrast_stats, cosine_matrix, export_pgm)
-from .autodiff import GradCheckResult, ShapeError, Tape, Tensor, gradient_check
+from .autodiff import ShapeError, Tape, Tensor
 from .bench import BenchConfig, run_bench
 from .corpus import (AnnotationInstance, Corpus, GenerationError, ManifestError,
                      RegionSegment, SynthConfig, VideoRecord, derive_segments,
@@ -29,7 +29,6 @@ from .extract import FeatureTrack, extract_track, read_track, write_track
 from .pretrain import (Checkpoint, GlobalFeatureTable, HeadParams, TrainConfig,
                        load_checkpoint, lr_at, precompute_global_features, save_checkpoint,
                        train, validate)
-from .sampler import (ClipSpec, build_epoch, clip_frame_indices, clip_span,
-                      sample_segment_clips, spatial_transform)
+from .sampler import ClipSpec, build_epoch, clip_frame_indices, clip_span, sample_segment_clips
 
 __version__ = "0.1.0"

@@ -12,6 +12,10 @@ manifest contract: it is ``rng_for(frame_seed, "frame-noise",
 i).standard_normal(frame_dim)``, scaled by ``noise_sigma``. ``video_frames``
 draws a whole video's noise at once with ``seeding.normal_rows``, which
 yields the same bits.
+
+A frame side of at most ``MAX_FRAME_SIDE`` (112) pixels is part of the
+contract too: frames reach the encoder as stored, with no resize or crop, so
+generating or loading a corpus with larger frames fails.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .seeding import normal_rows, rng_for
 
 SCHEMA_VERSION = 1
 SUBSETS = ("train", "valid", "test")
+MAX_FRAME_SIDE = 112
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
 
@@ -79,7 +84,8 @@ class RegionSegment:
 
 @dataclass(frozen=True)
 class SynthInfo:
-    """What frame synthesis needs beyond the annotations themselves."""
+    """What frame synthesis needs beyond the annotations themselves. Construction
+    checks every synth-block rule, so generated and loaded corpora obey the same."""
 
     master_seed: int
     noise_sigma: float
@@ -87,6 +93,17 @@ class SynthInfo:
     channels: int
     height: int
     width: int
+
+    def __post_init__(self):
+        if self.background_mode not in ("pure", "hard"):
+            raise ValueError(f"unknown background mode {self.background_mode!r}")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma {self.noise_sigma!r} is not a finite "
+                             f"nonnegative number")
+        if self.channels < 1 or not (1 <= self.height <= MAX_FRAME_SIDE
+                                     and 1 <= self.width <= MAX_FRAME_SIDE):
+            raise ValueError(f"frame geometry {self.channels}x{self.height}x{self.width} "
+                             f"needs channels >= 1 and sides in [1, {MAX_FRAME_SIDE}]")
 
     @property
     def frame_dim(self) -> int:
@@ -108,7 +125,13 @@ class SynthConfig:
     background_mode: str = "hard"
     fps: float = 4.0
 
+    def synth_info(self, seed: int) -> SynthInfo:
+        """The synth block of a corpus generated from ``seed``; checks its rules."""
+        return SynthInfo(seed, self.noise_sigma, self.background_mode,
+                         self.channels, self.height, self.width)
+
     def validate(self) -> None:
+        self.synth_info(seed=0)
         if self.num_classes < 1:
             raise ValueError("num_classes must be positive")
         if any(n < 0 for n in self.videos_per_subset):
@@ -117,10 +140,8 @@ class SynthConfig:
             raise ValueError("bad duration range")
         if not 0 <= self.instances_per_video[0] <= self.instances_per_video[1]:
             raise ValueError("bad instances_per_video range")
-        if self.background_mode not in ("pure", "hard"):
-            raise ValueError(f"unknown background mode {self.background_mode!r}")
-        if min(self.channels, self.height, self.width) < 1 or self.fps <= 0:
-            raise ValueError("bad frame geometry")
+        if self.fps <= 0:
+            raise ValueError("fps must be positive")
         if self.background_mode == "hard" and self.num_classes < 2:
             raise ValueError("hard background mode needs at least 2 classes")
 
@@ -297,20 +318,11 @@ def corpus_from_dict(doc: dict) -> Corpus:
     synth = None
     if "synth" in doc:
         s = doc["synth"]
-        try:  # each field's annotated type parses its value
+        try:  # each field's annotated type parses its value; SynthInfo checks the rules
             synth = SynthInfo(**{name: cast(s[name])
                                  for name, cast in get_type_hints(SynthInfo).items()})
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"bad synth block: {exc}") from exc
-        if synth.background_mode not in ("pure", "hard"):
-            raise ManifestError(f"bad synth block: unknown background mode "
-                                f"{synth.background_mode!r}")
-        if not 0.0 <= synth.noise_sigma < math.inf:
-            raise ManifestError(f"bad synth block: noise_sigma {synth.noise_sigma!r} is not "
-                                f"a finite nonnegative number")
-        if min(synth.channels, synth.height, synth.width) < 1:
-            raise ManifestError(f"bad synth block: frame geometry {synth.channels}x"
-                                f"{synth.height}x{synth.width} has an axis below 1")
 
     videos = {}
     raw_videos = doc.get("videos")
@@ -415,14 +427,7 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Corpus:
     """Deterministic synthetic corpus: same (config, seed) -> identical manifest."""
     config.validate()
     classes = [f"act{c:02d}" for c in range(config.num_classes)]
-    info = SynthInfo(
-        master_seed=seed,
-        noise_sigma=config.noise_sigma,
-        background_mode=config.background_mode,
-        channels=config.channels,
-        height=config.height,
-        width=config.width,
-    )
+    info = config.synth_info(seed)
     videos: dict[str, VideoRecord] = {}
     for subset, count in zip(SUBSETS, config.videos_per_subset):
         for k in range(count):

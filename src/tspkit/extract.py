@@ -51,14 +51,16 @@ def extract_track(corpus: Corpus, video: VideoRecord, ckpt: Checkpoint,
     cfg = ckpt.config
     if hop is None:
         hop = clip_span(cfg.clip_len, cfg.frame_stride)
-    if corpus.synth is not None and ckpt.encoder.config.channels_in != corpus.synth.channels:
-        raise TrackError(f"checkpoint expects {ckpt.encoder.config.channels_in} channels, "
-                         f"corpus has {corpus.synth.channels}")
+    enc_cfg, synth = ckpt.encoder.config, corpus.synth
+    want = f"{enc_cfg.channels_in}x{enc_cfg.height}x{enc_cfg.width}"
+    have = want if synth is None else f"{synth.channels}x{synth.height}x{synth.width}"
+    if want != have:
+        raise TrackError(f"checkpoint expects {want} frames, corpus has {have}")
 
     tsp = ckpt.mode == "tsp"
     global_feat = checkpoint_global_feature(corpus, video.id, ckpt) if tsp else np.empty(0)
     specs = dense_clip_specs(video, cfg.clip_len, cfg.frame_stride, hop)
-    feats = enc.forward_np_batch(ckpt.encoder, clip_batch(corpus, specs, "test"))
+    feats = enc.forward_np_batch(ckpt.encoder, clip_batch(corpus, specs))
     gfeats = np.broadcast_to(global_feat, feats.shape) if tsp else None
     logits, region = head_logits(feats, gfeats, ckpt.heads, ckpt.mode)
     probs = None if region is None else softmax(region)[:, 1]

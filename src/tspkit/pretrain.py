@@ -31,7 +31,7 @@ from . import autodiff as ad
 from . import encoder as enc
 from .corpus import Corpus
 from .sampler import (ClipSpec, build_epoch, clip_batch, dense_clip_specs, test_clip_set,
-                      transformed_shape, video_segment_clips)
+                      video_segment_clips)
 from .seeding import rng_for
 
 CHECKPOINT_SCHEMA_VERSION = 1
@@ -156,9 +156,8 @@ def params_hash(*records: enc.ParamRecord, prefix: bytes = b"") -> str:
 def encoder_config_for(corpus: Corpus, cfg: TrainConfig) -> enc.EncoderConfig:
     if corpus.synth is None:
         raise ValueError("training needs a corpus with procedural frames")
-    h, w = transformed_shape(corpus.synth.height, corpus.synth.width)
-    return enc.EncoderConfig(channels_in=corpus.synth.channels, height=h, width=w,
-                             embed_dim=cfg.embed_dim, blocks=cfg.blocks)
+    return enc.EncoderConfig(channels_in=corpus.synth.channels, height=corpus.synth.height,
+                             width=corpus.synth.width, embed_dim=cfg.embed_dim, blocks=cfg.blocks)
 
 
 def init_heads(feature_dim: int, num_classes: int, mode: str, seed: int) -> HeadParams:
@@ -204,7 +203,7 @@ def video_global_feature(corpus: Corpus, video_id: str, init_params: enc.Encoder
     specs = video_clip_specs(corpus, video_id, cfg)
     if not specs:
         raise ValueError(f"video {video_id!r} has no sampleable clips")
-    frames = clip_batch(corpus, specs, "test")
+    frames = clip_batch(corpus, specs)
     return pool_features(list(enc.forward_np_batch(init_params, frames)), cfg.global_pool)
 
 
@@ -323,11 +322,10 @@ class LabeledBatch:
         return None if features is None else np.stack([features[v] for v in self.video_ids])
 
 
-def labeled_batch(corpus: Corpus, specs: list[ClipSpec], mode: str,
-                  rng: np.random.Generator | None = None) -> LabeledBatch:
-    """Clips gathered into one batch, labeled by kind and class index; rng draws crops."""
+def labeled_batch(corpus: Corpus, specs: list[ClipSpec]) -> LabeledBatch:
+    """Clips gathered into one batch, labeled by kind and class index."""
     return LabeledBatch(
-        clip_batch(corpus, specs, mode, rng),
+        clip_batch(corpus, specs),
         np.array([int(spec.kind == "foreground") for spec in specs]),
         np.array([-1 if spec.class_index is None else spec.class_index for spec in specs]),
         [spec.video_id for spec in specs])
@@ -338,7 +336,7 @@ def _eval_clips(corpus: Corpus, split: str, cfg: TrainConfig) -> LabeledBatch:
                           clip_len=cfg.clip_len, frame_stride=cfg.frame_stride)
     if not specs:
         raise ValueError(f"split {split!r} has no clips")
-    return labeled_batch(corpus, specs, "test")
+    return labeled_batch(corpus, specs)
 
 
 def _accuracy(enc_params: enc.EncoderParams, head_params: HeadParams, mode: str,
@@ -537,8 +535,7 @@ def train(corpus: Corpus, cfg: TrainConfig,
             clips_per_segment=cfg.clips_per_segment, clip_len=cfg.clip_len,
             frame_stride=cfg.frame_stride, fg_only=(cfg.mode == "tac"),
             resample_each_epoch=cfg.resample_each_epoch)
-        aug_rng = rng_for(cfg.seed, "augment", epoch)
-        return [labeled_batch(corpus, specs[start:start + cfg.batch_size], "train", aug_rng)
+        return [labeled_batch(corpus, specs[start:start + cfg.batch_size])
                 for start in range(0, len(specs), cfg.batch_size)]
 
     # every grid cell trains on the same epochs (same seed), so build them once

@@ -1,4 +1,4 @@
-"""Clip sampling: frame geometry, jittering, crops, and balanced epochs.
+"""Clip sampling: clip geometry, temporal jittering, and balanced epochs.
 
 Clips are defined by a center frame; the frame indices fan out at a fixed
 stride and clamp at the video edges (frame replication). Training draws clip
@@ -6,6 +6,8 @@ centers uniformly inside each region segment (temporal jittering) while test
 sampling places them at fixed fractions, so evaluation paths are exactly
 reproducible. A clip's kind and class index are its labels: foreground or
 background for the region head, and the action class of a foreground clip.
+Frames are used as the corpus stores them, with no resize or crop: the
+manifest caps a frame side at ``corpus.MAX_FRAME_SIDE`` pixels.
 
 ``clip_batch`` is the one input path: training, validation, global-feature
 pooling and dense extraction all gather their clips through it, with one
@@ -26,9 +28,6 @@ from .seeding import rng_for
 
 log = logging.getLogger(__name__)
 _warned_splits: set[tuple[str, int]] = set()
-
-RESIZE_MIN = 128
-CROP_SIZE = 112
 
 
 class EpochError(ValueError):
@@ -120,65 +119,8 @@ def dense_clip_specs(video: VideoRecord, clip_len: int, frame_stride: int,
             for c in range(0, video.num_frames, hop)]
 
 
-def transformed_shape(height: int, width: int) -> tuple[int, int]:
-    """Spatial shape after resize+crop for a given input frame shape."""
-    if max(height, width) <= CROP_SIZE:
-        return height, width
-    if min(height, width) > RESIZE_MIN:
-        scale = RESIZE_MIN / min(height, width)
-        height = max(RESIZE_MIN, int(math.floor(height * scale + 0.5)))
-        width = max(RESIZE_MIN, int(math.floor(width * scale + 0.5)))
-    return min(height, CROP_SIZE), min(width, CROP_SIZE)
-
-
-def _resize_bilinear(frames: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize of (c, L, h, w) frames with pixel-center alignment."""
-    c, length, h, w = frames.shape
-    ys = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0.0, h - 1.0)
-    xs = np.clip((np.arange(out_w) + 0.5) * w / out_w - 0.5, 0.0, w - 1.0)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = (ys - y0)[:, None]
-    wx = (xs - x0)[None, :]
-    top = frames[:, :, y0][:, :, :, x0] * (1 - wx) + frames[:, :, y0][:, :, :, x1] * wx
-    bot = frames[:, :, y1][:, :, :, x0] * (1 - wx) + frames[:, :, y1][:, :, :, x1] * wx
-    return top * (1 - wy) + bot * wy
-
-
-def spatial_transform(frames: np.ndarray, mode: str,
-                      rng: np.random.Generator | None = None) -> np.ndarray:
-    """Resize so the short side is 128 (only when larger), then cut a 112x112
-    crop: random offset in train mode, centered in test mode. Frames already
-    at most 112x112 pass through untouched."""
-    if frames.ndim != 4:
-        raise ValueError(f"expected (c, L, h, w) frames, got shape {frames.shape}")
-    _, _, h, w = frames.shape
-    if max(h, w) <= CROP_SIZE:
-        return frames
-    if min(h, w) > RESIZE_MIN:
-        scale = RESIZE_MIN / min(h, w)
-        new_h = max(RESIZE_MIN, int(math.floor(h * scale + 0.5)))
-        new_w = max(RESIZE_MIN, int(math.floor(w * scale + 0.5)))
-        frames = _resize_bilinear(frames, new_h, new_w)
-        h, w = new_h, new_w
-    crop_h = min(h, CROP_SIZE)
-    crop_w = min(w, CROP_SIZE)
-    if mode == "train":
-        off_h = int(rng.integers(0, h - crop_h + 1))
-        off_w = int(rng.integers(0, w - crop_w + 1))
-    elif mode == "test":
-        off_h = (h - crop_h) // 2
-        off_w = (w - crop_w) // 2
-    else:
-        raise ValueError(f"unknown sampling mode {mode!r}")
-    return frames[:, :, off_h:off_h + crop_h, off_w:off_w + crop_w]
-
-
-def load_clip(corpus: Corpus, spec: ClipSpec, mode: str,
-              rng: np.random.Generator | None = None) -> np.ndarray:
-    """One clip tensor (c, L, h', w'), assembled on its own.
+def load_clip(corpus: Corpus, spec: ClipSpec) -> np.ndarray:
+    """One clip tensor (c, L, h, w), assembled on its own.
 
     The reference for ``clip_batch``, which tests compare against; the
     benchmark's tracer also wraps this name. No pipeline path calls it.
@@ -187,18 +129,15 @@ def load_clip(corpus: Corpus, spec: ClipSpec, mode: str,
     indices = clip_frame_indices(spec.center_frame, spec.clip_len, spec.frame_stride,
                                  video.num_frames)
     frames = corpus.video_frames(video)[indices]  # (L, c, h, w)
-    frames = np.ascontiguousarray(frames.transpose(1, 0, 2, 3))
-    return spatial_transform(frames, mode, rng)
+    return np.ascontiguousarray(frames.transpose(1, 0, 2, 3))
 
 
-def clip_batch(corpus: Corpus, specs: list[ClipSpec], mode: str,
-               rng: np.random.Generator | None = None) -> np.ndarray:
+def clip_batch(corpus: Corpus, specs: list[ClipSpec]) -> np.ndarray:
     """Clips as time-major encoder input (B, L, frame_dim): one flattened frame per row.
 
-    Clip b holds ``load_clip(corpus, specs[b], mode, rng)`` with its (c, h, w)
-    axes flattened and time first, bit for bit. Frames larger than the crop go
-    through ``spatial_transform`` clip by clip, in spec order, so a train-mode
-    ``rng`` is drawn in the same order as per-clip loading would draw it.
+    Clip b holds ``load_clip(corpus, specs[b])`` with its (c, h, w) axes
+    flattened and time first, bit for bit: frames reach the encoder exactly as
+    the corpus stores them.
     """
     if not specs:
         raise ValueError("no clips to gather")
@@ -210,9 +149,6 @@ def clip_batch(corpus: Corpus, specs: list[ClipSpec], mode: str,
     num_frames = np.array([[v.num_frames] for v in videos])
     indices = clip_frame_indices(centers, clip_len, stride, num_frames)  # (B, L)
     frames = np.stack([corpus.video_frames(v)[idx] for v, idx in zip(videos, indices)])
-    if max(frames.shape[3:]) > CROP_SIZE:  # (B, L, c, h, w)
-        frames = np.stack([spatial_transform(clip.transpose(1, 0, 2, 3), mode, rng)
-                           for clip in frames]).transpose(0, 2, 1, 3, 4)
     return frames.reshape(len(specs), clip_len, -1)
 
 

@@ -1,15 +1,89 @@
-"""Gradient-check helpers: the two-head loss as a function of one flat vector.
+"""Gradient-check helpers: finite differences, and the two-head loss as a
+function of one flat vector.
 
 The parameter records are laid end to end in ``arrays()`` order; ``map`` over a
 template record puts each ``reshape_slice`` view of the flat leaf back into its
 field.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from tspkit import autodiff as ad
 from tspkit import encoder as enc
 from tspkit import pretrain as pt
+
+
+def reshape_slice(x: ad.Tensor, start: int, shape: tuple[int, ...]) -> ad.Tensor:
+    """View a window of a flat vector as an array of the given shape."""
+    tape = x.tape
+    if x.data.ndim != 1:
+        raise ad.ShapeError(f"reshape_slice: expected a flat vector, got {x.data.shape}")
+    size = int(np.prod(shape)) if shape else 1
+    if start < 0 or start + size > x.data.shape[0]:
+        raise ad.ShapeError(f"reshape_slice: window [{start}, {start + size}) exceeds "
+                            f"vector of length {x.data.shape[0]}")
+    out = tape._node(x.data[start:start + size].reshape(shape).copy(), x.requires_grad)
+
+    def backward(g, accumulate):
+        full = np.zeros_like(x.data)
+        full[start:start + size] = g.ravel()
+        accumulate(x, full)
+
+    tape._record(out, backward)
+    return out
+
+
+@dataclass(frozen=True)
+class GradCheckResult:
+    max_rel_err: float
+    h: float
+    coords_checked: int
+    worst_coord: int
+
+
+def gradient_check(build, x0: np.ndarray, coords: int = 100, h: float = 1e-6,
+                   seed: int = 0) -> GradCheckResult:
+    """Compare tape gradients against central finite differences.
+
+    ``build(x)`` must construct a scalar loss from the parameter vector ``x``
+    on a fresh tape and return ``(loss, leaf)`` where ``leaf`` is the tape
+    tensor holding ``x`` with requires_grad set. ``coords`` coordinates are
+    sampled without replacement (all of them if the vector is smaller). The
+    caller should pick a probe point away from relu kinks.
+
+    Relative error per coordinate uses max(|analytic|, |numeric|, 1e-3) as
+    the denominator, so coordinates whose gradient is far below the working
+    scale are compared absolutely instead of amplifying rounding noise.
+    """
+    x0 = np.asarray(x0, dtype=np.float64).ravel()
+    loss, leaf = build(x0)
+    if not leaf.requires_grad:
+        raise ValueError("build must return a requires_grad leaf")
+    analytic = loss.tape.backward(loss)[leaf.node_id].ravel()
+
+    rng = np.random.default_rng(seed)
+    dim = x0.size
+    if coords >= dim:
+        picked = np.arange(dim)
+    else:
+        picked = rng.choice(dim, size=coords, replace=False)
+
+    max_rel = 0.0
+    worst = int(picked[0]) if len(picked) else -1
+    for j in picked:
+        xp = x0.copy()
+        xp[j] += h
+        xm = x0.copy()
+        xm[j] -= h
+        numeric = (build(xp)[0].item() - build(xm)[0].item()) / (2.0 * h)
+        a = analytic[j]
+        rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-3)
+        if rel > max_rel:
+            max_rel = rel
+            worst = int(j)
+    return GradCheckResult(max_rel_err=max_rel, h=h, coords_checked=len(picked), worst_coord=worst)
 
 
 def flatten_params(enc_params: enc.EncoderParams, head_params: pt.HeadParams) -> np.ndarray:
@@ -37,7 +111,7 @@ def two_head_loss_builder(enc_cfg: enc.EncoderConfig, num_classes: int, mode: st
         offset = 0
         for shape in shapes:
             size = int(np.prod(shape))
-            parts.append(ad.reshape_slice(leaf, offset, shape))
+            parts.append(reshape_slice(leaf, offset, shape))
             offset += size
         if offset != vec.size:
             raise ValueError(f"parameter vector has {vec.size} entries, expected {offset}")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from flat_params import gradient_check, reshape_slice
 from tspkit import autodiff as ad
 from tspkit import pretrain as pt
 
@@ -14,7 +15,7 @@ LN4 = 1.3862943611198906
 
 def weighted_sum(tape, vec, weights):
     """Scalar sum_j weights[j] * vec[j] of a flat tensor, from kept primitives."""
-    terms = [ad.scale(ad.reshape_slice(vec, j, ()), float(w)) for j, w in enumerate(weights)]
+    terms = [ad.scale(reshape_slice(vec, j, ()), float(w)) for j, w in enumerate(weights)]
     total = terms[0]
     for term in terms[1:]:
         total = ad.add(total, term)
@@ -58,12 +59,12 @@ def test_matmul_gradients_match_finite_differences():
     def build(vec):
         tape = ad.Tape()
         leaf = tape.tensor(vec, requires_grad=True)
-        a = ad.reshape_slice(leaf, 0, (3, 4))
-        b = ad.reshape_slice(leaf, 12, (4, 2))
-        bias = ad.reshape_slice(leaf, 20, (2,))
+        a = reshape_slice(leaf, 0, (3, 4))
+        b = reshape_slice(leaf, 12, (4, 2))
+        bias = reshape_slice(leaf, 20, (2,))
         return ad.cross_entropy_sum(ad.linear_rows(a, b, bias), [1, 0, 1]), leaf
 
-    res = ad.gradient_check(build, vec0, coords=vec0.size, h=1e-6)
+    res = gradient_check(build, vec0, coords=vec0.size, h=1e-6)
     assert res.max_rel_err <= 1e-5
 
 
@@ -84,7 +85,7 @@ def test_composite_graph_gradients():
         parts = {}
         off = 0
         for name, shape in shapes.items():
-            parts[name] = ad.reshape_slice(leaf, off, shape)
+            parts[name] = reshape_slice(leaf, off, shape)
             off += sizes[name]
         h = ad.relu(ad.affine_frames(parts["x"], parts["w"], parts["b"]))
         h = ad.conv1d_same(h, parts["k"], parts["kb"])
@@ -93,7 +94,7 @@ def test_composite_graph_gradients():
         logits = ad.linear_rows(rows, parts["head"], parts["hb"])
         return ad.cross_entropy_sum(logits, [2, 0, 3]), leaf
 
-    res = ad.gradient_check(build, vec0, coords=total, h=1e-6)
+    res = gradient_check(build, vec0, coords=total, h=1e-6)
     assert res.max_rel_err <= 1e-5
 
 
@@ -136,14 +137,14 @@ def test_conv1d_gradients_match_finite_differences():
     def build(vec):
         tape = ad.Tape()
         leaf = tape.tensor(vec, requires_grad=True)
-        x = ad.reshape_slice(leaf, 0, (2, 7, 3))
-        k = ad.reshape_slice(leaf, 42, (2, 3, 3))
-        b = ad.reshape_slice(leaf, 60, (2,))
+        x = reshape_slice(leaf, 0, (2, 7, 3))
+        k = reshape_slice(leaf, 42, (2, 3, 3))
+        b = reshape_slice(leaf, 60, (2,))
         # scalar readout: mean over time, then a cross entropy per clip
         feat = ad.mean_over_time(ad.conv1d_same(x, k, b))
         return ad.cross_entropy_sum(feat, [0, 1]), leaf
 
-    res = ad.gradient_check(build, vec0, coords=vec0.size)
+    res = gradient_check(build, vec0, coords=vec0.size)
     assert res.max_rel_err <= 1e-5
 
 
@@ -270,7 +271,7 @@ def test_gradient_check_linear_model_is_exact():
         leaf = tape.tensor(vec, requires_grad=True)
         return weighted_sum(tape, leaf, slope), leaf
 
-    res = ad.gradient_check(build, rng.standard_normal(10), coords=10)
+    res = gradient_check(build, rng.standard_normal(10), coords=10)
     assert res.max_rel_err <= 1e-10
 
 
@@ -280,6 +281,6 @@ def test_gradient_check_echoes_step_size():
         leaf = tape.tensor(vec, requires_grad=True)
         return weighted_sum(tape, leaf, [1.0, -1.0]), leaf
 
-    res = ad.gradient_check(build, np.array([1.0, 2.0]), coords=2, h=1e-6)
+    res = gradient_check(build, np.array([1.0, 2.0]), coords=2, h=1e-6)
     assert res.h == 1e-6
     assert res.coords_checked == 2

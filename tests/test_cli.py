@@ -40,6 +40,14 @@ def test_in_process_call_records_its_own_argv_not_the_hosts(tmp_path, monkeypatc
     assert json.loads(path.read_text())["__invocation__"] == " ".join(argv)
 
 
+def test_gen_corpus_refuses_a_manifest_that_could_not_be_loaded(tmp_path, capsys):
+    path = tmp_path / "corpus.json"
+    assert cli.main(["gen-corpus", "--out", str(path), "--train-videos", "1",
+                     "--noise-sigma", "-0.5"]) == 1
+    assert capsys.readouterr().err.startswith("error: noise_sigma -0.5")
+    assert not path.exists()
+
+
 @pytest.fixture
 def manifest(tmp_path, capsys):
     path = tmp_path / "corpus.json"
@@ -242,6 +250,7 @@ BAD_FILES = [
     ("manifest", "zero_channels", set_synth(channels=0)),
     ("manifest", "zero_height", set_synth(height=0)),
     ("manifest", "zero_width", set_synth(width=0)),
+    ("manifest", "height_above_limit", set_synth(height=113)),
     *[("checkpoint", *case) for case in (TRUNCATED, NOT_JSON, NOT_UTF8, ROOT_LIST,
                                          WRONG_VERSION)],
     ("checkpoint", "no_heads", edit_json(lambda doc: doc.pop("heads"))),

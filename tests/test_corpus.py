@@ -194,6 +194,35 @@ def test_placement_failure_is_reported():
         cp.generate_synthetic(cfg, seed=0)
 
 
+@pytest.mark.parametrize("noise", [-0.5, float("nan"), float("inf")])
+def test_generation_rejects_a_noise_sigma_loading_would_reject(noise):
+    with pytest.raises(ValueError, match="noise_sigma"):
+        cp.generate_synthetic(cp.SynthConfig(videos_per_subset=(1, 0, 0),
+                                             noise_sigma=noise), seed=0)
+
+
+def synth_manifest(**synth):
+    """A one-video manifest document whose synth block takes ``synth``'s values."""
+    block = {"master_seed": 0, "noise_sigma": 0.5, "background_mode": "pure",
+             "channels": 1, "height": 1, "width": 1, **synth}
+    return {"schema_version": 1, "classes": ["a"], "synth": block,
+            "videos": {"v1": {"subset": "train", "duration_sec": 10.0, "fps": 4.0,
+                              "frame_seed": 1, "annotations": []}}}
+
+
+def test_frame_side_limit_holds_for_generation_and_loading():
+    side = cp.MAX_FRAME_SIDE
+    assert side == 112
+    cp.SynthConfig(channels=1, height=side, width=side).validate()
+    loaded = cp.corpus_from_dict(synth_manifest(height=side, width=side))
+    assert (loaded.synth.height, loaded.synth.width) == (side, side)
+    for geometry in (dict(height=side + 1, width=side), dict(height=side, width=side + 1)):
+        with pytest.raises(ValueError, match="112"):
+            cp.SynthConfig(channels=1, **geometry).validate()
+        with pytest.raises(cp.ManifestError, match="bad synth block: .*112"):
+            cp.corpus_from_dict(synth_manifest(**geometry))
+
+
 # ---------------------------------------------------------------------------
 # frames
 

@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from flat_params import flatten_params, two_head_loss_builder
+from flat_params import flatten_params, gradient_check, two_head_loss_builder
 from tspkit import autodiff as ad
 from tspkit import encoder as enc
 from tspkit import pretrain
@@ -131,7 +131,7 @@ def test_full_model_gradient_check_default_config():
     enc_params = enc.init_params(cfg, seed=0)
     heads = pretrain.init_heads(64, 8, "tsp", seed=0)
     vec = flatten_params(enc_params, heads)
-    res = ad.gradient_check(build, vec, coords=100, h=1e-6, seed=0)
+    res = gradient_check(build, vec, coords=100, h=1e-6, seed=0)
     assert res.max_rel_err <= 1e-5
 
 

@@ -71,7 +71,7 @@ def test_rows_equal_per_clip_reference(mode):
     assert len(track) == len(centers)
     for i, center in enumerate(centers):
         spec = ClipSpec(video.id, center, cfg.clip_len, cfg.frame_stride, "background")
-        clip = load_clip(corpus, spec, "test")  # (c, L, h, w) -> (c*h*w, L)
+        clip = load_clip(corpus, spec)  # (c, L, h, w) -> (c*h*w, L)
         feat = enc.forward_np(ckpt.encoder, clip.transpose(0, 2, 3, 1).reshape(-1, cfg.clip_len))
         assert np.array_equal(track.features[i], feat)
         assert np.array_equal(track.action_logits[i],
@@ -82,6 +82,14 @@ def test_rows_equal_per_clip_reference(mode):
         region_in = np.concatenate([feat, track.global_feature]) if mode == "tsp" else feat
         region = region_in @ heads.region_weight + heads.region_bias
         assert track.region_probs[i] == softmax(region)[1]
+
+
+def test_frame_geometry_must_match_the_checkpoint():
+    corpus = make_corpus()
+    ckpt = make_checkpoint(corpus)
+    taller = cp.Corpus(corpus.classes, corpus.videos, replace(corpus.synth, height=2))
+    with pytest.raises(ex.TrackError, match="checkpoint expects 6x1x1 frames, corpus has 6x2x1"):
+        ex.extract_track(taller, taller.videos["va_0"], ckpt)
 
 
 def test_extraction_is_deterministic(tmp_path):

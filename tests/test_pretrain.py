@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from flat_params import flatten_params, two_head_loss_builder
+from flat_params import flatten_params, gradient_check, two_head_loss_builder
 from tspkit import autodiff as ad
 from tspkit import corpus as cp
 from tspkit import encoder as enc
@@ -144,7 +144,7 @@ def test_gradient_check_through_batched_loss():
         vec0 = flatten_params(enc.init_params(SMALL_ENC, seed=0),
                               pt.init_heads(6, 4, mode, seed=0))
         vec0 = vec0 + np.random.default_rng(7).standard_normal(vec0.size) * 0.3
-        res = ad.gradient_check(build, vec0, coords=120, h=1e-6, seed=1)
+        res = gradient_check(build, vec0, coords=120, h=1e-6, seed=1)
         assert res.max_rel_err <= 1e-5, mode
 
 
@@ -186,7 +186,7 @@ def test_single_clip_video_feature_is_that_clips_feature():
     table = pt.precompute_global_features(corpus, params, gvf_cfg)
     from tspkit.sampler import load_clip
     [spec] = pt.video_clip_specs(corpus, "v", gvf_cfg)
-    clip = load_clip(corpus, spec, "test")  # (c, L, h, w) -> (c*h*w, L)
+    clip = load_clip(corpus, spec)  # (c, L, h, w) -> (c*h*w, L)
     feat = enc.forward_np(params, clip.transpose(0, 2, 3, 1).reshape(-1, 16))
     assert np.array_equal(table.features["v"], feat)
 

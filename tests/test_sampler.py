@@ -1,4 +1,4 @@
-"""Clip geometry, jittering, crops, and balanced epoch construction."""
+"""Clip geometry, jittering, the batched clip gather, and balanced epochs."""
 
 import numpy as np
 import pytest
@@ -71,48 +71,6 @@ def test_degenerate_segment_yields_no_clips():
 
 
 # ---------------------------------------------------------------------------
-# spatial transform
-
-
-def test_tiny_frames_pass_through():
-    frames = np.arange(2 * 3 * 1 * 1, dtype=float).reshape(2, 3, 1, 1)
-    out = sp.spatial_transform(frames, "test")
-    assert out is frames
-
-
-def test_centered_crop_offsets_128x170():
-    frames = np.zeros((1, 2, 128, 170))
-    frames[0, :, 8, 29] = 1.0  # the expected crop origin
-    out = sp.spatial_transform(frames, "test")
-    assert out.shape == (1, 2, 112, 112)
-    assert out[0, 0, 0, 0] == 1.0
-
-
-def test_train_crops_stay_inside_frame():
-    rng = rng_for(123)
-    frames = np.zeros((1, 1, 128, 170))
-    for _ in range(1000):
-        out = sp.spatial_transform(frames, "train", rng)
-        assert out.shape == (1, 1, 112, 112)
-
-
-def test_large_frames_resized_then_cropped():
-    # 256x340 halves to 128x170, then center-crops to 112x112
-    frames = np.random.default_rng(0).standard_normal((1, 1, 256, 340))
-    out = sp.spatial_transform(frames, "test")
-    assert out.shape == (1, 1, 112, 112)
-    assert sp.transformed_shape(256, 340) == (112, 112)
-    assert sp.transformed_shape(1, 1) == (1, 1)
-    assert sp.transformed_shape(120, 160) == (112, 112)
-
-
-def test_resize_preserves_constant_frames():
-    frames = np.full((2, 1, 256, 340), 3.25)
-    out = sp.spatial_transform(frames, "test")
-    assert np.allclose(out, 3.25, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # batched clip gather
 
 
@@ -125,7 +83,6 @@ def gather_corpus(channels, height, width):
 
 
 SMALL_FRAMES = gather_corpus(3, 2, 3)  # (c, h, w) distinct, so axis order matters
-LARGE_FRAMES = gather_corpus(1, 130, 170)  # resized to 128x167, then cropped
 
 
 @st.composite
@@ -142,37 +99,26 @@ def clip_specs(draw, corpus):
     return specs
 
 
-def reference_batch(corpus, specs, mode, rng=None):
+def reference_batch(corpus, specs):
     """``load_clip`` per spec, each (c, L, h, w) clip flattened to (L, c*h*w)."""
-    return np.stack([sp.load_clip(corpus, s, mode, rng).transpose(1, 0, 2, 3)
-                     .reshape(s.clip_len, -1) for s in specs])
+    return np.stack([sp.load_clip(corpus, s).transpose(1, 0, 2, 3).reshape(s.clip_len, -1)
+                     for s in specs])
 
 
 @settings(max_examples=60, deadline=None)
-@given(clip_specs(SMALL_FRAMES), st.sampled_from(["train", "test"]))
-def test_clip_batch_equals_stacked_load_clip(specs, mode):
-    got = sp.clip_batch(SMALL_FRAMES, specs, mode)
+@given(clip_specs(SMALL_FRAMES))
+def test_clip_batch_equals_stacked_load_clip(specs):
+    got = sp.clip_batch(SMALL_FRAMES, specs)
     assert got.shape == (len(specs), specs[0].clip_len, 18)
-    assert np.array_equal(got, reference_batch(SMALL_FRAMES, specs, mode))
-
-
-@settings(max_examples=15, deadline=None)
-@given(clip_specs(LARGE_FRAMES), st.sampled_from(["train", "test"]), st.integers(0, 2**32))
-def test_clip_batch_crops_large_frames_like_load_clip(specs, mode, seed):
-    # one rng per side, drawn in the same order: same crops, same state after
-    rng_got, rng_want = rng_for(seed), rng_for(seed)
-    got = sp.clip_batch(LARGE_FRAMES, specs, mode, rng_got)
-    assert got.shape == (len(specs), specs[0].clip_len, 112 * 112)
-    assert np.array_equal(got, reference_batch(LARGE_FRAMES, specs, mode, rng_want))
-    assert rng_got.integers(2**62) == rng_want.integers(2**62)
+    assert np.array_equal(got, reference_batch(SMALL_FRAMES, specs))
 
 
 def test_clip_batch_rejects_empty_and_mixed_geometry():
     with pytest.raises(ValueError, match="no clips"):
-        sp.clip_batch(SMALL_FRAMES, [], "test")
+        sp.clip_batch(SMALL_FRAMES, [])
     specs = [sp.ClipSpec("v0", 2, 4, 2, "background"), sp.ClipSpec("v1", 2, 4, 1, "background")]
     with pytest.raises(ValueError, match="share"):
-        sp.clip_batch(SMALL_FRAMES, specs, "test")
+        sp.clip_batch(SMALL_FRAMES, specs)
 
 
 # ---------------------------------------------------------------------------
