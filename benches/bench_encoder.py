@@ -3,10 +3,13 @@
 The encoder is the study's width (``bench.default_bench_train_config``:
 embed 16, one block) on the default corpus's 16-channel frames and 16-frame
 clips. One training step is a tsp-mode forward and backward of a 32-clip
-batch through the two-head loss; one validation pass is an inference forward
-of 1,180 clips, about the size of the default corpus's valid clip set (1,205
-clips at corpus seed 0). Inputs are seeded normals in the encoder's time-major
-(B, L, frame_dim) layout. tspkit is imported before numpy, so BLAS runs on one
+batch through the two-head loss: ``batch_loss_tensor`` records the encoder op
+and the loss op, and ``Tape.backward`` sweeps them. One validation pass is
+``pretrain.clip_features`` over 1,180 clips, about the size of the default
+corpus's valid clip set (1,205 clips at corpus seed 0): the inference forward
+that ``_accuracy`` runs, in chunks of at most ``VALIDATION_CHUNK`` clips.
+Inputs are seeded normals in the encoder's time-major (B, L, frame_dim)
+layout. tspkit is imported before numpy, so BLAS runs on one
 thread as it does in the study's workers. The test suite does not collect this
 file (it does not match ``test_*.py``); run it from the repository root with
 pytest-benchmark:
@@ -62,5 +65,5 @@ def test_training_step_batch_32(benchmark, params):
 def test_validation_forward_1180_clips(benchmark, params):
     frames = np.abs(np.random.default_rng(1).standard_normal((VALID_CLIPS, CLIP_LEN,
                                                               FRAME_DIM)))
-    feats = benchmark(enc.forward_np_batch, params[0], frames)
+    feats = benchmark(pt.clip_features, params[0], frames)
     assert feats.shape == (VALID_CLIPS, params[0].config.feature_dim)

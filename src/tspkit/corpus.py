@@ -142,8 +142,13 @@ class SynthConfig:
             raise ValueError("bad instances_per_video range")
         if self.fps <= 0:
             raise ValueError("fps must be positive")
-        if self.background_mode == "hard" and self.num_classes < 2:
-            raise ValueError("hard background mode needs at least 2 classes")
+        _check_background_classes(self.background_mode, self.num_classes)
+
+
+def _check_background_classes(background_mode: str, num_classes: int) -> None:
+    """A hard background mixes two distinct class prototypes."""
+    if background_mode == "hard" and num_classes < 2:
+        raise ValueError("hard background mode needs at least 2 classes")
 
 
 class Corpus:
@@ -321,6 +326,7 @@ def corpus_from_dict(doc: dict) -> Corpus:
         try:  # each field's annotated type parses its value; SynthInfo checks the rules
             synth = SynthInfo(**{name: cast(s[name])
                                  for name, cast in get_type_hints(SynthInfo).items()})
+            _check_background_classes(synth.background_mode, len(classes))
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"bad synth block: {exc}") from exc
 

@@ -8,10 +8,19 @@ clip, and mean pooling over time yields the clip feature.
 There is one forward pass, ``forward_batch``, over a batch of clips on a tape.
 Its parameters are an ``EncoderParams`` record whose arrays are tape leaves,
 ``params.map(lambda a: tape.tensor(a, True))``; inference runs the same
-function on a tape whose leaves need no gradient.
+function on a tape whose leaves need no gradient, which keeps no record.
 Clips are time-major, (B, L, frame_dim): one flattened frame per row, as
-``sampler.clip_batch`` gathers them, and every layer is one matmul over all
-the batch's frames.
+``sampler.clip_batch`` gathers them.
+
+The whole encoder is one tape op, the first of a training step's two (the
+second is ``pretrain.batch_loss_tensor``'s two-head loss). Each layer is one
+matmul over all the batch's frames; a temporal conv multiplies a window
+matrix holding each frame's previous, own and next frame. The hand-derived
+backward repeats the numpy operations of the primitive ops it replaced
+(affine, conv, ReLU, residual add, time mean), on the same operand layouts,
+so features and gradients are bitwise theirs. Those ops and their
+composition are kept in ``tests/reference_tape.py``, and the tests compare
+this op against them byte for byte.
 """
 
 from __future__ import annotations
@@ -113,21 +122,104 @@ def param_count(config: EncoderConfig) -> int:
     return stem + config.blocks * per_block
 
 
+# Bias and time sums reduce a contiguous (B, d, L) copy, and weight gradients
+# multiply a contiguous (d, B·L) gradient copy: the operands the channel-major
+# encoder gave numpy, so both round as the golden digests in the tests pin.
+def _channel_major(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a.transpose(0, 2, 1))
+
+
+def _windows(x: np.ndarray) -> np.ndarray:
+    """(B, L, d) -> (B·L, 3d): each frame's previous, own and next frame, zero past the ends."""
+    batch, length, d = x.shape
+    windows = np.empty((batch, length, 3 * d))
+    windows[:, :1, :d] = 0.0
+    windows[:, 1:, :d] = x[:, :-1]
+    windows[:, :, d:2 * d] = x
+    windows[:, :-1, 2 * d:] = x[:, 1:]
+    windows[:, -1:, 2 * d:] = 0.0
+    return windows.reshape(batch * length, 3 * d)
+
+
+def _unwindow(g_windows: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    """The (B, L, d) gradient of ``_windows``' input, summed from zero in window order."""
+    batch, length, d = shape
+    g_windows = g_windows.reshape(batch, length, 3 * d)
+    gx = np.zeros(shape)
+    gx[:, :-1] += g_windows[:, 1:, :d]
+    gx += g_windows[:, :, d:2 * d]
+    gx[:, 1:] += g_windows[:, :-1, 2 * d:]
+    return gx
+
+
+def _flat_kernel(kernel: np.ndarray) -> np.ndarray:
+    """(d_out, d_in, 3) -> (d_out, 3·d_in), matching ``_windows``' column order."""
+    d_out, d_in, _ = kernel.shape
+    return kernel.transpose(0, 2, 1).reshape(d_out, 3 * d_in)
+
+
+def _kernel_grad(g2d: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    d_out = g2d.shape[1]
+    gk = np.ascontiguousarray(g2d.T) @ windows
+    return gk.reshape(d_out, 3, -1).transpose(0, 2, 1)
+
+
 def forward_batch(tape: ad.Tape, leaves: EncoderParams, frames: np.ndarray) -> ad.Tensor:
     """Differentiable forward pass: frames (B, L, frame_dim) -> (B, F) features.
 
     ``leaves`` is an ``EncoderParams`` whose arrays are tensors on ``tape``.
+    The whole encoder is one tape op. Each ReLU overwrites its input, and its
+    output's sign gives the backward mask the input's would. The backward
+    runs the primitive ops' numpy operations in reverse tape order, so the
+    gradients are bitwise those of the reference composition in the tests.
     """
-    if frames.ndim != 3 or frames.shape[2] != leaves.config.frame_dim:
-        raise ad.ShapeError(f"encoder expects (B, L, {leaves.config.frame_dim}) frames, "
+    config = leaves.config
+    if frames.ndim != 3 or frames.shape[2] != config.frame_dim:
+        raise ad.ShapeError(f"encoder expects (B, L, {config.frame_dim}) frames, "
                             f"got {frames.shape}")
-    x = tape.tensor(frames)
-    h = ad.relu(ad.affine_frames(x, leaves.stem_weight, leaves.stem_bias))
-    for blk in leaves.blocks:
-        inner = ad.relu(ad.conv1d_same(h, blk.conv1_kernel, blk.conv1_bias))
-        inner = ad.conv1d_same(inner, blk.conv2_kernel, blk.conv2_bias)
-        h = ad.relu(ad.add(inner, h))
-    return ad.mean_over_time(h)
+    params = leaves.map(lambda t: t.data)
+    batch, length, _ = frames.shape
+    shape = (batch, length, config.embed_dim)
+    x2d = np.asarray(frames, dtype=np.float64).reshape(batch * length, -1)
+    h = x2d @ params.stem_weight.T
+    h += params.stem_bias
+    np.maximum(h, 0.0, out=h)
+    stem_out = h = h.reshape(shape)
+    saved = []  # per block: both window matrices and flat kernels, both ReLU outputs
+    for blk in params.blocks:
+        windows1, kernel1 = _windows(h), _flat_kernel(blk.conv1_kernel)
+        inner = windows1 @ kernel1.T
+        inner += blk.conv1_bias
+        np.maximum(inner, 0.0, out=inner)
+        inner = inner.reshape(shape)
+        windows2, kernel2 = _windows(inner), _flat_kernel(blk.conv2_kernel)
+        out = windows2 @ kernel2.T
+        out += blk.conv2_bias
+        out = out.reshape(shape)
+        out += h
+        np.maximum(out, 0.0, out=out)
+        saved.append((windows1, kernel1, inner, windows2, kernel2, out))
+        h = out
+
+    def backward(g, accumulate):
+        gh = np.repeat(g[:, None, :] / length, length, axis=1)
+        for blk, (windows1, kernel1, inner, windows2, kernel2, out) in zip(
+                reversed(leaves.blocks), reversed(saved)):
+            g_sum = gh * (out > 0.0)
+            g2d = g_sum.reshape(batch * length, -1)
+            accumulate(blk.conv2_kernel, _kernel_grad(g2d, windows2))
+            accumulate(blk.conv2_bias, _channel_major(g_sum).sum(axis=(0, 2)))
+            g_inner = _unwindow(g2d @ kernel2, shape) * (inner > 0.0)
+            g2d = g_inner.reshape(batch * length, -1)
+            accumulate(blk.conv1_kernel, _kernel_grad(g2d, windows1))
+            accumulate(blk.conv1_bias, _channel_major(g_inner).sum(axis=(0, 2)))
+            gh = g_sum + _unwindow(g2d @ kernel1, shape)  # residual path plus conv path
+        g_stem = gh * (stem_out > 0.0)
+        g2d = g_stem.reshape(batch * length, -1)
+        accumulate(leaves.stem_weight, np.ascontiguousarray(g2d.T) @ x2d)
+        accumulate(leaves.stem_bias, _channel_major(g_stem).sum(axis=(0, 2)))
+
+    return tape.apply(_channel_major(h).mean(axis=2), leaves.arrays(), backward)
 
 
 def forward_np_batch(params: EncoderParams, frames: np.ndarray) -> np.ndarray:

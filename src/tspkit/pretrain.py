@@ -13,6 +13,13 @@ foreground clips and the region term alone for background clips. Optimization
 is SGD with momentum, two learning-rate groups (encoder vs heads), a linear
 warmup and stepwise decay, and a grid search over head learning rates with
 model selection on mean validation accuracy of the heads.
+
+A training step records two tape ops: the encoder, and ``batch_loss_tensor``,
+which holds both heads and their weighted cross entropies. Their loss and
+gradients are bitwise those of the primitive-op composition kept in
+``tests/reference_tape.py``. Validation runs the encoder forward in chunks of
+at most ``VALIDATION_CHUNK`` clips: one batch of a whole split does not fit
+in the CPU caches and runs slower, with the same features.
 """
 
 from __future__ import annotations
@@ -246,6 +253,22 @@ def head_logits(feats: np.ndarray, global_feats: np.ndarray | None, heads: HeadP
     return action, region
 
 
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.float64, np.ndarray]:
+    """Sum of the rows' softmax cross entropies for (B, K) logits, and its gradient."""
+    labels = np.asarray(labels, dtype=int)
+    batch, k = logits.shape
+    if labels.shape != (batch,) or (batch and (labels.min() < 0 or labels.max() >= k)):
+        raise ValueError(f"labels must be {batch} indices below {k}")
+    rows = np.arange(batch)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exps = np.exp(shifted)
+    sums = exps.sum(axis=1)
+    grad = exps / sums[:, None]
+    value = np.float64((np.log(sums) - shifted[rows, labels]).sum())
+    grad[rows, labels] -= 1.0
+    return value, grad
+
+
 def batch_loss_tensor(tape: ad.Tape, enc_leaves: enc.EncoderParams,
                       head_leaves: HeadParams, frames: np.ndarray,
                       region_labels: np.ndarray, action_labels: np.ndarray,
@@ -256,34 +279,62 @@ def batch_loss_tensor(tape: ad.Tape, enc_leaves: enc.EncoderParams,
     (B, L, frame_dim); action_labels holds the class index for foreground rows
     (ignored elsewhere); global_feats is (B, F) rows aligned with the batch
     (tsp mode only). ``cfg`` gives the mode and the two heads' loss weights.
+
+    The encoder is one tape op and both heads with their weighted cross
+    entropies are a second. Its backward hands the features their gradient
+    summed in the reference tape's order, action branch first, then region;
+    a head the batch does not reach (the region head in tac, the action head
+    on an all-background batch) gets no gradient, so ``Tape.backward`` gives
+    it exact zeros.
     """
     batch, mode = frames.shape[0], cfg.mode
+    if mode == "tsp" and global_feats is None:
+        raise ValueError("tsp mode needs global features for the region head")
     feats = enc.forward_batch(tape, enc_leaves, frames)
-    terms: list[ad.Tensor] = []
-    if mode == "tac":
-        logits = ad.linear_rows(feats, head_leaves.action_weight, head_leaves.action_bias)
-        terms.append(ad.scale(ad.cross_entropy_sum(logits, action_labels),
-                              cfg.action_loss_weight))
-    else:
-        if mode == "tsp":
-            if global_feats is None:
-                raise ValueError("tsp mode needs global features for the region head")
-            region_in = ad.hstack_rows(feats, tape.tensor(global_feats))
-        else:
-            region_in = feats
-        region_logits = ad.linear_rows(region_in, head_leaves.region_weight,
-                                       head_leaves.region_bias)
-        terms.append(ad.scale(ad.cross_entropy_sum(region_logits, region_labels),
-                              cfg.region_loss_weight))
+    heads = head_leaves.map(lambda t: t.data)
+    region = action = None  # (head input rows, CE gradient) of each branch reached
+    if mode != "tac":
+        region_in = (feats.data if mode == "tsp_nogvf" else
+                     np.concatenate([feats.data, np.asarray(global_feats, np.float64)], axis=1))
+        value, grad = _cross_entropy(region_in @ heads.region_weight + heads.region_bias,
+                                     region_labels)
+        total = value * cfg.region_loss_weight
+        region = region_in, grad
         fg_rows = np.flatnonzero(region_labels == 1)
-        if len(fg_rows):
-            fg_feats = ad.take_rows(feats, fg_rows)
-            fg_logits = ad.linear_rows(fg_feats, head_leaves.action_weight,
-                                       head_leaves.action_bias)
-            terms.append(ad.scale(ad.cross_entropy_sum(fg_logits, action_labels[fg_rows]),
-                                  cfg.action_loss_weight))
-    total = terms[0] if len(terms) == 1 else ad.add(terms[0], terms[1])
-    return ad.scale(total, 1.0 / batch)
+    if mode == "tac" or len(fg_rows):
+        action_in = feats.data if mode == "tac" else feats.data[fg_rows]
+        labels = action_labels if mode == "tac" else action_labels[fg_rows]
+        value, grad = _cross_entropy(action_in @ heads.action_weight + heads.action_bias,
+                                     labels)
+        value = value * cfg.action_loss_weight
+        total = value if region is None else total + value
+        action = action_in, grad
+
+    def backward(g, accumulate):
+        g = g * (1.0 / batch)
+        g_feats = None
+        if action is not None:
+            action_in, grad = action
+            g_logits = g * cfg.action_loss_weight * grad
+            accumulate(head_leaves.action_weight, action_in.T @ g_logits)
+            accumulate(head_leaves.action_bias, g_logits.sum(axis=0))
+            g_feats = g_logits @ heads.action_weight.T
+            if mode != "tac":  # scatter the foreground rows back, from zero
+                g_feats, g_fg = np.zeros_like(feats.data), g_feats
+                g_feats[fg_rows] += g_fg
+        if region is not None:
+            region_in, grad = region
+            g_logits = g * cfg.region_loss_weight * grad
+            accumulate(head_leaves.region_weight, region_in.T @ g_logits)
+            accumulate(head_leaves.region_bias, g_logits.sum(axis=0))
+            g_region = (g_logits @ heads.region_weight.T)[:, :feats.data.shape[1]]
+            if g_feats is None:
+                g_feats = g_region
+            else:
+                g_feats += g_region
+        accumulate(feats, g_feats)
+
+    return tape.apply(total * (1.0 / batch), [feats, *head_leaves.arrays()], backward)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +390,25 @@ def _eval_clips(corpus: Corpus, split: str, cfg: TrainConfig) -> LabeledBatch:
     return labeled_batch(corpus, specs)
 
 
+# Clips per validation forward. A whole split's clips at once (19,280 frames on
+# the default corpus) make activations far larger than the CPU caches: at the
+# bench shapes, 1,180 clips took 8.3 ms in one batch and 4.3 ms in chunks of
+# this size (benches/bench_encoder.py, 2-core x86). A split is cut into equal
+# chunks of at most this many clips, so no chunk is a small tail.
+VALIDATION_CHUNK = 128
+
+
+def clip_features(enc_params: enc.EncoderParams, frames: np.ndarray) -> np.ndarray:
+    """Inference features of (B, L, frame_dim) clips, in chunks of at most
+    ``VALIDATION_CHUNK`` clips."""
+    chunks = np.array_split(frames, -(-len(frames) // VALIDATION_CHUNK))
+    return np.concatenate([enc.forward_np_batch(enc_params, chunk) for chunk in chunks])
+
+
 def _accuracy(enc_params: enc.EncoderParams, head_params: HeadParams, mode: str,
               global_features: Mapping[str, np.ndarray] | None,
               clips: LabeledBatch) -> tuple[float, float | None]:
-    feats = enc.forward_np_batch(enc_params, clips.frames)
+    feats = clip_features(enc_params, clips.frames)
     action_logits, region_logits = head_logits(feats, clips.global_rows(global_features),
                                                head_params, mode)
     fg = clips.region_labels == 1

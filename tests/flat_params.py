@@ -24,15 +24,13 @@ def reshape_slice(x: ad.Tensor, start: int, shape: tuple[int, ...]) -> ad.Tensor
     if start < 0 or start + size > x.data.shape[0]:
         raise ad.ShapeError(f"reshape_slice: window [{start}, {start + size}) exceeds "
                             f"vector of length {x.data.shape[0]}")
-    out = tape._node(x.data[start:start + size].reshape(shape).copy(), x.requires_grad)
 
     def backward(g, accumulate):
         full = np.zeros_like(x.data)
         full[start:start + size] = g.ravel()
         accumulate(x, full)
 
-    tape._record(out, backward)
-    return out
+    return tape.apply(x.data[start:start + size].reshape(shape).copy(), (x,), backward)
 
 
 @dataclass(frozen=True)

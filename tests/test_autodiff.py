@@ -1,10 +1,12 @@
-"""Tape engine: forward semantics and gradients vs central differences."""
+"""Tape engine and the reference primitive ops: forward semantics and gradients
+vs central differences."""
 
 import math
 
 import numpy as np
 import pytest
 
+import reference_tape as ref
 from flat_params import gradient_check, reshape_slice
 from tspkit import autodiff as ad
 from tspkit import pretrain as pt
@@ -15,10 +17,10 @@ LN4 = 1.3862943611198906
 
 def weighted_sum(tape, vec, weights):
     """Scalar sum_j weights[j] * vec[j] of a flat tensor, from kept primitives."""
-    terms = [ad.scale(reshape_slice(vec, j, ()), float(w)) for j, w in enumerate(weights)]
+    terms = [ref.scale(reshape_slice(vec, j, ()), float(w)) for j, w in enumerate(weights)]
     total = terms[0]
     for term in terms[1:]:
-        total = ad.add(total, term)
+        total = ref.add(total, term)
     return total
 
 
@@ -33,7 +35,7 @@ def zeros(tape, n):
 def test_matmul_identity():
     tape = ad.Tape()
     m = tape.tensor([[1.0, 2.0], [3.0, 4.0]])
-    out = ad.linear_rows(m, tape.tensor(np.eye(2)), zeros(tape, 2))
+    out = ref.linear_rows(m, tape.tensor(np.eye(2)), zeros(tape, 2))
     assert np.array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
 
 
@@ -41,7 +43,7 @@ def test_matmul_selector_row():
     tape = ad.Tape()
     sel = tape.tensor([[1.0, 0.0]])
     col = tape.tensor([[2.0], [5.0]])
-    assert np.array_equal(ad.linear_rows(sel, col, zeros(tape, 1)).data, [[2.0]])
+    assert np.array_equal(ref.linear_rows(sel, col, zeros(tape, 1)).data, [[2.0]])
 
 
 def test_matmul_shape_error_names_both_shapes():
@@ -49,7 +51,7 @@ def test_matmul_shape_error_names_both_shapes():
     a = tape.tensor(np.zeros((3, 4)))
     b = tape.tensor(np.zeros((3, 2)))
     with pytest.raises(ad.ShapeError, match=r"\(3, 4\).*\(3, 2\)"):
-        ad.linear_rows(a, b, zeros(tape, 2))
+        ref.linear_rows(a, b, zeros(tape, 2))
 
 
 def test_matmul_gradients_match_finite_differences():
@@ -62,7 +64,7 @@ def test_matmul_gradients_match_finite_differences():
         a = reshape_slice(leaf, 0, (3, 4))
         b = reshape_slice(leaf, 12, (4, 2))
         bias = reshape_slice(leaf, 20, (2,))
-        return ad.cross_entropy_sum(ad.linear_rows(a, b, bias), [1, 0, 1]), leaf
+        return ref.cross_entropy_sum(ref.linear_rows(a, b, bias), [1, 0, 1]), leaf
 
     res = gradient_check(build, vec0, coords=vec0.size, h=1e-6)
     assert res.max_rel_err <= 1e-5
@@ -87,12 +89,12 @@ def test_composite_graph_gradients():
         for name, shape in shapes.items():
             parts[name] = reshape_slice(leaf, off, shape)
             off += sizes[name]
-        h = ad.relu(ad.affine_frames(parts["x"], parts["w"], parts["b"]))
-        h = ad.conv1d_same(h, parts["k"], parts["kb"])
-        both = ad.hstack_rows(ad.mean_over_time(h), parts["other"])
-        rows = ad.take_rows(both, np.array([1, 0, 1]))
-        logits = ad.linear_rows(rows, parts["head"], parts["hb"])
-        return ad.cross_entropy_sum(logits, [2, 0, 3]), leaf
+        h = ref.relu(ref.affine_frames(parts["x"], parts["w"], parts["b"]))
+        h = ref.conv1d_same(h, parts["k"], parts["kb"])
+        both = ref.hstack_rows(ref.mean_over_time(h), parts["other"])
+        rows = ref.take_rows(both, np.array([1, 0, 1]))
+        logits = ref.linear_rows(rows, parts["head"], parts["hb"])
+        return ref.cross_entropy_sum(logits, [2, 0, 3]), leaf
 
     res = gradient_check(build, vec0, coords=total, h=1e-6)
     assert res.max_rel_err <= 1e-5
@@ -108,7 +110,7 @@ def test_conv1d_identity_kernel():
     kernel = np.zeros((2, 2, 3))
     kernel[0, 0, 1] = 1.0
     kernel[1, 1, 1] = 1.0
-    out = ad.conv1d_same(x, tape.tensor(kernel), zeros(tape, 2))
+    out = ref.conv1d_same(x, tape.tensor(kernel), zeros(tape, 2))
     assert np.array_equal(out.data, x.data)
 
 
@@ -116,7 +118,7 @@ def test_conv1d_ones_hand_case():
     tape = ad.Tape()
     x = tape.tensor(np.ones((1, 4, 1)))
     k = tape.tensor(np.ones((1, 1, 3)))
-    out = ad.conv1d_same(x, k, zeros(tape, 1))
+    out = ref.conv1d_same(x, k, zeros(tape, 1))
     assert np.array_equal(out.data, [[[2.0], [3.0], [3.0], [2.0]]])
 
 
@@ -124,7 +126,7 @@ def test_conv1d_rejects_other_widths():
     tape = ad.Tape()
     x = tape.tensor(np.ones((1, 4, 1)))
     with pytest.raises(ad.ShapeError):
-        ad.conv1d_same(x, tape.tensor(np.ones((1, 1, 5))), zeros(tape, 1))
+        ref.conv1d_same(x, tape.tensor(np.ones((1, 1, 5))), zeros(tape, 1))
 
 
 def test_conv1d_gradients_match_finite_differences():
@@ -141,8 +143,8 @@ def test_conv1d_gradients_match_finite_differences():
         k = reshape_slice(leaf, 42, (2, 3, 3))
         b = reshape_slice(leaf, 60, (2,))
         # scalar readout: mean over time, then a cross entropy per clip
-        feat = ad.mean_over_time(ad.conv1d_same(x, k, b))
-        return ad.cross_entropy_sum(feat, [0, 1]), leaf
+        feat = ref.mean_over_time(ref.conv1d_same(x, k, b))
+        return ref.cross_entropy_sum(feat, [0, 1]), leaf
 
     res = gradient_check(build, vec0, coords=vec0.size)
     assert res.max_rel_err <= 1e-5
@@ -154,7 +156,7 @@ def test_conv1d_gradients_match_finite_differences():
 
 def test_relu_values():
     tape = ad.Tape()
-    out = ad.relu(tape.tensor([-1.0, 0.0, 2.0]))
+    out = ref.relu(tape.tensor([-1.0, 0.0, 2.0]))
     assert np.array_equal(out.data, [0.0, 0.0, 2.0])
 
 
@@ -165,7 +167,7 @@ def test_elementwise_max_and_mean_two_rows():
     # the tape's time mean pools the same rows laid out along the time axis
     tape = ad.Tape()
     over_time = tape.tensor(np.stack(rows)[None])
-    assert np.array_equal(ad.mean_over_time(over_time).data, [[0.5, 1.5]])
+    assert np.array_equal(ref.mean_over_time(over_time).data, [[0.5, 1.5]])
 
 
 def test_pooling_permutation_invariance():
@@ -182,7 +184,7 @@ def test_pooling_permutation_invariance():
 def test_empty_pooling_rejected():
     tape = ad.Tape()
     with pytest.raises(ValueError):
-        ad.mean_over_time(tape.tensor(np.zeros((1, 0, 2))))
+        ref.mean_over_time(tape.tensor(np.zeros((1, 0, 2))))
 
 
 def test_concat_then_slice_recovers_inputs():
@@ -190,7 +192,7 @@ def test_concat_then_slice_recovers_inputs():
     a_np = rng.standard_normal((2, 4))
     b_np = rng.standard_normal((2, 3))
     tape = ad.Tape()
-    joined = ad.hstack_rows(tape.tensor(a_np), tape.tensor(b_np))
+    joined = ref.hstack_rows(tape.tensor(a_np), tape.tensor(b_np))
     assert np.array_equal(joined.data[:, :4], a_np)
     assert np.array_equal(joined.data[:, 4:], b_np)
 
@@ -201,7 +203,7 @@ def test_concat_then_slice_recovers_inputs():
 
 def ce(logits, label):
     tape = ad.Tape()
-    return ad.cross_entropy_sum(tape.tensor([logits]), [label]).item()
+    return ref.cross_entropy_sum(tape.tensor([logits]), [label]).item()
 
 
 def test_cross_entropy_uniform_logits():
@@ -236,7 +238,7 @@ def test_backward_requires_scalar():
     tape = ad.Tape()
     x = tape.tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ValueError):
-        tape.backward(ad.relu(x))
+        tape.backward(ref.relu(x))
 
 
 def test_unreached_leaves_get_exact_zeros():
@@ -251,7 +253,7 @@ def test_unreached_leaves_get_exact_zeros():
 def test_backward_is_additive_over_shared_inputs():
     tape = ad.Tape()
     x = tape.tensor([1.0, -2.0, 3.0], requires_grad=True)
-    y = ad.add(x, x)
+    y = ref.add(x, x)
     weights = [0.5, -1.5, 2.0]
     loss = weighted_sum(tape, y, weights)  # = 2 w.x -> grad 2w
     grads = tape.backward(loss)

@@ -219,6 +219,15 @@ def set_unknown_mode(doc):
                                                 prefix=f"bogus{ckpt.seed}".encode())
 
 
+def keep_one_class(doc):
+    """One class, every annotation relabelled to it, hard background."""
+    doc["classes"] = doc["classes"][:1]
+    doc["synth"]["background_mode"] = "hard"
+    for video in doc["videos"].values():
+        for ann in video.get("annotations", []):
+            ann["label"] = doc["classes"][0]
+
+
 def replace_video_record(doc):
     doc["videos"][sorted(doc["videos"])[0]] = []
 
@@ -251,6 +260,7 @@ BAD_FILES = [
     ("manifest", "zero_height", set_synth(height=0)),
     ("manifest", "zero_width", set_synth(width=0)),
     ("manifest", "height_above_limit", set_synth(height=113)),
+    ("manifest", "hard_one_class", edit_json(keep_one_class)),
     *[("checkpoint", *case) for case in (TRUNCATED, NOT_JSON, NOT_UTF8, ROOT_LIST,
                                          WRONG_VERSION)],
     ("checkpoint", "no_heads", edit_json(lambda doc: doc.pop("heads"))),

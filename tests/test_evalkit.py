@@ -109,6 +109,35 @@ def oracle_auc(proposals, gts):
     return total / 100.0 * 100.0
 
 
+def oracle_best_overlap_gt(pred, gts):
+    """The first GT of the prediction's video and class with the largest positive tIoU."""
+    scored = [(oracle_tiou(pred.t_start, pred.t_end, g.t_start, g.t_end), -i)
+              for i, g in enumerate(gts)
+              if g.video_id == pred.video_id and g.class_index == pred.class_index]
+    if not scored or max(scored)[0] <= 0.0:
+        return None
+    return gts[-max(scored)[1]]
+
+
+SEGMENTS = st.builds(lambda t0, n: (t0 / 2.0, (t0 + n) / 2.0),
+                     st.integers(0, 12), st.integers(1, 8))
+
+
+@st.composite
+def detection_instances(draw):
+    """<=5 GTs and <=8 predictions over 1-2 videos and 1-2 classes. Segments are
+    often drawn from a small shared pool and scores from a coarse grid, so
+    overlaps, start times and scores tie often."""
+    segment = st.one_of(st.sampled_from(draw(st.lists(SEGMENTS, min_size=1, max_size=3))),
+                        SEGMENTS)
+    video_and_class = st.tuples(st.sampled_from(["v0", "v1"][:draw(st.integers(1, 2))]),
+                                st.integers(0, draw(st.integers(0, 1))))
+    gts = [G(*draw(video_and_class), *draw(segment)) for _ in range(draw(st.integers(0, 5)))]
+    preds = [D(*draw(video_and_class), *draw(segment), draw(st.integers(0, 8)) / 8.0)
+             for _ in range(draw(st.integers(0, 8)))]
+    return preds, gts
+
+
 def random_instance(rng):
     """A tiny random detection problem: <=3 GTs, <=6 predictions, 2 videos."""
     gts = []
@@ -180,6 +209,15 @@ def test_equal_score_order_is_stable():
             == ev.average_precision([b, a], gts, 0, 0.5))
 
 
+def test_equal_overlaps_match_the_earlier_ground_truth():
+    # the first prediction overlaps both GTs by 1/3; taking the later one
+    # would leave the second prediction unmatched
+    gts = [G("v0", 0, 3.0, 5.0), G("v0", 0, 1.0, 3.0)]
+    preds = [D("v0", 0, 2.0, 4.0, 0.9), D("v0", 0, 3.0, 5.0, 0.8)]
+    assert ev.average_precision(preds, gts, 0, 0.3) == 1.0
+    assert oracle_ap(preds, gts, 0, 0.3) == 1.0
+
+
 def test_no_gt_class_is_excluded_from_map():
     gts = [G("v0", 0, 0.0, 10.0)]
     preds = [D("v0", 1, 0.0, 10.0, 0.9), D("v0", 0, 0.0, 10.0, 0.8)]
@@ -221,6 +259,23 @@ def test_ap_matches_brute_force_on_random_instances():
                 else:
                     assert abs(got - want) <= 1e-12, f"trial {trial} thr {thr} class {c}"
         assert abs(ev.map_at(preds, gts, 0.5) - oracle_map(preds, gts, 0.5)) <= 1e-12
+
+
+@settings(max_examples=500, deadline=None)
+@given(instance=detection_instances(), class_index=st.integers(0, 1),
+       thr=st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.95]))
+def test_average_precision_equals_oracle_exactly(instance, class_index, thr):
+    preds, gts = instance
+    assert ev.average_precision(preds, gts, class_index, thr) == oracle_ap(
+        preds, gts, class_index, thr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=detection_instances())
+def test_best_overlap_gt_equals_oracle_exactly(instance):
+    preds, gts = instance
+    for pred in preds:
+        assert ev._best_overlap_gt(pred, gts) is oracle_best_overlap_gt(pred, gts)
 
 
 def test_prepending_best_correct_prediction_never_hurts():
