@@ -5,7 +5,7 @@ autodiff engine and clip encoder, two-head pretraining with a frozen global
 video feature, dense feature extraction, temporal-localization metrics, and
 feature-similarity analysis.
 
-Importing it runs BLAS on one thread per process unless already set (see ``bench``).
+Importing it runs BLAS on one thread per process unless already set (see ``workers``).
 """
 
 import os

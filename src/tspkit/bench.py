@@ -7,29 +7,24 @@ into detections and proposals. Per-mode metrics are aggregated as mean and
 sample std over seeds. Seeds are independent, so they may run in worker
 processes; results are merged by sorted seed and are identical either way.
 
-Threading: the outermost pool owns the cores. Several seeds run in up to
-``worker_count`` forked workers, and ``train`` runs each worker's head-lr grid
-cells one after another. A single seed runs in this process, and ``train``
-forks its grid cells instead. ``TSPKIT_THREADS`` caps both pools. Every
-process runs BLAS on one thread, as ``import tspkit`` sets it. A host that
-imported numpy before tspkit keeps its own BLAS pool, which every seed or cell
-worker inherits, and with it threads that contend for the cores.
+Threading: see ``workers``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import AggregateStat, aggregate_runs, contrast_stats
-from .corpus import Corpus, corpus_from_dict, corpus_to_dict
+from .corpus import Corpus
 from .evalkit import (LocalizerParams, auc_100, average_map, baseline_localize,
                       ground_truth_from_corpus)
 from .extract import extract_track
-from .pretrain import TrainConfig, train, validate, worker_count
+from .pretrain import TrainConfig, train, validate
+from .workers import fork_map, worker_count  # noqa: F401  (bench.worker_count is public)
 
 BENCH_METRICS = ("average_map", "auc", "region_acc", "contrast")
 
@@ -93,28 +88,12 @@ def run_seed(corpus: Corpus, bench_cfg: BenchConfig, seed: int) -> dict[str, dic
     return out
 
 
-def _seed_worker(args) -> tuple[int, dict]:
-    corpus_doc, bench_cfg, seed = args
-    corpus = corpus_from_dict(corpus_doc)
-    return seed, run_seed(corpus, bench_cfg, seed)
-
-
 def run_bench(corpus: Corpus, bench_cfg: BenchConfig
               ) -> tuple[dict[str, dict[str, AggregateStat]], dict[int, dict]]:
     """Aggregated per-mode stats plus the raw per-seed metric maps."""
     bench_cfg.validate()
     seeds = sorted(bench_cfg.seeds)
-    workers = worker_count(len(seeds))
-    per_seed: dict[int, dict] = {}
-    if workers == 1:
-        for seed in seeds:
-            per_seed[seed] = run_seed(corpus, bench_cfg, seed)
-    else:
-        doc = corpus_to_dict(corpus)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for seed, result in pool.map(_seed_worker,
-                                         [(doc, bench_cfg, s) for s in seeds]):
-                per_seed[seed] = result
+    per_seed = dict(zip(seeds, fork_map(partial(run_seed, corpus), bench_cfg, seeds)))
 
     table = {}
     for mode in bench_cfg.modes:

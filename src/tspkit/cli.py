@@ -5,6 +5,11 @@ analyze-sim, bench. Every subcommand is a pure function of its inputs and
 flags; outputs embed the invoked flag set (as "# flags=" header lines, or a
 "__invocation__" key in JSON files). Exit codes: 0 success, 1 runtime
 failure, 2 usage or configuration error.
+
+``extract`` (one task per video) and ``localize`` (one per track file) run
+their items in forked workers through ``workers.fork_map``; the files they
+write are the same bytes at any worker count, and an item's error exits as
+it would in a serial loop, the first in video or path order.
 """
 
 from __future__ import annotations
@@ -16,7 +21,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import analysis, bench, corpus as corpus_mod, evalkit, extract as extract_mod, pretrain
+from .workers import fork_map
 
 
 class UsageError(Exception):
@@ -187,6 +195,12 @@ def _add_extract(sub) -> None:
     p.add_argument("--out-dir", required=True)
 
 
+def _extract_video(job, video) -> None:
+    corpus, ckpt, hop, out_dir, flags = job
+    track = extract_mod.extract_track(corpus, video, ckpt, hop=hop)
+    extract_mod.write_track(track, out_dir / f"{video.id}.csv", flags_comment=flags)
+
+
 def _cmd_extract(args) -> int:
     corpus = _load_corpus(args.manifest)
     ckpt = pretrain.load_checkpoint(args.checkpoint)
@@ -195,10 +209,8 @@ def _cmd_extract(args) -> int:
     videos = corpus.subset_videos(args.split)
     if not videos:
         raise FileNotFoundError(f"split {args.split!r} has no videos")
-    for video in videos:
-        track = extract_mod.extract_track(corpus, video, ckpt, hop=args.hop)
-        extract_mod.write_track(track, out_dir / f"{video.id}.csv",
-                                flags_comment=args.flags)
+    # each worker synthesizes the frames of its own videos only
+    fork_map(_extract_video, (corpus, ckpt, args.hop, out_dir, args.flags), videos)
     print(f"wrote {len(videos)} tracks to {out_dir}")
     return 0
 
@@ -243,20 +255,22 @@ def _add_localize(sub) -> None:
     _add_localizer_flags(p)
 
 
+def _localize_track(job, path) -> tuple[str, list, list]:
+    params, source = job
+    track = extract_mod.read_track(path)
+    if source == "region" and track.region_probs is None:
+        raise UsageError(
+            f"{path}: track has no region scores (classification-only checkpoint); "
+            f"rerun with --actionness max-prob")
+    dets, props = evalkit.baseline_localize(track, params, source)
+    return track.video_id, dets, props
+
+
 def _cmd_localize(args) -> int:
-    params = _localizer_params(args)
-    source = args.actionness.replace("-", "_")
-    dets_by_video: dict[str, list] = {}
-    props_by_video: dict[str, list] = {}
-    for path in _track_paths(args.tracks):
-        track = extract_mod.read_track(path)
-        if source == "region" and track.region_probs is None:
-            raise UsageError(
-                f"{path}: track has no region scores (classification-only checkpoint); "
-                f"rerun with --actionness max-prob")
-        dets, props = evalkit.baseline_localize(track, params, source)
-        dets_by_video[track.video_id] = dets
-        props_by_video[track.video_id] = props
+    job = (_localizer_params(args), args.actionness.replace("-", "_"))
+    results = fork_map(_localize_track, job, _track_paths(args.tracks))
+    dets_by_video = {video_id: dets for video_id, dets, _ in results}
+    props_by_video = {video_id: props for video_id, _, props in results}
     evalkit.save_predictions(dets_by_video, args.detections_out, invocation=args.flags)
     evalkit.save_predictions(props_by_video, args.proposals_out, invocation=args.flags)
     total = sum(len(v) for v in dets_by_video.values())
@@ -283,9 +297,10 @@ def _cmd_eval_det(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(f"# flags={args.flags}\n")
         fh.write("metric\tvalue\n")
-        for thr in evalkit.TIOU_GRID:
-            fh.write(f"mAP@{thr:.2f}\t{evalkit.map_at(preds, gts, thr)!r}\n")
-        fh.write(f"average_mAP\t{evalkit.average_map(preds, gts)!r}\n")
+        maps = evalkit.map_curve(preds, gts, evalkit.TIOU_GRID)
+        for thr, value in zip(evalkit.TIOU_GRID, maps):
+            fh.write(f"mAP@{thr:.2f}\t{value!r}\n")
+        fh.write(f"average_mAP\t{float(np.mean(maps))!r}\n")  # as evalkit.average_map
         if args.detad:
             fh.write("# DETAD-style length buckets (reduced protocol)\n")
             fh.write("bucket\taverage_mAP\tshare\tnum_gt\n")

@@ -103,6 +103,47 @@ def _sorted_predictions(preds: list[DetectionPrediction]) -> list[DetectionPredi
     return sorted(preds, key=lambda p: (-p.score, p.t_start, p.video_id))
 
 
+def _ap_curve(class_preds: list[DetectionPrediction], class_gts: list[GroundTruthInstance],
+              thresholds: tuple[float, ...]) -> list[float]:
+    """AP of one class at each threshold, from one overlap matrix.
+
+    ``class_preds`` are in ``_sorted_predictions`` order, and each takes the
+    unmatched GT of its video with the largest overlap at or above the
+    threshold; ties go to the GT that starts earlier, then to the one listed
+    first. ``class_gts`` is not empty.
+    """
+    if not class_preds:
+        return [0.0] * len(thresholds)
+    overlap = _segment_iou(np.array([(p.t_start, p.t_end) for p in class_preds]),
+                           np.array([(g.t_start, g.t_end) for g in class_gts]))
+    same_video = (np.array([p.video_id for p in class_preds])[:, None]
+                  == np.array([g.video_id for g in class_gts]))
+    gt_starts = np.array([g.t_start for g in class_gts])
+    curve = []
+    for thr in thresholds:
+        pred_idx, gt_idx = np.nonzero(same_video & (overlap >= thr))
+        # per prediction, its candidate GTs in the order it prefers them
+        order = np.lexsort((gt_idx, gt_starts[gt_idx], -overlap[pred_idx, gt_idx], pred_idx))
+        matched = np.zeros(len(class_gts), dtype=bool)
+        hits = np.zeros(len(class_preds))
+        for i, j in zip(pred_idx[order].tolist(), gt_idx[order].tolist()):
+            if not hits[i] and not matched[j]:
+                matched[j] = True
+                hits[i] = 1.0
+        tp = np.cumsum(hits)
+        fp = np.cumsum(1.0 - hits)
+        precision = tp / (tp + fp)
+        recall = tp / len(class_gts)
+        # monotone envelope, all-points summation; accumulate adds the
+        # recall steps one after another, in recall order
+        envelope = np.maximum.accumulate(precision[::-1])[::-1]
+        steps = recall.copy()
+        steps[1:] -= recall[:-1]
+        steps *= envelope
+        curve.append(float(np.add.accumulate(steps)[-1]))
+    return curve
+
+
 def average_precision(preds: list[DetectionPrediction], gts: list[GroundTruthInstance],
                       class_index: int, thr: float) -> float | None:
     """AP of one class at one tIoU threshold; None when the class has no GT."""
@@ -110,52 +151,34 @@ def average_precision(preds: list[DetectionPrediction], gts: list[GroundTruthIns
     if not class_gts:
         return None
     class_preds = _sorted_predictions([p for p in preds if p.class_index == class_index])
-    matched = [False] * len(class_gts)
-    hits = np.zeros(len(class_preds))
-    for i, pred in enumerate(class_preds):
-        best_j = -1
-        best_overlap = 0.0
-        for j, gt in enumerate(class_gts):
-            if matched[j] or gt.video_id != pred.video_id:
-                continue
-            overlap = tiou((pred.t_start, pred.t_end), (gt.t_start, gt.t_end))
-            if overlap >= thr and (best_j < 0 or overlap > best_overlap
-                                   or (overlap == best_overlap
-                                       and gt.t_start < class_gts[best_j].t_start)):
-                best_j = j
-                best_overlap = overlap
-        if best_j >= 0:
-            matched[best_j] = True
-            hits[i] = 1.0
-    if not len(class_preds):
-        return 0.0
-    tp = np.cumsum(hits)
-    fp = np.cumsum(1.0 - hits)
-    precision = tp / (tp + fp)
-    recall = tp / len(class_gts)
-    # monotone envelope, all-points summation
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    ap = 0.0
-    prev_recall = 0.0
-    for r, p in zip(recall, envelope):
-        ap += (r - prev_recall) * p
-        prev_recall = r
-    return float(ap)
+    return _ap_curve(class_preds, class_gts, (thr,))[0]
+
+
+def map_curve(preds: list[DetectionPrediction], gts: list[GroundTruthInstance],
+              thresholds: tuple[float, ...] = TIOU_GRID) -> list[float]:
+    """mAP at each threshold: the mean AP over the classes that have GT."""
+    if not gts:
+        raise EvalError("no ground-truth instances")
+    preds_by_class: dict[int, list[DetectionPrediction]] = {}
+    for p in preds:
+        preds_by_class.setdefault(p.class_index, []).append(p)
+    gts_by_class: dict[int, list[GroundTruthInstance]] = {}
+    for g in gts:
+        gts_by_class.setdefault(g.class_index, []).append(g)
+    curves = [_ap_curve(_sorted_predictions(preds_by_class.get(c, [])), gts_by_class[c],
+                        thresholds) for c in sorted(gts_by_class)]
+    return [float(np.mean([curve[t] for curve in curves])) for t in range(len(thresholds))]
 
 
 def map_at(preds: list[DetectionPrediction], gts: list[GroundTruthInstance],
            thr: float) -> float:
     """Mean AP over the classes that have at least one GT instance."""
-    if not gts:
-        raise EvalError("no ground-truth instances")
-    classes = sorted({g.class_index for g in gts})
-    aps = [average_precision(preds, gts, c, thr) for c in classes]
-    return float(np.mean([a for a in aps if a is not None]))
+    return map_curve(preds, gts, (thr,))[0]
 
 
 def average_map(preds: list[DetectionPrediction], gts: list[GroundTruthInstance],
                 thresholds: tuple[float, ...] = TIOU_GRID) -> float:
-    return float(np.mean([map_at(preds, gts, t) for t in thresholds]))
+    return float(np.mean(map_curve(preds, gts, thresholds)))
 
 
 # ---------------------------------------------------------------------------
@@ -266,18 +289,34 @@ def detad_bucket(length_sec: float) -> str:
     return "XL"
 
 
+def _best_overlap_gts(preds: list[DetectionPrediction], gts: list[GroundTruthInstance]
+                      ) -> list[GroundTruthInstance | None]:
+    """Per prediction, the first GT of its video and class with the largest
+    positive tIoU; None when no such GT overlaps it."""
+    gt_groups: dict[tuple[str, int], list[GroundTruthInstance]] = {}
+    for g in gts:
+        gt_groups.setdefault((g.video_id, g.class_index), []).append(g)
+    pred_groups: dict[tuple[str, int], list[int]] = {}
+    for i, p in enumerate(preds):
+        pred_groups.setdefault((p.video_id, p.class_index), []).append(i)
+    best: list[GroundTruthInstance | None] = [None] * len(preds)
+    for key, rows in pred_groups.items():
+        group_gts = gt_groups.get(key)
+        if not group_gts:
+            continue
+        overlap = _segment_iou(np.array([(preds[i].t_start, preds[i].t_end) for i in rows]),
+                               np.array([(g.t_start, g.t_end) for g in group_gts]))
+        first_max = overlap.argmax(axis=1)  # argmax takes the first of equal overlaps
+        for i, k, top in zip(rows, first_max.tolist(), overlap.max(axis=1).tolist()):
+            if top > 0.0:
+                best[i] = group_gts[k]
+    return best
+
+
 def _best_overlap_gt(pred: DetectionPrediction,
                      gts: list[GroundTruthInstance]) -> GroundTruthInstance | None:
-    best = None
-    best_overlap = 0.0
-    for g in gts:
-        if g.video_id != pred.video_id or g.class_index != pred.class_index:
-            continue
-        overlap = tiou((pred.t_start, pred.t_end), (g.t_start, g.t_end))
-        if overlap > best_overlap:
-            best = g
-            best_overlap = overlap
-    return best
+    """``_best_overlap_gts`` of one prediction."""
+    return _best_overlap_gts([pred], gts)[0]
 
 
 def detad_report(preds: list[DetectionPrediction], gts: list[GroundTruthInstance]
@@ -292,7 +331,7 @@ def detad_report(preds: list[DetectionPrediction], gts: list[GroundTruthInstance
         raise EvalError("no ground-truth instances")
     gt_buckets = {g: detad_bucket(g.length) for g in gts}
     # a prediction's best-overlap GT does not depend on the bucket
-    best = [_best_overlap_gt(p, gts) for p in preds]
+    best_buckets = [None if g is None else gt_buckets[g] for g in _best_overlap_gts(preds, gts)]
     report: dict[str, dict] = {}
     for bucket in DETAD_BUCKETS:
         bucket_gts = [g for g in gts if gt_buckets[g] == bucket]
@@ -300,7 +339,7 @@ def detad_report(preds: list[DetectionPrediction], gts: list[GroundTruthInstance
         if not bucket_gts:
             report[bucket] = {"average_map": None, "share": share, "num_gt": 0}
             continue
-        kept = [p for p, g in zip(preds, best) if g is None or gt_buckets[g] == bucket]
+        kept = [p for p, b in zip(preds, best_buckets) if b is None or b == bucket]
         report[bucket] = {"average_map": average_map(kept, bucket_gts),
                           "share": share, "num_gt": len(bucket_gts)}
     return report

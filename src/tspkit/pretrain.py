@@ -27,8 +27,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import multiprocessing
-import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
@@ -40,6 +38,7 @@ from .corpus import Corpus
 from .sampler import (ClipSpec, build_epoch, clip_batch, dense_clip_specs, test_clip_set,
                       video_segment_clips)
 from .seeding import rng_for
+from .workers import fork_map
 
 CHECKPOINT_SCHEMA_VERSION = 1
 MODES = ("tsp", "tsp_nogvf", "tac")
@@ -445,22 +444,6 @@ def _selection_score(action_acc: float, region_acc: float | None) -> float:
     return 0.5 * (action_acc + region_acc)
 
 
-def worker_count(num_tasks: int) -> int:
-    """Worker processes for ``num_tasks`` independent tasks: at most the CPUs
-    this process may run on, capped by TSPKIT_THREADS; 1 inside any
-    multiprocessing worker, so pools never nest."""
-    if multiprocessing.parent_process() is not None:
-        return 1
-    raw = os.environ.get("TSPKIT_THREADS", "").strip()
-    if raw:
-        cap = max(1, int(raw))
-    elif hasattr(os, "sched_getaffinity"):
-        cap = len(os.sched_getaffinity(0))
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, num_tasks))
-
-
 @dataclass(frozen=True)
 class _CellInputs:
     """What every grid cell of one ``train`` call shares, built before any cell runs."""
@@ -538,29 +521,10 @@ def _train_cell(inputs: _CellInputs, head_lr: float) -> tuple[list[TrainLogRow],
     return rows, best
 
 
-_forked_cell_inputs: _CellInputs | None = None  # set only in a cell worker, by fork
-
-
-def _set_forked_cell_inputs(inputs: _CellInputs) -> None:
-    global _forked_cell_inputs
-    _forked_cell_inputs = inputs
-
-
-def _forked_cell(head_lr: float) -> tuple[list[TrainLogRow], tuple | None]:
-    return _train_cell(_forked_cell_inputs, head_lr)
-
-
 def _train_cells(inputs: _CellInputs) -> list[tuple[list[TrainLogRow], tuple | None]]:
-    """Every grid cell's result, in grid order: in forked workers when cores are
-    free (they inherit ``inputs``; only a head lr goes out and a result comes
-    back), else one after another in this process."""
-    grid = inputs.cfg.head_lr_grid
-    workers = worker_count(len(grid))
-    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return [_train_cell(inputs, head_lr) for head_lr in grid]
-    with multiprocessing.get_context("fork").Pool(
-            workers, initializer=_set_forked_cell_inputs, initargs=(inputs,)) as pool:
-        return pool.map(_forked_cell, grid, chunksize=1)
+    """Every grid cell's result, in grid order, through ``fork_map``: workers
+    inherit ``inputs``; only a head lr goes out and a result comes back."""
+    return fork_map(_train_cell, inputs, inputs.cfg.head_lr_grid)
 
 
 def train(corpus: Corpus, cfg: TrainConfig,
@@ -573,13 +537,10 @@ def train(corpus: Corpus, cfg: TrainConfig,
     for a large-scale pretrained initialization).
 
     The grid cells are independent. Once the epochs, the validation clips and
-    the GVF table are built, the cells run in up to ``worker_count`` forked
-    processes, or one after another inside a multiprocessing worker (such as a
-    ``bench`` seed worker: the outermost pool owns the cores) or where fork is
-    unavailable. Rows are concatenated in grid order and the best selection
-    key wins, the first cell in grid order on a tie, so the checkpoint and the
-    rows are the same bytes at any worker count. A host that imported numpy
-    before tspkit gives each cell worker its own multi-threaded BLAS pool.
+    the GVF table are built, the cells run through ``workers.fork_map`` (whose
+    docstring gives the threading model). Rows are concatenated in grid order
+    and the best selection key wins, the first cell in grid order on a tie, so
+    the checkpoint and the rows are the same bytes at any worker count.
     """
     cfg.validate()
     enc_cfg = encoder_config_for(corpus, cfg)

@@ -12,6 +12,7 @@ import tspkit
 from tspkit import bench
 from tspkit import corpus as cp
 from tspkit import pretrain as pt
+from tspkit import workers
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -62,20 +63,20 @@ def test_bench_tables_do_not_depend_on_worker_count(seeds, head_lr_grid, tmp_pat
 
 def test_worker_count_is_one_inside_a_forked_worker(monkeypatch):
     monkeypatch.setenv("TSPKIT_THREADS", "2")
-    assert bench.worker_count is pt.worker_count
-    assert pt.worker_count(5) == 2
+    assert bench.worker_count is workers.worker_count
+    assert workers.worker_count(5) == 2
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        assert pool.apply_async(pt.worker_count, (5,)).get(timeout=60) == 1
+        assert pool.apply_async(workers.worker_count, (5,)).get(timeout=60) == 1
 
 
 def test_worker_count_defaults_to_the_cpus_this_process_may_use(monkeypatch):
     monkeypatch.delenv("TSPKIT_THREADS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert pt.worker_count(5) == 1
+    assert workers.worker_count(5) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-    assert (pt.worker_count(5), pt.worker_count(2)) == (3, 2)
+    assert (workers.worker_count(5), workers.worker_count(2)) == (3, 2)
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert pt.worker_count(5) == 5
+    assert workers.worker_count(5) == 5
     monkeypatch.setenv("TSPKIT_THREADS", "1")
-    assert pt.worker_count(5) == 1
+    assert workers.worker_count(5) == 1

@@ -312,3 +312,103 @@ def test_malformed_input_file_exits_1_with_one_error_line_naming_it(
     assert err.startswith(f"error: {bad}: ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# extract and localize run their videos and track files in workers
+
+
+@pytest.fixture(scope="module")
+def four_videos(tmp_path_factory):
+    """A manifest with four valid videos, and a tsp and a tac checkpoint for it."""
+    from tspkit import corpus as corpus_mod, pretrain
+
+    root = tmp_path_factory.mktemp("four")
+    manifest_path = root / "corpus.json"
+    assert cli.main(["gen-corpus", "--out", str(manifest_path), "--train-videos", "2",
+                     "--valid-videos", "4", "--classes", "2", "--seed", "3"]) == 0
+    corpus = corpus_mod.load_manifest(manifest_path)
+    files = {"manifest": manifest_path}
+    for mode in ("tsp", "tac"):
+        cfg = pretrain.TrainConfig(mode=mode, epochs=0, warmup_epochs=0,
+                                   head_lr_grid=(0.004,), embed_dim=4, blocks=1,
+                                   init="random")
+        files[mode] = root / f"{mode}.json"
+        pretrain.save_checkpoint(pretrain.train(corpus, cfg)[0], files[mode])
+    return files
+
+
+def extract_and_localize(files, mode, out, capsys, actionness="region"):
+    """Exit codes and stderr of ``extract`` then ``localize`` into ``out``."""
+    tracks = out / "tracks"
+    codes = [cli.main(["extract", "--manifest", str(files["manifest"]),
+                       "--checkpoint", str(files[mode]), "--out-dir", str(tracks)])]
+    if codes[0] == 0:
+        codes.append(cli.main(["localize", "--tracks", str(tracks),
+                               "--detections-out", str(out / "detections.json"),
+                               "--proposals-out", str(out / "proposals.json"),
+                               "--actionness", actionness]))
+    return codes, capsys.readouterr().err
+
+
+def test_extract_and_localize_write_the_same_bytes_at_one_and_two_workers(
+        four_videos, tmp_path, monkeypatch, capsys):
+    written = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("TSPKIT_THREADS", threads)
+        out = tmp_path / f"threads{threads}"
+        assert extract_and_localize(four_videos, "tsp", out, capsys) == ([0, 0], "")
+        # the flags lines name the output paths, which differ between the two runs
+        written[threads] = {
+            path.relative_to(out).as_posix(): [line for line in path.read_text().splitlines()
+                                               if "flags=" not in line
+                                               and "__invocation__" not in line]
+            for path in sorted(out.rglob("*.*"))}
+    assert len(written["1"]) == 4 + 2
+    assert written["1"] == written["2"]
+
+
+def test_a_frame_geometry_mismatch_fails_extract_through_the_pool(
+        four_videos, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TSPKIT_THREADS", "2")
+    tall = tmp_path / "tall.json"
+    assert cli.main(["gen-corpus", "--out", str(tall), "--train-videos", "1",
+                     "--valid-videos", "4", "--classes", "2", "--height", "2"]) == 0
+    capsys.readouterr()
+    codes, err = extract_and_localize({**four_videos, "manifest": tall}, "tsp",
+                                      tmp_path / "out", capsys)
+    assert codes == [1]
+    assert err == "error: checkpoint expects 16x1x1 frames, corpus has 16x2x1\n"
+
+
+def test_region_actionness_on_tac_tracks_names_the_first_track_through_the_pool(
+        four_videos, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("TSPKIT_THREADS", "2")
+    codes, err = extract_and_localize(four_videos, "tac", tmp_path, capsys)
+    first = sorted((tmp_path / "tracks").glob("*.csv"))[0]
+    assert codes == [0, 2]
+    assert err.startswith(f"error: {first}: track has no region scores")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "detections.json").exists()
+
+
+def test_eval_det_report_writes_each_threshold_and_their_mean(manifest, tmp_path, capsys):
+    from tspkit import corpus, evalkit
+
+    gts = evalkit.ground_truth_from_corpus(corpus.load_manifest(manifest), "valid")
+    preds = {}
+    for k, g in enumerate(gts):  # each GT shifted by a share of its length, and a miss
+        shift = (0.02, 0.1, 0.2, 0.3)[k % 4] * g.length
+        preds.setdefault(g.video_id, []).extend([
+            evalkit.DetectionPrediction(g.video_id, g.class_index, g.t_start + shift,
+                                        g.t_end + shift, 0.9 - 0.01 * k),
+            evalkit.DetectionPrediction(g.video_id, g.class_index, 0.0, 0.5, 0.5)])
+    path = tmp_path / "dets.json"
+    evalkit.save_predictions(preds, path)
+    out = tmp_path / "report.tsv"
+    assert cli.main(["eval-det", "--manifest", str(manifest), "--detections", str(path),
+                     "--out", str(out)]) == 0
+    dets = evalkit.load_predictions(path, kind="detections")
+    want = [f"mAP@{thr:.2f}\t{evalkit.map_at(dets, gts, thr)!r}" for thr in evalkit.TIOU_GRID]
+    want.append(f"average_mAP\t{evalkit.average_map(dets, gts)!r}")
+    assert out.read_text().splitlines()[2:] == want

@@ -272,10 +272,35 @@ def test_average_precision_equals_oracle_exactly(instance, class_index, thr):
 
 @settings(max_examples=300, deadline=None)
 @given(instance=detection_instances())
+def test_map_curve_equals_oracle_exactly(instance):
+    # one overlap matrix per class serves every threshold
+    preds, gts = instance
+    if not gts:
+        return
+    classes = sorted({g.class_index for g in gts})
+    want = [float(np.mean([oracle_ap(preds, gts, c, thr) for c in classes]))
+            for thr in ev.TIOU_GRID]
+    assert ev.map_curve(preds, gts) == want
+    assert ev.average_map(preds, gts) == float(np.mean(want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=detection_instances())
 def test_best_overlap_gt_equals_oracle_exactly(instance):
     preds, gts = instance
     for pred in preds:
         assert ev._best_overlap_gt(pred, gts) is oracle_best_overlap_gt(pred, gts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=detection_instances())
+def test_best_overlap_gts_of_all_predictions_at_once_equal_oracle_exactly(instance):
+    # detad_report looks every prediction up in one call, grouped by video and class
+    preds, gts = instance
+    best = ev._best_overlap_gts(preds, gts)
+    assert len(best) == len(preds)
+    for pred, gt in zip(preds, best):
+        assert gt is oracle_best_overlap_gt(pred, gts)
 
 
 def test_prepending_best_correct_prediction_never_hurts():
