@@ -5,8 +5,8 @@ default durations, 4 classes) of a small seeded corpus, under a checkpoint of th
 width (``bench.default_bench_train_config``: embed 16, one block) taken at
 its random initialization (no epochs), so the timing covers what every
 ``extract`` call does: loading the manifest and the checkpoint, synthesizing
-each video's frames from a cold corpus, the forward passes and the track
-files. ``TSPKIT_THREADS`` caps the workers. tspkit is imported before numpy,
+the frames each video's clips read from a cold corpus, the forward passes and
+the track files. ``TSPKIT_THREADS`` caps the workers. tspkit is imported before numpy,
 so BLAS runs on one thread per process. The test suite does not collect this
 file (it does not match ``test_*.py``); run it from the repository root with
 pytest-benchmark:

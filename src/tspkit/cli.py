@@ -209,7 +209,7 @@ def _cmd_extract(args) -> int:
     videos = corpus.subset_videos(args.split)
     if not videos:
         raise FileNotFoundError(f"split {args.split!r} has no videos")
-    # each worker synthesizes the frames of its own videos only
+    # each worker synthesizes only the frame rows its own videos' clips read
     fork_map(_extract_video, (corpus, ckpt, args.hop, out_dir, args.flags), videos)
     print(f"wrote {len(videos)} tracks to {out_dir}")
     return 0

@@ -9,9 +9,11 @@ bit from the manifest alone.
 
 The noise of frame ``i`` of a video is keyed per frame, as part of the
 manifest contract: it is ``rng_for(frame_seed, "frame-noise",
-i).standard_normal(frame_dim)``, scaled by ``noise_sigma``. ``video_frames``
-draws a whole video's noise at once with ``seeding.normal_rows``, which
-yields the same bits.
+i).standard_normal(frame_dim)``, scaled by ``noise_sigma``. Because each
+frame's noise depends on its own index only, a reader can synthesize any
+subset of a video's rows and get the same bits as the whole video:
+``video_frames`` and ``frames_at`` both draw the noise of the rows they need
+at once with ``seeding.normal_rows``.
 
 A frame side of at most ``MAX_FRAME_SIDE`` (112) pixels is part of the
 contract too: frames reach the encoder as stored, with no resize or crop, so
@@ -159,6 +161,12 @@ class Corpus:
     attributes filled without a lock, so concurrent first uses may each
     compute the same entry. Every cached value is a pure function of the
     manifest, and the cached arrays are read-only.
+
+    Only ``video_frames`` (and ``frame``, which reads it) fills the frame
+    cache, with a whole video; training, validation and global features read
+    whole splits many times and go through it. ``frames_at`` reads the cache
+    when the video is in it and otherwise synthesizes just the rows asked
+    for without caching them, which is what a single dense pass needs.
     """
 
     def __init__(self, classes: list[str], videos: dict[str, VideoRecord],
@@ -237,22 +245,45 @@ class Corpus:
         """All frames of a video, shape (num_frames, channels, height, width); cached."""
         cached = self._frame_cache.get(video.id)
         if cached is None:
-            info = self._require_synth()
-            segs = self.segments(video.id)
-            # segments partition [0, duration]; membership is half-open, and
-            # a time past the last end falls in the last segment
-            ends = np.array([seg.t_end for seg in segs])
-            times = np.arange(video.num_frames) / video.fps
-            seg_index = np.minimum(np.searchsorted(ends, times, side="right"), len(segs) - 1)
-            used, inverse = np.unique(seg_index, return_inverse=True)
-            cached = np.stack([self._segment_prototype(video, segs[j]) for j in used])[inverse]
-            if info.noise_sigma > 0.0:
-                cached += info.noise_sigma * normal_rows(
-                    video.frame_seed, "frame-noise", count=video.num_frames, dim=info.frame_dim)
-            cached = cached.reshape(-1, info.channels, info.height, info.width)
+            cached = self._synthesize_rows(video, np.arange(video.num_frames))
             cached.setflags(write=False)
             self._frame_cache[video.id] = cached
         return cached
+
+    def frames_at(self, video: VideoRecord, indices) -> np.ndarray:
+        """The frames at an integer index array of any shape, shape
+        ``indices.shape + (channels, height, width)``; equal to
+        ``video_frames(video)[indices]`` bit for bit.
+
+        A cached video is gathered from the cache; otherwise only the distinct
+        rows asked for are synthesized, and the cache is left unfilled.
+        """
+        indices = np.asarray(indices)
+        if indices.size and not (0 <= indices.min() and indices.max() < video.num_frames):
+            raise ValueError(f"frame indices out of range for {video.id!r} "
+                             f"({video.num_frames} frames)")
+        cached = self._frame_cache.get(video.id)
+        if cached is not None:
+            return cached[indices]
+        rows, inverse = np.unique(indices, return_inverse=True)
+        return self._synthesize_rows(video, rows)[inverse.reshape(indices.shape)]
+
+    def _synthesize_rows(self, video: VideoRecord, rows: np.ndarray) -> np.ndarray:
+        """Frames ``rows`` (a 1-D index array) of a video, shape (len(rows), c, h, w)."""
+        info = self._require_synth()
+        segs = self.segments(video.id)
+        # segments partition [0, duration]; membership is half-open, and
+        # a time past the last end falls in the last segment
+        ends = np.array([seg.t_end for seg in segs])
+        seg_index = np.minimum(np.searchsorted(ends, rows / video.fps, side="right"),
+                               len(segs) - 1)
+        used, inverse = np.unique(seg_index, return_inverse=True)
+        frames = np.array([self._segment_prototype(video, segs[j]) for j in used]
+                          ).reshape(-1, info.frame_dim)[inverse]
+        if info.noise_sigma > 0.0:
+            frames += info.noise_sigma * normal_rows(
+                video.frame_seed, "frame-noise", rows=rows, dim=info.frame_dim)
+        return frames.reshape(-1, info.channels, info.height, info.width)
 
 
 def derive_segments(video: VideoRecord) -> list[RegionSegment]:

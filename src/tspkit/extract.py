@@ -6,6 +6,12 @@ foreground probability from the region head (when the checkpoint has one),
 and the action logits. Tracks are plain CSV with a comment header so they
 stay greppable and diffable; floats round-trip exactly via shortest-decimal
 serialization.
+
+A video's clips are gathered with one ``Corpus.frames_at`` call. On a cold
+corpus that synthesizes only the frame rows the clips read, not the whole
+video: at the default hop a clip spans 31 frames but reads 16 of them, so
+about half of each video. On a corpus whose frames are already cached (as
+after validation), it gathers from the cache.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from . import encoder as enc
 from .autodiff import softmax
 from .corpus import Corpus, VideoRecord
 from .pretrain import Checkpoint, checkpoint_global_feature, head_logits
-from .sampler import clip_batch, clip_span, dense_clip_specs
+from .sampler import clip_frame_indices, clip_span, dense_clip_specs
 
 
 class TrackError(ValueError):
@@ -59,8 +65,12 @@ def extract_track(corpus: Corpus, video: VideoRecord, ckpt: Checkpoint,
 
     tsp = ckpt.mode == "tsp"
     global_feat = checkpoint_global_feature(corpus, video.id, ckpt) if tsp else np.empty(0)
-    specs = dense_clip_specs(video, cfg.clip_len, cfg.frame_stride, hop)
-    feats = enc.forward_np_batch(ckpt.encoder, clip_batch(corpus, specs))
+    centers = np.array([spec.center_frame for spec in
+                        dense_clip_specs(video, cfg.clip_len, cfg.frame_stride, hop)])
+    indices = clip_frame_indices(centers[:, None], cfg.clip_len, cfg.frame_stride,
+                                 video.num_frames)
+    clips = corpus.frames_at(video, indices).reshape(len(centers), cfg.clip_len, -1)
+    feats = enc.forward_np_batch(ckpt.encoder, clips)
     gfeats = np.broadcast_to(global_feat, feats.shape) if tsp else None
     logits, region = head_logits(feats, gfeats, ckpt.heads, ckpt.mode)
     probs = None if region is None else softmax(region)[:, 1]
@@ -68,7 +78,7 @@ def extract_track(corpus: Corpus, video: VideoRecord, ckpt: Checkpoint,
         video_id=video.id, clip_len=cfg.clip_len, frame_stride=cfg.frame_stride,
         hop_frames=hop, fps=video.fps, num_frames=video.num_frames,
         checkpoint_id=ckpt.checkpoint_id, global_feature=global_feat,
-        center_times=np.array([spec.center_frame / video.fps for spec in specs]),
+        center_times=centers / video.fps,
         features=feats, region_probs=probs, action_logits=logits)
 
 
@@ -95,13 +105,12 @@ def write_track(track: FeatureTrack, path, flags_comment: str | None = None) -> 
         cols = (["t_center"] + [f"f_{j}" for j in range(dim)] + ["p_fg"]
                 + [f"a_{j}" for j in range(classes)])
         fh.write(",".join(cols) + "\n")
-        for i in range(n):
-            fields = [repr(float(track.center_times[i]))]
-            fields += [repr(float(v)) for v in track.features[i]]
-            fields.append("" if track.region_probs is None
-                          else repr(float(track.region_probs[i])))
-            fields += [repr(float(v)) for v in track.action_logits[i]]
-            fh.write(",".join(fields) + "\n")
+        probs = ([""] * n if track.region_probs is None
+                 else map(repr, track.region_probs.tolist()))
+        fh.writelines(",".join([repr(t), *map(repr, feat), p, *map(repr, logit)]) + "\n"
+                      for t, feat, p, logit in zip(track.center_times.tolist(),
+                                                   track.features.tolist(), probs,
+                                                   track.action_logits.tolist()))
 
 
 def read_track(path) -> FeatureTrack:

@@ -9,10 +9,13 @@ background for the region head, and the action class of a foreground clip.
 Frames are used as the corpus stores them, with no resize or crop: the
 manifest caps a frame side at ``corpus.MAX_FRAME_SIDE`` pixels.
 
-``clip_batch`` is the one input path: training, validation, global-feature
-pooling and dense extraction all gather their clips through it, with one
-fancy index per clip into the cached frames. ``load_clip`` assembles a single
-clip the plain way and is kept as its reference.
+``clip_batch`` is the input path of everything that reads whole splits many
+times: training, validation and global-feature pooling gather their clips
+through it, with one fancy index per clip into the cached frames. Dense
+extraction does not: it reads each video once, so it passes
+``clip_frame_indices`` straight to ``Corpus.frames_at``, which synthesizes
+only the rows its clips read. ``load_clip`` assembles a single clip the plain
+way and is kept as the reference for both.
 """
 
 from __future__ import annotations

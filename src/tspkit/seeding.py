@@ -5,9 +5,9 @@ key, so identical inputs give bit-identical outputs on any platform. String
 parts are folded in via sha256 rather than ``hash()`` (which is salted per
 process).
 
-``normal_rows(*prefix, count, dim)`` is defined by ``rng_for``: its row ``i``
-is ``rng_for(*prefix, i).standard_normal(dim)``, bit for bit. It only gets
-there faster, by running numpy's ``SeedSequence`` entropy mixing for all
+``normal_rows(*prefix, rows, dim)`` is defined by ``rng_for``: its row ``k``
+is ``rng_for(*prefix, rows[k]).standard_normal(dim)``, bit for bit. It only
+gets there faster, by running numpy's ``SeedSequence`` entropy mixing for all
 indices at once and reseeding one ``PCG64`` per row.
 """
 
@@ -111,19 +111,22 @@ def _pcg64_seeds(entropy: list[np.ndarray]) -> np.ndarray:
                     axis=1)
 
 
-def normal_rows(*prefix, count: int, dim: int) -> np.ndarray:
-    """``np.stack([rng_for(*prefix, i).standard_normal(dim) for i in range(count)])``.
+def normal_rows(*prefix, rows, dim: int) -> np.ndarray:
+    """``np.stack([rng_for(*prefix, i).standard_normal(dim) for i in rows])``.
 
-    Bit-identical to that stack, shape (count, dim); ``count`` 0 gives an
-    empty (0, dim) array. Each index must be one 32-bit seed word, so
-    ``count`` is at most 2**32.
+    Bit-identical to that stack, shape (len(rows), dim); ``rows`` is a 1-D
+    integer array in any order, repeats allowed, and an empty one gives an
+    empty (0, dim) array. Each index must be one 32-bit seed word, so every
+    row lies in [0, 2**32).
     """
-    if not 0 <= count <= 1 << 32:
-        raise ValueError(f"count must be in [0, 2**32], got {count}")
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or (rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0
+                                         or rows.max() > _MASK32)):
+        raise ValueError("rows must be a 1-D integer array with values in [0, 2**32)")
+    count = len(rows)
     out = np.empty((count, dim), dtype=np.float64)
     fixed = [w for part in _as_ints(prefix) for w in _uint32_words(part)]
-    index = np.arange(count, dtype=np.uint32)
-    entropy = [np.full(count, w, dtype=np.uint32) for w in fixed] + [index]
+    entropy = [np.full(count, w, dtype=np.uint32) for w in fixed] + [rows.astype(np.uint32)]
     seeds = _pcg64_seeds(entropy).tolist()
 
     bit_gen = np.random.PCG64(0)

@@ -7,6 +7,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tspkit import corpus as cp
 
@@ -336,6 +338,37 @@ def test_video_frames_match_golden_digest(noise, mode):
         digest.update(repr(frames.shape).encode())
         digest.update(np.ascontiguousarray(frames, dtype="<f8").tobytes())
     assert digest.hexdigest() == FRAME_DIGESTS[noise, mode]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(FRAME_DIGESTS)), st.integers(0, 3),
+       st.lists(st.integers(-40, 300), max_size=30),
+       st.sampled_from([(-1,), (2, -1), (-1, 1, 2)]))
+def test_cold_frames_at_equals_video_frames_rows(noise_mode, video_pos, values, shape):
+    # indices clamped to the video as clip_frame_indices clamps them, so the
+    # edges repeat; frames_at on a cold corpus leaves the frame cache empty
+    noise, mode = noise_mode
+    warm = synth_corpus(noise=noise, mode=mode)
+    cold = cp.corpus_from_dict(cp.corpus_to_dict(warm))
+    video = list(cold.videos.values())[video_pos]
+    values = values[:len(values) // 2 * 2]  # every shape splits an even count
+    idx = np.clip(np.array(values, dtype=np.int64), 0, video.num_frames - 1).reshape(shape)
+    got = cold.frames_at(video, idx)
+    assert not cold._frame_cache
+    want = warm.video_frames(warm.videos[video.id])[idx]
+    assert got.shape == want.shape == idx.shape + want.shape[idx.ndim:]
+    assert got.tobytes() == want.tobytes()
+    assert warm.frames_at(video, idx).tobytes() == want.tobytes()
+
+
+def test_frames_at_rejects_out_of_range_indices_cold_or_warm():
+    corpus = synth_corpus()
+    video = list(corpus.videos.values())[0]
+    for _ in range(2):  # cold, then warm
+        for bad in ([-1], [0, video.num_frames]):
+            with pytest.raises(ValueError, match="out of range"):
+                corpus.frames_at(video, bad)
+        corpus.video_frames(video)
 
 
 # sha256 of save_manifest's bytes for synth_corpus(), taken before the synth block

@@ -10,7 +10,7 @@ from tspkit import encoder as enc
 from tspkit import extract as ex
 from tspkit import pretrain as pt
 from tspkit.autodiff import softmax
-from tspkit.sampler import ClipSpec, load_clip
+from tspkit.sampler import ClipSpec, clip_frame_indices, clip_span, load_clip
 
 
 def make_corpus(duration=77.5, fps=4.0, valid=True):
@@ -218,3 +218,68 @@ def test_nonpositive_hop_rejected_for_tracks_and_dense_global_features():
         ex.extract_track(corpus, corpus.videos["va_0"], make_checkpoint(corpus), hop=0)
     with pytest.raises(ValueError, match="hop must be positive"):
         make_checkpoint(corpus, gvf_dense_hop=0)
+
+
+def cold_copy(corpus):
+    """The same manifest with empty caches, as a fresh ``tspkit extract`` loads it."""
+    return cp.Corpus(corpus.classes, corpus.videos, corpus.synth)
+
+
+@pytest.mark.parametrize("clip_len, frame_stride", [(16, 2), (5, 3)])
+@pytest.mark.parametrize("hop", [1, 5, None, "span+3"])
+def test_cold_corpus_gives_the_warm_track(clip_len, frame_stride, hop):
+    corpus = make_corpus()
+    ckpt = make_checkpoint(corpus, clip_len=clip_len, frame_stride=frame_stride)
+    if hop == "span+3":
+        hop = clip_span(clip_len, frame_stride) + 3
+    video = corpus.videos["va_0"]
+    corpus.video_frames(video)  # warm: gathered from the frame cache
+    cold = cold_copy(corpus)
+    assert_tracks_equal(ex.extract_track(cold, video, ckpt, hop=hop),
+                        ex.extract_track(corpus, video, ckpt, hop=hop))
+    assert not cold._frame_cache
+
+
+@pytest.mark.parametrize("hop", [1, None, 40])
+def test_cold_extraction_synthesizes_exactly_the_rows_its_clips_read(monkeypatch, hop):
+    corpus = make_corpus()
+    ckpt = make_checkpoint(corpus)  # tsp: the global feature comes from the table
+    video = corpus.videos["va_0"]
+    cfg = ckpt.config
+    calls, normal_rows = [], cp.normal_rows
+
+    def recording_normal_rows(*prefix, rows, dim):
+        calls.append(np.array(rows))
+        return normal_rows(*prefix, rows=rows, dim=dim)
+
+    monkeypatch.setattr(cp, "normal_rows", recording_normal_rows)
+    track = ex.extract_track(cold_copy(corpus), video, ckpt, hop=hop)
+    centers = np.round(track.center_times * video.fps).astype(int)
+    read = clip_frame_indices(centers[:, None], cfg.clip_len, cfg.frame_stride,
+                              video.num_frames)
+    assert len(calls) == 1
+    assert calls[0].tolist() == np.unique(read).tolist()
+
+
+def reference_track_rows(track):
+    """``write_track``'s data rows written one field at a time, as the format reads."""
+    lines = []
+    for i in range(len(track)):
+        fields = [repr(float(track.center_times[i]))]
+        fields += [repr(float(v)) for v in track.features[i]]
+        fields.append("" if track.region_probs is None
+                      else repr(float(track.region_probs[i])))
+        fields += [repr(float(v)) for v in track.action_logits[i]]
+        lines.append(",".join(fields) + "\n")
+    return lines
+
+
+@pytest.mark.parametrize("mode", ["tsp", "tac"])
+def test_written_rows_equal_the_field_by_field_reference(tmp_path, mode):
+    corpus = make_corpus()
+    track = ex.extract_track(corpus, corpus.videos["va_0"], make_checkpoint(corpus, mode=mode))
+    path = tmp_path / "t.csv"
+    ex.write_track(track, path, flags_comment="--x 1")
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[0] == "# flags=--x 1\n"
+    assert lines[-len(track):] == reference_track_rows(track)
