@@ -1,8 +1,13 @@
-"""Microbenchmark of proposal AR/AUC at the scale of one evaluated checkpoint.
+"""Microbenchmarks of proposal AR/AUC, and of reading the files that
+evaluation reads, at the scale of one evaluated checkpoint.
 
-The instance is fixed and seeded: 40 videos, each with 1-4 ground-truth
+The AR instance is fixed and seeded: 40 videos, each with 1-4 ground-truth
 instances and 1-100 proposals, half of them jittered copies of a GT so that
-many pairs overlap above the tIoU grid. The test suite does not collect this
+many pairs overlap above the tIoU grid. The decoding cases read a seeded
+detections file of 40 videos x 100 rows with ``load_predictions``, and a
+checkpoint of the study's shape (``bench.default_bench_train_config``: embed
+16, one block; 16 channels, 8 classes, a GVF row for each of 120 videos, 40
+log rows) with ``load_checkpoint``. The test suite does not collect this
 file (it does not match ``test_*.py``); run it from the repository root with
 pytest-benchmark:
 
@@ -12,7 +17,10 @@ pytest-benchmark:
 import numpy as np
 import pytest
 
+from tspkit import bench
+from tspkit import encoder as enc
 from tspkit import evalkit as ev
+from tspkit import pretrain as pt
 
 
 def make_instance(seed: int = 0, videos: int = 40):
@@ -54,3 +62,51 @@ def test_auc_100(benchmark, instance):
 def test_ar_at_an_1_10_100(benchmark, instance):
     curve = benchmark(ev.ar_at_an, *instance, (1, 10, 100))
     assert [budget for budget, _ in curve] == [1, 10, 100]
+
+
+@pytest.fixture(scope="module")
+def detections_file(tmp_path_factory):
+    rng = np.random.default_rng(0)
+    preds = {}
+    for v in range(40):
+        video_id = f"v{v:02d}"
+        starts = rng.uniform(0.0, 300.0, size=100)
+        ends = starts + rng.uniform(1.0, 60.0, size=100)
+        preds[video_id] = [ev.DetectionPrediction(video_id, int(label), float(t0), float(t1),
+                                                  float(score))
+                           for label, t0, t1, score in zip(rng.integers(0, 8, size=100),
+                                                           starts, ends, rng.random(100))]
+    path = tmp_path_factory.mktemp("decode") / "detections.json"
+    ev.save_predictions(preds, path, invocation="localize")
+    return path
+
+
+def test_load_predictions_4000_detections(benchmark, detections_file):
+    preds = benchmark(ev.load_predictions, detections_file, kind="detections")
+    assert len(preds) == 4000
+
+
+@pytest.fixture(scope="module")
+def checkpoint_file(tmp_path_factory):
+    rng = np.random.default_rng(0)
+    cfg = bench.default_bench_train_config()
+    encoder = enc.init_params(enc.EncoderConfig(16, 1, 1, cfg.embed_dim, cfg.blocks), seed=0)
+    rows = [pt.TrainLogRow(epoch, lr, float(rng.random()), float(rng.random()),
+                           float(rng.random()), 1.0)
+            for lr in cfg.head_lr_grid for epoch in range(cfg.epochs)]
+    ckpt = pt.Checkpoint(
+        mode="tsp", config=cfg, encoder=encoder,
+        heads=pt.init_heads(cfg.embed_dim, 8, "tsp", seed=0), init_encoder=encoder.copy(),
+        global_features=pt.GlobalFeatureTable(
+            {f"video_{k:03d}": rng.standard_normal(cfg.embed_dim) for k in range(120)},
+            cfg.global_pool, "init"),
+        selection=pt.SelectionRecord(rows[0].head_lr, 0, rows[0].action_acc, rows), seed=0)
+    path = tmp_path_factory.mktemp("decode") / "checkpoint.json"
+    pt.save_checkpoint(ckpt, path, invocation="pretrain")
+    return path, ckpt.checkpoint_id
+
+
+def test_load_checkpoint_bench_shape(benchmark, checkpoint_file):
+    path, checkpoint_id = checkpoint_file
+    ckpt = benchmark(pt.load_checkpoint, path)
+    assert ckpt.checkpoint_id == checkpoint_id

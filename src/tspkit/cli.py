@@ -4,7 +4,17 @@ Subcommands: gen-corpus, pretrain, extract, localize, eval-det, eval-prop,
 analyze-sim, bench. Every subcommand is a pure function of its inputs and
 flags; outputs embed the invoked flag set (as "# flags=" header lines, or a
 "__invocation__" key in JSON files). Exit codes: 0 success, 1 runtime
-failure, 2 usage or configuration error.
+failure (a malformed input file among them, with one line naming it), 2 usage
+or configuration error.
+
+``--config FILE`` is a JSON object of flag values keyed by flag name, with
+``_`` or ``-`` between words. Its values become flags inserted right after the
+subcommand, so argparse parses them as it parses the command line, and a flag
+given later on the command line wins. A switch such as ``--detad`` takes true
+or false; any other flag a string or a number. A key that names no flag of the
+subcommand, a list, an object, null, or a value the flag rejects exits 2 with
+one ``error: --config FILE: KEY: ...`` line. The localizer flags reject what
+``LocalizerParams`` rejects, on the command line too.
 
 ``extract`` (one task per video) and ``localize`` (one per track file) run
 their items in forked workers through ``workers.fork_map``; the files they
@@ -15,8 +25,6 @@ it would in a serial loop, the first in video or path order.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -24,17 +32,12 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, bench, corpus as corpus_mod, evalkit, extract as extract_mod, pretrain
+from .decode import decode, load_json, number
 from .workers import fork_map
 
 
 class UsageError(Exception):
     """Configuration contradiction: maps to exit code 2."""
-
-
-def _load_corpus(path) -> corpus_mod.Corpus:
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"manifest not found: {path}")
-    return corpus_mod.load_manifest(path)
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -50,25 +53,36 @@ def _add_config_flag(parser: argparse.ArgumentParser) -> None:
                         help="JSON file of flag defaults; explicit flags override")
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+def _with_config(commands: dict[str, argparse.ArgumentParser], argv: list[str]) -> list[str]:
+    """``argv`` with the values of its --config file inserted as flags right
+    after the subcommand, so that argparse parses them as it parses the
+    command line and a flag given later in ``argv`` wins."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
-    if known.config:
+    path = probe.parse_known_args(argv)[0].config
+    at = next((i + 1 for i, token in enumerate(argv) if token in commands), None)
+    if not path or at is None:
+        return argv
+    doc = load_json(path, UsageError, f"--config {path}")
+    if not isinstance(doc, dict):
+        raise UsageError(f"--config {path}: must hold a JSON object of flag values")
+    sub, tokens = commands[argv[at - 1]], []
+    for key, value in doc.items():
+        flag = "--" + key.replace("_", "-")
+        action = sub._option_string_actions.get(flag)
         try:
-            with open(known.config, "r", encoding="utf-8") as fh:
-                defaults = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"--config {known.config}: {exc.strerror}") from exc
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise UsageError(f"--config {known.config}: not valid JSON ({exc})") from exc
-        if not isinstance(defaults, dict):
-            raise UsageError("--config must hold a JSON object of flag defaults")
-        mapped = {k.replace("-", "_"): v for k, v in defaults.items()}
-        # subparsers parse into a fresh namespace, so they need the defaults too
-        for p in getattr(parser, "_tspkit_subparsers", []):
-            p.set_defaults(**mapped)
-        parser.set_defaults(**mapped)
+            if action is None or action.dest in ("help", "config"):
+                raise ValueError(f"{sub.prog} has no flag {flag}")
+            if action.nargs == 0:  # a switch: true gives the flag, false leaves it out
+                tokens += [flag] * decode(value, bool)
+                continue
+            if not isinstance(value, str):
+                number(value)  # so not null, a bool, a list or an object
+            sub._get_values(action, [str(value)])  # the flag's own type and choices
+        except (ValueError, argparse.ArgumentError) as exc:
+            raise UsageError(f"--config {path}: {key}: {getattr(exc, 'message', exc)}") from exc
+        tokens.append(f"{flag}={value}")
+    return argv[:at] + tokens + argv[at:]
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +183,7 @@ def _add_pretrain(sub) -> None:
 
 
 def _cmd_pretrain(args) -> int:
-    corpus = _load_corpus(args.manifest)
+    corpus = corpus_mod.load_manifest(args.manifest)
     cfg = _train_config(args, args.seed)
     init_encoder = None
     if args.init_checkpoint:
@@ -202,13 +216,15 @@ def _extract_video(job, video) -> None:
 
 
 def _cmd_extract(args) -> int:
-    corpus = _load_corpus(args.manifest)
+    corpus = corpus_mod.load_manifest(args.manifest)
     ckpt = pretrain.load_checkpoint(args.checkpoint)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if corpus.synth is None:
+        raise corpus_mod.ManifestError(f"{args.manifest}: no synth block, so no frames")
     videos = corpus.subset_videos(args.split)
     if not videos:
-        raise FileNotFoundError(f"split {args.split!r} has no videos")
+        raise FileNotFoundError(f"{args.manifest}: split {args.split!r} has no videos")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     # each worker synthesizes only the frame rows its own videos' clips read
     fork_map(_extract_video, (corpus, ckpt, args.hop, out_dir, args.flags), videos)
     print(f"wrote {len(videos)} tracks to {out_dir}")
@@ -236,12 +252,28 @@ def _localizer_params(args) -> evalkit.LocalizerParams:
         nms_tiou=args.nms_tiou, max_predictions=args.max_predictions)
 
 
+def _localizer_field(name: str, parse):
+    """An argparse type for LocalizerParams field ``name``: a value the record's
+    rules reject is a usage error, on the command line as in --config."""
+    def convert(text):
+        value = parse(text)
+        try:
+            replace(evalkit.LocalizerParams(), **{name: value}).validate()
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        return value
+    convert.__name__ = parse.__name__  # argparse names it in "invalid int value"
+    return convert
+
+
 def _add_localizer_flags(p) -> None:
-    p.add_argument("--window", type=int, default=1, help="moving-average width in clips (odd)")
-    p.add_argument("--thresholds", type=_parse_floats,
+    p.add_argument("--window", type=_localizer_field("smooth_window", int), default=1,
+                   help="moving-average width in clips (odd)")
+    p.add_argument("--thresholds", type=_localizer_field("thresholds", _parse_floats),
                    default=tuple((i + 1) / 10 for i in range(9)))
-    p.add_argument("--nms-tiou", type=float, default=0.8)
-    p.add_argument("--max-predictions", type=int, default=100)
+    p.add_argument("--nms-tiou", type=_localizer_field("nms_tiou", float), default=0.8)
+    p.add_argument("--max-predictions", type=_localizer_field("max_predictions", int),
+                   default=100)
 
 
 def _add_localize(sub) -> None:
@@ -289,7 +321,7 @@ def _add_eval_det(sub) -> None:
 
 
 def _cmd_eval_det(args) -> int:
-    corpus = _load_corpus(args.manifest)
+    corpus = corpus_mod.load_manifest(args.manifest)
     gts = evalkit.ground_truth_from_corpus(corpus, args.subset)
     if not gts:
         raise UsageError(f"subset {args.subset!r} has no annotated instances")
@@ -323,7 +355,7 @@ def _add_eval_prop(sub) -> None:
 
 
 def _cmd_eval_prop(args) -> int:
-    corpus = _load_corpus(args.manifest)
+    corpus = corpus_mod.load_manifest(args.manifest)
     gts = evalkit.ground_truth_from_corpus(corpus, args.subset)
     if not gts:
         raise UsageError(f"subset {args.subset!r} has no annotated instances")
@@ -350,7 +382,7 @@ def _add_analyze_sim(sub) -> None:
 
 
 def _cmd_analyze_sim(args) -> int:
-    corpus = _load_corpus(args.manifest)
+    corpus = corpus_mod.load_manifest(args.manifest)
     track = extract_mod.read_track(args.track)
     if track.video_id not in corpus.videos:
         raise FileNotFoundError(f"track video {track.video_id!r} not in manifest")
@@ -394,7 +426,7 @@ def _cmd_bench(args) -> int:
         if m not in pretrain.MODES:
             raise UsageError(f"unknown mode {m!r}")
     if args.manifest:
-        corpus = _load_corpus(args.manifest)
+        corpus = corpus_mod.load_manifest(args.manifest)
     else:
         corpus = corpus_mod.generate_synthetic(corpus_mod.SynthConfig(), args.corpus_seed)
     bench_cfg = bench.BenchConfig(
@@ -432,7 +464,8 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The tspkit parser, and its subcommands' parsers by name."""
     parser = argparse.ArgumentParser(
         prog="tspkit",
         description="temporally-sensitive clip pretraining sandbox")
@@ -445,16 +478,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eval_prop(sub)
     _add_analyze_sim(sub)
     _add_bench(sub)
-    parser._tspkit_subparsers = list(sub.choices.values())
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
-        _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config(commands, argv))
         args.flags = " ".join(argv)  # the invocation every output file records
         return _COMMANDS[args.command](args)
     except UsageError as exc:

@@ -17,7 +17,15 @@ at once with ``seeding.normal_rows``.
 
 A frame side of at most ``MAX_FRAME_SIDE`` (112) pixels is part of the
 contract too: frames reach the encoder as stored, with no resize or crop, so
-generating or loading a corpus with larger frames fails.
+generating or loading a corpus with larger frames fails. So are the caps of
+``MAX_FRAME_VALUES`` values per frame (an RGB frame of that side) and of
+``MAX_VIDEO_FRAMES`` frames per video.
+
+A manifest is read through ``decode``: a JSON integer field (a seed, a frame
+side, a channel count) takes an integer only, not a float or a bool, and a
+number field any JSON number but a bool. ``SynthInfo`` and ``VideoRecord``
+check their own rules when they are built, so generated and loaded corpora
+obey the same; unknown keys are ignored except in the synth block.
 """
 
 from __future__ import annotations
@@ -26,15 +34,17 @@ import json
 import math
 import re
 from dataclasses import asdict, dataclass, field
-from typing import get_type_hints
 
 import numpy as np
 
+from .decode import decode, load_json
 from .seeding import normal_rows, rng_for
 
 SCHEMA_VERSION = 1
 SUBSETS = ("train", "valid", "test")
 MAX_FRAME_SIDE = 112
+MAX_FRAME_VALUES = 3 * MAX_FRAME_SIDE**2  # an RGB frame at the largest side
+MAX_VIDEO_FRAMES = 2**20
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
 
@@ -60,12 +70,31 @@ class AnnotationInstance:
 
 @dataclass
 class VideoRecord:
+    """A video's manifest entry; construction checks every rule a record obeys
+    on its own (the class list is the corpus's)."""
+
     id: str
     subset: str
     duration_sec: float
     fps: float
     annotations: list[AnnotationInstance]
     frame_seed: int | None = None
+
+    def __post_init__(self):
+        if not _ID_RE.match(self.id):
+            raise ValueError("id must match [A-Za-z0-9_.-]+")
+        if self.subset not in SUBSETS:
+            raise ValueError(f"unknown subset {self.subset!r}")
+        for name in ("duration_sec", "fps"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 1 <= self.duration_sec * self.fps < MAX_VIDEO_FRAMES + 1:
+            raise ValueError(f"duration_sec * fps gives {self.duration_sec * self.fps!r} frames, "
+                             f"not 1 to {MAX_VIDEO_FRAMES}")
+        for ann in self.annotations:
+            if not 0.0 <= ann.t_start < ann.t_end <= self.duration_sec:
+                raise ValueError(f"segment [{ann.t_start}, {ann.t_end}] outside "
+                                 f"[0, {self.duration_sec}]")
 
     @property
     def num_frames(self) -> int:
@@ -102,10 +131,11 @@ class SynthInfo:
         if not 0.0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise_sigma {self.noise_sigma!r} is not a finite "
                              f"nonnegative number")
-        if self.channels < 1 or not (1 <= self.height <= MAX_FRAME_SIDE
-                                     and 1 <= self.width <= MAX_FRAME_SIDE):
+        if (self.channels < 1 or self.frame_dim > MAX_FRAME_VALUES
+                or not (1 <= self.height <= MAX_FRAME_SIDE and 1 <= self.width <= MAX_FRAME_SIDE)):
             raise ValueError(f"frame geometry {self.channels}x{self.height}x{self.width} "
-                             f"needs channels >= 1 and sides in [1, {MAX_FRAME_SIDE}]")
+                             f"needs channels >= 1, sides in [1, {MAX_FRAME_SIDE}] and at most "
+                             f"{MAX_FRAME_VALUES} values")
 
     @property
     def frame_dim(self) -> int:
@@ -319,69 +349,47 @@ def derive_segments(video: VideoRecord) -> list[RegionSegment]:
 # manifest IO
 
 
-def _validate_video(vid: str, rec: VideoRecord, classes: list[str]) -> None:
-    if not _ID_RE.match(vid):
-        raise ManifestError(f"video {vid!r}: id must match [A-Za-z0-9_.-]+")
-    if rec.subset not in SUBSETS:
-        raise ManifestError(f"video {vid!r}: unknown subset {rec.subset!r}")
-    if not 0 < rec.duration_sec < math.inf:
-        raise ManifestError(f"video {vid!r}: duration_sec must be positive and finite")
-    if not 0 < rec.fps < math.inf:
-        raise ManifestError(f"video {vid!r}: fps must be positive and finite")
-    if rec.num_frames < 1:
-        raise ManifestError(f"video {vid!r}: no frames (duration_sec * fps < 1)")
-    class_set = set(classes)
-    for ann in rec.annotations:
-        if ann.label not in class_set:
-            raise ManifestError(f"video {vid!r}: unknown label {ann.label!r}")
-        if not (0.0 <= ann.t_start < ann.t_end <= rec.duration_sec):
-            raise ManifestError(
-                f"video {vid!r}: segment [{ann.t_start}, {ann.t_end}] outside "
-                f"[0, {rec.duration_sec}]")
-
-
 def corpus_from_dict(doc: dict) -> Corpus:
     if not isinstance(doc, dict):
         raise ManifestError("manifest root must be an object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ManifestError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    classes = doc.get("classes")
-    if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
-        raise ManifestError("classes must be a list of strings")
+    try:
+        classes = decode(doc.get("classes"), list[str], "classes")
+        raw_videos = decode(doc.get("videos"), dict[str, dict], "videos")
+    except ValueError as exc:
+        raise ManifestError(str(exc)) from exc
     if len(set(classes)) != len(classes):
         raise ManifestError("classes must be unique")
 
     synth = None
     if "synth" in doc:
-        s = doc["synth"]
-        try:  # each field's annotated type parses its value; SynthInfo checks the rules
-            synth = SynthInfo(**{name: cast(s[name])
-                                 for name, cast in get_type_hints(SynthInfo).items()})
+        try:
+            synth = decode(doc["synth"], SynthInfo)
             _check_background_classes(synth.background_mode, len(classes))
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ManifestError(f"bad synth block: {exc}") from exc
 
     videos = {}
-    raw_videos = doc.get("videos")
-    if not isinstance(raw_videos, dict):
-        raise ManifestError("videos must be an object keyed by video id")
     for vid, raw in raw_videos.items():
-        if not isinstance(raw, dict):
-            raise ManifestError(f"video {vid!r}: record must be an object")
         try:
-            anns = [AnnotationInstance(a["label"], float(a["segment"][0]), float(a["segment"][1]))
-                    for a in raw.get("annotations", [])]
+            anns = [AnnotationInstance(decode(a.get("label"), str, f"annotations[{i}].label"),
+                                       *decode(a.get("segment"), tuple[float, float],
+                                               f"annotations[{i}].segment"))
+                    for i, a in enumerate(decode(raw.get("annotations", []), list[dict],
+                                                 "annotations"))]
             rec = VideoRecord(
-                id=vid,
-                subset=raw["subset"],
-                duration_sec=float(raw["duration_sec"]),
-                fps=float(raw["fps"]),
-                annotations=anns,
-                frame_seed=int(raw["frame_seed"]) if "frame_seed" in raw else None,
-            )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise ManifestError(f"video {vid!r}: malformed record ({exc})") from exc
-        _validate_video(vid, rec, classes)
+                vid, decode(raw.get("subset"), str, "subset"),
+                decode(raw.get("duration_sec"), float, "duration_sec"),
+                decode(raw.get("fps"), float, "fps"), anns,
+                decode(raw.get("frame_seed"), int | None, "frame_seed"))
+            unknown = [a.label for a in anns if a.label not in classes]
+            if unknown:
+                raise ValueError(f"unknown label {unknown[0]!r}")
+            if synth is not None and rec.frame_seed is None:
+                raise ValueError("no frame_seed, which synthesized frames need")
+        except ValueError as exc:
+            raise ManifestError(f"video {vid!r}: {exc}") from exc
         videos[vid] = rec
     return Corpus(classes, videos, synth)
 
@@ -406,14 +414,7 @@ def corpus_to_dict(corpus: Corpus) -> dict:
 
 
 def load_manifest(path) -> Corpus:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{path}: parse error at line {exc.lineno}, column {exc.colno}: "
-                            f"{exc.msg}") from exc
-    except UnicodeDecodeError as exc:
-        raise ManifestError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    doc = load_json(path, ManifestError)
     try:
         return corpus_from_dict(doc)
     except ManifestError as exc:
@@ -477,7 +478,5 @@ def generate_synthetic(config: SynthConfig, seed: int) -> Corpus:
                 for t0, t1 in spans
             ]
             frame_seed = int(rng.integers(0, 2**31 - 1))
-            rec = VideoRecord(vid, subset, duration, config.fps, anns, frame_seed)
-            _validate_video(vid, rec, classes)
-            videos[vid] = rec
+            videos[vid] = VideoRecord(vid, subset, duration, config.fps, anns, frame_seed)
     return Corpus(classes, videos, info)

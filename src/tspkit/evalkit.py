@@ -18,6 +18,7 @@ import numpy as np
 
 from .autodiff import softmax
 from .corpus import Corpus
+from .decode import integer, load_json, number
 from .extract import FeatureTrack
 
 # tIoU grid 0.5:0.05:0.95 built from exact vulgar fractions so threshold
@@ -313,12 +314,6 @@ def _best_overlap_gts(preds: list[DetectionPrediction], gts: list[GroundTruthIns
     return best
 
 
-def _best_overlap_gt(pred: DetectionPrediction,
-                     gts: list[GroundTruthInstance]) -> GroundTruthInstance | None:
-    """``_best_overlap_gts`` of one prediction."""
-    return _best_overlap_gts([pred], gts)[0]
-
-
 def detad_report(preds: list[DetectionPrediction], gts: list[GroundTruthInstance]
                  ) -> dict[str, dict]:
     """Average mAP per length bucket plus each bucket's share of GT instances.
@@ -419,25 +414,29 @@ def baseline_localize(track: FeatureTrack, params: LocalizerParams,
     proposals = [ProposalPrediction(track.video_id, t0, t1, score)
                  for t0, t1, score, _, _ in raw]
 
-    detections = _nms_detections(detections, params.nms_tiou)[:params.max_predictions]
-    proposals = _nms_proposals(proposals, params.nms_tiou)[:params.max_predictions]
+    detections = _nms(detections, [d.class_index for d in detections],
+                      params.nms_tiou)[:params.max_predictions]
+    proposals = _nms(proposals, [0] * len(proposals), params.nms_tiou)[:params.max_predictions]
     return detections, proposals
 
 
-def _nms_detections(dets: list[DetectionPrediction], thr: float) -> list[DetectionPrediction]:
-    kept: list[DetectionPrediction] = []
-    for d in sorted(dets, key=lambda d: (-d.score, d.t_start, d.t_end, d.class_index)):
-        if all(k.class_index != d.class_index
-               or tiou((d.t_start, d.t_end), (k.t_start, k.t_end)) < thr for k in kept):
-            kept.append(d)
-    return kept
-
-
-def _nms_proposals(props: list[ProposalPrediction], thr: float) -> list[ProposalPrediction]:
-    kept: list[ProposalPrediction] = []
-    for p in sorted(props, key=lambda p: (-p.score, p.t_start, p.t_end)):
-        if all(tiou((p.t_start, p.t_end), (k.t_start, k.t_end)) < thr for k in kept):
-            kept.append(p)
+def _nms(preds: list, labels: list[int], thr: float) -> list:
+    """Greedy non-maximum suppression. In order of descending score, then start,
+    end and label, a prediction is kept unless its tIoU with a kept prediction
+    of the same label reaches ``thr``. Detections pass their classes as labels;
+    proposals pass one label for all."""
+    order = sorted(range(len(preds)), key=lambda i: (-preds[i].score, preds[i].t_start,
+                                                     preds[i].t_end, labels[i]))
+    segments = np.array([(preds[i].t_start, preds[i].t_end) for i in order]).reshape(-1, 2)
+    sorted_labels = np.array(labels, dtype=int)[order]
+    suppresses = ((_segment_iou(segments, segments) >= thr)
+                  & (sorted_labels[:, None] == sorted_labels))
+    alive = np.ones(len(order), dtype=bool)
+    kept = []
+    for k, i in enumerate(order):
+        if alive[k]:
+            kept.append(preds[i])
+            alive &= ~suppresses[k]
     return kept
 
 
@@ -467,17 +466,6 @@ def save_predictions(preds_by_video: dict[str, list], path, invocation: str | No
         fh.write("\n")
 
 
-def _finite(value) -> float | None:
-    """``value`` as a float if it is a finite JSON number, else None."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    return number if math.isfinite(number) else None
-
-
 def load_predictions(path, kind: str = "detections"):
     """Read a predictions file written by ``save_predictions``.
 
@@ -487,11 +475,7 @@ def load_predictions(path, kind: str = "detections"):
     """
     if kind not in ("detections", "proposals"):
         raise ValueError(f"kind must be 'detections' or 'proposals', got {kind!r}")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise EvalError(f"{path}: not valid JSON ({exc})") from exc
+    doc = load_json(path, EvalError)
     if not isinstance(doc, dict):
         raise EvalError(f"{path}: top level must be an object of video ids to predictions")
     out = []
@@ -505,21 +489,26 @@ def load_predictions(path, kind: str = "detections"):
             if not isinstance(row, dict):
                 raise EvalError(f"{where}: prediction must be an object")
             segment = row.get("segment")
-            t0 = t1 = None
-            if isinstance(segment, list) and len(segment) == 2:
-                t0, t1 = _finite(segment[0]), _finite(segment[1])
-            if t0 is None or t1 is None or t0 > t1:
+            try:
+                t0, t1 = map(number, segment)
+            except (TypeError, ValueError):  # not a list of two numbers
+                t0 = t1 = math.nan
+            if not (math.isfinite(t0) and math.isfinite(t1) and t0 <= t1):
                 raise EvalError(f"{where}: segment must be two finite numbers "
                                 f"[t_start, t_end] with t_start <= t_end, got {segment!r}")
-            score = _finite(row.get("score"))
-            if score is None:
+            try:
+                score = number(row.get("score"))
+            except ValueError:
+                score = math.nan
+            if not math.isfinite(score):
                 raise EvalError(f"{where}: score must be a finite number, "
                                 f"got {row.get('score')!r}")
             if kind == "detections":
-                label = row.get("label")
-                if isinstance(label, bool) or not isinstance(label, int):
+                try:
+                    label = integer(row.get("label"))
+                except ValueError:
                     raise EvalError(f"{where}: label must be an integer class index, "
-                                    f"got {label!r}")
+                                    f"got {row.get('label')!r}") from None
                 out.append(DetectionPrediction(video_id, label, t0, t1, score))
             else:
                 out.append(ProposalPrediction(video_id, t0, t1, score))

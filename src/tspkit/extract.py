@@ -16,6 +16,7 @@ after validation), it gathers from the cache.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,28 @@ class FeatureTrack:
     features: np.ndarray  # (n, F)
     region_probs: np.ndarray | None  # (n,) foreground probability; None for tac
     action_logits: np.ndarray  # (n, C)
+
+    def __post_init__(self):
+        """The rules every track obeys, extracted or read from a file."""
+        n, dim = self.features.shape
+        if not 0 < self.fps < math.inf:
+            raise ValueError(f"fps {self.fps!r} is not positive and finite")
+        counts = (self.clip_len, self.frame_stride, self.hop_frames)
+        if min(counts) < 1 or self.num_frames < min(n, 1):
+            raise ValueError("clip_len, frame_stride, hop_frames and, unless there are no clips, "
+                             "num_frames must be positive")
+        if self.global_feature.shape[0] not in (0, dim):
+            raise ValueError(f"gvf length {self.global_feature.shape[0]} is neither 0 nor "
+                             f"feature_dim {dim}")
+        if not all(np.isfinite(a).all() for a in (self.global_feature, self.features,
+                                                  self.action_logits)):
+            raise ValueError("gvf, features and logits must be finite")
+        times = self.center_times
+        if not ((0.0 <= times) & (times <= self.num_frames / self.fps)).all():
+            raise ValueError("a clip's center time lies outside the video")
+        probs = self.region_probs
+        if probs is not None and not ((0.0 <= probs) & (probs <= 1.0)).all():
+            raise ValueError("p_fg must lie in [0, 1]")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -114,82 +137,61 @@ def write_track(track: FeatureTrack, path, flags_comment: str | None = None) -> 
 
 
 def read_track(path) -> FeatureTrack:
-    header: dict[str, str] = {}
-    rows: list[tuple[int, list[str]]] = []
-    columns: list[str] | None = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = list(fh)
+            lines = [(lineno, line.rstrip("\n")) for lineno, line in enumerate(fh, start=1)]
     except UnicodeDecodeError as exc:
         raise TrackError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    for lineno, line in enumerate(lines, start=1):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, value = body.split("=", 1)
-                header[key.strip()] = value
-            continue
-        if columns is None:
-            columns = line.split(",")
-            continue
-        fields = line.split(",")
-        if len(fields) != len(columns):
-            raise TrackError(f"{path}: row {lineno}: expected {len(columns)} fields, "
-                             f"got {len(fields)}")
-        rows.append((lineno, fields))
-
+    header: dict[str, str] = {}
+    for _, line in lines:
+        if line.startswith("#") and "=" in line:
+            key, value = line[1:].strip().split("=", 1)
+            header[key.strip()] = value
     required = ("video_id", "clip_len", "frame_stride", "hop_frames", "fps",
                 "num_frames", "feature_dim", "num_classes", "checkpoint_id", "gvf")
     missing = [k for k in required if k not in header]
     if missing:
         raise TrackError(f"{path}: missing header keys {missing}")
-    if columns is None:
+    # the column header row, then one row per clip
+    table = [(lineno, line.split(",")) for lineno, line in lines if line and line[0] != "#"]
+    if not table:
         raise TrackError(f"{path}: no column header row")
+    (_, columns), rows = table[0], table[1:]
 
     try:
-        dim = int(header["feature_dim"])
-        classes = int(header["num_classes"])
-        counts = {k: int(header[k]) for k in ("clip_len", "frame_stride", "hop_frames",
-                                              "num_frames")}
+        counts = {k: int(header[k]) for k in ("feature_dim", "num_classes", "clip_len",
+                                              "frame_stride", "hop_frames", "num_frames")}
         fps = float(header["fps"])
-        global_feature = np.array([float(v) for v in header["gvf"].split(";")]
-                                  if header["gvf"] else [], dtype=np.float64)
+        global_feature = np.array(header["gvf"].split(";") if header["gvf"] else [],
+                                  dtype=np.float64)
     except ValueError as exc:
         raise TrackError(f"{path}: bad header value ({exc})") from exc
-    expected_cols = (["t_center"] + [f"f_{j}" for j in range(dim)] + ["p_fg"]
-                     + [f"a_{j}" for j in range(classes)])
-    if columns != expected_cols:
+    dim, classes = counts.pop("feature_dim"), counts.pop("num_classes")
+    # the column count first: a huge feature_dim must not build a huge list
+    if len(columns) != dim + classes + 2 or columns != (
+            ["t_center"] + [f"f_{j}" for j in range(dim)] + ["p_fg"]
+            + [f"a_{j}" for j in range(classes)]):
         raise TrackError(f"{path}: column header does not match feature_dim={dim}, "
                          f"num_classes={classes}")
 
-    if global_feature.shape[0] not in (0, dim):
-        raise TrackError(f"{path}: gvf length {global_feature.shape[0]} is neither 0 nor "
-                         f"feature_dim {dim}")
-
-    n = len(rows)
-    center_times = np.empty(n)
-    features = np.empty((n, dim))
-    logits = np.empty((n, classes))
-    probs = np.empty(n)
-    has_probs = True  # an empty p_fg field marks a track without region scores
+    values = np.empty((len(rows), len(columns)))
+    # an empty p_fg field marks a track without region scores, in every row
+    has_probs = not rows or rows[0][1][1 + dim:2 + dim] != [""]
     for i, (lineno, fields) in enumerate(rows):
         try:
-            center_times[i] = float(fields[0])
-            features[i] = [float(v) for v in fields[1:1 + dim]]
-            p = fields[1 + dim]
-            if p == "":
-                has_probs = False
-            else:
-                probs[i] = float(p)
-            logits[i] = [float(v) for v in fields[2 + dim:]]
+            if len(fields) != len(columns):
+                raise ValueError(f"expected {len(columns)} fields, got {len(fields)}")
+            if (fields[1 + dim] != "") != has_probs:
+                raise ValueError("p_fg is empty in some rows and not in others")
+            values[i] = fields if has_probs else fields[:1 + dim] + ["nan"] + fields[2 + dim:]
         except ValueError as exc:
             raise TrackError(f"{path}: row {lineno}: {exc}") from exc
-    return FeatureTrack(
-        video_id=header["video_id"], **counts, fps=fps,
-        checkpoint_id=header["checkpoint_id"], global_feature=global_feature,
-        center_times=center_times, features=features,
-        region_probs=probs if has_probs else None,
-        action_logits=logits)
+    try:
+        return FeatureTrack(
+            video_id=header["video_id"], **counts, fps=fps,
+            checkpoint_id=header["checkpoint_id"], global_feature=global_feature,
+            center_times=values[:, 0].copy(), features=values[:, 1:1 + dim].copy(),
+            region_probs=values[:, 1 + dim].copy() if has_probs else None,
+            action_logits=values[:, 2 + dim:].copy())
+    except ValueError as exc:
+        raise TrackError(f"{path}: {exc}") from exc

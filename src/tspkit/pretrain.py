@@ -34,9 +34,10 @@ import numpy as np
 
 from . import autodiff as ad
 from . import encoder as enc
-from .corpus import Corpus
-from .sampler import (ClipSpec, build_epoch, clip_batch, dense_clip_specs, test_clip_set,
-                      video_segment_clips)
+from .corpus import MAX_VIDEO_FRAMES, Corpus
+from .decode import decode, load_json
+from .sampler import (ClipSpec, build_epoch, clip_batch, clip_span, dense_clip_specs,
+                      test_clip_set, video_segment_clips)
 from .seeding import rng_for
 from .workers import fork_map
 
@@ -65,6 +66,8 @@ class GlobalFeatureTable:
     source: str  # identifier of the encoder initialization that produced it
 
     def __post_init__(self):
+        if self.features and not np.isfinite(np.concatenate(list(self.features.values()))).all():
+            raise ValueError("global features must be finite")
         for arr in self.features.values():
             arr.setflags(write=False)
 
@@ -102,6 +105,10 @@ class TrainConfig:
             raise ValueError(f"unknown init {self.init!r}")
         if self.epochs < 0 or self.batch_size < 1 or not self.head_lr_grid:
             raise ValueError("bad optimization config")
+        if min(self.clip_len, self.frame_stride, self.clips_per_segment) < 1:
+            raise ValueError("clip_len, frame_stride and clips_per_segment must be positive")
+        if clip_span(self.clip_len, self.frame_stride) > MAX_VIDEO_FRAMES:
+            raise ValueError(f"a clip may span at most {MAX_VIDEO_FRAMES} frames")
         if self.epochs > 0:
             if not 0 <= self.warmup_epochs < self.epochs:
                 raise ValueError("warmup_epochs must be < epochs")
@@ -144,6 +151,10 @@ class Checkpoint:
     selection: SelectionRecord
     seed: int
     schema_version: int = CHECKPOINT_SCHEMA_VERSION
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
 
     @property
     def checkpoint_id(self) -> str:
@@ -594,34 +605,16 @@ def train(corpus: Corpus, cfg: TrainConfig,
 # checkpoint IO
 
 
-def _array_to_json(arr: np.ndarray) -> dict:
-    return {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-
-
-def _array_from_json(doc: dict) -> np.ndarray:
-    return np.asarray(doc["data"], dtype=np.float64).reshape(doc["shape"])
-
-
 def _to_json(obj):
-    """Dataclasses as dicts, lists item by item; unlike ``asdict``, nothing is deep-copied."""
+    """Dataclasses as dicts, lists item by item, arrays as their shape and data
+    (the form ``decode`` reads); unlike ``asdict``, nothing is deep-copied."""
     if is_dataclass(obj):
         return {f.name: _to_json(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, list):
         return [_to_json(item) for item in obj]
+    if isinstance(obj, np.ndarray):
+        return {"shape": list(obj.shape), "data": obj.ravel().tolist()}
     return obj
-
-
-def _encoder_from_json(doc: dict) -> enc.EncoderParams:
-    return enc.EncoderParams(**{**doc, "config": enc.EncoderConfig(**doc["config"]),
-                                "blocks": [enc.BlockParams(**b) for b in doc["blocks"]]}
-                             ).map(_array_from_json)
-
-
-def config_from_dict(doc: dict) -> TrainConfig:
-    doc = dict(doc)
-    doc["head_lr_grid"] = tuple(doc["head_lr_grid"])
-    doc["decay_epochs"] = tuple(doc["decay_epochs"])
-    return TrainConfig(**doc)
 
 
 def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
@@ -631,9 +624,9 @@ def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
         "mode": ckpt.mode,
         "seed": ckpt.seed,
         "config": _to_json(ckpt.config),
-        "encoder": _to_json(ckpt.encoder.map(_array_to_json)),
-        "heads": _to_json(ckpt.heads.map(_array_to_json)),
-        "init_encoder": _to_json(ckpt.init_encoder.map(_array_to_json)),
+        "encoder": _to_json(ckpt.encoder),
+        "heads": _to_json(ckpt.heads),
+        "init_encoder": _to_json(ckpt.init_encoder),
         "global_features": None if table is None else {
             "pool": table.pool,
             "source": table.source,
@@ -646,8 +639,12 @@ def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
 
 def _check_shapes(ckpt: Checkpoint) -> None:
     """Raise ValueError unless each array has the shape its config, mode and class count imply."""
-    feature_dim = ckpt.encoder.config.feature_dim
-    encoder = enc.init_params(ckpt.encoder.config, 0).map(np.shape)
+    cfg, feature_dim = ckpt.encoder.config, ckpt.encoder.config.feature_dim
+    # init_params allocates what the config asks for, so first bound it by the file
+    if (len(ckpt.encoder.blocks), ckpt.encoder.stem_weight.shape) != (
+            cfg.blocks, (cfg.embed_dim, cfg.frame_dim)):
+        raise ValueError(f"encoder blocks and stem do not match its config {cfg}")
+    encoder = enc.init_params(cfg, 0).map(np.shape)
     heads = init_heads(feature_dim, ckpt.heads.action_bias.size, ckpt.mode, 0).map(np.shape)
     for name, expected in (("encoder", encoder), ("init_encoder", encoder), ("heads", heads)):
         shapes = getattr(ckpt, name).map(np.shape)
@@ -665,31 +662,12 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
     if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint schema_version {doc.get('schema_version')!r}")
-    try:
-        if doc["mode"] not in MODES:
-            raise ValueError(f"unknown mode {doc['mode']!r}")
-        heads = HeadParams(**doc["heads"]).map(_array_from_json)
-        gf = doc["global_features"]
-        table = None
-        if gf is not None:
-            table = GlobalFeatureTable(
-                {vid: np.asarray(v, dtype=np.float64) for vid, v in gf["features"].items()},
-                gf["pool"], gf["source"])
-        sel = doc["selection"]
-        selection = SelectionRecord(**{**sel, "rows": [TrainLogRow(**r) for r in sel["rows"]]})
-        ckpt = Checkpoint(
-            mode=doc["mode"],
-            config=config_from_dict(doc["config"]),
-            encoder=_encoder_from_json(doc["encoder"]),
-            heads=heads,
-            init_encoder=_encoder_from_json(doc["init_encoder"]),
-            global_features=table,
-            selection=selection,
-            seed=doc["seed"],
-            schema_version=doc["schema_version"],
-        )
+    try:  # other top-level keys, "checkpoint_id" among them, are not fields
+        ckpt = decode({f.name: doc[f.name] for f in fields(Checkpoint) if f.name in doc},
+                      Checkpoint)
+        ckpt.config.validate()
         _check_shapes(ckpt)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
     if doc.get("checkpoint_id") != ckpt.checkpoint_id:
         raise CheckpointError("checkpoint_id mismatch (file corrupt or edited)")
@@ -707,13 +685,7 @@ def save_checkpoint(ckpt: Checkpoint, path, invocation: str | None = None) -> No
 
 
 def load_checkpoint(path) -> Checkpoint:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"{path}: not valid JSON ({exc.msg} at line {exc.lineno})") from exc
-    except UnicodeDecodeError as exc:
-        raise CheckpointError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    doc = load_json(path, CheckpointError)
     try:
         return checkpoint_from_dict(doc)
     except CheckpointError as exc:

@@ -1,9 +1,18 @@
 """Command-line exit codes and error messages."""
 
+import contextlib
+import io
 import json
+import os
 import sys
+import tempfile
+import warnings
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tspkit import cli
 
@@ -166,7 +175,15 @@ def good_files(tmp_path_factory):
     track_path = root / "track.csv"
     extract.write_track(extract.extract_track(corpus, corpus.subset_videos("valid")[0], ckpt),
                         track_path)
-    return {"manifest": manifest_path, "checkpoint": ckpt_path, "track": track_path}
+    files = {"manifest": manifest_path, "checkpoint": ckpt_path, "track": track_path,
+             "detections": root / "detections.json", "proposals": root / "proposals.json",
+             "config": root / "localize.json"}
+    assert cli.main(["localize", "--tracks", str(track_path), "--detections-out",
+                     str(files["detections"]), "--proposals-out", str(files["proposals"])]) == 0
+    files["config"].write_text(json.dumps({"window": 3, "thresholds": "0.3,0.6",
+                                           "nms_tiou": 0.8, "max_predictions": 50,
+                                           "actionness": "region"}), encoding="utf-8")
+    return files
 
 
 def edit_json(change):
@@ -232,6 +249,32 @@ def replace_video_record(doc):
     doc["videos"][sorted(doc["videos"])[0]] = []
 
 
+def set_annotation_label(doc):
+    first_video(doc)["annotations"][0]["label"] = [1]
+
+
+def set_config(**fields):
+    return edit_json(lambda doc: doc["config"].update(fields))
+
+
+def set_header(key, value):
+    def mutate(text):
+        start = text.index(f"# {key}=")
+        return f"{text[:start]}# {key}={value}{text[text.index(chr(10), start):]}"
+    return mutate
+
+
+def set_first_row_field(column, value):
+    def mutate(text):
+        lines = text.splitlines(keepends=True)
+        head = next(i for i, line in enumerate(lines) if line.startswith("t_center,"))
+        fields = lines[head + 1].rstrip("\n").split(",")
+        fields[lines[head].rstrip("\n").split(",").index(column)] = value
+        lines[head + 1] = ",".join(fields) + "\n"
+        return "".join(lines)
+    return mutate
+
+
 def replace_first_field(text):
     lines = text.splitlines(keepends=True)
     row = next(i for i, line in enumerate(lines) if line.startswith("0.0,"))
@@ -261,6 +304,13 @@ BAD_FILES = [
     ("manifest", "zero_width", set_synth(width=0)),
     ("manifest", "height_above_limit", set_synth(height=113)),
     ("manifest", "hard_one_class", edit_json(keep_one_class)),
+    ("manifest", "list_label", edit_json(set_annotation_label)),
+    ("manifest", "infinite_frame_seed", set_video(frame_seed=float("inf"))),
+    ("manifest", "fractional_frame_seed", set_video(frame_seed=1.7)),
+    ("manifest", "infinite_master_seed", set_synth(master_seed=float("inf"))),
+    ("manifest", "bool_width", set_synth(width=True)),
+    ("manifest", "fractional_width", set_synth(width=1.9)),
+    ("manifest", "string_fps", set_video(fps="4")),
     *[("checkpoint", *case) for case in (TRUNCATED, NOT_JSON, NOT_UTF8, ROOT_LIST,
                                          WRONG_VERSION)],
     ("checkpoint", "no_heads", edit_json(lambda doc: doc.pop("heads"))),
@@ -273,6 +323,12 @@ BAD_FILES = [
     ("checkpoint", "heads_transposed", edit_json(transpose_action_weight)),
     ("checkpoint", "gvf_short_row", edit_json(shorten_first_gvf_row)),
     ("checkpoint", "bogus_mode", edit_json(set_unknown_mode)),
+    ("checkpoint", "string_seed", edit_json(lambda doc: doc.update(seed="0"))),
+    ("checkpoint", "null_clip_len", set_config(clip_len=None)),
+    ("checkpoint", "zero_clip_len", set_config(clip_len=0)),
+    ("checkpoint", "string_frame_stride", set_config(frame_stride="x")),
+    ("checkpoint", "huge_embed_dim",
+     edit_json(lambda doc: doc["encoder"]["config"].update(embed_dim=2**40))),
     ("track", "truncated", lambda text: text[:text.index("# feature_dim")]),
     ("track", "not_utf8", NOT_UTF8[1]),
     ("track", "renamed_column", lambda text: text.replace(",f_0,", ",g_0,")),
@@ -280,6 +336,17 @@ BAD_FILES = [
                                                               "# feature_dim=abc")),
     ("track", "string_gvf", lambda text: text.replace("# gvf=", "# gvf=x;")),
     ("track", "string_field", replace_first_field),
+    ("track", "zero_fps", set_header("fps", "0")),
+    ("track", "nan_fps", set_header("fps", "nan")),
+    ("track", "infinite_fps", set_header("fps", "inf")),
+    ("track", "negative_fps", set_header("fps", "-4")),
+    ("track", "zero_clip_len", set_header("clip_len", "0")),
+    ("track", "negative_frame_stride", set_header("frame_stride", "-2")),
+    ("track", "zero_num_frames", set_header("num_frames", "0")),
+    ("track", "zero_hop_frames", set_header("hop_frames", "0")),
+    ("track", "nan_t_center", set_first_row_field("t_center", "nan")),
+    ("track", "p_fg_above_one", set_first_row_field("p_fg", "7.5")),
+    ("track", "one_empty_p_fg", set_first_row_field("p_fg", "")),
 ]
 
 
@@ -412,3 +479,118 @@ def test_eval_det_report_writes_each_threshold_and_their_mean(manifest, tmp_path
     want = [f"mAP@{thr:.2f}\t{evalkit.map_at(dets, gts, thr)!r}" for thr in evalkit.TIOU_GRID]
     want.append(f"average_mAP\t{evalkit.average_map(dets, gts)!r}")
     assert out.read_text().splitlines()[2:] == want
+
+
+# ---------------------------------------------------------------------------
+# mutation fuzz: each run changes one value of one good input file
+
+
+DELETE = object()
+MUTATIONS = (DELETE, None, True, False, "", [1], {"k": 1}, float("nan"), float("inf"),
+             float("-inf"), 2**70, -1)
+
+
+def json_paths(doc, prefix=()):
+    """The key path of every value below the root. A list of numbers gives its
+    first three items only: the others decode the same way."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        numbers = all(isinstance(v, (int, float)) for v in doc)
+        items = list(enumerate(doc))[:3 if numbers else None]
+    else:
+        items = ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from json_paths(value, prefix + (key,))
+
+
+def mutate_json(text, path, mutation):
+    doc = json.loads(text)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if mutation is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = mutation
+    return json.dumps(doc)
+
+
+def track_leaves(text):
+    """(line, field) of every header value (field None) and of every field of the
+    column row and of the first two and the last data rows."""
+    lines = text.splitlines()
+    head = next(i for i, line in enumerate(lines) if line.startswith("t_center,"))
+    leaves = [(i, None) for i, line in enumerate(lines[:head]) if "=" in line]
+    for i in (head, head + 1, head + 2, len(lines) - 1):
+        leaves += [(i, j) for j in range(len(lines[i].split(",")))]
+    return leaves
+
+
+def mutate_track(text, leaf, mutation):
+    """A header line loses its value or the line itself; a row field is replaced
+    by the mutation's text, or dropped."""
+    lines = text.splitlines()
+    i, j = leaf
+    value = [] if mutation is DELETE else ["" if mutation == "" else json.dumps(mutation)]
+    if j is None:
+        key = lines[i].split("=", 1)[0]
+        lines[i:i + 1] = [f"{key}={v}" for v in value]
+    else:
+        fields = lines[i].split(",")
+        fields[j:j + 1] = value
+        lines[i] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+def fuzz_run(kind, files, out):
+    """argv of the command that reads ``files[kind]``, and the files it writes."""
+    f = {k: str(v) for k, v in files.items()}
+    if kind in ("manifest", "checkpoint"):
+        return (["extract", "--manifest", f["manifest"], "--checkpoint", f["checkpoint"],
+                 "--out-dir", str(out / "tracks")], [out / "tracks"])
+    if kind in ("track", "config"):
+        config = ["--config", f["config"]] if kind == "config" else []
+        return (["localize", *config, "--tracks", f["track"],
+                 "--detections-out", str(out / "d.json"),
+                 "--proposals-out", str(out / "p.json")], [out / "d.json", out / "p.json"])
+    command, flag = (("eval-det", "--detections") if kind == "detections"
+                     else ("eval-prop", "--proposals"))
+    return ([command, "--manifest", f["manifest"], flag, f[kind], "--out", str(out / "r.tsv"),
+             *(["--detad"] if kind == "detections" else [])], [out / "r.tsv"])
+
+
+def run_quietly(argv):
+    """cli.main's exit code and stderr, in one process, with every warning an error."""
+    err = io.StringIO()
+    with (mock.patch.dict(os.environ, TSPKIT_THREADS="1"), warnings.catch_warnings(),
+          contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err)):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("kind", ["manifest", "checkpoint", "track", "detections",
+                                  "proposals", "config"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_one_mutated_value_exits_cleanly_naming_the_file(kind, good_files, data):
+    text = good_files[kind].read_text(encoding="utf-8")
+    leaves = track_leaves(text) if kind == "track" else list(json_paths(json.loads(text)))
+    leaf = data.draw(st.sampled_from(leaves), label="leaf")
+    mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    text = (mutate_track if kind == "track" else mutate_json)(text, leaf, mutation)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        bad = tmp / f"bad_{kind}"
+        bad.write_text(text, encoding="utf-8")
+        argv, outputs = fuzz_run(kind, {**good_files, kind: bad}, tmp)
+        code, err = run_quietly(argv)
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert str(bad) in err
+            assert not any(p.exists() for p in outputs)

@@ -119,6 +119,29 @@ def oracle_best_overlap_gt(pred, gts):
     return gts[-max(scored)[1]]
 
 
+def best_overlap_gt(pred, gts):
+    """``evalkit._best_overlap_gts`` of one prediction."""
+    return ev._best_overlap_gts([pred], gts)[0]
+
+
+def reference_nms_detections(dets, thr):
+    """Greedy NMS by score, one scalar ``tiou`` per candidate and kept detection."""
+    kept = []
+    for d in sorted(dets, key=lambda d: (-d.score, d.t_start, d.t_end, d.class_index)):
+        if all(k.class_index != d.class_index
+               or ev.tiou((d.t_start, d.t_end), (k.t_start, k.t_end)) < thr for k in kept):
+            kept.append(d)
+    return kept
+
+
+def reference_nms_proposals(props, thr):
+    kept = []
+    for p in sorted(props, key=lambda p: (-p.score, p.t_start, p.t_end)):
+        if all(ev.tiou((p.t_start, p.t_end), (k.t_start, k.t_end)) < thr for k in kept):
+            kept.append(p)
+    return kept
+
+
 SEGMENTS = st.builds(lambda t0, n: (t0 / 2.0, (t0 + n) / 2.0),
                      st.integers(0, 12), st.integers(1, 8))
 
@@ -289,7 +312,7 @@ def test_map_curve_equals_oracle_exactly(instance):
 def test_best_overlap_gt_equals_oracle_exactly(instance):
     preds, gts = instance
     for pred in preds:
-        assert ev._best_overlap_gt(pred, gts) is oracle_best_overlap_gt(pred, gts)
+        assert best_overlap_gt(pred, gts) is oracle_best_overlap_gt(pred, gts)
 
 
 @settings(max_examples=300, deadline=None)
@@ -528,6 +551,15 @@ def test_nms_keeps_one_of_identical_candidates():
     dets, props = ev.baseline_localize(track, params)
     assert len(props) == 1
     assert len(dets) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=detection_instances(), thr=st.sampled_from([0.25, 0.5, 0.8, 1.0]))
+def test_nms_equals_the_scalar_greedy_loop_exactly(instance, thr):
+    dets, _ = instance
+    props = [P(d.video_id, d.t_start, d.t_end, d.score) for d in dets]
+    assert ev._nms(dets, [d.class_index for d in dets], thr) == reference_nms_detections(dets, thr)
+    assert ev._nms(props, [0] * len(props), thr) == reference_nms_proposals(props, thr)
 
 
 def test_region_actionness_requires_region_scores():

@@ -511,6 +511,13 @@ def test_checkpoint_round_trip_is_value_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_checkpoint_dict_decodes_without_a_json_round_trip():
+    # checkpoint_to_dict keeps the config's tuples, where a file has lists
+    ckpt, _ = pt.train(small_corpus(), tiny_train_cfg())
+    loaded = pt.checkpoint_from_dict(pt.checkpoint_to_dict(ckpt))
+    assert (loaded.config, loaded.checkpoint_id) == (ckpt.config, ckpt.checkpoint_id)
+
+
 def test_truncated_checkpoint_rejected(tmp_path):
     corpus = small_corpus()
     ckpt, _ = pt.train(corpus, tiny_train_cfg(epochs=1, warmup_epochs=0,
