@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import VideoRecord, derive_segments
+from .decode import write_rows
 from .extract import FeatureTrack
 
 
@@ -102,12 +103,8 @@ def export_pgm(matrix: SimilarityMatrix | np.ndarray, path) -> None:
 
 
 def write_matrix_csv(matrix: SimilarityMatrix, path, flags_comment: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if flags_comment:
-            fh.write(f"# flags={flags_comment}\n")
-        fh.write(",".join(repr(float(t)) for t in matrix.center_times) + "\n")
-        for row in matrix.values:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    rows = [matrix.center_times.tolist(), *matrix.values.tolist()]
+    write_rows(path, flags_comment, (map(repr, row) for row in rows), sep=",")
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,11 @@ import numpy as np
 
 from .analysis import AggregateStat, aggregate_runs, contrast_stats
 from .corpus import Corpus
+from .decode import write_rows
 from .evalkit import (LocalizerParams, auc_100, average_map, baseline_localize,
                       ground_truth_from_corpus)
 from .extract import extract_track
-from .pretrain import TrainConfig, train, validate
+from .pretrain import MODES, TrainConfig, train, validate
 from .workers import fork_map, worker_count  # noqa: F401  (bench.worker_count is public)
 
 BENCH_METRICS = ("average_map", "auc", "region_acc", "contrast")
@@ -43,11 +44,14 @@ class BenchConfig:
     localizer: LocalizerParams = field(default_factory=LocalizerParams)
     train: TrainConfig = field(default_factory=default_bench_train_config)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if len(set(self.seeds)) != len(self.seeds) or not self.seeds:
             raise ValueError("seeds must be distinct and nonempty")
         if not self.modes:
             raise ValueError("at least one mode required")
+        for mode in self.modes:
+            if mode not in MODES:
+                raise ValueError(f"unknown mode {mode!r}")
 
 
 def evaluate_checkpoint(corpus: Corpus, ckpt, bench_cfg: BenchConfig) -> dict[str, float]:
@@ -91,7 +95,6 @@ def run_seed(corpus: Corpus, bench_cfg: BenchConfig, seed: int) -> dict[str, dic
 def run_bench(corpus: Corpus, bench_cfg: BenchConfig
               ) -> tuple[dict[str, dict[str, AggregateStat]], dict[int, dict]]:
     """Aggregated per-mode stats plus the raw per-seed metric maps."""
-    bench_cfg.validate()
     seeds = sorted(bench_cfg.seeds)
     per_seed = dict(zip(seeds, fork_map(partial(run_seed, corpus), bench_cfg, seeds)))
 
@@ -103,35 +106,25 @@ def run_bench(corpus: Corpus, bench_cfg: BenchConfig
 
 def write_bench_table(table: dict[str, dict[str, AggregateStat]], path,
                       flags_comment: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if flags_comment:
-            fh.write(f"# flags={flags_comment}\n")
-        header = ["mode"]
+    header = ["mode"]
+    for metric in BENCH_METRICS:
+        header += [f"{metric}_mean", f"{metric}_std"]
+    rows = [header + ["n_seeds"]]
+    for mode, stats in table.items():
+        fields = [mode]
         for metric in BENCH_METRICS:
-            header += [f"{metric}_mean", f"{metric}_std"]
-        header.append("n_seeds")
-        fh.write("\t".join(header) + "\n")
-        for mode in table:
-            stats = table[mode]
-            n = next(iter(stats.values())).n if stats else 0
-            fields = [mode]
-            for metric in BENCH_METRICS:
-                if metric in stats:
-                    fields += [repr(stats[metric].mean), repr(stats[metric].std)]
-                else:
-                    fields += ["n/a", "n/a"]
-            fields.append(str(n))
-            fh.write("\t".join(fields) + "\n")
+            stat = stats.get(metric)
+            fields += ["n/a", "n/a"] if stat is None else [repr(stat.mean), repr(stat.std)]
+        n = next(iter(stats.values())).n if stats else 0
+        rows.append(fields + [str(n)])
+    write_rows(path, flags_comment, rows)
 
 
 def write_cell_tables(per_seed: dict[int, dict[str, dict[str, float]]], out_dir,
                       flags_comment: str) -> None:
-    """One ``cell_seed<seed>.tsv`` per seed: every (mode, metric) value, sorted.
-    Each file starts with its ``# flags=`` line, even an empty one."""
-    for seed in sorted(per_seed):
-        with open(Path(out_dir) / f"cell_seed{seed}.tsv", "w", encoding="utf-8") as fh:
-            fh.write(f"# flags={flags_comment}\n")
-            fh.write("mode\tmetric\tvalue\n")
-            for mode in sorted(per_seed[seed]):
-                for metric in sorted(per_seed[seed][mode]):
-                    fh.write(f"{mode}\t{metric}\t{per_seed[seed][mode][metric]!r}\n")
+    """One ``cell_seed<seed>.tsv`` per seed: every (mode, metric) value, sorted."""
+    for seed, cells in sorted(per_seed.items()):
+        rows = [["mode", "metric", "value"]]
+        rows += ([mode, metric, repr(cells[mode][metric])]
+                 for mode in sorted(cells) for metric in sorted(cells[mode]))
+        write_rows(Path(out_dir) / f"cell_seed{seed}.tsv", flags_comment, rows)

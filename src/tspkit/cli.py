@@ -2,10 +2,14 @@
 
 Subcommands: gen-corpus, pretrain, extract, localize, eval-det, eval-prop,
 analyze-sim, bench. Every subcommand is a pure function of its inputs and
-flags; outputs embed the invoked flag set (as "# flags=" header lines, or a
-"__invocation__" key in JSON files). Exit codes: 0 success, 1 runtime
-failure (a malformed input file among them, with one line naming it), 2 usage
-or configuration error.
+flags. Each output file records the invoked argv, ``args.flags``: every file
+is written through ``decode.save_json`` (an "__invocation__" key) or
+``decode.write_rows`` (a "# flags=" first line); the PGM image alone has no
+room for it. Exit codes: 0 success, 1 runtime failure (a malformed input file
+among them, with one line naming it), 2 usage or configuration error. A flag
+value that argparse or a configuration record (``SynthConfig``,
+``TrainConfig``, ``LocalizerParams``, ``BenchConfig``) rejects exits 2 before
+any file but ``--config`` is read, so before any output exists.
 
 ``--config FILE`` is a JSON object of flag values keyed by flag name, with
 ``_`` or ``-`` between words. Its values become flags inserted right after the
@@ -32,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, bench, corpus as corpus_mod, evalkit, extract as extract_mod, pretrain
-from .decode import decode, load_json, number
+from .decode import decode, load_json, number, write_rows
 from .workers import fork_map
 
 
@@ -46,6 +50,22 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {value}")
+    return value
+
+
+def _record(build, *args):
+    """``build(*args)``, a record whose constructor checks its rules: a flag
+    value it rejects is a usage error, raised before any file is read or written."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _add_config_flag(parser: argparse.ArgumentParser) -> None:
@@ -125,7 +145,7 @@ def _synth_config(args) -> corpus_mod.SynthConfig:
 
 
 def _cmd_gen_corpus(args) -> int:
-    cfg = _synth_config(args)
+    cfg = _record(_synth_config, args)
     corpus = corpus_mod.generate_synthetic(cfg, args.seed)
     corpus_mod.save_manifest(corpus, args.out, invocation=args.flags)
     print(f"wrote {args.out}: {len(corpus.videos)} videos, {len(corpus.classes)} classes")
@@ -183,15 +203,15 @@ def _add_pretrain(sub) -> None:
 
 
 def _cmd_pretrain(args) -> int:
+    cfg = _record(_train_config, args, args.seed)
     corpus = corpus_mod.load_manifest(args.manifest)
-    cfg = _train_config(args, args.seed)
     init_encoder = None
     if args.init_checkpoint:
         init_encoder = pretrain.load_checkpoint(args.init_checkpoint).encoder
     ckpt, rows = pretrain.train(corpus, cfg, init_encoder=init_encoder)
     pretrain.save_checkpoint(ckpt, args.out, invocation=args.flags)
     log_path = args.log or f"{args.out}.log.tsv"
-    pretrain.write_train_log(rows, log_path, header_comment=f"flags={args.flags}")
+    pretrain.write_train_log(rows, log_path, flags_comment=args.flags)
     sel = ckpt.selection
     print(f"wrote {args.out} (selected head_lr={sel.head_lr}, epoch={sel.epoch}, "
           f"score={sel.score:.4f})")
@@ -204,7 +224,7 @@ def _add_extract(sub) -> None:
     p.add_argument("--manifest", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", choices=corpus_mod.SUBSETS, default="valid")
-    p.add_argument("--hop", type=int, default=None,
+    p.add_argument("--hop", type=_positive_int, default=None,
                    help="clip hop in frames (default: non-overlapping receptive fields)")
     p.add_argument("--out-dir", required=True)
 
@@ -258,7 +278,7 @@ def _localizer_field(name: str, parse):
     def convert(text):
         value = parse(text)
         try:
-            replace(evalkit.LocalizerParams(), **{name: value}).validate()
+            replace(evalkit.LocalizerParams(), **{name: value})
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
         return value
@@ -326,21 +346,17 @@ def _cmd_eval_det(args) -> int:
     if not gts:
         raise UsageError(f"subset {args.subset!r} has no annotated instances")
     preds = evalkit.load_predictions(args.detections, kind="detections")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(f"# flags={args.flags}\n")
-        fh.write("metric\tvalue\n")
-        maps = evalkit.map_curve(preds, gts, evalkit.TIOU_GRID)
-        for thr, value in zip(evalkit.TIOU_GRID, maps):
-            fh.write(f"mAP@{thr:.2f}\t{value!r}\n")
-        fh.write(f"average_mAP\t{float(np.mean(maps))!r}\n")  # as evalkit.average_map
-        if args.detad:
-            fh.write("# DETAD-style length buckets (reduced protocol)\n")
-            fh.write("bucket\taverage_mAP\tshare\tnum_gt\n")
-            report = evalkit.detad_report(preds, gts)
-            for bucket in evalkit.DETAD_BUCKETS:
-                row = report[bucket]
-                amap = "n/a" if row["average_map"] is None else repr(row["average_map"])
-                fh.write(f"{bucket}\t{amap}\t{row['share']!r}\t{row['num_gt']}\n")
+    maps = evalkit.map_curve(preds, gts, evalkit.TIOU_GRID)
+    rows = [["metric", "value"]]
+    rows += [[f"mAP@{thr:.2f}", repr(value)] for thr, value in zip(evalkit.TIOU_GRID, maps)]
+    rows.append(["average_mAP", repr(float(np.mean(maps)))])  # as evalkit.average_map
+    if args.detad:
+        rows.append(["# DETAD-style length buckets (reduced protocol)"])
+        rows.append(["bucket", "average_mAP", "share", "num_gt"])
+        for bucket, row in evalkit.detad_report(preds, gts).items():
+            amap = "n/a" if row["average_map"] is None else repr(row["average_map"])
+            rows.append([bucket, amap, repr(row["share"]), str(row["num_gt"])])
+    write_rows(args.out, args.flags, rows)
     print(f"wrote {args.out}")
     return 0
 
@@ -362,12 +378,10 @@ def _cmd_eval_prop(args) -> int:
     props = evalkit.load_predictions(args.proposals, kind="proposals")
     curve = evalkit.ar_at_an(props, gts, evalkit.AUC_BUDGETS)
     ar_at = dict(curve)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(f"# flags={args.flags}\n")
-        fh.write("metric\tvalue\n")
-        for budget in (1, 10, 100):
-            fh.write(f"AR@{budget}\t{ar_at[budget]!r}\n")
-        fh.write(f"AUC\t{evalkit.auc_of_curve(curve)!r}\n")
+    rows = [["metric", "value"]]
+    rows += [[f"AR@{budget}", repr(ar_at[budget])] for budget in (1, 10, 100)]
+    rows.append(["AUC", repr(evalkit.auc_of_curve(curve))])
+    write_rows(args.out, args.flags, rows)
     print(f"wrote {args.out}")
     return 0
 
@@ -391,12 +405,10 @@ def _cmd_analyze_sim(args) -> int:
     analysis.write_matrix_csv(matrix, f"{args.out_prefix}.csv", flags_comment=args.flags)
     analysis.export_pgm(matrix, f"{args.out_prefix}.pgm")
     stats = analysis.contrast_stats(track, video)
-    with open(f"{args.out_prefix}_contrast.tsv", "w", encoding="utf-8") as fh:
-        fh.write(f"# flags={args.flags}\n")
-        fh.write("metric\tvalue\n")
-        for name, value in (("intra_fg", stats.intra_fg), ("fg_bg", stats.fg_bg),
-                            ("intra_bg", stats.intra_bg), ("contrast", stats.contrast)):
-            fh.write(f"{name}\t{'n/a' if value is None else repr(value)}\n")
+    metrics = (("intra_fg", stats.intra_fg), ("fg_bg", stats.fg_bg),
+               ("intra_bg", stats.intra_bg), ("contrast", stats.contrast))
+    write_rows(f"{args.out_prefix}_contrast.tsv", args.flags, [["metric", "value"]] + [
+        [name, "n/a" if value is None else repr(value)] for name, value in metrics])
     print(f"wrote {args.out_prefix}.csv / .pgm / _contrast.tsv")
     return 0
 
@@ -410,7 +422,7 @@ def _add_bench(sub) -> None:
     p.add_argument("--modes", default="tsp,tsp_nogvf,tac")
     p.add_argument("--seeds", type=_parse_ints, default=(0, 1, 2, 3, 4))
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--hop", type=int, default=None)
+    p.add_argument("--hop", type=_positive_int, default=None)
     p.add_argument("--preset", choices=("paper-study1",),
                    help="named experiment preset (fixes modes and seeds)")
     _add_localizer_flags(p)
@@ -422,17 +434,14 @@ def _cmd_bench(args) -> int:
         args.modes = "tsp,tsp_nogvf,tac"
         args.seeds = (0, 1, 2, 3, 4)
     modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-    for m in modes:
-        if m not in pretrain.MODES:
-            raise UsageError(f"unknown mode {m!r}")
+    bench_cfg = _record(lambda: bench.BenchConfig(
+        modes=modes, seeds=tuple(args.seeds), hop=args.hop,
+        localizer=_localizer_params(args),
+        train=_train_config(args, seed=0, mode="tsp")))
     if args.manifest:
         corpus = corpus_mod.load_manifest(args.manifest)
     else:
         corpus = corpus_mod.generate_synthetic(corpus_mod.SynthConfig(), args.corpus_seed)
-    bench_cfg = bench.BenchConfig(
-        modes=modes, seeds=tuple(args.seeds), hop=args.hop,
-        localizer=_localizer_params(args),
-        train=_train_config(args, seed=0, mode="tsp"))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     table, per_seed = bench.run_bench(corpus, bench_cfg)

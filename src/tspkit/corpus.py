@@ -30,14 +30,13 @@ obey the same; unknown keys are ignored except in the synth block.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .decode import decode, load_json
+from .decode import decode, load_json, save_json
 from .seeding import normal_rows, rng_for
 
 SCHEMA_VERSION = 1
@@ -162,7 +161,7 @@ class SynthConfig:
         return SynthInfo(seed, self.noise_sigma, self.background_mode,
                          self.channels, self.height, self.width)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         self.synth_info(seed=0)
         if self.num_classes < 1:
             raise ValueError("num_classes must be positive")
@@ -422,13 +421,7 @@ def load_manifest(path) -> Corpus:
 
 
 def save_manifest(corpus: Corpus, path, invocation: str | None = None) -> None:
-    """``invocation`` goes under the reserved "__invocation__" key, which readers skip."""
-    doc = corpus_to_dict(corpus)
-    if invocation is not None:
-        doc["__invocation__"] = invocation
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(corpus_to_dict(corpus), path, invocation, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +456,6 @@ def _draw_instances(rng: np.random.Generator, config: SynthConfig,
 
 def generate_synthetic(config: SynthConfig, seed: int) -> Corpus:
     """Deterministic synthetic corpus: same (config, seed) -> identical manifest."""
-    config.validate()
     classes = [f"act{c:02d}" for c in range(config.num_classes)]
     info = config.synth_info(seed)
     videos: dict[str, VideoRecord] = {}

@@ -1,4 +1,4 @@
-"""Typed reading of JSON input files: the one decoder behind every loader.
+"""Reading and writing the pipeline's files: typed JSON input, every text output.
 
 ``load_json(path, error)`` reads a file. ``decode(value, tp)`` returns a value
 parsed by ``json.load`` as the annotated type ``tp``, or raises ValueError
@@ -12,6 +12,12 @@ starts with ``__``. An ``np.ndarray`` is a flat list of numbers, or a
 ``{"shape": [...], "data": [...]}`` object, converted by one numpy call rather
 than element by element. Each type's decoding function is built once and
 cached, so a value costs no type inspection.
+
+Every text output goes through ``save_json`` (key-sorted JSON) or
+``write_rows`` (a table of already-formatted fields). Both take the producing
+invocation, and one rule decides its line: unless it is None, JSON gets the
+reserved ``"__invocation__"`` key, which the decoder skips, and a table
+starts with a ``# flags=`` line.
 """
 
 from __future__ import annotations
@@ -41,6 +47,24 @@ def load_json(path, error: type[Exception], label: str | None = None):
                     f"column {exc.colno})") from exc
     except UnicodeDecodeError as exc:
         raise error(f"{label}: not UTF-8 text ({exc.reason})") from exc
+
+
+def save_json(doc: dict, path, invocation: str | None, indent: int = 1) -> None:
+    """``doc`` as key-sorted JSON, with ``invocation``, unless None, under "__invocation__"."""
+    if invocation is not None:
+        doc = {**doc, "__invocation__": invocation}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=indent, sort_keys=True)
+        fh.write("\n")
+
+
+def write_rows(path, flags: str | None, rows, sep: str = "\t") -> None:
+    """Each row's string fields joined by ``sep``, one line per row, after a
+    ``# flags=`` line unless ``flags`` is None."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if flags is not None:
+            fh.write(f"# flags={flags}\n")
+        fh.writelines(sep.join(row) + "\n" for row in rows)
 
 
 def _at(where: str) -> str:

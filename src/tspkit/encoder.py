@@ -49,7 +49,7 @@ class EncoderConfig:
     def feature_dim(self) -> int:
         return self.embed_dim
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if min(self.channels_in, self.height, self.width, self.embed_dim) < 1:
             raise ValueError("encoder dimensions must be positive")
         if self.blocks < 0:
@@ -99,7 +99,6 @@ class EncoderParams(ParamRecord):
 
 def init_params(config: EncoderConfig, seed: int) -> EncoderParams:
     """He-scaled normal weights, zero biases, deterministic per seed."""
-    config.validate()
     d = config.embed_dim
     rng = rng_for(seed, "encoder-init")
     stem_w = rng.standard_normal((d, config.frame_dim)) * np.sqrt(2.0 / config.frame_dim)

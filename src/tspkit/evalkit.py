@@ -10,7 +10,6 @@ curve up to 100 proposals.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .autodiff import softmax
 from .corpus import Corpus
-from .decode import integer, load_json, number
+from .decode import integer, load_json, number, save_json
 from .extract import FeatureTrack
 
 # tIoU grid 0.5:0.05:0.95 built from exact vulgar fractions so threshold
@@ -69,7 +68,7 @@ class LocalizerParams:
     nms_tiou: float = 0.8
     max_predictions: int = 100
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.smooth_window < 1 or self.smooth_window % 2 == 0:
             raise ValueError("smooth_window must be odd and >= 1")
         if not all(0.0 < t < 1.0 for t in self.thresholds) or not self.thresholds:
@@ -384,7 +383,6 @@ def baseline_localize(track: FeatureTrack, params: LocalizerParams,
                       ) -> tuple[list[DetectionPrediction], list[ProposalPrediction]]:
     """Threshold smoothed actionness into runs; each run becomes a proposal
     and a classified detection. Class-wise NMS prunes near-duplicates."""
-    params.validate()
     if len(track) == 0:
         return [], []
     scores = _smooth(actionness_scores(track, actionness), params.smooth_window)
@@ -445,14 +443,8 @@ def _nms(preds: list, labels: list[int], thr: float) -> list:
 
 
 def save_predictions(preds_by_video: dict[str, list], path, invocation: str | None = None) -> None:
-    """Top level maps video id to its predictions; labels are class indices.
-
-    The reserved "__invocation__" key carries the producing flag set (JSON has
-    no comments); readers skip double-underscore keys.
-    """
+    """Top level maps video id to its predictions; labels are class indices."""
     doc: dict = {}
-    if invocation is not None:
-        doc["__invocation__"] = invocation
     for video_id, items in sorted(preds_by_video.items()):
         rows = []
         for p in items:
@@ -461,9 +453,7 @@ def save_predictions(preds_by_video: dict[str, list], path, invocation: str | No
                 row["label"] = p.class_index
             rows.append(row)
         doc[video_id] = rows
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    save_json(doc, path, invocation)
 
 
 def load_predictions(path, kind: str = "detections"):

@@ -24,6 +24,7 @@ import numpy as np
 from . import encoder as enc
 from .autodiff import softmax
 from .corpus import Corpus, VideoRecord
+from .decode import write_rows
 from .pretrain import Checkpoint, checkpoint_global_feature, head_logits
 from .sampler import clip_frame_indices, clip_span, dense_clip_specs
 
@@ -112,28 +113,20 @@ def extract_track(corpus: Corpus, video: VideoRecord, ckpt: Checkpoint,
 def write_track(track: FeatureTrack, path, flags_comment: str | None = None) -> None:
     n, dim = track.features.shape
     classes = track.action_logits.shape[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        if flags_comment:
-            fh.write(f"# flags={flags_comment}\n")
-        fh.write(f"# video_id={track.video_id}\n")
-        fh.write(f"# clip_len={track.clip_len}\n")
-        fh.write(f"# frame_stride={track.frame_stride}\n")
-        fh.write(f"# hop_frames={track.hop_frames}\n")
-        fh.write(f"# fps={track.fps!r}\n")
-        fh.write(f"# num_frames={track.num_frames}\n")
-        fh.write(f"# feature_dim={dim}\n")
-        fh.write(f"# num_classes={classes}\n")
-        fh.write(f"# checkpoint_id={track.checkpoint_id}\n")
-        fh.write("# gvf=" + ";".join(repr(float(v)) for v in track.global_feature) + "\n")
-        cols = (["t_center"] + [f"f_{j}" for j in range(dim)] + ["p_fg"]
-                + [f"a_{j}" for j in range(classes)])
-        fh.write(",".join(cols) + "\n")
-        probs = ([""] * n if track.region_probs is None
-                 else map(repr, track.region_probs.tolist()))
-        fh.writelines(",".join([repr(t), *map(repr, feat), p, *map(repr, logit)]) + "\n"
-                      for t, feat, p, logit in zip(track.center_times.tolist(),
-                                                   track.features.tolist(), probs,
-                                                   track.action_logits.tolist()))
+    header = [f"# video_id={track.video_id}", f"# clip_len={track.clip_len}",
+              f"# frame_stride={track.frame_stride}", f"# hop_frames={track.hop_frames}",
+              f"# fps={track.fps!r}", f"# num_frames={track.num_frames}",
+              f"# feature_dim={dim}", f"# num_classes={classes}",
+              f"# checkpoint_id={track.checkpoint_id}",
+              "# gvf=" + ";".join(map(repr, track.global_feature.tolist()))]
+    cols = (["t_center"] + [f"f_{j}" for j in range(dim)] + ["p_fg"]
+            + [f"a_{j}" for j in range(classes)])
+    rows = [[line] for line in header] + [cols]
+    probs = [""] * n if track.region_probs is None else map(repr, track.region_probs.tolist())
+    rows += ([repr(t), *map(repr, feat), p, *map(repr, logit)]
+             for t, feat, p, logit in zip(track.center_times.tolist(), track.features.tolist(),
+                                          probs, track.action_logits.tolist()))
+    write_rows(path, flags_comment, rows, sep=",")
 
 
 def read_track(path) -> FeatureTrack:

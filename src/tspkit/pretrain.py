@@ -25,7 +25,6 @@ in the CPU caches and runs slower, with the same features.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -35,7 +34,7 @@ import numpy as np
 from . import autodiff as ad
 from . import encoder as enc
 from .corpus import MAX_VIDEO_FRAMES, Corpus
-from .decode import decode, load_json
+from .decode import decode, load_json, save_json, write_rows
 from .sampler import (ClipSpec, build_epoch, clip_batch, clip_span, dense_clip_specs,
                       test_clip_set, video_segment_clips)
 from .seeding import rng_for
@@ -96,7 +95,8 @@ class TrainConfig:
     resample_each_epoch: bool = True
     gvf_dense_hop: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        enc.EncoderConfig(embed_dim=self.embed_dim, blocks=self.blocks)  # the encoder's rules
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.global_pool not in ("max", "avg"):
@@ -553,7 +553,6 @@ def train(corpus: Corpus, cfg: TrainConfig,
     and the best selection key wins, the first cell in grid order on a tie, so
     the checkpoint and the rows are the same bytes at any worker count.
     """
-    cfg.validate()
     enc_cfg = encoder_config_for(corpus, cfg)
 
     if init_encoder is not None:
@@ -665,7 +664,6 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
     try:  # other top-level keys, "checkpoint_id" among them, are not fields
         ckpt = decode({f.name: doc[f.name] for f in fields(Checkpoint) if f.name in doc},
                       Checkpoint)
-        ckpt.config.validate()
         _check_shapes(ckpt)
     except ValueError as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
@@ -675,13 +673,7 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path, invocation: str | None = None) -> None:
-    """``invocation`` goes under the reserved "__invocation__" key, which readers skip."""
-    doc = checkpoint_to_dict(ckpt)
-    if invocation is not None:
-        doc["__invocation__"] = invocation
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    save_json(checkpoint_to_dict(ckpt), path, invocation)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -692,12 +684,9 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: {exc}") from exc
 
 
-def write_train_log(rows: list[TrainLogRow], path, header_comment: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("epoch\thead_lr\tmean_train_loss\taction_acc\tregion_acc\tlr_multiplier\n")
-        for r in rows:
-            region = "n/a" if r.region_acc is None else repr(r.region_acc)
-            fh.write(f"{r.epoch}\t{r.head_lr!r}\t{r.mean_train_loss!r}\t{r.action_acc!r}\t"
-                     f"{region}\t{r.lr_multiplier!r}\n")
+def write_train_log(rows: list[TrainLogRow], path, flags_comment: str | None = None) -> None:
+    header = ["epoch", "head_lr", "mean_train_loss", "action_acc", "region_acc", "lr_multiplier"]
+    write_rows(path, flags_comment, [header] + [
+        [str(r.epoch), repr(r.head_lr), repr(r.mean_train_loss), repr(r.action_acc),
+         "n/a" if r.region_acc is None else repr(r.region_acc), repr(r.lr_multiplier)]
+        for r in rows])

@@ -52,9 +52,31 @@ def test_in_process_call_records_its_own_argv_not_the_hosts(tmp_path, monkeypatc
 def test_gen_corpus_refuses_a_manifest_that_could_not_be_loaded(tmp_path, capsys):
     path = tmp_path / "corpus.json"
     assert cli.main(["gen-corpus", "--out", str(path), "--train-videos", "1",
-                     "--noise-sigma", "-0.5"]) == 1
+                     "--noise-sigma", "-0.5"]) == 2
     assert capsys.readouterr().err.startswith("error: noise_sigma -0.5")
     assert not path.exists()
+
+
+# (argv without its output flag, start of the error line); pretrain's
+# manifest does not exist, so its error shows that the flags were checked first
+REJECTED_FLAGS = {
+    "bench_unknown_mode": (["bench", "--modes", "tsp,bogus"], "unknown mode 'bogus'"),
+    "bench_repeated_seed": (["bench", "--seeds", "1,1"], "seeds must be distinct"),
+    "pretrain_zero_embed_dim": (["pretrain", "--manifest", "absent.json", "--embed-dim", "0"],
+                                "encoder dimensions must be positive"),
+    "pretrain_zero_gvf_hop": (["pretrain", "--manifest", "absent.json", "--gvf-dense-hop", "0"],
+                              "gvf_dense_hop must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_FLAGS))
+def test_a_flag_value_a_record_rejects_exits_2_before_any_file(case, tmp_path, capsys):
+    argv, message = REJECTED_FLAGS[case]
+    out = tmp_path / "out"
+    flag = "--out-dir" if argv[0] == "bench" else "--out"
+    assert cli.main([*argv, flag, str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
 
 
 @pytest.fixture
@@ -378,6 +400,27 @@ def test_malformed_input_file_exits_1_with_one_error_line_naming_it(
     assert code == 1, err
     assert err.startswith(f"error: {bad}: ")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("use_config", [False, True], ids=["flag", "config"])
+def test_extract_refuses_a_zero_hop_before_making_its_output_directory(
+        use_config, good_files, tmp_path, capsys):
+    config = tmp_path / "extract.json"
+    config.write_text(json.dumps({"hop": 0}), encoding="utf-8")
+    hop = ["--config", str(config)] if use_config else ["--hop", "0"]
+    out = tmp_path / "tracks"
+    argv = ["extract", *hop, "--manifest", str(good_files["manifest"]),
+            "--checkpoint", str(good_files["checkpoint"]), "--out-dir", str(out)]
+    if use_config:
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (f"error: --config {config}: hop: must be a "
+                                           f"positive integer, not 0\n")
+    else:
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        assert exit_.value.code == 2
+        assert "argument --hop: must be a positive integer, not 0" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -232,12 +232,12 @@ def synth_manifest(**synth):
 def test_frame_side_limit_holds_for_generation_and_loading():
     side = cp.MAX_FRAME_SIDE
     assert side == 112
-    cp.SynthConfig(channels=1, height=side, width=side).validate()
+    cp.SynthConfig(channels=1, height=side, width=side)
     loaded = cp.corpus_from_dict(synth_manifest(height=side, width=side))
     assert (loaded.synth.height, loaded.synth.width) == (side, side)
     for geometry in (dict(height=side + 1, width=side), dict(height=side, width=side + 1)):
         with pytest.raises(ValueError, match="112"):
-            cp.SynthConfig(channels=1, **geometry).validate()
+            cp.SynthConfig(channels=1, **geometry)
         with pytest.raises(cp.ManifestError, match="bad synth block: .*112"):
             cp.corpus_from_dict(synth_manifest(**geometry))
 

@@ -71,18 +71,16 @@ def test_zero_action_weight_leaves_region_term():
 
 @pytest.mark.parametrize("action,region", [(-1.0, 1.0), (1.0, -0.5), (0.0, 0.0)])
 def test_negative_or_all_zero_loss_weights_rejected(action, region):
-    cfg = pt.TrainConfig(action_loss_weight=action, region_loss_weight=region)
     with pytest.raises(ValueError, match="loss weights"):
-        cfg.validate()
+        pt.TrainConfig(action_loss_weight=action, region_loss_weight=region)
 
 
 @pytest.mark.parametrize("hop", [0, -4])
 def test_nonpositive_gvf_dense_hop_rejected_before_any_training(hop, monkeypatch):
-    pt.TrainConfig(gvf_dense_hop=None).validate()
-    pt.TrainConfig(gvf_dense_hop=1).validate()
-    cfg = pt.TrainConfig(gvf_dense_hop=hop)
+    pt.TrainConfig(gvf_dense_hop=None)
+    pt.TrainConfig(gvf_dense_hop=1)
     with pytest.raises(ValueError, match="gvf_dense_hop must be positive"):
-        cfg.validate()
+        pt.TrainConfig(gvf_dense_hop=hop)
 
     def no_training(*args):
         raise AssertionError("a grid cell trained")
