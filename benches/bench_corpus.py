@@ -1,13 +1,18 @@
-"""Microbenchmarks of frame synthesis over the default corpus's valid split.
+"""Microbenchmarks of frame synthesis and gathering on the default corpus.
 
-Each round builds a fresh ``Corpus`` from the manifest of
-``generate_synthetic(SynthConfig(), seed=0)``, so every round starts from a
-cold cache. Two cases time the two ways frames are synthesized:
+Each synthesis round builds a fresh ``Corpus`` from the manifest of
+``generate_synthetic(SynthConfig(), seed=0)``, so every round starts from an
+unfilled frame store. Two cases time the two ways frames are synthesized over
+the valid split:
 
-* ``video_frames``: every valid video's whole frame array (40 videos, about
-  37k frames), as training, validation and global features read them;
+* ``split_frames``: the valid split's whole frame store (40 videos, about
+  37k frames), as training, validation and global features fill it;
 * ``frames_at``: only the frames the default dense clips read (clip_len 16,
   frame_stride 2, hop 31, about half of them), as ``extract_track`` reads them.
+
+A third case times the gather of one bench-shape training step: the first 32
+clips (L 16) of epoch 0, taken from the filled train store with one
+``take`` of their ``clip_rows``.
 
 The test suite does not collect this file (it does not match ``test_*.py``);
 run it from the repository root with pytest-benchmark:
@@ -19,9 +24,9 @@ import numpy as np
 import pytest
 
 from tspkit import corpus as cp
-from tspkit.sampler import clip_frame_indices, clip_span
+from tspkit.sampler import build_epoch, clip_frame_indices, clip_rows, clip_span
 
-CLIP_LEN, FRAME_STRIDE = 16, 2
+CLIP_LEN, FRAME_STRIDE, BATCH = 16, 2, 32
 
 
 @pytest.fixture(scope="module")
@@ -30,11 +35,10 @@ def manifest():
 
 
 def synthesize_valid(manifest) -> int:
-    corpus = cp.corpus_from_dict(manifest)
-    return sum(len(corpus.video_frames(v)) for v in corpus.subset_videos("valid"))
+    return len(cp.corpus_from_dict(manifest).split_frames("valid"))
 
 
-def test_video_frames_valid_split(benchmark, manifest):
+def test_split_frames_valid_split(benchmark, manifest):
     frames = benchmark.pedantic(synthesize_valid, args=(manifest,), rounds=5, iterations=1)
     assert frames > 30_000
 
@@ -54,3 +58,13 @@ def test_frames_at_valid_dense_clips(benchmark, manifest):
     frames = benchmark.pedantic(gather_valid_dense_clips, args=(manifest,), rounds=5,
                                 iterations=1)
     assert frames > 15_000
+
+
+def test_take_training_batch_from_train_store(benchmark, manifest):
+    corpus = cp.corpus_from_dict(manifest)
+    store = corpus.split_frames("train")
+    specs = build_epoch(corpus, "train", 0, seed=0, clip_len=CLIP_LEN,
+                        frame_stride=FRAME_STRIDE)[:BATCH]
+    rows = clip_rows(corpus, specs)
+    frames = benchmark(store.take, rows, axis=0)
+    assert frames.shape == (BATCH, CLIP_LEN, corpus.synth.frame_dim)

@@ -7,10 +7,11 @@ batch through the two-head loss: ``batch_loss_tensor`` records the encoder op
 and the loss op, and ``Tape.backward`` sweeps them. One validation pass is
 ``pretrain.clip_features`` over 1,180 clips, about the size of the default
 corpus's valid clip set (1,205 clips at corpus seed 0): the inference forward
-that ``_accuracy`` runs, in chunks of at most ``VALIDATION_CHUNK`` clips.
-Inputs are seeded normals in the encoder's time-major (B, L, frame_dim)
-layout. tspkit is imported before numpy, so BLAS runs on one
-thread as it does in the study's workers. The test suite does not collect this
+that ``_accuracy`` runs, in chunks of at most ``VALIDATION_CHUNK`` clips, each
+taken from a frame store the size of the valid split (about 37k frames).
+Inputs are seeded normals, in the encoder's time-major (B, L, frame_dim)
+layout or as rows of such a store. tspkit is imported before numpy, so BLAS
+runs on one thread as it does in the study's workers. The test suite does not collect this
 file (it does not match ``test_*.py``); run it from the repository root with
 pytest-benchmark:
 
@@ -31,6 +32,7 @@ CLIP_LEN = 16
 FRAME_DIM = 16
 NUM_CLASSES = 8
 VALID_CLIPS = 1180
+VALID_FRAMES = 37_000
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +65,8 @@ def test_training_step_batch_32(benchmark, params):
 
 
 def test_validation_forward_1180_clips(benchmark, params):
-    frames = np.abs(np.random.default_rng(1).standard_normal((VALID_CLIPS, CLIP_LEN,
-                                                              FRAME_DIM)))
-    feats = benchmark(pt.clip_features, params[0], frames)
+    rng = np.random.default_rng(1)
+    store = np.abs(rng.standard_normal((VALID_FRAMES, FRAME_DIM)))
+    rows = rng.integers(0, VALID_FRAMES, (VALID_CLIPS, CLIP_LEN))
+    feats = benchmark(pt.clip_features, params[0], store, rows)
     assert feats.shape == (VALID_CLIPS, params[0].config.feature_dim)

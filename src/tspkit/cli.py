@@ -240,6 +240,8 @@ def _cmd_extract(args) -> int:
     ckpt = pretrain.load_checkpoint(args.checkpoint)
     if corpus.synth is None:
         raise corpus_mod.ManifestError(f"{args.manifest}: no synth block, so no frames")
+    extract_mod.check_frame_shape(corpus, ckpt, f"manifest {args.manifest}",
+                                  f"checkpoint {args.checkpoint}")
     videos = corpus.subset_videos(args.split)
     if not videos:
         raise FileNotFoundError(f"{args.manifest}: split {args.split!r} has no videos")

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -191,11 +191,11 @@ class Corpus:
     compute the same entry. Every cached value is a pure function of the
     manifest, and the cached arrays are read-only.
 
-    Only ``video_frames`` (and ``frame``, which reads it) fills the frame
-    cache, with a whole video; training, validation and global features read
-    whole splits many times and go through it. ``frames_at`` reads the cache
-    when the video is in it and otherwise synthesizes just the rows asked
-    for without caching them, which is what a single dense pass needs.
+    The frame cache is one ``(frames, frame_dim)`` store per split, filled
+    whole on first use by ``split_frames``; training and validation take clips
+    from it by global rows, and ``video_frames`` is a view of it. ``frames_at``
+    reads a filled store and otherwise synthesizes just the rows asked for
+    without filling anything, which is what a single pass over a video needs.
     """
 
     def __init__(self, classes: list[str], videos: dict[str, VideoRecord],
@@ -205,7 +205,12 @@ class Corpus:
         self.synth = synth
         self._class_index = {name: i for i, name in enumerate(self.classes)}
         self._segment_cache: dict[str, list[RegionSegment]] = {}
-        self._frame_cache: dict[str, np.ndarray] = {}
+        self._offsets: dict[str, int] = {}
+        split_rows = dict.fromkeys(SUBSETS, 0)
+        for video in self.videos.values():
+            self._offsets[video.id] = split_rows[video.subset]
+            split_rows[video.subset] += video.num_frames
+        self._stores: dict[str, np.ndarray] = {}
         self._prototypes: np.ndarray | None = None
         self._bg_prototypes: dict[str, np.ndarray] = {}
 
@@ -270,30 +275,47 @@ class Corpus:
                              f"({video.num_frames} frames)")
         return self.video_frames(video)[frame_index].copy()
 
+    def frame_offset(self, video: VideoRecord) -> int:
+        """The row of the video's first frame in its split's frame store."""
+        return self._offsets[video.id]
+
+    def split_frames(self, split: str) -> np.ndarray:
+        """The split's frame store, shape (frames, frame_dim), read-only: video
+        v's frame i is row ``frame_offset(v) + i``. Synthesized on first use."""
+        store = self._stores.get(split)
+        if store is None:
+            videos = self.subset_videos(split)
+            store = np.empty((sum(v.num_frames for v in videos), self._require_synth().frame_dim))
+            for video in videos:
+                start = self._offsets[video.id]
+                store[start:start + video.num_frames] = self._synthesize_rows(
+                    video, np.arange(video.num_frames)).reshape(video.num_frames, -1)
+            store.setflags(write=False)
+            store = self._stores.setdefault(split, store)
+        return store
+
     def video_frames(self, video: VideoRecord) -> np.ndarray:
-        """All frames of a video, shape (num_frames, channels, height, width); cached."""
-        cached = self._frame_cache.get(video.id)
-        if cached is None:
-            cached = self._synthesize_rows(video, np.arange(video.num_frames))
-            cached.setflags(write=False)
-            self._frame_cache[video.id] = cached
-        return cached
+        """All frames of a video, shape (num_frames, channels, height, width): a
+        read-only view of its rows of the split's frame store."""
+        info = self._require_synth()
+        start = self._offsets[video.id]
+        return self.split_frames(video.subset)[start:start + video.num_frames].reshape(
+            -1, info.channels, info.height, info.width)
 
     def frames_at(self, video: VideoRecord, indices) -> np.ndarray:
         """The frames at an integer index array of any shape, shape
         ``indices.shape + (channels, height, width)``; equal to
         ``video_frames(video)[indices]`` bit for bit.
 
-        A cached video is gathered from the cache; otherwise only the distinct
-        rows asked for are synthesized, and the cache is left unfilled.
+        A video whose split store is filled is gathered from it; otherwise only
+        the distinct rows asked for are synthesized, and the store is left unfilled.
         """
         indices = np.asarray(indices)
         if indices.size and not (0 <= indices.min() and indices.max() < video.num_frames):
             raise ValueError(f"frame indices out of range for {video.id!r} "
                              f"({video.num_frames} frames)")
-        cached = self._frame_cache.get(video.id)
-        if cached is not None:
-            return cached[indices]
+        if video.subset in self._stores:
+            return self.video_frames(video)[indices]
         rows, inverse = np.unique(indices, return_inverse=True)
         return self._synthesize_rows(video, rows)[inverse.reshape(indices.shape)]
 

@@ -9,8 +9,8 @@ There is one forward pass, ``forward_batch``, over a batch of clips on a tape.
 Its parameters are an ``EncoderParams`` record whose arrays are tape leaves,
 ``params.map(lambda a: tape.tensor(a, True))``; inference runs the same
 function on a tape whose leaves need no gradient, which keeps no record.
-Clips are time-major, (B, L, frame_dim): one flattened frame per row, as
-``sampler.clip_batch`` gathers them.
+Clips are time-major, (B, L, frame_dim): one flattened frame per row, as a
+``take`` of ``sampler.clip_rows`` from a split's frame store gathers them.
 
 The whole encoder is one tape op, the first of a training step's two (the
 second is ``pretrain.batch_loss_tensor``'s two-head loss). Each layer is one

@@ -10,8 +10,8 @@ serialization.
 A video's clips are gathered with one ``Corpus.frames_at`` call. On a cold
 corpus that synthesizes only the frame rows the clips read, not the whole
 video: at the default hop a clip spans 31 frames but reads 16 of them, so
-about half of each video. On a corpus whose frames are already cached (as
-after validation), it gathers from the cache.
+about half of each video. On a corpus whose split store already holds the
+video (as after training or validation), it gathers from the store.
 """
 
 from __future__ import annotations
@@ -74,6 +74,16 @@ class FeatureTrack:
         return self.features.shape[0]
 
 
+def check_frame_shape(corpus: Corpus, ckpt: Checkpoint, corpus_name: str = "corpus",
+                      ckpt_name: str = "checkpoint") -> None:
+    """Raise TrackError unless the checkpoint's encoder reads the corpus's frames."""
+    enc_cfg, synth = ckpt.encoder.config, corpus.synth
+    want = f"{enc_cfg.channels_in}x{enc_cfg.height}x{enc_cfg.width}"
+    have = want if synth is None else f"{synth.channels}x{synth.height}x{synth.width}"
+    if want != have:
+        raise TrackError(f"{ckpt_name} expects {want} frames, {corpus_name} has {have}")
+
+
 def extract_track(corpus: Corpus, video: VideoRecord, ckpt: Checkpoint,
                   hop: int | None = None) -> FeatureTrack:
     """Tile one video with clips and run the checkpoint over them; the default
@@ -81,11 +91,7 @@ def extract_track(corpus: Corpus, video: VideoRecord, ckpt: Checkpoint,
     cfg = ckpt.config
     if hop is None:
         hop = clip_span(cfg.clip_len, cfg.frame_stride)
-    enc_cfg, synth = ckpt.encoder.config, corpus.synth
-    want = f"{enc_cfg.channels_in}x{enc_cfg.height}x{enc_cfg.width}"
-    have = want if synth is None else f"{synth.channels}x{synth.height}x{synth.width}"
-    if want != have:
-        raise TrackError(f"checkpoint expects {want} frames, corpus has {have}")
+    check_frame_shape(corpus, ckpt)
 
     tsp = ckpt.mode == "tsp"
     global_feat = checkpoint_global_feature(corpus, video.id, ckpt) if tsp else np.empty(0)

@@ -17,9 +17,10 @@ model selection on mean validation accuracy of the heads.
 A training step records two tape ops: the encoder, and ``batch_loss_tensor``,
 which holds both heads and their weighted cross entropies. Their loss and
 gradients are bitwise those of the primitive-op composition kept in
-``tests/reference_tape.py``. Validation runs the encoder forward in chunks of
-at most ``VALIDATION_CHUNK`` clips: one batch of a whole split does not fit
-in the CPU caches and runs slower, with the same features.
+``tests/reference_tape.py``. Clips are rows of their split's frame store: a
+step takes its batch with one ``take``, and validation takes and runs chunks
+of at most ``VALIDATION_CHUNK`` clips: one batch of a whole split does not
+fit in the CPU caches and runs slower, with the same features.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from . import autodiff as ad
 from . import encoder as enc
 from .corpus import MAX_VIDEO_FRAMES, Corpus
 from .decode import decode, load_json, save_json, write_rows
-from .sampler import (ClipSpec, build_epoch, clip_batch, clip_span, dense_clip_specs,
-                      test_clip_set, video_segment_clips)
+from .sampler import (ClipSpec, build_epoch, clip_frame_indices, clip_rows, clip_span,
+                      dense_clip_specs, test_clip_set, video_segment_clips)
 from .seeding import rng_for
 from .workers import fork_map
 
@@ -216,11 +217,16 @@ def pool_features(features: list[np.ndarray], pool: str) -> np.ndarray:
 
 def video_global_feature(corpus: Corpus, video_id: str, init_params: enc.EncoderParams,
                          cfg: TrainConfig) -> np.ndarray:
-    """One video's global feature: encoder features pooled over its clip set."""
+    """One video's global feature: encoder features pooled over its clip set,
+    gathered by ``Corpus.frames_at``, so a video outside a filled split store
+    (one missing from a checkpoint's table) fills nothing."""
+    video = corpus.videos[video_id]
     specs = video_clip_specs(corpus, video_id, cfg)
     if not specs:
         raise ValueError(f"video {video_id!r} has no sampleable clips")
-    frames = clip_batch(corpus, specs)
+    centers = np.array([[spec.center_frame] for spec in specs])
+    indices = clip_frame_indices(centers, cfg.clip_len, cfg.frame_stride, video.num_frames)
+    frames = corpus.frames_at(video, indices).reshape(len(specs), cfg.clip_len, -1)
     return pool_features(list(enc.forward_np_batch(init_params, frames)), cfg.global_pool)
 
 
@@ -371,9 +377,9 @@ def lr_at(step: int, steps_per_epoch: int, cfg: TrainConfig) -> float:
 
 @dataclass(frozen=True)
 class LabeledBatch:
-    """Clips gathered as encoder input, with their labels, in clip order."""
+    """Clips as rows of one split's frame store, with their labels, in clip order."""
 
-    frames: np.ndarray  # (B, L, frame_dim)
+    rows: np.ndarray  # (B, L); store.take(rows, axis=0) is the (B, L, frame_dim) input
     region_labels: np.ndarray  # (B,)
     action_labels: np.ndarray  # (B,), -1 on background rows
     video_ids: list[str]
@@ -384,9 +390,9 @@ class LabeledBatch:
 
 
 def labeled_batch(corpus: Corpus, specs: list[ClipSpec]) -> LabeledBatch:
-    """Clips gathered into one batch, labeled by kind and class index."""
+    """Clips of one split as one batch of store rows, labeled by kind and class index."""
     return LabeledBatch(
-        clip_batch(corpus, specs),
+        clip_rows(corpus, specs),
         np.array([int(spec.kind == "foreground") for spec in specs]),
         np.array([-1 if spec.class_index is None else spec.class_index for spec in specs]),
         [spec.video_id for spec in specs])
@@ -400,25 +406,28 @@ def _eval_clips(corpus: Corpus, split: str, cfg: TrainConfig) -> LabeledBatch:
     return labeled_batch(corpus, specs)
 
 
-# Clips per validation forward. A whole split's clips at once (19,280 frames on
-# the default corpus) make activations far larger than the CPU caches: at the
-# bench shapes, 1,180 clips took 8.3 ms in one batch and 4.3 ms in chunks of
-# this size (benches/bench_encoder.py, 2-core x86). A split is cut into equal
-# chunks of at most this many clips, so no chunk is a small tail.
+# Clips per validation forward and per take from the split's store. A whole
+# split's clips at once (19,280 frames on the default corpus) make activations
+# far larger than the CPU caches: at the bench shapes, 1,180 clips took 8.3 ms
+# in one batch and 4.3 ms in chunks of this size (benches/bench_encoder.py,
+# 2-core x86). A split is cut into equal chunks of at most this many clips, so
+# no chunk is a small tail.
 VALIDATION_CHUNK = 128
 
 
-def clip_features(enc_params: enc.EncoderParams, frames: np.ndarray) -> np.ndarray:
-    """Inference features of (B, L, frame_dim) clips, in chunks of at most
-    ``VALIDATION_CHUNK`` clips."""
-    chunks = np.array_split(frames, -(-len(frames) // VALIDATION_CHUNK))
-    return np.concatenate([enc.forward_np_batch(enc_params, chunk) for chunk in chunks])
+def clip_features(enc_params: enc.EncoderParams, store: np.ndarray,
+                  rows: np.ndarray) -> np.ndarray:
+    """Inference features of the clips at (B, L) ``rows`` of ``store``, in
+    chunks of at most ``VALIDATION_CHUNK`` clips, each taken on its own."""
+    chunks = np.array_split(rows, -(-len(rows) // VALIDATION_CHUNK))
+    return np.concatenate([enc.forward_np_batch(enc_params, store.take(chunk, axis=0))
+                           for chunk in chunks])
 
 
 def _accuracy(enc_params: enc.EncoderParams, head_params: HeadParams, mode: str,
-              global_features: Mapping[str, np.ndarray] | None,
+              global_features: Mapping[str, np.ndarray] | None, store: np.ndarray,
               clips: LabeledBatch) -> tuple[float, float | None]:
-    feats = clip_features(enc_params, clips.frames)
+    feats = clip_features(enc_params, store, clips.rows)
     action_logits, region_logits = head_logits(feats, clips.global_rows(global_features),
                                                head_params, mode)
     fg = clips.region_labels == 1
@@ -440,8 +449,8 @@ def validate(checkpoint: "Checkpoint", corpus: Corpus, split: str) -> dict:
     if checkpoint.mode == "tsp":
         global_features = {vid: checkpoint_global_feature(corpus, vid, checkpoint)
                            for vid in dict.fromkeys(clips.video_ids)}
-    action_acc, region_acc = _accuracy(checkpoint.encoder, checkpoint.heads,
-                                       checkpoint.mode, global_features, clips)
+    action_acc, region_acc = _accuracy(checkpoint.encoder, checkpoint.heads, checkpoint.mode,
+                                       global_features, corpus.split_frames(split), clips)
     return {"action_acc": action_acc, "region_acc": region_acc}
 
 
@@ -462,6 +471,8 @@ class _CellInputs:
     cfg: TrainConfig
     init_encoder: enc.EncoderParams
     init_heads: HeadParams
+    train_frames: np.ndarray
+    valid_frames: np.ndarray
     epochs: list[list[LabeledBatch]]
     valid_clips: LabeledBatch
     global_features: Mapping[str, np.ndarray] | None
@@ -478,7 +489,8 @@ def _train_cell(inputs: _CellInputs, head_lr: float) -> tuple[list[TrainLogRow],
                             head_params: HeadParams) -> tuple[float, float | None]:
         """Validation accuracies; the parameters are kept if they beat the cell's best so far."""
         nonlocal best
-        accs = _accuracy(enc_params, head_params, cfg.mode, table_features, inputs.valid_clips)
+        accs = _accuracy(enc_params, head_params, cfg.mode, table_features,
+                         inputs.valid_frames, inputs.valid_clips)
         key = (_selection_score(*accs), -head_lr, -epoch)  # ties: smaller lr, earlier epoch
         if best is None or key > best[0]:
             best = (key, head_lr, epoch, enc_params.copy(), head_params.copy())
@@ -505,7 +517,8 @@ def _train_cell(inputs: _CellInputs, head_lr: float) -> tuple[list[TrainLogRow],
             tape = ad.Tape()
             enc_leaves, head_leaves = (params.map(lambda a: tape.tensor(a, True))
                                        for params in (enc_params, head_params))
-            batch_loss = batch_loss_tensor(tape, enc_leaves, head_leaves, batch.frames,
+            frames = inputs.train_frames.take(batch.rows, axis=0)
+            batch_loss = batch_loss_tensor(tape, enc_leaves, head_leaves, frames,
                                            batch.region_labels, batch.action_labels,
                                            batch.global_rows(table_features), cfg)
             loss_value = batch_loss.item()
@@ -547,11 +560,12 @@ def train(corpus: Corpus, cfg: TrainConfig,
     share one base encoder (the classification-only pretraining that stands in
     for a large-scale pretrained initialization).
 
-    The grid cells are independent. Once the epochs, the validation clips and
-    the GVF table are built, the cells run through ``workers.fork_map`` (whose
-    docstring gives the threading model). Rows are concatenated in grid order
-    and the best selection key wins, the first cell in grid order on a tie, so
-    the checkpoint and the rows are the same bytes at any worker count.
+    The grid cells are independent. Once the frame stores, the epochs, the
+    validation clips and the GVF table are built, the cells run through
+    ``workers.fork_map`` (whose docstring gives the threading model). Rows are
+    concatenated in grid order and the best selection key wins, the first cell
+    in grid order on a tie, so the checkpoint and the rows are the same bytes
+    at any worker count.
     """
     enc_cfg = encoder_config_for(corpus, cfg)
 
@@ -564,6 +578,7 @@ def train(corpus: Corpus, cfg: TrainConfig,
         base_ckpt, _ = train(corpus, base_cfg)
         init_enc = base_ckpt.encoder.copy()
 
+    train_frames, valid_frames = corpus.split_frames("train"), corpus.split_frames("valid")
     table = precompute_global_features(corpus, init_enc, cfg) if cfg.mode == "tsp" else None
 
     def build_batches(epoch: int) -> list[LabeledBatch]:
@@ -579,6 +594,7 @@ def train(corpus: Corpus, cfg: TrainConfig,
     inputs = _CellInputs(
         cfg=cfg, init_encoder=init_enc,
         init_heads=init_heads(enc_cfg.feature_dim, len(corpus.classes), cfg.mode, cfg.seed),
+        train_frames=train_frames, valid_frames=valid_frames,
         valid_clips=_eval_clips(corpus, "valid", cfg),
         epochs=[build_batches(epoch) for epoch in range(cfg.epochs)],
         global_features=None if table is None else table.features)

@@ -9,13 +9,13 @@ background for the region head, and the action class of a foreground clip.
 Frames are used as the corpus stores them, with no resize or crop: the
 manifest caps a frame side at ``corpus.MAX_FRAME_SIDE`` pixels.
 
-``clip_batch`` is the input path of everything that reads whole splits many
-times: training, validation and global-feature pooling gather their clips
-through it, with one fancy index per clip into the cached frames. Dense
-extraction does not: it reads each video once, so it passes
-``clip_frame_indices`` straight to ``Corpus.frames_at``, which synthesizes
-only the rows its clips read. ``load_clip`` assembles a single clip the plain
-way and is kept as the reference for both.
+Training and validation read whole splits many times and hold clips as
+``clip_rows``, global rows of their split's frame store, so a batch is one
+``take`` and an epoch holds indices, not frames. Global features and dense
+extraction read one video at a time: they pass ``clip_frame_indices`` to
+``Corpus.frames_at``, which gathers from a filled store and otherwise
+synthesizes only the rows their clips read. ``load_clip`` assembles a single
+clip the plain way and is kept as the reference for both.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def dense_clip_specs(video: VideoRecord, clip_len: int, frame_stride: int,
 def load_clip(corpus: Corpus, spec: ClipSpec) -> np.ndarray:
     """One clip tensor (c, L, h, w), assembled on its own.
 
-    The reference for ``clip_batch``, which tests compare against; the
+    The reference for ``clip_rows``, which tests compare against; the
     benchmark's tracer also wraps this name. No pipeline path calls it.
     """
     video = corpus.videos[spec.video_id]
@@ -135,12 +135,12 @@ def load_clip(corpus: Corpus, spec: ClipSpec) -> np.ndarray:
     return np.ascontiguousarray(frames.transpose(1, 0, 2, 3))
 
 
-def clip_batch(corpus: Corpus, specs: list[ClipSpec]) -> np.ndarray:
-    """Clips as time-major encoder input (B, L, frame_dim): one flattened frame per row.
+def clip_rows(corpus: Corpus, specs: list[ClipSpec]) -> np.ndarray:
+    """The (B, L) global rows of the clips' frames in their split's frame store.
 
-    Clip b holds ``load_clip(corpus, specs[b])`` with its (c, h, w) axes
-    flattened and time first, bit for bit: frames reach the encoder exactly as
-    the corpus stores them.
+    Their ``take`` from ``corpus.split_frames(split)`` is time-major encoder
+    input (B, L, frame_dim): clip b holds ``load_clip(corpus, specs[b])`` with
+    its (c, h, w) axes flattened and time first, bit for bit.
     """
     if not specs:
         raise ValueError("no clips to gather")
@@ -148,11 +148,12 @@ def clip_batch(corpus: Corpus, specs: list[ClipSpec]) -> np.ndarray:
     if any((s.clip_len, s.frame_stride) != (clip_len, stride) for s in specs):
         raise ValueError("clips in one batch must share clip_len and frame_stride")
     videos = [corpus.videos[s.video_id] for s in specs]
+    if any(v.subset != videos[0].subset for v in videos):
+        raise ValueError("clips in one batch must come from one split")
     centers = np.array([[s.center_frame] for s in specs])
     num_frames = np.array([[v.num_frames] for v in videos])
-    indices = clip_frame_indices(centers, clip_len, stride, num_frames)  # (B, L)
-    frames = np.stack([corpus.video_frames(v)[idx] for v, idx in zip(videos, indices)])
-    return frames.reshape(len(specs), clip_len, -1)
+    starts = np.array([[corpus.frame_offset(v)] for v in videos])
+    return starts + clip_frame_indices(centers, clip_len, stride, num_frames)
 
 
 def segment_clip_pool(corpus: Corpus, split: str, *, mode: str,

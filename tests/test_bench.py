@@ -33,6 +33,40 @@ def test_import_caps_blas_at_one_thread_unless_set():
     assert blas_threads_after_import(OPENBLAS_NUM_THREADS="2") == "2"
 
 
+# five 512 KB temporaries freed together, 50 times, as a validation chunk's
+# activations are: with glibc's adaptive thresholds each round unmaps or trims
+# them and faults them back in (about 24k faults in all)
+CHURN = """
+import resource
+import tspkit
+import numpy as np
+
+def churn():
+    blocks = [np.ones(2**16) for _ in range(5)]
+    del blocks
+
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the malloc thresholds are glibc's")
+def test_import_keeps_freed_temporaries_in_the_heap_unless_malloc_is_tuned():
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")}
+    env["PYTHONPATH"] = str(Path(tspkit.__file__).resolve().parent.parent)
+
+    def faults(**preset):
+        return int(subprocess.run([sys.executable, "-c", CHURN], env={**env, **preset},
+                                  capture_output=True, text=True, check=True).stdout)
+
+    assert faults() < 1000
+    assert faults(MALLOC_TRIM_THRESHOLD_="0") > 10_000  # the environment's choice stands
+
+
 def write_tables(workers: str, out: Path, monkeypatch, seeds: tuple[int, ...],
                  head_lr_grid: tuple[float, ...]) -> dict[str, bytes]:
     monkeypatch.setenv("TSPKIT_THREADS", workers)

@@ -478,8 +478,9 @@ def test_extract_and_localize_write_the_same_bytes_at_one_and_two_workers(
     assert written["1"] == written["2"]
 
 
-def test_a_frame_geometry_mismatch_fails_extract_through_the_pool(
+def test_a_frame_geometry_mismatch_fails_extract_before_its_output_directory(
         four_videos, tmp_path, monkeypatch, capsys):
+    # checked once, in the parent, so no worker starts and no --out-dir is made
     monkeypatch.setenv("TSPKIT_THREADS", "2")
     tall = tmp_path / "tall.json"
     assert cli.main(["gen-corpus", "--out", str(tall), "--train-videos", "1",
@@ -488,7 +489,9 @@ def test_a_frame_geometry_mismatch_fails_extract_through_the_pool(
     codes, err = extract_and_localize({**four_videos, "manifest": tall}, "tsp",
                                       tmp_path / "out", capsys)
     assert codes == [1]
-    assert err == "error: checkpoint expects 16x1x1 frames, corpus has 16x2x1\n"
+    assert err == (f"error: checkpoint {four_videos['tsp']} expects 16x1x1 frames, "
+                   f"manifest {tall} has 16x2x1\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_region_actionness_on_tac_tracks_names_the_first_track_through_the_pool(

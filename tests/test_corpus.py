@@ -346,7 +346,7 @@ def test_video_frames_match_golden_digest(noise, mode):
        st.sampled_from([(-1,), (2, -1), (-1, 1, 2)]))
 def test_cold_frames_at_equals_video_frames_rows(noise_mode, video_pos, values, shape):
     # indices clamped to the video as clip_frame_indices clamps them, so the
-    # edges repeat; frames_at on a cold corpus leaves the frame cache empty
+    # edges repeat; frames_at on a cold corpus leaves the frame store unfilled
     noise, mode = noise_mode
     warm = synth_corpus(noise=noise, mode=mode)
     cold = cp.corpus_from_dict(cp.corpus_to_dict(warm))
@@ -354,7 +354,7 @@ def test_cold_frames_at_equals_video_frames_rows(noise_mode, video_pos, values, 
     values = values[:len(values) // 2 * 2]  # every shape splits an even count
     idx = np.clip(np.array(values, dtype=np.int64), 0, video.num_frames - 1).reshape(shape)
     got = cold.frames_at(video, idx)
-    assert not cold._frame_cache
+    assert not cold._stores
     want = warm.video_frames(warm.videos[video.id])[idx]
     assert got.shape == want.shape == idx.shape + want.shape[idx.ndim:]
     assert got.tobytes() == want.tobytes()

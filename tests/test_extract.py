@@ -200,6 +200,10 @@ def test_unknown_video_global_feature_recomputed():
                                                  ckpt.global_features.source)
     track = ex.extract_track(corpus, corpus.videos["va_0"], ckpt)
     assert np.array_equal(track.global_feature, full["va_0"])
+    # as a fresh ``tspkit extract`` meets it: recomputed without filling a store
+    cold = cold_copy(corpus)
+    assert_tracks_equal(ex.extract_track(cold, cold.videos["va_0"], ckpt), track)
+    assert not cold._stores
 
 
 @pytest.mark.parametrize("pool", ["max", "avg"])
@@ -233,11 +237,11 @@ def test_cold_corpus_gives_the_warm_track(clip_len, frame_stride, hop):
     if hop == "span+3":
         hop = clip_span(clip_len, frame_stride) + 3
     video = corpus.videos["va_0"]
-    corpus.video_frames(video)  # warm: gathered from the frame cache
+    corpus.split_frames("valid")  # warm: the split's frame store is filled
     cold = cold_copy(corpus)
     assert_tracks_equal(ex.extract_track(cold, video, ckpt, hop=hop),
                         ex.extract_track(corpus, video, ckpt, hop=hop))
-    assert not cold._frame_cache
+    assert not cold._stores
 
 
 @pytest.mark.parametrize("hop", [1, None, 40])

@@ -69,12 +69,15 @@ def test_fused_step_is_bytewise_the_reference_composition(mode, embed_dim, block
 @pytest.mark.parametrize("embed_dim", [4, 16, 64])
 @pytest.mark.parametrize("clips", [1, 127, 128, 129, 300])
 def test_chunked_validation_features_equal_one_batch(clips, embed_dim):
-    # chunks of at most VALIDATION_CHUNK clips; 16 is the bench encoder's width
+    # chunks of at most VALIDATION_CHUNK clips, each taken from the store on its
+    # own; 16 is the bench encoder's width
     cfg = enc.EncoderConfig(channels_in=16, embed_dim=embed_dim, blocks=1)
     params = enc.init_params(cfg, seed=0)
-    frames = np.abs(np.random.default_rng(clips).standard_normal((clips, 16, 16)))
-    assert np.array_equal(pt.clip_features(params, frames),
-                          enc.forward_np_batch(params, frames))
+    rng = np.random.default_rng(clips)
+    store = np.abs(rng.standard_normal((500, 16)))
+    rows = rng.integers(0, len(store), (clips, 16))
+    assert np.array_equal(pt.clip_features(params, store, rows),
+                          enc.forward_np_batch(params, store[rows]))
 
 
 def dot(tape, x, weights):

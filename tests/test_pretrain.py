@@ -288,6 +288,33 @@ def test_training_is_deterministic_bytewise(threads, tmp_path, monkeypatch):
     assert rows1 == rows2
 
 
+def test_cell_inputs_hold_clips_as_integer_rows_of_the_shared_split_stores(monkeypatch):
+    corpus = small_corpus()
+    cfg = tiny_train_cfg()
+    seen, train_cells = [], pt._train_cells
+
+    def recording_train_cells(inputs):
+        seen.append(inputs)
+        return train_cells(inputs)
+
+    monkeypatch.setattr(pt, "_train_cells", recording_train_cells)
+    pt.train(corpus, cfg)
+    [inputs] = seen
+    batches = [batch for epoch in inputs.epochs for batch in epoch] + [inputs.valid_clips]
+    for batch in batches:
+        arrays = [value for value in vars(batch).values() if isinstance(value, np.ndarray)]
+        assert [a.dtype.kind for a in arrays] == ["i"] * 3  # rows and the two label arrays
+        assert batch.rows.shape == (len(batch.video_ids), cfg.clip_len)
+    frame_dim = corpus.synth.frame_dim
+    for split, store in (("train", inputs.train_frames), ("valid", inputs.valid_frames)):
+        frames = sum(video.num_frames for video in corpus.subset_videos(split))
+        assert store.shape == (frames, frame_dim) and not store.flags.writeable
+        assert np.shares_memory(store, corpus.split_frames(split))
+    assert all(batch.rows.max() < len(inputs.train_frames)
+               for epoch in inputs.epochs for batch in epoch)
+    assert inputs.valid_clips.rows.max() < len(inputs.valid_frames)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_diverged_cell_is_logged_in_grid_order_at_any_worker_count(monkeypatch):
     corpus = small_corpus()
@@ -399,7 +426,8 @@ def test_validate_region_accuracy_is_chance_for_random_heads():
         params = enc.init_params(enc_cfg, seed)
         heads = pt.init_heads(6, 2, "tsp_nogvf", seed)
         clips = pt._eval_clips(corpus, "valid", cfg)
-        _, region_acc = pt._accuracy(params, heads, "tsp_nogvf", None, clips)
+        _, region_acc = pt._accuracy(params, heads, "tsp_nogvf", None,
+                                     corpus.split_frames("valid"), clips)
         accs.append(region_acc)
     assert abs(np.mean(accs) - 0.5) <= 0.1
 
@@ -417,7 +445,8 @@ def test_validate_perfect_oracle_heads_reach_one():
 
     cfg = tiny_train_cfg(mode="tsp_nogvf", embed_dim=8, blocks=0)
     clips = pt._eval_clips(corpus, "valid", cfg)
-    feats = enc.forward_np_batch(params, clips.frames)
+    store = corpus.split_frames("valid")
+    feats = enc.forward_np_batch(params, store.take(clips.rows, axis=0))
     # least-squares oracle weights on the four distinct feature points
     targets_region = np.where(clips.region_labels == 1, 1.0, -1.0)
     x = np.concatenate([feats, np.ones((len(feats), 1))], axis=1)
@@ -431,7 +460,7 @@ def test_validate_perfect_oracle_heads_reach_one():
     heads.action_weight[:] = np.stack([-w_a[:-1], w_a[:-1]], axis=1)
     heads.action_bias[:] = [-w_a[-1], w_a[-1]]
 
-    action_acc, region_acc = pt._accuracy(params, heads, "tsp_nogvf", None, clips)
+    action_acc, region_acc = pt._accuracy(params, heads, "tsp_nogvf", None, store, clips)
     assert action_acc == 1.0
     assert region_acc == 1.0
 

@@ -1,4 +1,4 @@
-"""Clip geometry, jittering, the batched clip gather, and balanced epochs."""
+"""Clip geometry, jittering, clips as frame-store rows, and balanced epochs."""
 
 import numpy as np
 import pytest
@@ -71,14 +71,20 @@ def test_degenerate_segment_yields_no_clips():
 
 
 # ---------------------------------------------------------------------------
-# batched clip gather
+# clips as rows of a split's frame store
 
 
 def gather_corpus(channels, height, width):
-    """Three short videos of different lengths (6, 13 and 18 frames at 2 fps)."""
-    videos = {f"v{k}": cp.VideoRecord(f"v{k}", "train", duration, 2.0,
-                                      [cp.AnnotationInstance("a", 1.0, 2.5)], 10 + k)
-              for k, duration in enumerate((3.0, 6.5, 9.0))}
+    """Three train and two valid short videos of different lengths (6 to 18
+    frames at 2 fps), interleaved in id order."""
+    durations = {"train": (3.0, 6.5, 9.0), "valid": (4.5, 7.0)}
+    videos = {}
+    for split, lengths in durations.items():
+        for k, duration in enumerate(lengths):
+            vid = f"v{k}_{split}"
+            videos[vid] = cp.VideoRecord(vid, split, duration, 2.0,
+                                         [cp.AnnotationInstance("a", 1.0, 2.5)],
+                                         10 + k + 5 * (split == "valid"))
     return cp.Corpus(["a"], videos, cp.SynthInfo(0, 0.5, "pure", channels, height, width))
 
 
@@ -87,16 +93,17 @@ SMALL_FRAMES = gather_corpus(3, 2, 3)  # (c, h, w) distinct, so axis order matte
 
 @st.composite
 def clip_specs(draw, corpus):
-    """Mixed-video specs sharing one geometry; centers reach past both ends."""
+    """Mixed-video specs of one split sharing one geometry; centers reach past both ends."""
+    split = draw(st.sampled_from(["train", "valid"]))
     clip_len = draw(st.sampled_from([1, 2, 5, 16]))
     stride = draw(st.sampled_from([1, 2, 3]))
     specs = []
-    for _ in range(draw(st.integers(1, 6))):
-        video = corpus.videos[draw(st.sampled_from(sorted(corpus.videos)))]
+    for _ in range(draw(st.integers(1, 9))):
+        video = draw(st.sampled_from(corpus.subset_videos(split)))
         last = video.num_frames - 1
         center = draw(st.sampled_from([0, 1, last - 1, last]) | st.integers(-2, last + 2))
         specs.append(sp.ClipSpec(video.id, center, clip_len, stride, "foreground", 0))
-    return specs
+    return split, specs
 
 
 def reference_batch(corpus, specs):
@@ -105,20 +112,47 @@ def reference_batch(corpus, specs):
                      for s in specs])
 
 
-@settings(max_examples=60, deadline=None)
-@given(clip_specs(SMALL_FRAMES))
-def test_clip_batch_equals_stacked_load_clip(specs):
-    got = sp.clip_batch(SMALL_FRAMES, specs)
-    assert got.shape == (len(specs), specs[0].clip_len, 18)
-    assert np.array_equal(got, reference_batch(SMALL_FRAMES, specs))
+@settings(max_examples=80, deadline=None)
+@given(clip_specs(SMALL_FRAMES), st.integers(1, 10))
+def test_store_take_of_clip_rows_equals_stacked_load_clip(split_specs, batch_size):
+    split, specs = split_specs
+    store = SMALL_FRAMES.split_frames(split)
+    for start in range(0, len(specs), batch_size):
+        batch = specs[start:start + batch_size]
+        rows = sp.clip_rows(SMALL_FRAMES, batch)
+        assert rows.shape == (len(batch), batch[0].clip_len)
+        got = store.take(rows, axis=0)
+        assert got.shape == (len(batch), batch[0].clip_len, 18)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == reference_batch(SMALL_FRAMES, batch).tobytes()
 
 
-def test_clip_batch_rejects_empty_and_mixed_geometry():
+def test_split_store_rows_are_the_videos_frames_at_their_offsets():
+    corpus = gather_corpus(2, 1, 1)
+    video = corpus.videos["v1_valid"]
+    frames = corpus.video_frames(video)  # fills the whole valid store
+    store = corpus.split_frames("valid")
+    assert sorted(corpus._stores) == ["valid"]
+    assert not store.flags.writeable and not frames.flags.writeable
+    start = corpus.frame_offset(video)
+    assert start == corpus.videos["v0_valid"].num_frames
+    assert np.shares_memory(store, frames)
+    assert np.array_equal(store[start:start + video.num_frames],
+                          frames.reshape(video.num_frames, -1))
+    assert len(store) == sum(v.num_frames for v in corpus.subset_videos("valid"))
+
+
+def test_clip_rows_rejects_empty_mixed_geometry_and_mixed_splits():
     with pytest.raises(ValueError, match="no clips"):
-        sp.clip_batch(SMALL_FRAMES, [])
-    specs = [sp.ClipSpec("v0", 2, 4, 2, "background"), sp.ClipSpec("v1", 2, 4, 1, "background")]
+        sp.clip_rows(SMALL_FRAMES, [])
+    specs = [sp.ClipSpec("v0_train", 2, 4, 2, "background"),
+             sp.ClipSpec("v1_train", 2, 4, 1, "background")]
     with pytest.raises(ValueError, match="share"):
-        sp.clip_batch(SMALL_FRAMES, specs)
+        sp.clip_rows(SMALL_FRAMES, specs)
+    specs = [sp.ClipSpec("v0_train", 2, 4, 2, "background"),
+             sp.ClipSpec("v0_valid", 2, 4, 2, "background")]
+    with pytest.raises(ValueError, match="one split"):
+        sp.clip_rows(SMALL_FRAMES, specs)
 
 
 # ---------------------------------------------------------------------------
