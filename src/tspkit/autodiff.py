@@ -9,14 +9,16 @@ backward that hands each input its gradient. An op none of whose inputs
 requires grad keeps no backward record, so a tape built from such leaves is a
 plain numpy forward pass; that is how the encoder's inference path runs.
 
-A training step is two ops: the whole clip encoder
-(``encoder.forward_batch``) and the two-head loss with its weighted cross
-entropies (``pretrain.batch_loss_tensor``). Each backward repeats, on the
-same operand layouts, the numpy operations a tape of primitive ops (affine,
-conv, ReLU, add, time mean, row ops, cross entropy) would run, so the step's
-loss and gradients are bitwise those of the primitive composition. That
-composition lives on in ``tests/reference_tape.py`` as the reference the
-tests compare against.
+A training step is two leaves and two ops. Each parameter record (the
+encoder's, the heads') is one leaf over its flat buffer, and its gradient is
+one flat array, whose views are the gradients of the record's arrays. The
+ops are the whole clip encoder (``encoder.forward_batch``) and the two-head
+loss with its weighted cross entropies (``pretrain.batch_loss_tensor``). Each
+backward repeats, on the same operand layouts, the numpy operations a tape of
+primitive ops (affine, conv, ReLU, add, time mean, row ops, cross entropy)
+over one leaf per array would run, so the step's loss and gradients are
+bitwise those of the primitive composition. That composition lives on in
+``tests/reference_tape.py`` as the reference the tests compare against.
 
 ``backward`` sweeps a tape once and then releases its records, which hold the
 step's activations, and its leaves, so they are freed when the step's last

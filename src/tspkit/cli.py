@@ -18,7 +18,9 @@ given later on the command line wins. A switch such as ``--detad`` takes true
 or false; any other flag a string or a number. A key that names no flag of the
 subcommand, a list, an object, null, or a value the flag rejects exits 2 with
 one ``error: --config FILE: KEY: ...`` line. The localizer flags reject what
-``LocalizerParams`` rejects, on the command line too.
+``LocalizerParams`` rejects, on the command line too. A record that rejects
+the flags but accepts them with the file's values left out exits 2 with one
+``error: --config FILE: ...`` line.
 
 ``extract`` (one task per video) and ``localize`` (one per track file) run
 their items in forked workers through ``workers.fork_map``; the files they
@@ -59,13 +61,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _record(build, *args):
-    """``build(*args)``, a record whose constructor checks its rules: a flag
-    value it rejects is a usage error, raised before any file is read or written."""
+def _record(build, args, *rest):
+    """``build(args, *rest)``, a record whose constructor checks its rules: a flag
+    value it rejects is a usage error, raised before any file is read or written.
+    The error names the --config file when the record accepts the flags with
+    the file's values back at their defaults, so the rejected value came from it."""
     try:
-        return build(*args)
+        return build(args, *rest)
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        message = str(exc)
+        if args.config_defaults:
+            try:
+                build(argparse.Namespace(**{**vars(args), **args.config_defaults}), *rest)
+                message = f"--config {args.config}: {message}"
+            except ValueError:
+                pass
+        raise UsageError(message) from exc
 
 
 def _add_config_flag(parser: argparse.ArgumentParser) -> None:
@@ -73,20 +84,30 @@ def _add_config_flag(parser: argparse.ArgumentParser) -> None:
                         help="JSON file of flag defaults; explicit flags override")
 
 
-def _with_config(commands: dict[str, argparse.ArgumentParser], argv: list[str]) -> list[str]:
+def _with_config(commands: dict[str, argparse.ArgumentParser],
+                 argv: list[str]) -> tuple[list[str], dict]:
     """``argv`` with the values of its --config file inserted as flags right
     after the subcommand, so that argparse parses them as it parses the
-    command line and a flag given later in ``argv`` wins."""
+    command line and a flag given later in ``argv`` wins; and the defaults of
+    the flags whose values come from the file, by destination."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     path = probe.parse_known_args(argv)[0].config
     at = next((i + 1 for i, token in enumerate(argv) if token in commands), None)
     if not path or at is None:
-        return argv
+        return argv, {}
     doc = load_json(path, UsageError, f"--config {path}")
     if not isinstance(doc, dict):
         raise UsageError(f"--config {path}: must hold a JSON object of flag values")
-    sub, tokens = commands[argv[at - 1]], []
+    sub, tokens, defaults = commands[argv[at - 1]], [], {}
+    flags, on_command_line = sub._option_string_actions, set()
+    for token in argv[at:]:  # a long flag may be abbreviated, as argparse allows
+        name = token.split("=")[0]
+        dests = {flags[name].dest} if name in flags else {
+            action.dest for option, action in flags.items()
+            if name.startswith("--") and option.startswith(name)}
+        if len(dests) == 1:
+            on_command_line |= dests
     for key, value in doc.items():
         flag = "--" + key.replace("_", "-")
         action = sub._option_string_actions.get(flag)
@@ -94,15 +115,18 @@ def _with_config(commands: dict[str, argparse.ArgumentParser], argv: list[str]) 
             if action is None or action.dest in ("help", "config"):
                 raise ValueError(f"{sub.prog} has no flag {flag}")
             if action.nargs == 0:  # a switch: true gives the flag, false leaves it out
-                tokens += [flag] * decode(value, bool)
-                continue
-            if not isinstance(value, str):
-                number(value)  # so not null, a bool, a list or an object
-            sub._get_values(action, [str(value)])  # the flag's own type and choices
+                given = [flag] * decode(value, bool)
+            else:
+                if not isinstance(value, str):
+                    number(value)  # so not null, a bool, a list or an object
+                sub._get_values(action, [str(value)])  # the flag's own type and choices
+                given = [f"{flag}={value}"]
         except (ValueError, argparse.ArgumentError) as exc:
             raise UsageError(f"--config {path}: {key}: {getattr(exc, 'message', exc)}") from exc
-        tokens.append(f"{flag}={value}")
-    return argv[:at] + tokens + argv[at:]
+        tokens += given
+        if action.dest not in on_command_line:
+            defaults[action.dest] = sub.get_default(action.dest)
+    return argv[:at] + tokens + argv[at:], defaults
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +459,10 @@ def _cmd_bench(args) -> int:
     if args.preset == "paper-study1":
         args.modes = "tsp,tsp_nogvf,tac"
         args.seeds = (0, 1, 2, 3, 4)
-    modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-    bench_cfg = _record(lambda: bench.BenchConfig(
-        modes=modes, seeds=tuple(args.seeds), hop=args.hop,
-        localizer=_localizer_params(args),
-        train=_train_config(args, seed=0, mode="tsp")))
+    bench_cfg = _record(lambda a: bench.BenchConfig(
+        modes=tuple(m.strip() for m in a.modes.split(",") if m.strip()),
+        seeds=tuple(a.seeds), hop=a.hop, localizer=_localizer_params(a),
+        train=_train_config(a, seed=0, mode="tsp")), args)
     if args.manifest:
         corpus = corpus_mod.load_manifest(args.manifest)
     else:
@@ -496,7 +519,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
     try:
-        args = parser.parse_args(_with_config(commands, argv))
+        full_argv, config_defaults = _with_config(commands, argv)
+        args = parser.parse_args(full_argv)
+        args.config_defaults = config_defaults
         args.flags = " ".join(argv)  # the invocation every output file records
         return _COMMANDS[args.command](args)
     except UsageError as exc:

@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .decode import decode, load_json, save_json
+from .decode import decode, decoder, load_json, number, save_json
 from .seeding import normal_rows, rng_for
 
 SCHEMA_VERSION = 1
@@ -206,6 +206,7 @@ class Corpus:
         self._class_index = {name: i for i, name in enumerate(self.classes)}
         self._segment_cache: dict[str, list[RegionSegment]] = {}
         self._offsets: dict[str, int] = {}
+        self._index = {video_id: i for i, video_id in enumerate(self.videos)}
         split_rows = dict.fromkeys(SUBSETS, 0)
         for video in self.videos.values():
             self._offsets[video.id] = split_rows[video.subset]
@@ -216,6 +217,10 @@ class Corpus:
 
     def class_index(self, label: str) -> int:
         return self._class_index[label]
+
+    def video_index(self, video_id: str) -> int:
+        """The video's position in ``videos``: its row in a per-video table."""
+        return self._index[video_id]
 
     def subset_videos(self, subset: str) -> list[VideoRecord]:
         return [v for v in self.videos.values() if v.subset == subset]
@@ -370,6 +375,11 @@ def derive_segments(video: VideoRecord) -> list[RegionSegment]:
 # manifest IO
 
 
+# a manifest's video fields' decoders, bound once for its hundreds of records
+_text, _segment, _objects, _seed = (decoder(tp) for tp in (
+    str, tuple[float, float], list[dict], int | None))
+
+
 def corpus_from_dict(doc: dict) -> Corpus:
     if not isinstance(doc, dict):
         raise ManifestError("manifest root must be an object")
@@ -394,16 +404,14 @@ def corpus_from_dict(doc: dict) -> Corpus:
     videos = {}
     for vid, raw in raw_videos.items():
         try:
-            anns = [AnnotationInstance(decode(a.get("label"), str, f"annotations[{i}].label"),
-                                       *decode(a.get("segment"), tuple[float, float],
-                                               f"annotations[{i}].segment"))
-                    for i, a in enumerate(decode(raw.get("annotations", []), list[dict],
-                                                 "annotations"))]
+            anns = [AnnotationInstance(_text(a.get("label"), f"annotations[{i}].label"),
+                                       *_segment(a.get("segment"), f"annotations[{i}].segment"))
+                    for i, a in enumerate(_objects(raw.get("annotations", []), "annotations"))]
             rec = VideoRecord(
-                vid, decode(raw.get("subset"), str, "subset"),
-                decode(raw.get("duration_sec"), float, "duration_sec"),
-                decode(raw.get("fps"), float, "fps"), anns,
-                decode(raw.get("frame_seed"), int | None, "frame_seed"))
+                vid, _text(raw.get("subset"), "subset"),
+                number(raw.get("duration_sec"), "duration_sec"),
+                number(raw.get("fps"), "fps"), anns,
+                _seed(raw.get("frame_seed"), "frame_seed"))
             unknown = [a.label for a in anns if a.label not in classes]
             if unknown:
                 raise ValueError(f"unknown label {unknown[0]!r}")

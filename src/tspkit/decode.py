@@ -11,7 +11,8 @@ one taking its default; a key that names no field is an error unless it
 starts with ``__``. An ``np.ndarray`` is a flat list of numbers, or a
 ``{"shape": [...], "data": [...]}`` object, converted by one numpy call rather
 than element by element. Each type's decoding function is built once and
-cached, so a value costs no type inspection.
+cached, so a value costs no type inspection; ``decoder(tp)`` returns it, for
+a reader that decodes many values of one type to bind once.
 
 Every text output goes through ``save_json`` (key-sorted JSON) or
 ``write_rows`` (a table of already-formatted fields). Both take the producing
@@ -138,11 +139,11 @@ def _record(cls, fields: dict, value, where: str):
 
 def decode(value, tp, where: str = ""):
     """``value``, parsed from JSON, as type ``tp``; ``where`` is its key path."""
-    return _decoder(tp)(value, where)
+    return decoder(tp)(value, where)
 
 
 @functools.cache
-def _decoder(tp):
+def decoder(tp):
     """The function ``(value, where)`` that decodes as ``tp``, built once per type."""
     if tp is float or tp is int:
         return number if tp is float else integer
@@ -153,26 +154,34 @@ def _decoder(tp):
     if dataclasses.is_dataclass(tp):
         hints = typing.get_type_hints(tp)
         return functools.partial(_record, tp, {
-            f.name: (_decoder(hints[f.name]), f.default is not dataclasses.MISSING
+            f.name: (decoder(hints[f.name]), f.default is not dataclasses.MISSING
                      or f.default_factory is not dataclasses.MISSING)
             for f in dataclasses.fields(tp)})
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:  # X | None
-        (inner,) = [_decoder(arg) for arg in args if arg is not type(None)]
+        (inner,) = [decoder(arg) for arg in args if arg is not type(None)]
         return lambda value, where: None if value is None else inner(value, where)
     if origin is dict:
-        item = _decoder(args[1])
+        item = decoder(args[1])
         return lambda value, where: {key: item(v, f"{where}.{key}")
                                      for key, v in _is(dict, value, where).items()}
     fixed = origin is tuple and args[-1] is not Ellipsis  # tuple[X, Y], not tuple[X, ...]
-    items = [_decoder(arg) for arg in (args if fixed else args[:1])]
+    items = [decoder(arg) for arg in (args if fixed else args[:1])]
     item = items[0]
+    # items of one type that JSON gives as is (a float, a string, ...) need no
+    # conversion, and no key path unless one is not of it
+    kinds = set(args if fixed else args[:1])
+    plain = kinds.pop() if len(kinds) == 1 and args[0] in (int, float, *_NAMES) else None
 
     def decode_list(value, where):
         if not isinstance(value, (list, tuple)):  # tuples come from dicts built in memory
             raise _mismatch(where, "a list", value)
         if fixed and len(value) != len(items):
             raise _mismatch(where, f"a list of {len(items)}", value)
-        out = [(items[i] if fixed else item)(v, f"{where}[{i}]") for i, v in enumerate(value)]
+        if plain is not None and all(type(v) is plain for v in value):
+            out = list(value)
+        else:
+            out = [(items[i] if fixed else item)(v, f"{where}[{i}]")
+                   for i, v in enumerate(value)]
         return out if origin is list else tuple(out)
     return decode_list

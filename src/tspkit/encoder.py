@@ -6,9 +6,10 @@ half), then width-3 temporal convolutions exchange information across the
 clip, and mean pooling over time yields the clip feature.
 
 There is one forward pass, ``forward_batch``, over a batch of clips on a tape.
-Its parameters are an ``EncoderParams`` record whose arrays are tape leaves,
-``params.map(lambda a: tape.tensor(a, True))``; inference runs the same
-function on a tape whose leaves need no gradient, which keeps no record.
+Its parameters are an ``EncoderParams`` record, whose arrays are views of one
+flat buffer, and that buffer is the op's one tape leaf,
+``tape.tensor(params.flat, True)``; inference runs the same function on a
+leaf that needs no gradient, so the tape keeps no record.
 Clips are time-major, (B, L, frame_dim): one flattened frame per row, as a
 ``take`` of ``sampler.clip_rows`` from a split's frame store gathers them.
 
@@ -18,13 +19,15 @@ matmul over all the batch's frames; a temporal conv multiplies a window
 matrix holding each frame's previous, own and next frame. The hand-derived
 backward repeats the numpy operations of the primitive ops it replaced
 (affine, conv, ReLU, residual add, time mean), on the same operand layouts,
-so features and gradients are bitwise theirs. Those ops and their
+and writes each array's gradient into its view of one flat gradient, so
+features and gradients are bitwise theirs. Those ops and their
 composition are kept in ``tests/reference_tape.py``, and the tests compare
 this op against them byte for byte.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -57,24 +60,55 @@ class EncoderConfig:
 
 
 class ParamRecord:
-    """A dataclass of parameter arrays; everything else derives from ``map``.
+    """A dataclass of parameter arrays laid end to end in one float64 buffer.
 
-    ``map(fn)`` returns the same record with ``fn`` applied to every array, in
-    ``arrays()`` order. Tape leaves are ``map(lambda a: tape.tensor(a, True))``,
-    a copy is ``map(np.copy)``, and a checkpoint stores the record with each
-    array mapped to its JSON form. By default every field is an array.
+    ``flat`` is the buffer and each array field is a view into it, in
+    ``arrays()`` order: the record's own arrays in field order, then those of
+    its sub-records. Constructing a record copies its arrays into a new
+    buffer; ``view(buffer)`` lays the same shapes over another one without a
+    copy, so ``copy()`` is one ``np.copy`` and a gradient or an update is one
+    vector over the whole record. A training step makes ``flat`` one tape leaf
+    per record, and a checkpoint stores the views under their field names.
     """
 
-    def map(self, fn):
-        return type(self)(*[fn(getattr(self, f.name)) for f in fields(self)])
+    def __post_init__(self):
+        layout, offset = [], 0  # (name, start, stop, shape) of each own array, in order
+        for name in self._array_fields():
+            shape = np.shape(getattr(self, name))
+            size = math.prod(shape)
+            layout.append((name, offset, offset + size, shape))
+            offset += size
+        self._layout = tuple(layout)
+        self._bind(np.concatenate([np.asarray(a, dtype=np.float64).ravel()
+                                   for a in self.arrays()]))
+
+    def _array_fields(self) -> tuple[str, ...]:
+        return tuple(f.name for f in fields(self))
+
+    def _bind(self, flat: np.ndarray) -> int:
+        """Make each array a view of ``flat`` at its place; the entries used."""
+        self.flat = flat
+        stop = 0
+        for name, start, stop, shape in self._layout:
+            view = flat[start:stop]
+            setattr(self, name, view if len(shape) == 1 else view.reshape(shape))
+        return stop
 
     def arrays(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        self.map(out.append)
-        return out
+        return [getattr(self, name) for name in self._array_fields()]
+
+    def view(self, flat: np.ndarray):
+        """A record of this one's shapes whose arrays are views of ``flat``."""
+        record = object.__new__(type(self))
+        record.__dict__.update(self.__dict__)
+        record._bind(flat)
+        return record
 
     def copy(self):
-        return self.map(np.copy)
+        return self.view(self.flat.copy())
+
+    def __reduce__(self):  # pickled as its fields; unpickling packs a new buffer
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass
@@ -92,9 +126,20 @@ class EncoderParams(ParamRecord):
     stem_bias: np.ndarray  # (d,)
     blocks: list[BlockParams] = field(default_factory=list)
 
-    def map(self, fn) -> "EncoderParams":
-        return EncoderParams(self.config, fn(self.stem_weight), fn(self.stem_bias),
-                             [b.map(fn) for b in self.blocks])
+    def _array_fields(self) -> tuple[str, ...]:
+        return ("stem_weight", "stem_bias")
+
+    def _bind(self, flat: np.ndarray) -> int:
+        offset = super()._bind(flat)
+        blocks = []
+        for blk in self.blocks:
+            blocks.append(blk.view(flat[offset:offset + blk.flat.size]))
+            offset += blk.flat.size
+        self.blocks = blocks
+        return offset
+
+    def arrays(self) -> list[np.ndarray]:
+        return super().arrays() + [a for blk in self.blocks for a in blk.arrays()]
 
 
 def init_params(config: EncoderConfig, seed: int) -> EncoderParams:
@@ -163,20 +208,24 @@ def _kernel_grad(g2d: np.ndarray, windows: np.ndarray) -> np.ndarray:
     return gk.reshape(d_out, 3, -1).transpose(0, 2, 1)
 
 
-def forward_batch(tape: ad.Tape, leaves: EncoderParams, frames: np.ndarray) -> ad.Tensor:
+def forward_batch(tape: ad.Tape, params: EncoderParams, leaf: ad.Tensor,
+                  frames: np.ndarray) -> ad.Tensor:
     """Differentiable forward pass: frames (B, L, frame_dim) -> (B, F) features.
 
-    ``leaves`` is an ``EncoderParams`` whose arrays are tensors on ``tape``.
-    The whole encoder is one tape op. Each ReLU overwrites its input, and its
-    output's sign gives the backward mask the input's would. The backward
-    runs the primitive ops' numpy operations in reverse tape order, so the
-    gradients are bitwise those of the reference composition in the tests.
+    ``leaf`` is the tensor on ``tape`` over ``params.flat``, the record's one
+    leaf. The whole encoder is one tape op. Each ReLU overwrites its input,
+    and its output's sign gives the backward mask the input's would. The
+    backward runs the primitive ops' numpy operations in reverse tape order and
+    writes each array's gradient into its view of one flat gradient buffer,
+    so the gradients are bitwise those of the reference composition in the
+    tests.
     """
-    config = leaves.config
+    config = params.config
     if frames.ndim != 3 or frames.shape[2] != config.frame_dim:
         raise ad.ShapeError(f"encoder expects (B, L, {config.frame_dim}) frames, "
                             f"got {frames.shape}")
-    params = leaves.map(lambda t: t.data)
+    if leaf.data is not params.flat:
+        raise ValueError("the encoder's leaf must hold its record's flat buffer")
     batch, length, _ = frames.shape
     shape = (batch, length, config.embed_dim)
     x2d = np.asarray(frames, dtype=np.float64).reshape(batch * length, -1)
@@ -184,10 +233,12 @@ def forward_batch(tape: ad.Tape, leaves: EncoderParams, frames: np.ndarray) -> a
     h += params.stem_bias
     np.maximum(h, 0.0, out=h)
     stem_out = h = h.reshape(shape)
-    saved = []  # per block: both window matrices and flat kernels, both ReLU outputs
+    saved = []  # per block, for a backward: both window matrices and flat kernels, both ReLU outputs
     for blk in params.blocks:
         windows1, kernel1 = _windows(h), _flat_kernel(blk.conv1_kernel)
         inner = windows1 @ kernel1.T
+        if not leaf.requires_grad:  # inference frees it before the next window matrix
+            windows1 = None
         inner += blk.conv1_bias
         np.maximum(inner, 0.0, out=inner)
         inner = inner.reshape(shape)
@@ -197,38 +248,41 @@ def forward_batch(tape: ad.Tape, leaves: EncoderParams, frames: np.ndarray) -> a
         out = out.reshape(shape)
         out += h
         np.maximum(out, 0.0, out=out)
-        saved.append((windows1, kernel1, inner, windows2, kernel2, out))
+        if leaf.requires_grad:
+            saved.append((windows1, kernel1, inner, windows2, kernel2, out))
         h = out
 
     def backward(g, accumulate):
-        gh = np.repeat(g[:, None, :] / length, length, axis=1)
+        grad = params.view(np.empty_like(params.flat))  # every view is written below
+        gh = g[:, None, :] / length  # (B, 1, d): the products below broadcast it over time
         for blk, (windows1, kernel1, inner, windows2, kernel2, out) in zip(
-                reversed(leaves.blocks), reversed(saved)):
+                reversed(grad.blocks), reversed(saved)):
             g_sum = gh * (out > 0.0)
             g2d = g_sum.reshape(batch * length, -1)
-            accumulate(blk.conv2_kernel, _kernel_grad(g2d, windows2))
-            accumulate(blk.conv2_bias, _channel_major(g_sum).sum(axis=(0, 2)))
+            blk.conv2_kernel[...] = _kernel_grad(g2d, windows2)
+            blk.conv2_bias[...] = _channel_major(g_sum).sum(axis=(0, 2))
             g_inner = _unwindow(g2d @ kernel2, shape) * (inner > 0.0)
             g2d = g_inner.reshape(batch * length, -1)
-            accumulate(blk.conv1_kernel, _kernel_grad(g2d, windows1))
-            accumulate(blk.conv1_bias, _channel_major(g_inner).sum(axis=(0, 2)))
+            blk.conv1_kernel[...] = _kernel_grad(g2d, windows1)
+            blk.conv1_bias[...] = _channel_major(g_inner).sum(axis=(0, 2))
             gh = g_sum + _unwindow(g2d @ kernel1, shape)  # residual path plus conv path
         g_stem = gh * (stem_out > 0.0)
         g2d = g_stem.reshape(batch * length, -1)
-        accumulate(leaves.stem_weight, np.ascontiguousarray(g2d.T) @ x2d)
-        accumulate(leaves.stem_bias, _channel_major(g_stem).sum(axis=(0, 2)))
+        grad.stem_weight[...] = np.ascontiguousarray(g2d.T) @ x2d
+        grad.stem_bias[...] = _channel_major(g_stem).sum(axis=(0, 2))
+        accumulate(leaf, grad.flat)
 
-    return tape.apply(_channel_major(h).mean(axis=2), leaves.arrays(), backward)
+    return tape.apply(_channel_major(h).mean(axis=2), (leaf,), backward)
 
 
 def forward_np_batch(params: EncoderParams, frames: np.ndarray) -> np.ndarray:
     """Inference forward: ``forward_batch`` on a throwaway tape.
 
-    The leaves need no gradient, so the tape keeps no backward record and the
+    The leaf needs no gradient, so the tape keeps no backward record and the
     result is the differentiable pass's value by construction.
     """
     tape = ad.Tape()
-    return forward_batch(tape, params.map(tape.tensor), frames).data
+    return forward_batch(tape, params, tape.tensor(params.flat), frames).data
 
 
 def forward_np(params: EncoderParams, frames: np.ndarray) -> np.ndarray:

@@ -14,20 +14,23 @@ is SGD with momentum, two learning-rate groups (encoder vs heads), a linear
 warmup and stepwise decay, and a grid search over head learning rates with
 model selection on mean validation accuracy of the heads.
 
-A training step records two tape ops: the encoder, and ``batch_loss_tensor``,
-which holds both heads and their weighted cross entropies. Their loss and
-gradients are bitwise those of the primitive-op composition kept in
-``tests/reference_tape.py``. Clips are rows of their split's frame store: a
-step takes its batch with one ``take``, and validation takes and runs chunks
-of at most ``VALIDATION_CHUNK`` clips: one batch of a whole split does not
-fit in the CPU caches and runs slower, with the same features.
+A training step (``train_step``) has one tape leaf per parameter record, the
+encoder's and the heads' flat buffers, and records two tape ops: the encoder,
+and ``batch_loss_tensor``, which holds both heads and their weighted cross
+entropies. Their loss and gradients are bitwise those of the primitive-op
+composition kept in ``tests/reference_tape.py``. The two records are the two
+learning-rate groups, so the momentum update is three vector ops per record.
+Clips are rows of their split's frame store, and each clip's video is a row
+of one (videos, F) GVF matrix: a step takes its batch and its GVF rows with
+one ``take`` each, and validation takes and runs chunks of at most
+``VALIDATION_CHUNK`` clips: one batch of a whole split does not fit in the
+CPU caches and runs slower, with the same features.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -163,11 +166,11 @@ class Checkpoint:
 
 
 def params_hash(*records: enc.ParamRecord, prefix: bytes = b"") -> str:
-    """First 12 hex digits of the sha256 of ``prefix`` and the records' array bytes."""
+    """First 12 hex digits of the sha256 of ``prefix`` and the records' buffers:
+    each record's array bytes in ``arrays()`` order."""
     digest = hashlib.sha256(prefix)
     for record in records:
-        for arr in record.arrays():
-            digest.update(arr.tobytes())
+        digest.update(record.flat)
     return digest.hexdigest()[:12]
 
 
@@ -270,12 +273,11 @@ def head_logits(feats: np.ndarray, global_feats: np.ndarray | None, heads: HeadP
 
 
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.float64, np.ndarray]:
-    """Sum of the rows' softmax cross entropies for (B, K) logits, and its gradient."""
-    labels = np.asarray(labels, dtype=int)
-    batch, k = logits.shape
-    if labels.shape != (batch,) or (batch and (labels.min() < 0 or labels.max() >= k)):
-        raise ValueError(f"labels must be {batch} indices below {k}")
-    rows = np.arange(batch)
+    """Sum of the rows' softmax cross entropies for (B, K) logits, and its gradient.
+
+    ``labels`` are B indices below K; ``labeled_batch`` checks them where a
+    batch is built, so a step does not."""
+    rows = np.arange(logits.shape[0])
     shifted = logits - logits.max(axis=1, keepdims=True)
     exps = np.exp(shifted)
     sums = exps.sum(axis=1)
@@ -285,29 +287,31 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.float64, 
     return value, grad
 
 
-def batch_loss_tensor(tape: ad.Tape, enc_leaves: enc.EncoderParams,
-                      head_leaves: HeadParams, frames: np.ndarray,
+def batch_loss_tensor(tape: ad.Tape, enc_params: enc.EncoderParams, enc_leaf: ad.Tensor,
+                      heads: HeadParams, head_leaf: ad.Tensor, frames: np.ndarray,
                       region_labels: np.ndarray, action_labels: np.ndarray,
                       global_feats: np.ndarray | None, cfg: TrainConfig) -> ad.Tensor:
     """Mean of the per-clip two-branch losses over one batch, on the tape.
 
-    The two parameter records hold tensors on ``tape``. frames is
-    (B, L, frame_dim); action_labels holds the class index for foreground rows
-    (ignored elsewhere); global_feats is (B, F) rows aligned with the batch
-    (tsp mode only). ``cfg`` gives the mode and the two heads' loss weights.
+    Each parameter record is one leaf on ``tape``, the tensor over its
+    ``flat`` buffer. frames is (B, L, frame_dim); region_labels are 0 or 1;
+    action_labels holds the class index for foreground rows (ignored
+    elsewhere); global_feats is (B, F) rows aligned with the batch (tsp mode
+    only). ``cfg`` gives the mode and the two heads' loss weights.
 
     The encoder is one tape op and both heads with their weighted cross
     entropies are a second. Its backward hands the features their gradient
-    summed in the reference tape's order, action branch first, then region;
-    a head the batch does not reach (the region head in tac, the action head
-    on an all-background batch) gets no gradient, so ``Tape.backward`` gives
-    it exact zeros.
+    summed in the reference tape's order, action branch first, then region,
+    and writes the heads' gradients into their views of one flat buffer that
+    starts at zero: a head the batch does not reach (the region head in tac,
+    the action head on an all-background batch) gets exact zeros.
     """
     batch, mode = frames.shape[0], cfg.mode
     if mode == "tsp" and global_feats is None:
         raise ValueError("tsp mode needs global features for the region head")
-    feats = enc.forward_batch(tape, enc_leaves, frames)
-    heads = head_leaves.map(lambda t: t.data)
+    if head_leaf.data is not heads.flat:
+        raise ValueError("the heads' leaf must hold their record's flat buffer")
+    feats = enc.forward_batch(tape, enc_params, enc_leaf, frames)
     region = action = None  # (head input rows, CE gradient) of each branch reached
     if mode != "tac":
         region_in = (feats.data if mode == "tsp_nogvf" else
@@ -328,12 +332,13 @@ def batch_loss_tensor(tape: ad.Tape, enc_leaves: enc.EncoderParams,
 
     def backward(g, accumulate):
         g = g * (1.0 / batch)
+        g_heads = heads.view(np.zeros_like(heads.flat))
         g_feats = None
         if action is not None:
             action_in, grad = action
             g_logits = g * cfg.action_loss_weight * grad
-            accumulate(head_leaves.action_weight, action_in.T @ g_logits)
-            accumulate(head_leaves.action_bias, g_logits.sum(axis=0))
+            g_heads.action_weight[...] = action_in.T @ g_logits
+            g_heads.action_bias[...] = g_logits.sum(axis=0)
             g_feats = g_logits @ heads.action_weight.T
             if mode != "tac":  # scatter the foreground rows back, from zero
                 g_feats, g_fg = np.zeros_like(feats.data), g_feats
@@ -341,16 +346,17 @@ def batch_loss_tensor(tape: ad.Tape, enc_leaves: enc.EncoderParams,
         if region is not None:
             region_in, grad = region
             g_logits = g * cfg.region_loss_weight * grad
-            accumulate(head_leaves.region_weight, region_in.T @ g_logits)
-            accumulate(head_leaves.region_bias, g_logits.sum(axis=0))
+            g_heads.region_weight[...] = region_in.T @ g_logits
+            g_heads.region_bias[...] = g_logits.sum(axis=0)
             g_region = (g_logits @ heads.region_weight.T)[:, :feats.data.shape[1]]
             if g_feats is None:
                 g_feats = g_region
             else:
                 g_feats += g_region
+        accumulate(head_leaf, g_heads.flat)
         accumulate(feats, g_feats)
 
-    return tape.apply(total * (1.0 / batch), [feats, *head_leaves.arrays()], backward)
+    return tape.apply(total * (1.0 / batch), (feats, head_leaf), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -380,22 +386,27 @@ class LabeledBatch:
     """Clips as rows of one split's frame store, with their labels, in clip order."""
 
     rows: np.ndarray  # (B, L); store.take(rows, axis=0) is the (B, L, frame_dim) input
-    region_labels: np.ndarray  # (B,)
-    action_labels: np.ndarray  # (B,), -1 on background rows
-    video_ids: list[str]
+    region_labels: np.ndarray  # (B,), 1 on foreground rows, else 0
+    action_labels: np.ndarray  # (B,), a class index on foreground rows, -1 elsewhere
+    videos: np.ndarray  # (B,), each clip's ``Corpus.video_index``: its row of a GVF matrix
 
-    def global_rows(self, features: Mapping[str, np.ndarray] | None) -> np.ndarray | None:
-        """(B, F) global features aligned with the clips; None without a table."""
-        return None if features is None else np.stack([features[v] for v in self.video_ids])
+    def global_rows(self, gvf: np.ndarray | None) -> np.ndarray | None:
+        """(B, F) rows of a (videos, F) global-feature matrix aligned with the
+        clips; None without one."""
+        return None if gvf is None else gvf.take(self.videos, axis=0)
 
 
 def labeled_batch(corpus: Corpus, specs: list[ClipSpec]) -> LabeledBatch:
-    """Clips of one split as one batch of store rows, labeled by kind and class index."""
-    return LabeledBatch(
-        clip_rows(corpus, specs),
-        np.array([int(spec.kind == "foreground") for spec in specs]),
-        np.array([-1 if spec.class_index is None else spec.class_index for spec in specs]),
-        [spec.video_id for spec in specs])
+    """Clips of one split as one batch of store rows, labeled by kind and class
+    index. The labels are checked here, once per batch, for the loss's cross
+    entropies: a foreground clip needs a class index below the class count."""
+    region = np.array([int(spec.kind == "foreground") for spec in specs])
+    action = np.array([-1 if spec.class_index is None else spec.class_index for spec in specs])
+    fg_action = action[region == 1]
+    if fg_action.size and not 0 <= fg_action.min() <= fg_action.max() < len(corpus.classes):
+        raise ValueError(f"foreground clips need class indices below {len(corpus.classes)}")
+    return LabeledBatch(clip_rows(corpus, specs), region, action,
+                        np.array([corpus.video_index(spec.video_id) for spec in specs]))
 
 
 def _eval_clips(corpus: Corpus, split: str, cfg: TrainConfig) -> LabeledBatch:
@@ -425,10 +436,10 @@ def clip_features(enc_params: enc.EncoderParams, store: np.ndarray,
 
 
 def _accuracy(enc_params: enc.EncoderParams, head_params: HeadParams, mode: str,
-              global_features: Mapping[str, np.ndarray] | None, store: np.ndarray,
+              gvf: np.ndarray | None, store: np.ndarray,
               clips: LabeledBatch) -> tuple[float, float | None]:
     feats = clip_features(enc_params, store, clips.rows)
-    action_logits, region_logits = head_logits(feats, clips.global_rows(global_features),
+    action_logits, region_logits = head_logits(feats, clips.global_rows(gvf),
                                                head_params, mode)
     fg = clips.region_labels == 1
     if fg.any():
@@ -445,12 +456,14 @@ def _accuracy(enc_params: enc.EncoderParams, head_params: HeadParams, mode: str,
 def validate(checkpoint: "Checkpoint", corpus: Corpus, split: str) -> dict:
     """Clip accuracies of a checkpoint on a split; region_acc is None for tac."""
     clips = _eval_clips(corpus, split, checkpoint.config)
-    global_features = None
-    if checkpoint.mode == "tsp":
-        global_features = {vid: checkpoint_global_feature(corpus, vid, checkpoint)
-                           for vid in dict.fromkeys(clips.video_ids)}
+    gvf = None
+    if checkpoint.mode == "tsp":  # the rows of the split's videos; no clip reads the rest
+        gvf = np.zeros((len(corpus.videos), checkpoint.encoder.config.feature_dim))
+        video_ids = list(corpus.videos)
+        for row in np.unique(clips.videos):
+            gvf[row] = checkpoint_global_feature(corpus, video_ids[row], checkpoint)
     action_acc, region_acc = _accuracy(checkpoint.encoder, checkpoint.heads, checkpoint.mode,
-                                       global_features, corpus.split_frames(split), clips)
+                                       gvf, corpus.split_frames(split), clips)
     return {"action_acc": action_acc, "region_acc": region_acc}
 
 
@@ -475,13 +488,41 @@ class _CellInputs:
     valid_frames: np.ndarray
     epochs: list[list[LabeledBatch]]
     valid_clips: LabeledBatch
-    global_features: Mapping[str, np.ndarray] | None
+    gvf: np.ndarray | None  # (videos, F), rows in corpus order; tsp mode only
+
+
+def train_step(cfg: TrainConfig, store: np.ndarray, gvf: np.ndarray | None,
+               batch: LabeledBatch, groups: tuple[enc.EncoderParams, HeadParams],
+               velocity: tuple[np.ndarray, np.ndarray], rates: list[float]) -> float:
+    """One SGD step with momentum on ``batch``, in place; returns the batch loss.
+
+    The batch's frames are one ``take`` from ``store`` and its GVF rows one
+    from the ``gvf`` matrix. Each parameter record of ``groups`` is one tape
+    leaf and one lr group, with its velocity buffer and its rate (lr times
+    the schedule's multiplier): ``vel = momentum·vel + grad`` and
+    ``flat -= rate·vel`` are three vector ops over the whole record, the
+    per-element operations of a per-array update. A loss that is not finite
+    updates nothing.
+    """
+    tape = ad.Tape()
+    leaves = enc_leaf, head_leaf = [tape.tensor(params.flat, True) for params in groups]
+    loss = batch_loss_tensor(tape, groups[0], enc_leaf, groups[1], head_leaf,
+                             store.take(batch.rows, axis=0), batch.region_labels,
+                             batch.action_labels, batch.global_rows(gvf), cfg)
+    value = loss.item()
+    if math.isfinite(value):
+        grads = tape.backward(loss)
+        for params, leaf, vel, rate in zip(groups, leaves, velocity, rates):
+            vel *= cfg.momentum
+            vel += grads[leaf.node_id]
+            params.flat -= rate * vel
+    return value
 
 
 def _train_cell(inputs: _CellInputs, head_lr: float) -> tuple[list[TrainLogRow], tuple | None]:
     """One grid cell: its log rows, and its best (selection key, head_lr, epoch,
     encoder snapshot, heads snapshot), None if it diverged before any validation."""
-    cfg, epochs, table_features = inputs.cfg, inputs.epochs, inputs.global_features
+    cfg, epochs, gvf = inputs.cfg, inputs.epochs, inputs.gvf
     rows: list[TrainLogRow] = []
     best = None
 
@@ -489,7 +530,7 @@ def _train_cell(inputs: _CellInputs, head_lr: float) -> tuple[list[TrainLogRow],
                             head_params: HeadParams) -> tuple[float, float | None]:
         """Validation accuracies; the parameters are kept if they beat the cell's best so far."""
         nonlocal best
-        accs = _accuracy(enc_params, head_params, cfg.mode, table_features,
+        accs = _accuracy(enc_params, head_params, cfg.mode, gvf,
                          inputs.valid_frames, inputs.valid_clips)
         key = (_selection_score(*accs), -head_lr, -epoch)  # ties: smaller lr, earlier epoch
         if best is None or key > best[0]:
@@ -498,8 +539,8 @@ def _train_cell(inputs: _CellInputs, head_lr: float) -> tuple[list[TrainLogRow],
 
     enc_params = inputs.init_encoder.copy()
     head_params = inputs.init_heads.copy()
-    group_arrays = (enc_params.arrays(), head_params.arrays())
-    velocity = tuple([np.zeros_like(a) for a in group] for group in group_arrays)
+    groups = (enc_params, head_params)  # one lr group per record
+    velocity = tuple(np.zeros_like(params.flat) for params in groups)
     group_lrs = (cfg.encoder_lr, head_lr)
 
     if cfg.epochs == 0:
@@ -513,30 +554,13 @@ def _train_cell(inputs: _CellInputs, head_lr: float) -> tuple[list[TrainLogRow],
         mult = 1.0
         for batch in batches:
             mult = lr_at(step, steps_per_epoch, cfg)
-
-            tape = ad.Tape()
-            enc_leaves, head_leaves = (params.map(lambda a: tape.tensor(a, True))
-                                       for params in (enc_params, head_params))
-            frames = inputs.train_frames.take(batch.rows, axis=0)
-            batch_loss = batch_loss_tensor(tape, enc_leaves, head_leaves, frames,
-                                           batch.region_labels, batch.action_labels,
-                                           batch.global_rows(table_features), cfg)
-            loss_value = batch_loss.item()
+            loss_value = train_step(cfg, inputs.train_frames, gvf, batch, groups, velocity,
+                                    [lr * mult for lr in group_lrs])
             if not math.isfinite(loss_value):
                 rows.append(TrainLogRow(epoch, head_lr, float("nan"), float("nan"),
                                         None, mult, diverged=True))
                 return rows, best
             epoch_losses.append(loss_value)
-            grads = tape.backward(batch_loss)
-
-            leaf_groups = (enc_leaves.arrays(), head_leaves.arrays())
-            for arrays, leaves, vels, lr in zip(group_arrays, leaf_groups,
-                                                velocity, group_lrs):
-                eff = lr * mult
-                for arr, leaf, vel in zip(arrays, leaves, vels):
-                    vel *= cfg.momentum
-                    vel += grads[leaf.node_id]
-                    arr -= eff * vel
             step += 1
 
         action_acc, region_acc = validate_and_select(epoch, enc_params, head_params)
@@ -597,7 +621,7 @@ def train(corpus: Corpus, cfg: TrainConfig,
         train_frames=train_frames, valid_frames=valid_frames,
         valid_clips=_eval_clips(corpus, "valid", cfg),
         epochs=[build_batches(epoch) for epoch in range(cfg.epochs)],
-        global_features=None if table is None else table.features)
+        gvf=None if table is None else np.stack([table.features[v] for v in corpus.videos]))
     results = _train_cells(inputs)
 
     rows = [row for cell_rows, _ in results for row in cell_rows]
@@ -659,12 +683,15 @@ def _check_shapes(ckpt: Checkpoint) -> None:
     if (len(ckpt.encoder.blocks), ckpt.encoder.stem_weight.shape) != (
             cfg.blocks, (cfg.embed_dim, cfg.frame_dim)):
         raise ValueError(f"encoder blocks and stem do not match its config {cfg}")
-    encoder = enc.init_params(cfg, 0).map(np.shape)
-    heads = init_heads(feature_dim, ckpt.heads.action_bias.size, ckpt.mode, 0).map(np.shape)
+    def layout(record):
+        return getattr(record, "config", None), [a.shape for a in record.arrays()]
+
+    encoder = layout(enc.init_params(cfg, 0))
+    heads = layout(init_heads(feature_dim, ckpt.heads.action_bias.size, ckpt.mode, 0))
     for name, expected in (("encoder", encoder), ("init_encoder", encoder), ("heads", heads)):
-        shapes = getattr(ckpt, name).map(np.shape)
-        if shapes != expected:
-            raise ValueError(f"{name} shapes {shapes}, expected {expected}")
+        found = layout(getattr(ckpt, name))
+        if found != expected:
+            raise ValueError(f"{name} config and shapes {found}, expected {expected}")
     table = ckpt.global_features
     for vid, row in ({} if table is None else table.features).items():
         if row.shape != (feature_dim,):

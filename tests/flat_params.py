@@ -1,9 +1,10 @@
 """Gradient-check helpers: finite differences, and the two-head loss as a
 function of one flat vector.
 
-The parameter records are laid end to end in ``arrays()`` order; ``map`` over a
-template record puts each ``reshape_slice`` view of the flat leaf back into its
-field.
+The vector is the encoder's flat buffer followed by the heads'. Each record's
+leaf is a ``reshape_slice`` window of the vector's leaf, and a template record
+``view``s that window's data, so the loss runs on the one-leaf-per-record API
+of a training step.
 """
 
 from dataclasses import dataclass
@@ -85,7 +86,7 @@ def gradient_check(build, x0: np.ndarray, coords: int = 100, h: float = 1e-6,
 
 
 def flatten_params(enc_params: enc.EncoderParams, head_params: pt.HeadParams) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in enc_params.arrays() + head_params.arrays()])
+    return np.concatenate([enc_params.flat, head_params.flat])
 
 
 def two_head_loss_builder(enc_cfg: enc.EncoderConfig, num_classes: int, mode: str,
@@ -94,30 +95,25 @@ def two_head_loss_builder(enc_cfg: enc.EncoderConfig, num_classes: int, mode: st
     """A ``build(vec) -> (loss, leaf)`` closure over flattened parameters.
 
     The loss is ``batch_loss_tensor`` of one batch at unit loss weights, with
-    every encoder and head parameter a ``reshape_slice`` view of the single leaf
-    holding ``vec``.
+    the encoder's and the heads' leaves ``reshape_slice`` windows of the single
+    leaf holding ``vec``.
     """
     cfg = pt.TrainConfig(mode=mode)
-    templates = (enc.init_params(enc_cfg, seed=0),
-                 pt.init_heads(enc_cfg.feature_dim, num_classes, mode, seed=0))
-    shapes = [a.shape for t in templates for a in t.arrays()]
+    enc_template = enc.init_params(enc_cfg, seed=0)
+    head_template = pt.init_heads(enc_cfg.feature_dim, num_classes, mode, seed=0)
+    enc_size, head_size = enc_template.flat.size, head_template.flat.size
 
     def build(vec: np.ndarray):
+        if vec.size != enc_size + head_size:
+            raise ValueError(f"parameter vector has {vec.size} entries, "
+                             f"expected {enc_size + head_size}")
         tape = ad.Tape()
         leaf = tape.tensor(vec, requires_grad=True)
-        parts = []
-        offset = 0
-        for shape in shapes:
-            size = int(np.prod(shape))
-            parts.append(reshape_slice(leaf, offset, shape))
-            offset += size
-        if offset != vec.size:
-            raise ValueError(f"parameter vector has {vec.size} entries, expected {offset}")
-
-        views = iter(parts)
-        enc_view, head_view = (t.map(lambda _: next(views)) for t in templates)
-        loss = pt.batch_loss_tensor(tape, enc_view, head_view, frames, region_labels,
-                                    action_labels, global_feats, cfg)
+        enc_leaf = reshape_slice(leaf, 0, (enc_size,))
+        head_leaf = reshape_slice(leaf, enc_size, (head_size,))
+        loss = pt.batch_loss_tensor(tape, enc_template.view(enc_leaf.data), enc_leaf,
+                                    head_template.view(head_leaf.data), head_leaf, frames,
+                                    region_labels, action_labels, global_feats, cfg)
         return loss, leaf
 
     return build

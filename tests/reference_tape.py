@@ -7,6 +7,11 @@ value and gradients that ``encoder.forward_batch`` and
 ``pretrain.batch_loss_tensor`` must reproduce byte for byte, and the
 finite-difference checks in ``test_autodiff`` pin the ops themselves.
 
+The library makes each parameter record one leaf over its flat buffer; the
+reference keeps one leaf per array (``array_leaves``), so its gradients are
+per array and in ``arrays()`` order: laid end to end they are the flat
+gradient the library's ops write.
+
 Activations are time-major, (B, L, d), so each layer is one 2-D matmul over
 all B·L frames. Weight gradients multiply a contiguous (d, B·L) gradient
 copy, and bias and time sums reduce a contiguous (B, d, L) copy.
@@ -192,37 +197,46 @@ def cross_entropy_sum(logits, labels):
     return logits.tape.apply(np.float64(values.sum()), (logits,), backward)
 
 
-def forward_batch(tape, leaves, frames):
-    """``encoder.forward_batch`` as a composition of primitive ops."""
+def array_leaves(tape, record, requires_grad=True):
+    """One leaf per array of a parameter record, in its ``arrays()`` order."""
+    return [tape.tensor(a, requires_grad) for a in record.arrays()]
+
+
+def forward_batch(tape, enc_leaves, frames):
+    """``encoder.forward_batch`` as a composition of primitive ops, over the
+    encoder's ``array_leaves``: the stem's weight and bias, then each block's
+    four arrays."""
     x = tape.tensor(frames)
-    h = relu(affine_frames(x, leaves.stem_weight, leaves.stem_bias))
-    for blk in leaves.blocks:
-        inner = relu(conv1d_same(h, blk.conv1_kernel, blk.conv1_bias))
-        inner = conv1d_same(inner, blk.conv2_kernel, blk.conv2_bias)
+    stem_weight, stem_bias, *blocks = enc_leaves
+    h = relu(affine_frames(x, stem_weight, stem_bias))
+    for start in range(0, len(blocks), 4):
+        conv1_kernel, conv1_bias, conv2_kernel, conv2_bias = blocks[start:start + 4]
+        inner = relu(conv1d_same(h, conv1_kernel, conv1_bias))
+        inner = conv1d_same(inner, conv2_kernel, conv2_bias)
         h = relu(add(inner, h))
     return mean_over_time(h)
 
 
 def batch_loss_tensor(tape, enc_leaves, head_leaves, frames, region_labels, action_labels,
                       global_feats, cfg):
-    """``pretrain.batch_loss_tensor`` as a composition of primitive ops."""
+    """``pretrain.batch_loss_tensor`` as a composition of primitive ops, over
+    the encoder's and the heads' ``array_leaves``."""
     batch, mode = frames.shape[0], cfg.mode
+    action_weight, action_bias, region_weight, region_bias = head_leaves
     feats = forward_batch(tape, enc_leaves, frames)
     terms = []
     if mode == "tac":
-        logits = linear_rows(feats, head_leaves.action_weight, head_leaves.action_bias)
+        logits = linear_rows(feats, action_weight, action_bias)
         terms.append(scale(cross_entropy_sum(logits, action_labels), cfg.action_loss_weight))
     else:
         region_in = (hstack_rows(feats, tape.tensor(global_feats)) if mode == "tsp"
                      else feats)
-        region_logits = linear_rows(region_in, head_leaves.region_weight,
-                                    head_leaves.region_bias)
+        region_logits = linear_rows(region_in, region_weight, region_bias)
         terms.append(scale(cross_entropy_sum(region_logits, region_labels),
                            cfg.region_loss_weight))
         fg_rows = np.flatnonzero(region_labels == 1)
         if len(fg_rows):
-            fg_logits = linear_rows(take_rows(feats, fg_rows), head_leaves.action_weight,
-                                    head_leaves.action_bias)
+            fg_logits = linear_rows(take_rows(feats, fg_rows), action_weight, action_bias)
             terms.append(scale(cross_entropy_sum(fg_logits, action_labels[fg_rows]),
                                cfg.action_loss_weight))
     total = terms[0] if len(terms) == 1 else add(terms[0], terms[1])
@@ -232,4 +246,14 @@ def batch_loss_tensor(tape, enc_leaves, head_leaves, frames, region_labels, acti
 def forward_np_batch(params: enc.EncoderParams, frames):
     """Inference through the reference forward, on a throwaway tape."""
     tape = ad.Tape()
-    return forward_batch(tape, params.map(tape.tensor), frames).data
+    return forward_batch(tape, array_leaves(tape, params, False), frames).data
+
+
+def momentum_step(arrays, grads, velocity, rate, momentum):
+    """SGD with momentum one array at a time, as the trainer ran it before
+    each parameter record became one buffer: ``vel = momentum·vel + grad``,
+    then ``arr -= rate·vel``, in place."""
+    for arr, grad, vel in zip(arrays, grads, velocity):
+        vel *= momentum
+        vel += grad
+        arr -= rate * vel

@@ -79,6 +79,42 @@ def test_a_flag_value_a_record_rejects_exits_2_before_any_file(case, tmp_path, c
     assert not out.exists()
 
 
+# (argv without its output flag, a --config file's values, start of the error
+# its record raises); pretrain's manifest does not exist, as above
+REJECTED_CONFIG_VALUES = {
+    "gen-corpus": (["gen-corpus"], {"noise_sigma": -0.5}, "noise_sigma -0.5 is not"),
+    "pretrain": (["pretrain", "--manifest", "absent.json"], {"embed_dim": 0},
+                 "encoder dimensions must be positive"),
+    "bench": (["bench"], {"modes": "tsp,bogus"}, "unknown mode 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REJECTED_CONFIG_VALUES))
+def test_a_config_value_a_record_rejects_names_the_config_file(command, tmp_path, capsys):
+    argv, values, message = REJECTED_CONFIG_VALUES[command]
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(values), encoding="utf-8")
+    out = tmp_path / "out"
+    flag = "--out-dir" if command == "bench" else "--out"
+    assert cli.main([*argv, "--config", str(config), flag, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --config {config}: {message}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_rejected_command_line_value_over_a_config_names_no_file(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"noise_sigma": -0.5, "classes": 3}), encoding="utf-8")
+    out = tmp_path / "corpus.json"
+    # the command line's value wins over the file's, and it is the one rejected
+    for flag in ("--noise-sigma", "--noise"):  # argparse takes an abbreviated flag too
+        assert cli.main(["gen-corpus", "--config", str(config), flag, "-0.4",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: noise_sigma -0.4 is not")
+    assert not out.exists()
+
+
 @pytest.fixture
 def manifest(tmp_path, capsys):
     path = tmp_path / "corpus.json"

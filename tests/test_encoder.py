@@ -105,7 +105,7 @@ def test_tape_and_numpy_forward_agree_exactly():
     params = enc.init_params(cfg, seed=5)
     frames = np.random.default_rng(7).standard_normal((5, 8, 16)).transpose(0, 2, 1)
     tape = ad.Tape()
-    out_tape = enc.forward_batch(tape, params.map(lambda a: tape.tensor(a, True)), frames)
+    out_tape = enc.forward_batch(tape, params, tape.tensor(params.flat, True), frames)
     out_np = enc.forward_np_batch(params, frames)
     assert np.array_equal(out_tape.data, out_np)
     for i in range(5):
@@ -170,10 +170,12 @@ def test_bench_shape_training_step_gradients_match_golden_digest():
     action = np.where(region == 1, rng.integers(0, 8, 32), -1)
     gfeats = rng.standard_normal((32, 16))
     params = enc.init_params(enc.EncoderConfig(channels_in=16, embed_dim=16, blocks=1), 0)
+    heads = pretrain.init_heads(16, 8, "tsp", 0)
     tape = ad.Tape()
-    leaves = params.map(lambda a: tape.tensor(a, True))
-    heads = pretrain.init_heads(16, 8, "tsp", 0).map(lambda a: tape.tensor(a, True))
-    loss = pretrain.batch_loss_tensor(tape, leaves, heads, frames, region, action, gfeats,
-                                      pretrain.TrainConfig(mode="tsp"))
+    leaf, head_leaf = (tape.tensor(p.flat, True) for p in (params, heads))
+    loss = pretrain.batch_loss_tensor(tape, params, leaf, heads, head_leaf, frames, region,
+                                      action, gfeats, pretrain.TrainConfig(mode="tsp"))
     grads = tape.backward(loss)
-    assert digest([grads[t.node_id] for t in leaves.arrays()]) == GOLDEN_TRAIN_STEP_GRADS_DIGEST
+    # the encoder's gradient arrays, each the view of its place in the flat gradient
+    assert (digest(params.view(grads[leaf.node_id]).arrays())
+            == GOLDEN_TRAIN_STEP_GRADS_DIGEST)

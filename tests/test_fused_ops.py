@@ -1,9 +1,10 @@
 """The two fused tape ops against the primitive-op reference, byte for byte.
 
 ``encoder.forward_batch`` and ``pretrain.batch_loss_tensor`` are one tape op
-each; ``reference_tape`` composes the same step from primitive ops. The loss
-value, every encoder and head gradient and the inference features must be the
-same bytes, including signed zeros, for any shape the step can take.
+each, over one leaf per parameter record; ``reference_tape`` composes the same
+step from primitive ops over one leaf per array. The loss value, every encoder
+and head array's gradient and the inference features must be the same bytes,
+including signed zeros, for any shape the step can take.
 """
 
 import gc
@@ -20,14 +21,26 @@ from tspkit import encoder as enc
 from tspkit import pretrain as pt
 
 
-def step(loss_fn, enc_params, heads, batch, cfg):
-    """(loss bytes, [gradient bytes of each encoder then head array]) of one step."""
+def step(enc_params, heads, batch, cfg):
+    """(loss bytes, [gradient bytes of each encoder then head array]) of one
+    fused step: each array's gradient is its view of its record's flat one."""
     tape = ad.Tape()
-    enc_leaves, head_leaves = (p.map(lambda a: tape.tensor(a, True)) for p in (enc_params, heads))
-    loss = loss_fn(tape, enc_leaves, head_leaves, *batch, cfg)
+    enc_leaf, head_leaf = (tape.tensor(p.flat, True) for p in (enc_params, heads))
+    loss = pt.batch_loss_tensor(tape, enc_params, enc_leaf, heads, head_leaf, *batch, cfg)
     grads = tape.backward(loss)
-    leaves = enc_leaves.arrays() + head_leaves.arrays()
-    return np.float64(loss.data).tobytes(), [grads[t.node_id].tobytes() for t in leaves]
+    arrays = (enc_params.view(grads[enc_leaf.node_id]).arrays()
+              + heads.view(grads[head_leaf.node_id]).arrays())
+    return np.float64(loss.data).tobytes(), [a.tobytes() for a in arrays]
+
+
+def reference_step(enc_params, heads, batch, cfg):
+    """``step`` through the primitive-op reference, one leaf per array."""
+    tape = ad.Tape()
+    enc_leaves, head_leaves = (ref.array_leaves(tape, p) for p in (enc_params, heads))
+    loss = ref.batch_loss_tensor(tape, enc_leaves, head_leaves, *batch, cfg)
+    grads = tape.backward(loss)
+    return (np.float64(loss.data).tobytes(),
+            [grads[t.node_id].tobytes() for t in enc_leaves + head_leaves])
 
 
 @settings(max_examples=60, deadline=None)
@@ -61,7 +74,7 @@ def test_fused_step_is_bytewise_the_reference_composition(mode, embed_dim, block
                          region_loss_weight=weights[1])
     inputs = (enc_params, heads, (frames, region, action, gfeats), cfg)
 
-    assert step(pt.batch_loss_tensor, *inputs) == step(ref.batch_loss_tensor, *inputs)
+    assert step(*inputs) == reference_step(*inputs)
     assert (enc.forward_np_batch(enc_params, frames).tobytes()
             == ref.forward_np_batch(enc_params, frames).tobytes())
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from tspkit import autodiff as ad
 from tspkit import corpus as cp
 from tspkit import encoder as enc
 from tspkit import pretrain as pt
+from tspkit import sampler
 
 LN2 = math.log(2.0)
 LN4 = math.log(4.0)
@@ -35,9 +37,9 @@ def clip_losses(frames, region, action, gfeats, cfg, params=None, heads=None):
     def loss(rows):
         tape = ad.Tape()
         return pt.batch_loss_tensor(
-            tape, params.map(tape.tensor), heads.map(tape.tensor), frames[rows],
-            region[rows], action[rows], None if gfeats is None else gfeats[rows],
-            cfg).item()
+            tape, params, tape.tensor(params.flat), heads, tape.tensor(heads.flat),
+            frames[rows], region[rows], action[rows],
+            None if gfeats is None else gfeats[rows], cfg).item()
 
     return loss(slice(None)), [loss(slice(i, i + 1)) for i in range(len(frames))]
 
@@ -99,18 +101,15 @@ def test_background_only_batch_has_exactly_zero_action_gradients():
     gfeats = rng.standard_normal((5, 6))
 
     tape = ad.Tape()
-    enc_leaves = params.map(lambda a: tape.tensor(a, True))
-    head_leaves = heads.map(lambda a: tape.tensor(a, True))
-    loss = pt.batch_loss_tensor(tape, enc_leaves, head_leaves, frames,
+    enc_leaf, head_leaf = (tape.tensor(p.flat, True) for p in (params, heads))
+    loss = pt.batch_loss_tensor(tape, params, enc_leaf, heads, head_leaf, frames,
                                 np.zeros(5, dtype=int), np.full(5, -1), gfeats,
                                 pt.TrainConfig(mode="tsp"))
-    grads = tape.backward(loss)
-    assert np.array_equal(grads[head_leaves.action_weight.node_id],
-                          np.zeros_like(heads.action_weight))
-    assert np.array_equal(grads[head_leaves.action_bias.node_id],
-                          np.zeros_like(heads.action_bias))
+    grads = heads.view(tape.backward(loss)[head_leaf.node_id])
+    assert np.array_equal(grads.action_weight, np.zeros_like(heads.action_weight))
+    assert np.array_equal(grads.action_bias, np.zeros_like(heads.action_bias))
     # region head does receive gradient
-    assert np.any(grads[head_leaves.region_weight.node_id] != 0.0)
+    assert np.any(grads.region_weight != 0.0)
 
 
 def test_batched_loss_matches_per_clip_mean():
@@ -303,8 +302,8 @@ def test_cell_inputs_hold_clips_as_integer_rows_of_the_shared_split_stores(monke
     batches = [batch for epoch in inputs.epochs for batch in epoch] + [inputs.valid_clips]
     for batch in batches:
         arrays = [value for value in vars(batch).values() if isinstance(value, np.ndarray)]
-        assert [a.dtype.kind for a in arrays] == ["i"] * 3  # rows and the two label arrays
-        assert batch.rows.shape == (len(batch.video_ids), cfg.clip_len)
+        assert [a.dtype.kind for a in arrays] == ["i"] * 4  # rows, two labels, GVF rows
+        assert batch.rows.shape == (len(batch.videos), cfg.clip_len)
     frame_dim = corpus.synth.frame_dim
     for split, store in (("train", inputs.train_frames), ("valid", inputs.valid_frames)):
         frames = sum(video.num_frames for video in corpus.subset_videos(split))
@@ -313,6 +312,38 @@ def test_cell_inputs_hold_clips_as_integer_rows_of_the_shared_split_stores(monke
     assert all(batch.rows.max() < len(inputs.train_frames)
                for epoch in inputs.epochs for batch in epoch)
     assert inputs.valid_clips.rows.max() < len(inputs.valid_frames)
+
+
+def test_batch_gvf_rows_are_each_clips_video_feature(monkeypatch):
+    corpus = small_corpus()
+    seen, train_cells = [], pt._train_cells
+
+    def recording_train_cells(inputs):
+        seen.append(inputs)
+        return train_cells(inputs)
+
+    monkeypatch.setattr(pt, "_train_cells", recording_train_cells)
+    ckpt, _ = pt.train(corpus, tiny_train_cfg())
+    [inputs] = seen
+    video_ids = list(corpus.videos)
+    for batch in [inputs.valid_clips] + inputs.epochs[0]:
+        rows = batch.global_rows(inputs.gvf)
+        expected = np.stack([ckpt.global_features.features[video_ids[v]] for v in batch.videos])
+        assert rows.tobytes() == expected.tobytes()
+
+
+def test_labeled_batch_checks_foreground_class_indices():
+    corpus = small_corpus()
+    specs = sampler.test_clip_set(corpus, "valid", clips_per_segment=5, clip_len=16,
+                                  frame_stride=2)
+    fg = next(i for i, spec in enumerate(specs) if spec.kind == "foreground")
+    for bad in (len(corpus.classes), -1, None):
+        broken = specs[:fg] + [replace(specs[fg], class_index=bad)] + specs[fg + 1:]
+        with pytest.raises(ValueError, match="class indices below 3"):
+            pt.labeled_batch(corpus, broken)
+    bg = next(i for i, spec in enumerate(specs) if spec.kind == "background")
+    batch = pt.labeled_batch(corpus, specs[bg:bg + 1])  # background needs no class
+    assert list(batch.action_labels) == [-1] and list(batch.region_labels) == [0]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
