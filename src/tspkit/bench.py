@@ -28,6 +28,8 @@ from .pretrain import MODES, TrainConfig, train, validate
 from .workers import fork_map, worker_count  # noqa: F401  (bench.worker_count is public)
 
 BENCH_METRICS = ("average_map", "auc", "region_acc", "contrast")
+# the TrainConfig fields that run_seed sets for each cell, so BenchConfig.train's go unread
+CELL_FIELDS = ("mode", "seed", "init")
 
 
 def default_bench_train_config() -> TrainConfig:

@@ -11,16 +11,21 @@ value that argparse or a configuration record (``SynthConfig``,
 ``TrainConfig``, ``LocalizerParams``, ``BenchConfig``) rejects exits 2 before
 any file but ``--config`` is read, so before any output exists.
 
+A record's flags come from its fields (``_flag_table``): one per field, or per
+item of a fixed-length tuple, named after it but for ``_FLAG_NAMES``, typed by
+its annotation, its default the record's value. Their choices are the records'
+own constants: ``pretrain.MODES``, ``POOLS`` and ``INITS``, and
+``corpus.BACKGROUND_MODES``.
+
 ``--config FILE`` is a JSON object of flag values keyed by flag name, with
 ``_`` or ``-`` between words. Its values become flags inserted right after the
 subcommand, so argparse parses them as it parses the command line, and a flag
 given later on the command line wins. A switch such as ``--detad`` takes true
 or false; any other flag a string or a number. A key that names no flag of the
 subcommand, a list, an object, null, or a value the flag rejects exits 2 with
-one ``error: --config FILE: KEY: ...`` line. The localizer flags reject what
-``LocalizerParams`` rejects, on the command line too. A record that rejects
-the flags but accepts them with the file's values left out exits 2 with one
-``error: --config FILE: ...`` line.
+one ``error: --config FILE: KEY: ...`` line. A record that rejects the flags
+but accepts them with the file's values left out exits 2 with one ``error:
+--config FILE: ...`` line.
 
 ``extract`` (one task per video) and ``localize`` (one per track file) run
 their items in forked workers through ``workers.fork_map``; the files they
@@ -31,7 +36,10 @@ it would in a serial loop, the first in video or path order.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+import types
+import typing
 from dataclasses import replace
 from pathlib import Path
 
@@ -46,12 +54,12 @@ class UsageError(Exception):
     """Configuration contradiction: maps to exit code 2."""
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v)
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v)
+def _comma_list(item):
+    """An argparse type: comma-separated ``item`` values, as a tuple."""
+    def parse(text: str) -> tuple:
+        return tuple(item(v.strip()) for v in text.split(",") if v.strip())
+    parse.__name__ = f"{item.__name__} list"  # argparse names it in "invalid ... value"
+    return parse
 
 
 def _positive_int(text: str) -> int:
@@ -130,6 +138,61 @@ def _with_config(commands: dict[str, argparse.ArgumentParser],
 
 
 # ---------------------------------------------------------------------------
+# record flags: the fields whose flags are not named after them; a bool
+# field's flag is a switch that sets it false
+_FLAG_NAMES = {
+    "num_classes": ("--classes",), "background_mode": ("--bg-mode",),
+    "videos_per_subset": ("--train-videos", "--valid-videos", "--test-videos"),
+    "duration_range": ("--duration-min", "--duration-max"),
+    "instances_per_video": ("--instances-min", "--instances-max"),
+    "global_pool": ("--gvf-pool",), "resample_each_epoch": ("--fixed-epoch-pool",),
+    "action_loss_weight": ("--alpha-action",), "region_loss_weight": ("--alpha-region",),
+    "smooth_window": ("--window",)}
+_CHOICES = {"mode": pretrain.MODES, "global_pool": pretrain.POOLS, "init": pretrain.INITS,
+            "background_mode": corpus_mod.BACKGROUND_MODES}
+_HELP = {"resample_each_epoch": "reuse one clip subsample for all epochs instead of resampling",
+         "gvf_dense_hop": "pool the global feature over a dense clip grid at this hop",
+         "smooth_window": "moving-average width in clips (odd)"}
+
+
+@functools.cache
+def _flag_table(record_type) -> tuple[tuple[str, tuple[str, ...], tuple[str, ...], dict], ...]:
+    """(field, its flags, their destinations, their other ``add_argument`` keywords)
+    per field of ``record_type``; cached, as every ``main`` call builds the parser."""
+    table = []
+    for name, tp in typing.get_type_hints(record_type).items():  # the fields, in order
+        origin, args = typing.get_origin(tp), typing.get_args(tp)
+        flags = _FLAG_NAMES.get(name, ("--" + name.replace("_", "-"),))
+        dests = tuple(flag[2:].replace("-", "_") for flag in flags)
+        if tp is bool:
+            kwargs, dests = {"action": "store_false"}, (name,)
+        elif origin is tuple:  # tuple[X, ...] is one flag of "v,v,..."
+            kwargs = {"type": _comma_list(args[0]) if args[-1] is Ellipsis else args[0]}
+        elif origin is types.UnionType:  # X | None
+            kwargs = {"type": next(arg for arg in args if arg is not types.NoneType)}
+        else:
+            kwargs = {"type": tp, "choices": _CHOICES.get(name)}
+        table.append((name, flags, dests, {**kwargs, "help": _HELP.get(name)}))
+    return tuple(table)
+
+
+def _add_record_flags(p, record, skip=(), only=None) -> None:
+    """The flags of ``record``'s fields but those in ``skip`` or not in ``only``."""
+    for name, flags, dests, kwargs in _flag_table(type(record)):
+        if name not in skip and (only is None or name in only):
+            value = getattr(record, name)
+            for flag, dest, default in zip(flags, dests, value if len(flags) > 1 else (value,)):
+                p.add_argument(flag, dest=dest, default=default, **kwargs)
+
+
+def _from_flags(args, record, skip=()):
+    """``record`` with each field but those in ``skip`` taken from its flags."""
+    values = {name: tuple(getattr(args, dest) for dest in dests)
+              for name, _, dests, _ in _flag_table(type(record)) if name not in skip}
+    return replace(record, **{name: v if len(v) > 1 else v[0] for name, v in values.items()})
+
+
+# ---------------------------------------------------------------------------
 # subcommand argument wiring
 
 
@@ -138,80 +201,15 @@ def _add_gen_corpus(sub) -> None:
     _add_config_flag(p)
     p.add_argument("--out", required=True, help="manifest path to write")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--classes", type=int, default=8)
-    p.add_argument("--train-videos", type=int, default=80)
-    p.add_argument("--valid-videos", type=int, default=40)
-    p.add_argument("--test-videos", type=int, default=0)
-    p.add_argument("--duration-min", type=float, default=120.0)
-    p.add_argument("--duration-max", type=float, default=360.0)
-    p.add_argument("--instances-min", type=int, default=1)
-    p.add_argument("--instances-max", type=int, default=4)
-    p.add_argument("--length-log-mu", type=float, default=3.8)
-    p.add_argument("--length-log-sigma", type=float, default=0.9)
-    p.add_argument("--channels", type=int, default=16)
-    p.add_argument("--height", type=int, default=1)
-    p.add_argument("--width", type=int, default=1)
-    p.add_argument("--noise-sigma", type=float, default=0.5)
-    p.add_argument("--bg-mode", choices=("pure", "hard"), default="hard")
-    p.add_argument("--fps", type=float, default=4.0)
-
-
-def _synth_config(args) -> corpus_mod.SynthConfig:
-    return corpus_mod.SynthConfig(
-        num_classes=args.classes,
-        videos_per_subset=(args.train_videos, args.valid_videos, args.test_videos),
-        duration_range=(args.duration_min, args.duration_max),
-        instances_per_video=(args.instances_min, args.instances_max),
-        length_log_mu=args.length_log_mu,
-        length_log_sigma=args.length_log_sigma,
-        channels=args.channels, height=args.height, width=args.width,
-        noise_sigma=args.noise_sigma, background_mode=args.bg_mode, fps=args.fps)
+    _add_record_flags(p, corpus_mod.SynthConfig())
 
 
 def _cmd_gen_corpus(args) -> int:
-    cfg = _record(_synth_config, args)
+    cfg = _record(_from_flags, args, corpus_mod.SynthConfig())
     corpus = corpus_mod.generate_synthetic(cfg, args.seed)
     corpus_mod.save_manifest(corpus, args.out, invocation=args.flags)
     print(f"wrote {args.out}: {len(corpus.videos)} videos, {len(corpus.classes)} classes")
     return 0
-
-
-def _add_train_flags(p, embed_dim_default=64, blocks_default=2) -> None:
-    p.add_argument("--mode", choices=pretrain.MODES, default="tsp")
-    p.add_argument("--gvf-pool", choices=("max", "avg"), default="max")
-    p.add_argument("--encoder-lr", type=float, default=1e-4)
-    p.add_argument("--head-lr-grid", type=_parse_floats, default=(0.002, 0.004, 0.006, 0.008, 0.01))
-    p.add_argument("--epochs", type=int, default=8)
-    p.add_argument("--warmup-epochs", type=int, default=2)
-    p.add_argument("--decay-epochs", type=_parse_ints, default=(4, 6))
-    p.add_argument("--decay-gamma", type=float, default=0.01)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--init", choices=("tac", "random"), default="tac")
-    p.add_argument("--clips-per-segment", type=int, default=5)
-    p.add_argument("--clip-len", type=int, default=16)
-    p.add_argument("--frame-stride", type=int, default=2)
-    p.add_argument("--embed-dim", type=int, default=embed_dim_default)
-    p.add_argument("--blocks", type=int, default=blocks_default)
-    p.add_argument("--alpha-action", type=float, default=1.0)
-    p.add_argument("--alpha-region", type=float, default=1.0)
-    p.add_argument("--fixed-epoch-pool", action="store_true",
-                   help="reuse one clip subsample for all epochs instead of resampling")
-    p.add_argument("--gvf-dense-hop", type=int, default=None,
-                   help="pool the global feature over a dense clip grid at this hop")
-
-
-def _train_config(args, seed: int, mode: str | None = None) -> pretrain.TrainConfig:
-    return pretrain.TrainConfig(
-        mode=mode or args.mode, global_pool=args.gvf_pool, encoder_lr=args.encoder_lr,
-        head_lr_grid=tuple(args.head_lr_grid), epochs=args.epochs,
-        warmup_epochs=args.warmup_epochs, decay_epochs=tuple(args.decay_epochs),
-        decay_gamma=args.decay_gamma, batch_size=args.batch_size,
-        momentum=args.momentum, seed=seed, init=args.init,
-        clips_per_segment=args.clips_per_segment, clip_len=args.clip_len,
-        frame_stride=args.frame_stride, embed_dim=args.embed_dim, blocks=args.blocks,
-        action_loss_weight=args.alpha_action, region_loss_weight=args.alpha_region,
-        resample_each_epoch=not args.fixed_epoch_pool, gvf_dense_hop=args.gvf_dense_hop)
 
 
 def _add_pretrain(sub) -> None:
@@ -220,14 +218,14 @@ def _add_pretrain(sub) -> None:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="checkpoint JSON path")
     p.add_argument("--log", help="training log TSV path (default: <out>.log.tsv)")
-    p.add_argument("--seed", type=int, default=0)
+    _add_record_flags(p, pretrain.TrainConfig(), only={"seed"})
     p.add_argument("--init-checkpoint",
                    help="reuse the encoder of this checkpoint as the initialization")
-    _add_train_flags(p)
+    _add_record_flags(p, pretrain.TrainConfig(), skip={"seed"})
 
 
 def _cmd_pretrain(args) -> int:
-    cfg = _record(_train_config, args, args.seed)
+    cfg = _record(_from_flags, args, pretrain.TrainConfig())
     corpus = corpus_mod.load_manifest(args.manifest)
     init_encoder = None
     if args.init_checkpoint:
@@ -292,36 +290,6 @@ def _track_paths(tracks_arg: list[str]) -> list[Path]:
     return paths
 
 
-def _localizer_params(args) -> evalkit.LocalizerParams:
-    return evalkit.LocalizerParams(
-        smooth_window=args.window, thresholds=tuple(args.thresholds),
-        nms_tiou=args.nms_tiou, max_predictions=args.max_predictions)
-
-
-def _localizer_field(name: str, parse):
-    """An argparse type for LocalizerParams field ``name``: a value the record's
-    rules reject is a usage error, on the command line as in --config."""
-    def convert(text):
-        value = parse(text)
-        try:
-            replace(evalkit.LocalizerParams(), **{name: value})
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
-        return value
-    convert.__name__ = parse.__name__  # argparse names it in "invalid int value"
-    return convert
-
-
-def _add_localizer_flags(p) -> None:
-    p.add_argument("--window", type=_localizer_field("smooth_window", int), default=1,
-                   help="moving-average width in clips (odd)")
-    p.add_argument("--thresholds", type=_localizer_field("thresholds", _parse_floats),
-                   default=tuple((i + 1) / 10 for i in range(9)))
-    p.add_argument("--nms-tiou", type=_localizer_field("nms_tiou", float), default=0.8)
-    p.add_argument("--max-predictions", type=_localizer_field("max_predictions", int),
-                   default=100)
-
-
 def _add_localize(sub) -> None:
     p = sub.add_parser("localize", help="turn feature tracks into predictions")
     _add_config_flag(p)
@@ -330,7 +298,7 @@ def _add_localize(sub) -> None:
     p.add_argument("--detections-out", required=True)
     p.add_argument("--proposals-out", required=True)
     p.add_argument("--actionness", choices=("region", "max-prob"), default="region")
-    _add_localizer_flags(p)
+    _add_record_flags(p, evalkit.LocalizerParams())
 
 
 def _localize_track(job, path) -> tuple[str, list, list]:
@@ -345,7 +313,8 @@ def _localize_track(job, path) -> tuple[str, list, list]:
 
 
 def _cmd_localize(args) -> int:
-    job = (_localizer_params(args), args.actionness.replace("-", "_"))
+    job = (_record(_from_flags, args, evalkit.LocalizerParams()),
+           args.actionness.replace("-", "_"))
     results = fork_map(_localize_track, job, _track_paths(args.tracks))
     dets_by_video = {video_id: dets for video_id, dets, _ in results}
     props_by_video = {video_id: props for video_id, _, props in results}
@@ -440,29 +409,30 @@ def _cmd_analyze_sim(args) -> int:
 
 
 def _add_bench(sub) -> None:
+    defaults = bench.BenchConfig()
     p = sub.add_parser("bench", help="multi-seed, multi-mode study table")
     _add_config_flag(p)
     p.add_argument("--manifest", help="corpus manifest (default: generate the study corpus)")
     p.add_argument("--corpus-seed", type=int, default=0,
                    help="seed for the generated corpus when --manifest is absent")
-    p.add_argument("--modes", default="tsp,tsp_nogvf,tac")
-    p.add_argument("--seeds", type=_parse_ints, default=(0, 1, 2, 3, 4))
+    p.add_argument("--modes", type=_comma_list(str), default=defaults.modes)
+    p.add_argument("--seeds", type=_comma_list(int), default=defaults.seeds)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--hop", type=_positive_int, default=None)
+    p.add_argument("--hop", type=_positive_int, default=defaults.hop)
     p.add_argument("--preset", choices=("paper-study1",),
                    help="named experiment preset (fixes modes and seeds)")
-    _add_localizer_flags(p)
-    _add_train_flags(p, embed_dim_default=16, blocks_default=1)
+    _add_record_flags(p, defaults.localizer)
+    _add_record_flags(p, defaults.train, skip=bench.CELL_FIELDS)
 
 
 def _cmd_bench(args) -> int:
+    defaults = bench.BenchConfig()
     if args.preset == "paper-study1":
-        args.modes = "tsp,tsp_nogvf,tac"
-        args.seeds = (0, 1, 2, 3, 4)
-    bench_cfg = _record(lambda a: bench.BenchConfig(
-        modes=tuple(m.strip() for m in a.modes.split(",") if m.strip()),
-        seeds=tuple(a.seeds), hop=a.hop, localizer=_localizer_params(a),
-        train=_train_config(a, seed=0, mode="tsp")), args)
+        args.modes, args.seeds = defaults.modes, defaults.seeds
+    bench_cfg = _record(lambda a: replace(
+        defaults, modes=a.modes, seeds=a.seeds, hop=a.hop,
+        localizer=_from_flags(a, defaults.localizer),
+        train=_from_flags(a, defaults.train, bench.CELL_FIELDS)), args)
     if args.manifest:
         corpus = corpus_mod.load_manifest(args.manifest)
     else:

@@ -41,6 +41,7 @@ from .seeding import normal_rows, rng_for
 
 SCHEMA_VERSION = 1
 SUBSETS = ("train", "valid", "test")
+BACKGROUND_MODES = ("pure", "hard")
 MAX_FRAME_SIDE = 112
 MAX_FRAME_VALUES = 3 * MAX_FRAME_SIDE**2  # an RGB frame at the largest side
 MAX_VIDEO_FRAMES = 2**20
@@ -119,13 +120,13 @@ class SynthInfo:
 
     master_seed: int
     noise_sigma: float
-    background_mode: str  # "pure" | "hard"
+    background_mode: str  # one of BACKGROUND_MODES
     channels: int
     height: int
     width: int
 
     def __post_init__(self):
-        if self.background_mode not in ("pure", "hard"):
+        if self.background_mode not in BACKGROUND_MODES:
             raise ValueError(f"unknown background mode {self.background_mode!r}")
         if not 0.0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise_sigma {self.noise_sigma!r} is not a finite "
@@ -173,6 +174,15 @@ class SynthConfig:
             raise ValueError("bad instances_per_video range")
         if self.fps <= 0:
             raise ValueError("fps must be positive")
+        frames = [d * self.fps for d in self.duration_range]  # VideoRecord's rule, at both ends
+        if not 1 <= frames[0] <= frames[1] < MAX_VIDEO_FRAMES + 1:
+            raise ValueError(f"duration_range * fps gives {frames[0]!r} to {frames[1]!r} "
+                             f"frames, not 1 to {MAX_VIDEO_FRAMES}")
+        if not math.isfinite(self.length_log_mu):
+            raise ValueError(f"length_log_mu {self.length_log_mu!r} is not finite")
+        if not 0.0 <= self.length_log_sigma < math.inf:
+            raise ValueError(f"length_log_sigma {self.length_log_sigma!r} is not a finite "
+                             f"nonnegative number")
         _check_background_classes(self.background_mode, self.num_classes)
 
 

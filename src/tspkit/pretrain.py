@@ -46,6 +46,8 @@ from .workers import fork_map
 
 CHECKPOINT_SCHEMA_VERSION = 1
 MODES = ("tsp", "tsp_nogvf", "tac")
+POOLS = ("max", "avg")
+INITS = ("tac", "random")  # "tac": warm-start from a classification-only run
 
 
 class CheckpointError(ValueError):
@@ -65,7 +67,7 @@ class GlobalFeatureTable:
     """Frozen per-video pooled features; never updated by training."""
 
     features: dict[str, np.ndarray]
-    pool: str  # "max" | "avg"
+    pool: str  # one of POOLS
     source: str  # identifier of the encoder initialization that produced it
 
     def __post_init__(self):
@@ -88,7 +90,7 @@ class TrainConfig:
     batch_size: int = 32
     momentum: float = 0.9
     seed: int = 0
-    init: str = "tac"  # "tac": warm-start from a classification-only run; "random"
+    init: str = "tac"
     clips_per_segment: int = 5
     clip_len: int = 16
     frame_stride: int = 2
@@ -103,12 +105,17 @@ class TrainConfig:
         enc.EncoderConfig(embed_dim=self.embed_dim, blocks=self.blocks)  # the encoder's rules
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.global_pool not in ("max", "avg"):
+        if self.global_pool not in POOLS:
             raise ValueError(f"unknown pool {self.global_pool!r}")
-        if self.init not in ("tac", "random"):
+        if self.init not in INITS:
             raise ValueError(f"unknown init {self.init!r}")
         if self.epochs < 0 or self.batch_size < 1 or not self.head_lr_grid:
             raise ValueError("bad optimization config")
+        # zero stays valid: encoder_lr=0 trains the heads on a frozen encoder
+        if not all(0.0 <= v < math.inf for v in (self.encoder_lr, *self.head_lr_grid,
+                                                 self.momentum, self.decay_gamma)):
+            raise ValueError("encoder_lr, head_lr_grid, momentum and decay_gamma must be "
+                             "finite and nonnegative")
         if min(self.clip_len, self.frame_stride, self.clips_per_segment) < 1:
             raise ValueError("clip_len, frame_stride and clips_per_segment must be positive")
         if clip_span(self.clip_len, self.frame_stride) > MAX_VIDEO_FRAMES:
@@ -121,8 +128,8 @@ class TrainConfig:
         if self.gvf_dense_hop is not None and self.gvf_dense_hop < 1:
             raise ValueError(f"gvf_dense_hop must be positive, not {self.gvf_dense_hop}")
         action, region = self.action_loss_weight, self.region_loss_weight
-        if action < 0 or region < 0 or (action == 0 and region == 0):
-            raise ValueError("loss weights must be nonnegative and not both zero")
+        if not (0.0 <= action < math.inf and 0.0 <= region < math.inf) or action == region == 0:
+            raise ValueError("loss weights must be finite, nonnegative and not both zero")
 
 
 @dataclass

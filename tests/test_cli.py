@@ -6,15 +6,18 @@ import json
 import os
 import sys
 import tempfile
+import typing
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tspkit import cli
+from tspkit import bench, cli, evalkit, pretrain
+from tspkit import corpus as corpus_mod
 
 
 def run_bench_with_config(path, tmp_path, capsys):
@@ -57,8 +60,16 @@ def test_gen_corpus_refuses_a_manifest_that_could_not_be_loaded(tmp_path, capsys
     assert not path.exists()
 
 
-# (argv without its output flag, start of the error line); pretrain's
-# manifest does not exist, so its error shows that the flags were checked first
+def output_flags(command, out):
+    """The output flags of ``command``, each naming ``out`` or a file in it."""
+    if command == "localize":
+        return ["--detections-out", str(out / "d.json"), "--proposals-out", str(out / "p.json")]
+    return ["--out-dir" if command == "bench" else "--out", str(out)]
+
+
+# (argv without its output flags, start of the error line); pretrain's manifest
+# and localize's tracks do not exist, so their errors show that the flags were
+# checked first
 REJECTED_FLAGS = {
     "bench_unknown_mode": (["bench", "--modes", "tsp,bogus"], "unknown mode 'bogus'"),
     "bench_repeated_seed": (["bench", "--seeds", "1,1"], "seeds must be distinct"),
@@ -66,6 +77,30 @@ REJECTED_FLAGS = {
                                 "encoder dimensions must be positive"),
     "pretrain_zero_gvf_hop": (["pretrain", "--manifest", "absent.json", "--gvf-dense-hop", "0"],
                               "gvf_dense_hop must be positive"),
+    "gen_corpus_infinite_duration": (["gen-corpus", "--duration-max", "inf"],
+                                     "duration_range * fps gives 480.0 to inf frames"),
+    "gen_corpus_too_many_frames": (["gen-corpus", "--duration-max", "300000"],
+                                   "duration_range * fps gives 480.0 to 1200000.0 frames"),
+    "gen_corpus_under_one_frame": (["gen-corpus", "--duration-min", "0.2"],
+                                   "duration_range * fps gives 0.8 to 1440.0 frames"),
+    "gen_corpus_negative_length_sigma": (["gen-corpus", "--length-log-sigma", "-1"],
+                                         "length_log_sigma -1.0 is not a finite"),
+    "gen_corpus_infinite_length_sigma": (["gen-corpus", "--length-log-sigma", "inf"],
+                                         "length_log_sigma inf is not a finite"),
+    "gen_corpus_nan_length_mu": (["gen-corpus", "--length-log-mu", "nan"],
+                                 "length_log_mu nan is not finite"),
+    **{f"pretrain_{flag}_{value}": (["pretrain", "--manifest", "absent.json", f"--{flag}", value],
+                                    "encoder_lr, head_lr_grid, momentum and decay_gamma must")
+       for flag, value in (("encoder-lr", "-0.5"), ("encoder-lr", "nan"),
+                           ("head-lr-grid", "0.004,inf"), ("head-lr-grid", "-0.5"),
+                           ("momentum", "inf"), ("decay-gamma", "-0.5"))},
+    **{f"pretrain_{flag}_{value}": (["pretrain", "--manifest", "absent.json", f"--{flag}", value],
+                                    "loss weights must be finite, nonnegative and not both zero")
+       for flag, value in (("alpha-action", "nan"), ("alpha-region", "inf"))},
+    "localize_even_window": (["localize", "--tracks", "absent", "--window", "2"],
+                             "smooth_window must be odd"),
+    "localize_threshold_above_one": (["localize", "--tracks", "absent", "--thresholds", "0.5,2"],
+                                     "thresholds must lie in (0, 1)"),
 }
 
 
@@ -73,19 +108,21 @@ REJECTED_FLAGS = {
 def test_a_flag_value_a_record_rejects_exits_2_before_any_file(case, tmp_path, capsys):
     argv, message = REJECTED_FLAGS[case]
     out = tmp_path / "out"
-    flag = "--out-dir" if argv[0] == "bench" else "--out"
-    assert cli.main([*argv, flag, str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert cli.main([*argv, *output_flags(argv[0], out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
-# (argv without its output flag, a --config file's values, start of the error
-# its record raises); pretrain's manifest does not exist, as above
+# (argv without its output flags, a --config file's values, start of the error
+# its record raises); pretrain's manifest and localize's tracks do not exist, as above
 REJECTED_CONFIG_VALUES = {
     "gen-corpus": (["gen-corpus"], {"noise_sigma": -0.5}, "noise_sigma -0.5 is not"),
     "pretrain": (["pretrain", "--manifest", "absent.json"], {"embed_dim": 0},
                  "encoder dimensions must be positive"),
     "bench": (["bench"], {"modes": "tsp,bogus"}, "unknown mode 'bogus'"),
+    "localize": (["localize", "--tracks", "absent"], {"window": 2}, "smooth_window must be odd"),
 }
 
 
@@ -95,8 +132,7 @@ def test_a_config_value_a_record_rejects_names_the_config_file(command, tmp_path
     config = tmp_path / "c.json"
     config.write_text(json.dumps(values), encoding="utf-8")
     out = tmp_path / "out"
-    flag = "--out-dir" if command == "bench" else "--out"
-    assert cli.main([*argv, "--config", str(config), flag, str(out)]) == 2
+    assert cli.main([*argv, "--config", str(config), *output_flags(command, out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: --config {config}: {message}")
     assert err.count("\n") == 1
@@ -113,6 +149,154 @@ def test_a_rejected_command_line_value_over_a_config_names_no_file(tmp_path, cap
                          "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: noise_sigma -0.4 is not")
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# each record field's flag builds that field, and the record is the default
+# one when no flag is given
+
+
+class Built(Exception):
+    """Raised in place of the first call a command makes with its record."""
+
+
+# command: (that first call, which picks the record out of its arguments, the
+# command's required flags); the patched calls read and write nothing
+BUILDERS = {
+    "gen-corpus": ("tspkit.corpus.generate_synthetic", lambda a: a[0], ["--out", "{tmp}/c.json"]),
+    "pretrain": ("tspkit.pretrain.train", lambda a: a[1],
+                 ["--manifest", "m.json", "--out", "{tmp}/k.json"]),
+    "bench": ("tspkit.bench.run_bench", lambda a: a[1],
+              ["--manifest", "m.json", "--out-dir", "{tmp}"]),
+    "localize": ("tspkit.cli.fork_map", lambda a: a[1][0],  # fork_map(fn, (params, ...), paths)
+                 ["--tracks", __file__, "--detections-out", "{tmp}/d.json",
+                  "--proposals-out", "{tmp}/p.json"]),
+}
+DEFAULTS = {"gen-corpus": corpus_mod.SynthConfig(), "pretrain": pretrain.TrainConfig(),
+            "bench": bench.BenchConfig(), "localize": evalkit.LocalizerParams()}
+# (command, None when its flags set its DEFAULTS record, else the field of that
+# record holding the one they set, the fields with no flag); bench sets mode,
+# seed and init per cell
+RECORD_PARTS = [("gen-corpus", None, ()), ("pretrain", None, ()),
+                ("bench", "train", ("mode", "seed", "init")), ("bench", "localizer", ()),
+                ("localize", None, ())]
+# each command's flags that set no field of a record part above
+OTHER_FLAGS = {
+    "gen-corpus": {"--out", "--seed"},
+    "pretrain": {"--manifest", "--out", "--log", "--init-checkpoint"},
+    "bench": {"--manifest", "--corpus-seed", "--modes", "--seeds", "--out-dir", "--hop",
+              "--preset"},
+    "localize": {"--tracks", "--detections-out", "--proposals-out", "--actionness"},
+}
+# a field's flag is its name with "-" for "_", but for these; a bool field's
+# flag is a switch that sets it false
+RENAMED = {
+    "num_classes": ["--classes"], "background_mode": ["--bg-mode"],
+    "videos_per_subset": ["--train-videos", "--valid-videos", "--test-videos"],
+    "duration_range": ["--duration-min", "--duration-max"],
+    "instances_per_video": ["--instances-min", "--instances-max"],
+    "global_pool": ["--gvf-pool"], "resample_each_epoch": ["--fixed-epoch-pool"],
+    "action_loss_weight": ["--alpha-action"], "region_loss_weight": ["--alpha-region"],
+    "smooth_window": ["--window"],
+}
+CHOICES = {"mode": pretrain.MODES, "global_pool": pretrain.POOLS, "init": pretrain.INITS,
+           "background_mode": corpus_mod.BACKGROUND_MODES}
+
+
+def built(command, flags=(), config=None):
+    """The record ``command`` builds from ``flags`` and a --config file of ``config``."""
+    target, pick, required = BUILDERS[command]
+
+    def stop(*args, **kwargs):
+        raise Built(pick(args))
+    with (tempfile.TemporaryDirectory() as tmp, mock.patch("tspkit.corpus.load_manifest"),
+          mock.patch(target, side_effect=stop), pytest.raises(Built) as caught):
+        if config is not None:
+            Path(tmp, "config.json").write_text(json.dumps(config), encoding="utf-8")
+            flags = ["--config", str(Path(tmp, "config.json")), *flags]
+        cli.main([command, *(arg.format(tmp=tmp) for arg in required), *flags])
+    return caught.value.args[0]
+
+
+def part_fields(command, part, unflagged):
+    record = DEFAULTS[command] if part is None else getattr(DEFAULTS[command], part)
+    hints = typing.get_type_hints(type(record))
+    return {name: tp for name, tp in hints.items() if name not in unflagged}
+
+
+def field_flags(name):
+    return RENAMED.get(name, ["--" + name.replace("_", "-")])
+
+
+def field_values(name, tp):
+    """Values of a field of annotation ``tp``, most of them valid."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if name in CHOICES:
+        return st.sampled_from(CHOICES[name])
+    if tp is bool:
+        return st.booleans()
+    if origin is tuple and args[-1] is Ellipsis:
+        return st.lists(field_values(name, args[0]), max_size=3).map(tuple)
+    if origin is tuple:
+        return st.tuples(*(field_values(name, arg) for arg in args))
+    if tp is float:
+        return st.floats(0.01, 0.99) | st.floats(1.0, 400.0)
+    return st.integers(0, 9)  # int, and int | None
+
+
+def flag_texts(name, value):
+    """{flag: its text, or True for a switch given} that set field ``name`` to ``value``."""
+    flags = field_flags(name)
+    if isinstance(value, bool):
+        return {} if value else {flags[0]: True}
+    items = value if len(flags) > 1 else (value,)
+    return {flag: ",".join(map(str, item)) if isinstance(item, tuple) else str(item)
+            for flag, item in zip(flags, items)}
+
+
+@pytest.mark.parametrize("command", sorted(BUILDERS))
+def test_no_record_flag_builds_the_default_record(command):
+    assert built(command) == DEFAULTS[command]
+
+
+def test_the_paper_preset_takes_the_default_modes_and_seeds():
+    assert built("bench", ["--modes", "tac", "--seeds", "7", "--preset", "paper-study1"]) == (
+        bench.BenchConfig())
+
+
+@pytest.mark.parametrize("command", sorted(OTHER_FLAGS))
+def test_each_record_field_has_exactly_one_flag(command):
+    flags = [flag for c, part, unflagged in RECORD_PARTS if c == command
+             for name in part_fields(c, part, unflagged) for flag in field_flags(name)]
+    options = set(cli.build_parser()[1][command]._option_string_actions)
+    assert len(flags) == len(set(flags))
+    assert options == set(flags) | OTHER_FLAGS[command] | {"-h", "--help", "--config"}
+
+
+@pytest.mark.parametrize("command,part,unflagged", RECORD_PARTS,
+                         ids=[f"{c}-{part}" if part else c for c, part, _ in RECORD_PARTS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_fields_flag_sets_that_field_alone(command, part, unflagged, data):
+    """On the command line or from --config."""
+    fields = part_fields(command, part, unflagged)
+    name = data.draw(st.sampled_from(sorted(fields)), label="field")
+    value = data.draw(field_values(name, fields[name]), label="value")
+    default = DEFAULTS[command]
+    try:
+        if part is None:
+            expected = replace(default, **{name: value})
+        else:
+            expected = replace(default, **{part: replace(getattr(default, part), **{name: value})})
+    except ValueError:
+        assume(False)  # a value the record rejects
+    texts = flag_texts(name, value)
+    if data.draw(st.booleans(), label="from --config"):
+        assert built(command, config={flag[2:]: text for flag, text in texts.items()}) == expected
+    else:
+        tokens = [token for flag, text in texts.items()
+                  for token in ([flag] if text is True else [flag, text])]
+        assert built(command, tokens) == expected
 
 
 @pytest.fixture
