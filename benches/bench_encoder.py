@@ -3,8 +3,8 @@
 The encoder is the study's width (``bench.default_bench_train_config``:
 embed 16, one block) on the default corpus's 16-channel frames and 16-frame
 clips. One training step is a tsp-mode forward and backward of a 32-clip
-batch through the two-head loss: ``batch_loss_tensor`` records the encoder op
-and the loss op, and ``Tape.backward`` sweeps them. One validation pass is
+batch through the two-head loss: ``batch_loss_tensor`` records the encoder's
+and the loss's backward, and ``Tape.backward`` sweeps them. One validation pass is
 ``pretrain.clip_features`` over 1,180 clips, about the size of the default
 corpus's valid clip set (1,205 clips at corpus seed 0): the inference forward
 that ``_accuracy`` runs, in chunks of at most ``VALIDATION_CHUNK`` clips, each
@@ -46,10 +46,9 @@ def params():
 
 def train_step(enc_params, heads, frames, region, action, gfeats):
     tape = ad.Tape()
-    enc_leaf, head_leaf = (tape.tensor(params.flat, True) for params in (enc_params, heads))
-    loss = pt.batch_loss_tensor(tape, enc_params, enc_leaf, heads, head_leaf, frames,
-                                region, action, gfeats, pt.TrainConfig(mode="tsp"))
-    return tape.backward(loss)
+    pt.batch_loss_tensor(tape, enc_params, heads, frames, region, action, gfeats,
+                         pt.TrainConfig(mode="tsp"))
+    return tape.backward()
 
 
 def test_training_step_batch_32(benchmark, params):
@@ -60,7 +59,7 @@ def test_training_step_batch_32(benchmark, params):
     action = np.where(region == 1, rng.integers(0, NUM_CLASSES, batch), -1)
     gfeats = rng.standard_normal((batch, params[0].config.feature_dim))
     grads = benchmark(train_step, *params, frames, region, action, gfeats)
-    assert [g.size for g in grads.values()] == [params[0].flat.size, params[1].flat.size]
+    assert [g.size for g in grads] == [params[0].flat.size, params[1].flat.size]
 
 
 def test_validation_forward_1180_clips(benchmark, params):

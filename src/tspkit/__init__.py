@@ -1,8 +1,8 @@
 """Temporally-sensitive clip-encoder pretraining sandbox.
 
-CPU-only and numpy-backed: synthetic untrimmed-video corpora, a tiny
-autodiff engine and clip encoder, two-head pretraining with a frozen global
-video feature, dense feature extraction, temporal-localization metrics, and
+CPU-only and numpy-backed: synthetic untrimmed-video corpora, a clip encoder
+with a hand-derived backward, two-head pretraining with a frozen global video
+feature, dense feature extraction, temporal-localization metrics, and
 feature-similarity analysis.
 
 Importing it runs BLAS on one thread per process unless already set (see ``workers``).
@@ -29,12 +29,11 @@ if sys.platform == "linux" and not {"MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRES
 
 from .analysis import (AggregateStat, ContrastStats, SimilarityMatrix, aggregate_runs,
                        contrast_stats, cosine_matrix, export_pgm)
-from .autodiff import ShapeError, Tape, Tensor
 from .bench import BenchConfig, run_bench
-from .corpus import (AnnotationInstance, Corpus, GenerationError, ManifestError,
-                     RegionSegment, SynthConfig, VideoRecord, derive_segments,
-                     generate_synthetic, load_manifest, save_manifest)
-from .encoder import EncoderConfig, EncoderParams, init_params, param_count
+from .corpus import (AnnotationInstance, Corpus, ManifestError, RegionSegment, SynthConfig,
+                     VideoRecord, derive_segments, generate_synthetic, load_manifest,
+                     save_manifest)
+from .encoder import EncoderConfig, EncoderParams, ShapeError, init_params, param_count
 from .evalkit import (DetectionPrediction, GroundTruthInstance, LocalizerParams,
                       ProposalPrediction, TIOU_GRID, ar_at_an, auc_100, average_map,
                       average_precision, baseline_localize, detad_bucket, detad_report,

@@ -155,10 +155,9 @@ _HELP = {"resample_each_epoch": "reuse one clip subsample for all epochs instead
          "smooth_window": "moving-average width in clips (odd)"}
 
 
-@functools.cache
 def _flag_table(record_type) -> tuple[tuple[str, tuple[str, ...], tuple[str, ...], dict], ...]:
     """(field, its flags, their destinations, their other ``add_argument`` keywords)
-    per field of ``record_type``; cached, as every ``main`` call builds the parser."""
+    per field of ``record_type``."""
     table = []
     for name, tp in typing.get_type_hints(record_type).items():  # the fields, in order
         origin, args = typing.get_origin(tp), typing.get_args(tp)
@@ -468,8 +467,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The tspkit parser, and its subcommands' parsers by name."""
+    """The tspkit parser, and its subcommands' parsers by name; built once per
+    process, as parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="tspkit",
         description="temporally-sensitive clip pretraining sandbox")

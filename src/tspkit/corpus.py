@@ -53,10 +53,6 @@ class ManifestError(ValueError):
     """Manifest file is unreadable or violates a schema invariant."""
 
 
-class GenerationError(RuntimeError):
-    """Synthetic generation could not satisfy the configuration."""
-
-
 @dataclass(frozen=True)
 class AnnotationInstance:
     label: str
@@ -178,6 +174,11 @@ class SynthConfig:
         if not 1 <= frames[0] <= frames[1] < MAX_VIDEO_FRAMES + 1:
             raise ValueError(f"duration_range * fps gives {frames[0]!r} to {frames[1]!r} "
                              f"frames, not 1 to {MAX_VIDEO_FRAMES}")
+        most = self.instances_per_video[1]  # _draw_instances' length cap, at its least
+        if most and 0.9 * self.duration_range[0] / most < 1.0 / self.fps:
+            raise ValueError(f"cannot place {most} instances in the shortest duration "
+                             f"{self.duration_range[0]!r}s at {self.fps!r} fps; increase the "
+                             f"duration range or reduce instances_per_video")
         if not math.isfinite(self.length_log_mu):
             raise ValueError(f"length_log_mu {self.length_log_mu!r} is not finite")
         if not 0.0 <= self.length_log_sigma < math.inf:
@@ -474,14 +475,10 @@ def _draw_instances(rng: np.random.Generator, config: SynthConfig,
     count = int(rng.integers(lo, hi + 1))
     if count == 0:
         return []
-    # lengths are log-normal, clamped so all instances fit in 90% of the video
-    cap = 0.9 * duration / count
-    if cap < 1.0 / config.fps:
-        raise GenerationError(
-            f"cannot place {count} instances in {duration:.1f}s at {config.fps} fps; "
-            f"increase the duration range or reduce instances_per_video")
+    # lengths are log-normal, clamped so all instances fit in 90% of the video;
+    # SynthConfig checks that the clamp is at least a frame
     lengths = np.minimum(rng.lognormal(config.length_log_mu, config.length_log_sigma,
-                                       size=count), cap)
+                                       size=count), 0.9 * duration / count)
     # spread the leftover time into count+1 gaps
     gaps = rng.random(count + 1)
     gaps = gaps / gaps.sum() * (duration - float(lengths.sum()))

@@ -5,24 +5,21 @@ scale: frames are flattened and mixed by one affine layer (the "spatial"
 half), then width-3 temporal convolutions exchange information across the
 clip, and mean pooling over time yields the clip feature.
 
-There is one forward pass, ``forward_batch``, over a batch of clips on a tape.
-Its parameters are an ``EncoderParams`` record, whose arrays are views of one
-flat buffer, and that buffer is the op's one tape leaf,
-``tape.tensor(params.flat, True)``; inference runs the same function on a
-leaf that needs no gradient, so the tape keeps no record.
-Clips are time-major, (B, L, frame_dim): one flattened frame per row, as a
-``take`` of ``sampler.clip_rows`` from a split's frame store gathers them.
+There is one forward pass, ``forward_batch``, over a batch of clips. Its
+parameters are an ``EncoderParams`` record, whose arrays are views of one
+flat buffer. Given a tape, it records its backward, the first of a training
+step's two ops (the second is ``pretrain.batch_loss_tensor``'s two-head
+loss); inference passes none and keeps no activation. Clips are time-major,
+(B, L, frame_dim): one flattened frame per row, as a ``take`` of
+``sampler.clip_rows`` from a split's frame store gathers them.
 
-The whole encoder is one tape op, the first of a training step's two (the
-second is ``pretrain.batch_loss_tensor``'s two-head loss). Each layer is one
-matmul over all the batch's frames; a temporal conv multiplies a window
-matrix holding each frame's previous, own and next frame. The hand-derived
-backward repeats the numpy operations of the primitive ops it replaced
-(affine, conv, ReLU, residual add, time mean), on the same operand layouts,
-and writes each array's gradient into its view of one flat gradient, so
-features and gradients are bitwise theirs. Those ops and their
-composition are kept in ``tests/reference_tape.py``, and the tests compare
-this op against them byte for byte.
+Each layer is one matmul over all the batch's frames; a temporal conv
+multiplies a window matrix holding each frame's previous, own and next
+frame. The hand-derived backward repeats the numpy operations of the
+primitive ops it replaced (affine, conv, ReLU, residual add, time mean), on
+the same operand layouts, and writes each array's gradient into its view of
+one flat gradient, so features and gradients are bitwise those of the
+primitive composition in ``tests/reference_tape.py``.
 """
 
 from __future__ import annotations
@@ -34,6 +31,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .seeding import rng_for
+
+
+class ShapeError(ValueError):
+    """Frames whose shape does not fit the encoder's configuration."""
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,8 @@ class ParamRecord:
     its sub-records. Constructing a record copies its arrays into a new
     buffer; ``view(buffer)`` lays the same shapes over another one without a
     copy, so ``copy()`` is one ``np.copy`` and a gradient or an update is one
-    vector over the whole record. A training step makes ``flat`` one tape leaf
-    per record, and a checkpoint stores the views under their field names.
+    vector over the whole record. A training step's sweep returns one flat
+    gradient per record, and a checkpoint stores the views by field name.
     """
 
     def __post_init__(self):
@@ -208,24 +209,20 @@ def _kernel_grad(g2d: np.ndarray, windows: np.ndarray) -> np.ndarray:
     return gk.reshape(d_out, 3, -1).transpose(0, 2, 1)
 
 
-def forward_batch(tape: ad.Tape, params: EncoderParams, leaf: ad.Tensor,
-                  frames: np.ndarray) -> ad.Tensor:
-    """Differentiable forward pass: frames (B, L, frame_dim) -> (B, F) features.
+def forward_batch(params: EncoderParams, frames: np.ndarray,
+                  tape: ad.Tape | None = None) -> np.ndarray:
+    """Forward pass: frames (B, L, frame_dim) -> (B, F) features.
 
-    ``leaf`` is the tensor on ``tape`` over ``params.flat``, the record's one
-    leaf. The whole encoder is one tape op. Each ReLU overwrites its input,
+    With a ``tape``, it records a backward from the features' gradient to
+    ``(None, the gradient of params.flat)``. Each ReLU overwrites its input,
     and its output's sign gives the backward mask the input's would. The
-    backward runs the primitive ops' numpy operations in reverse tape order and
-    writes each array's gradient into its view of one flat gradient buffer,
-    so the gradients are bitwise those of the reference composition in the
-    tests.
+    backward runs the primitive ops' numpy operations in reverse order and
+    writes each array's gradient into its view of one flat gradient buffer.
     """
     config = params.config
     if frames.ndim != 3 or frames.shape[2] != config.frame_dim:
-        raise ad.ShapeError(f"encoder expects (B, L, {config.frame_dim}) frames, "
-                            f"got {frames.shape}")
-    if leaf.data is not params.flat:
-        raise ValueError("the encoder's leaf must hold its record's flat buffer")
+        raise ShapeError(f"encoder expects (B, L, {config.frame_dim}) frames, "
+                         f"got {frames.shape}")
     batch, length, _ = frames.shape
     shape = (batch, length, config.embed_dim)
     x2d = np.asarray(frames, dtype=np.float64).reshape(batch * length, -1)
@@ -237,7 +234,7 @@ def forward_batch(tape: ad.Tape, params: EncoderParams, leaf: ad.Tensor,
     for blk in params.blocks:
         windows1, kernel1 = _windows(h), _flat_kernel(blk.conv1_kernel)
         inner = windows1 @ kernel1.T
-        if not leaf.requires_grad:  # inference frees it before the next window matrix
+        if tape is None:  # inference frees it before the next window matrix
             windows1 = None
         inner += blk.conv1_bias
         np.maximum(inner, 0.0, out=inner)
@@ -248,11 +245,11 @@ def forward_batch(tape: ad.Tape, params: EncoderParams, leaf: ad.Tensor,
         out = out.reshape(shape)
         out += h
         np.maximum(out, 0.0, out=out)
-        if leaf.requires_grad:
+        if tape is not None:
             saved.append((windows1, kernel1, inner, windows2, kernel2, out))
         h = out
 
-    def backward(g, accumulate):
+    def backward(g):
         grad = params.view(np.empty_like(params.flat))  # every view is written below
         gh = g[:, None, :] / length  # (B, 1, d): the products below broadcast it over time
         for blk, (windows1, kernel1, inner, windows2, kernel2, out) in zip(
@@ -270,19 +267,17 @@ def forward_batch(tape: ad.Tape, params: EncoderParams, leaf: ad.Tensor,
         g2d = g_stem.reshape(batch * length, -1)
         grad.stem_weight[...] = np.ascontiguousarray(g2d.T) @ x2d
         grad.stem_bias[...] = _channel_major(g_stem).sum(axis=(0, 2))
-        accumulate(leaf, grad.flat)
+        return None, grad.flat
 
-    return tape.apply(_channel_major(h).mean(axis=2), (leaf,), backward)
+    if tape is not None:
+        tape.record(backward)
+    return _channel_major(h).mean(axis=2)
 
 
 def forward_np_batch(params: EncoderParams, frames: np.ndarray) -> np.ndarray:
-    """Inference forward: ``forward_batch`` on a throwaway tape.
-
-    The leaf needs no gradient, so the tape keeps no backward record and the
-    result is the differentiable pass's value by construction.
-    """
-    tape = ad.Tape()
-    return forward_batch(tape, params, tape.tensor(params.flat), frames).data
+    """Inference forward: ``forward_batch`` without a tape. Validation, GVF and
+    extraction call it, so the benchmark's tracer times them apart from training."""
+    return forward_batch(params, frames)
 
 
 def forward_np(params: EncoderParams, frames: np.ndarray) -> np.ndarray:
@@ -292,4 +287,3 @@ def forward_np(params: EncoderParams, frames: np.ndarray) -> np.ndarray:
     looks this name up, and can go with the next change to the benchmark.
     """
     return forward_np_batch(params, frames.T[None])[0]
-

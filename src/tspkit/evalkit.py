@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import softmax
 from .corpus import Corpus
 from .decode import integer, load_json, number, save_json
-from .extract import FeatureTrack
+from .extract import FeatureTrack, softmax
 
 # tIoU grid 0.5:0.05:0.95 built from exact vulgar fractions so threshold
 # comparisons agree with division-computed overlaps at the boundaries

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import encoder as enc
-from .autodiff import softmax
 from .corpus import Corpus, VideoRecord
 from .decode import write_rows
 from .pretrain import Checkpoint, checkpoint_global_feature, head_logits
@@ -31,6 +30,13 @@ from .sampler import clip_frame_indices, clip_span, dense_clip_specs
 
 class TrackError(ValueError):
     """Track file is unreadable or inconsistent."""
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Stable softmax over the last axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exps = np.exp(shifted)
+    return exps / exps.sum(axis=-1, keepdims=True)
 
 
 @dataclass

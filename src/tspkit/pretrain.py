@@ -14,11 +14,11 @@ is SGD with momentum, two learning-rate groups (encoder vs heads), a linear
 warmup and stepwise decay, and a grid search over head learning rates with
 model selection on mean validation accuracy of the heads.
 
-A training step (``train_step``) has one tape leaf per parameter record, the
-encoder's and the heads' flat buffers, and records two tape ops: the encoder,
-and ``batch_loss_tensor``, which holds both heads and their weighted cross
-entropies. Their loss and gradients are bitwise those of the primitive-op
-composition kept in ``tests/reference_tape.py``. The two records are the two
+A training step (``train_step``) records two ops on a tape: the encoder, and
+``batch_loss_tensor``, which holds both heads and their weighted cross
+entropies. Its backward sweep returns one flat gradient per parameter record,
+the encoder's and the heads', bitwise those of the primitive-op composition
+kept in ``tests/reference_tape.py``. The two records are the two
 learning-rate groups, so the momentum update is three vector ops per record.
 Clips are rows of their split's frame store, and each clip's video is a row
 of one (videos, F) GVF matrix: a step takes its batch and its GVF rows with
@@ -263,7 +263,7 @@ def checkpoint_global_feature(corpus: Corpus, video_id: str, ckpt: "Checkpoint")
 
 def head_logits(feats: np.ndarray, global_feats: np.ndarray | None, heads: HeadParams,
                 mode: str) -> tuple[np.ndarray, np.ndarray | None]:
-    """(action, region) logits of (B, F) features without a tape; region is None
+    """(action, region) logits of (B, F) features, for inference; region is None
     for tac. global_feats is (B, F), aligned with feats (tsp mode only).
 
     Each row goes through its own contiguous (1, F) product, so a clip's logits
@@ -294,42 +294,41 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.float64, 
     return value, grad
 
 
-def batch_loss_tensor(tape: ad.Tape, enc_params: enc.EncoderParams, enc_leaf: ad.Tensor,
-                      heads: HeadParams, head_leaf: ad.Tensor, frames: np.ndarray,
-                      region_labels: np.ndarray, action_labels: np.ndarray,
-                      global_feats: np.ndarray | None, cfg: TrainConfig) -> ad.Tensor:
-    """Mean of the per-clip two-branch losses over one batch, on the tape.
+def batch_loss_tensor(tape: ad.Tape, enc_params: enc.EncoderParams, heads: HeadParams,
+                      frames: np.ndarray, region_labels: np.ndarray,
+                      action_labels: np.ndarray, global_feats: np.ndarray | None,
+                      cfg: TrainConfig) -> np.float64:
+    """Mean of the per-clip two-branch losses over one batch; records both ops.
 
-    Each parameter record is one leaf on ``tape``, the tensor over its
-    ``flat`` buffer. frames is (B, L, frame_dim); region_labels are 0 or 1;
-    action_labels holds the class index for foreground rows (ignored
-    elsewhere); global_feats is (B, F) rows aligned with the batch (tsp mode
-    only). ``cfg`` gives the mode and the two heads' loss weights.
+    frames is (B, L, frame_dim); region_labels are 0 or 1; action_labels
+    holds the class index for foreground rows (ignored elsewhere);
+    global_feats is (B, F) rows aligned with the batch (tsp mode only).
+    ``cfg`` gives the mode and the two heads' loss weights. It returns the
+    loss, not a tensor: the name is kept for the benchmark's tracer
+    (``perfbench/tracing.py``), which times this function by it.
 
-    The encoder is one tape op and both heads with their weighted cross
-    entropies are a second. Its backward hands the features their gradient
-    summed in the reference tape's order, action branch first, then region,
-    and writes the heads' gradients into their views of one flat buffer that
-    starts at zero: a head the batch does not reach (the region head in tac,
-    the action head on an all-background batch) gets exact zeros.
+    The encoder is the first op on ``tape`` and both heads with their
+    weighted cross entropies are the second. Its backward returns the
+    features' gradient, summed in the reference tape's order, action branch
+    first, then region, and the heads' flat gradient, whose views start at
+    zero: a head the batch does not reach (the region head in tac, the action
+    head on an all-background batch) gets exact zeros.
     """
     batch, mode = frames.shape[0], cfg.mode
     if mode == "tsp" and global_feats is None:
         raise ValueError("tsp mode needs global features for the region head")
-    if head_leaf.data is not heads.flat:
-        raise ValueError("the heads' leaf must hold their record's flat buffer")
-    feats = enc.forward_batch(tape, enc_params, enc_leaf, frames)
+    feats = enc.forward_batch(enc_params, frames, tape)
     region = action = None  # (head input rows, CE gradient) of each branch reached
     if mode != "tac":
-        region_in = (feats.data if mode == "tsp_nogvf" else
-                     np.concatenate([feats.data, np.asarray(global_feats, np.float64)], axis=1))
+        region_in = (feats if mode == "tsp_nogvf" else
+                     np.concatenate([feats, np.asarray(global_feats, np.float64)], axis=1))
         value, grad = _cross_entropy(region_in @ heads.region_weight + heads.region_bias,
                                      region_labels)
         total = value * cfg.region_loss_weight
         region = region_in, grad
         fg_rows = np.flatnonzero(region_labels == 1)
     if mode == "tac" or len(fg_rows):
-        action_in = feats.data if mode == "tac" else feats.data[fg_rows]
+        action_in = feats if mode == "tac" else feats[fg_rows]
         labels = action_labels if mode == "tac" else action_labels[fg_rows]
         value, grad = _cross_entropy(action_in @ heads.action_weight + heads.action_bias,
                                      labels)
@@ -337,7 +336,7 @@ def batch_loss_tensor(tape: ad.Tape, enc_params: enc.EncoderParams, enc_leaf: ad
         total = value if region is None else total + value
         action = action_in, grad
 
-    def backward(g, accumulate):
+    def backward(g):
         g = g * (1.0 / batch)
         g_heads = heads.view(np.zeros_like(heads.flat))
         g_feats = None
@@ -348,22 +347,22 @@ def batch_loss_tensor(tape: ad.Tape, enc_params: enc.EncoderParams, enc_leaf: ad
             g_heads.action_bias[...] = g_logits.sum(axis=0)
             g_feats = g_logits @ heads.action_weight.T
             if mode != "tac":  # scatter the foreground rows back, from zero
-                g_feats, g_fg = np.zeros_like(feats.data), g_feats
+                g_feats, g_fg = np.zeros_like(feats), g_feats
                 g_feats[fg_rows] += g_fg
         if region is not None:
             region_in, grad = region
             g_logits = g * cfg.region_loss_weight * grad
             g_heads.region_weight[...] = region_in.T @ g_logits
             g_heads.region_bias[...] = g_logits.sum(axis=0)
-            g_region = (g_logits @ heads.region_weight.T)[:, :feats.data.shape[1]]
+            g_region = (g_logits @ heads.region_weight.T)[:, :feats.shape[1]]
             if g_feats is None:
                 g_feats = g_region
             else:
                 g_feats += g_region
-        accumulate(head_leaf, g_heads.flat)
-        accumulate(feats, g_feats)
+        return g_feats, g_heads.flat
 
-    return tape.apply(total * (1.0 / batch), (feats, head_leaf), backward)
+    tape.record(backward)
+    return total * (1.0 / batch)
 
 
 # ---------------------------------------------------------------------------
@@ -504,24 +503,22 @@ def train_step(cfg: TrainConfig, store: np.ndarray, gvf: np.ndarray | None,
     """One SGD step with momentum on ``batch``, in place; returns the batch loss.
 
     The batch's frames are one ``take`` from ``store`` and its GVF rows one
-    from the ``gvf`` matrix. Each parameter record of ``groups`` is one tape
-    leaf and one lr group, with its velocity buffer and its rate (lr times
+    from the ``gvf`` matrix. Each parameter record of ``groups`` gets one
+    flat gradient from the tape's sweep and is one lr group, with its
+    velocity buffer and its rate (lr times
     the schedule's multiplier): ``vel = momentum·vel + grad`` and
     ``flat -= rate·vel`` are three vector ops over the whole record, the
     per-element operations of a per-array update. A loss that is not finite
     updates nothing.
     """
     tape = ad.Tape()
-    leaves = enc_leaf, head_leaf = [tape.tensor(params.flat, True) for params in groups]
-    loss = batch_loss_tensor(tape, groups[0], enc_leaf, groups[1], head_leaf,
-                             store.take(batch.rows, axis=0), batch.region_labels,
-                             batch.action_labels, batch.global_rows(gvf), cfg)
-    value = loss.item()
+    value = float(batch_loss_tensor(tape, *groups, store.take(batch.rows, axis=0),
+                                    batch.region_labels, batch.action_labels,
+                                    batch.global_rows(gvf), cfg))
     if math.isfinite(value):
-        grads = tape.backward(loss)
-        for params, leaf, vel, rate in zip(groups, leaves, velocity, rates):
+        for params, grad, vel, rate in zip(groups, tape.backward(), velocity, rates):
             vel *= cfg.momentum
-            vel += grads[leaf.node_id]
+            vel += grad
             params.flat -= rate * vel
     return value
 

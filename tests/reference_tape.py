@@ -1,13 +1,21 @@
 """The primitive-op tape: bit-exact reference for the encoder and loss ops.
 
-Each op here is one ``Tape.apply`` node with a hand-derived backward, as the
-library's ops were before a training step became two fused nodes. Composed
-by ``forward_batch`` and ``batch_loss_tensor`` below, they give the loss
-value and gradients that ``encoder.forward_batch`` and
-``pretrain.batch_loss_tensor`` must reproduce byte for byte, and the
-finite-difference checks in ``test_autodiff`` pin the ops themselves.
+``Tape`` is a general reverse-mode engine. It records each op applied to
+tensors created on it, in execution order, so the record list is already
+topologically sorted; ``Tape.backward`` walks it once in reverse and returns
+a gradient for every leaf that asked for one. An op is ``Tape.apply``: a
+value computed in numpy, the tensors it was computed from, and a
+hand-derived backward that hands each input its gradient. An op none of
+whose inputs requires grad keeps no backward record.
 
-The library makes each parameter record one leaf over its flat buffer; the
+Each op below is one ``Tape.apply`` node, as the library's ops were before a
+training step became two fused ops. Composed by ``forward_batch`` and
+``batch_loss_tensor`` below, they give the loss value and gradients that
+``encoder.forward_batch`` and ``pretrain.batch_loss_tensor`` must reproduce
+byte for byte, and the finite-difference checks in ``test_autodiff`` pin the
+ops themselves.
+
+The library's backward returns one flat gradient per parameter record; the
 reference keeps one leaf per array (``array_leaves``), so its gradients are
 per array and in ``arrays()`` order: laid end to end they are the flat
 gradient the library's ops write.
@@ -19,9 +27,113 @@ copy, and bias and time sums reduce a contiguous (B, d, L) copy.
 
 import numpy as np
 
-from tspkit import autodiff as ad
 from tspkit import encoder as enc
-from tspkit.autodiff import ShapeError
+from tspkit.encoder import ShapeError
+
+
+class Tensor:
+    """A node on a tape: a float64 ndarray plus grad bookkeeping."""
+
+    __slots__ = ("data", "requires_grad", "tape", "node_id")
+
+    def __init__(self, data, requires_grad, tape, node_id):
+        self.data = data
+        self.requires_grad = requires_grad
+        self.tape = tape
+        self.node_id = node_id
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    def item(self) -> float:
+        return float(self.data)
+
+    def __repr__(self):
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad}, id={self.node_id})"
+
+
+class Tape:
+    """Ordered record of ops; gradients accumulate per node id."""
+
+    def __init__(self):
+        self._records = []  # (out_id, backward closure); None once swept
+        self._leaves = []
+        self._num_nodes = 0
+
+    def tensor(self, data, requires_grad: bool = False) -> Tensor:
+        """Create a leaf over ``data`` as float64, without a copy if it already is.
+
+        No op writes into a leaf's array, so a leaf may share it with the
+        caller; the caller must not change it while the tape is in use.
+        """
+        t = self._node(np.asarray(data, dtype=np.float64), requires_grad)
+        self._leaves.append(t)
+        return t
+
+    def apply(self, value, inputs, backward) -> Tensor:
+        """A tensor holding ``value``, computed from the tensors ``inputs``.
+
+        It requires grad if any input does, and only then is
+        ``backward(g, accumulate)`` kept: given the output's gradient ``g``, it
+        calls ``accumulate(t, grad_t)`` for each input ``t`` the output depends
+        on. ``accumulate`` ignores inputs that need no gradient and copies the
+        first gradient it receives, so a backward may hand over views.
+        """
+        for t in inputs:
+            if t.tape is not self:
+                raise ValueError("operands live on different tapes")
+        out = self._node(value, any(t.requires_grad for t in inputs))
+        if out.requires_grad:
+            self._records.append((out.node_id, backward))
+        return out
+
+    def _node(self, arr, requires_grad):
+        if self._records is None:
+            raise ValueError("this tape was swept by backward; record on a new tape")
+        t = Tensor(arr, requires_grad, self, self._num_nodes)
+        self._num_nodes += 1
+        return t
+
+    def backward(self, loss: Tensor) -> dict[int, np.ndarray]:
+        """Reverse sweep from a scalar loss, once per tape.
+
+        Returns a map node_id -> gradient array covering every requires_grad
+        leaf on this tape; leaves the loss does not reach get exact zeros.
+        The sweep then releases the records and leaves, and the tape accepts
+        no further op or sweep.
+        """
+        if loss.tape is not self:
+            raise ValueError("loss tensor does not live on this tape")
+        if self._records is None:
+            raise ValueError("this tape was already swept by backward")
+        if loss.data.shape != ():
+            raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
+        records, leaves = self._records, self._leaves
+        self._records = self._leaves = None
+        grads: dict[int, np.ndarray] = {loss.node_id: np.ones((), dtype=np.float64)}
+
+        def accumulate(t: Tensor, g: np.ndarray) -> None:
+            if not t.requires_grad:
+                return
+            acc = grads.get(t.node_id)
+            if acc is None:
+                # own a copy: a backward may hand the same array to several inputs
+                grads[t.node_id] = np.array(g, dtype=np.float64)
+            else:
+                acc += g
+
+        for out_id, backward_fn in reversed(records):
+            g = grads.get(out_id)
+            if g is not None:
+                backward_fn(g, accumulate)
+
+        out = {}
+        for leaf in leaves:
+            if leaf.requires_grad:
+                g = grads.get(leaf.node_id)
+                out[leaf.node_id] = g if g is not None else np.zeros_like(leaf.data)
+        return out
 
 
 def add(a, b):
@@ -245,7 +357,7 @@ def batch_loss_tensor(tape, enc_leaves, head_leaves, frames, region_labels, acti
 
 def forward_np_batch(params: enc.EncoderParams, frames):
     """Inference through the reference forward, on a throwaway tape."""
-    tape = ad.Tape()
+    tape = Tape()
     return forward_batch(tape, array_leaves(tape, params, False), frames).data
 
 

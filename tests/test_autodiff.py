@@ -1,4 +1,4 @@
-"""Tape engine and the reference primitive ops: forward semantics and gradients
+"""The reference tape and its primitive ops: forward semantics and gradients
 vs central differences."""
 
 import math
@@ -7,25 +7,42 @@ import numpy as np
 import pytest
 
 import reference_tape as ref
-from flat_params import gradient_check, reshape_slice
-from tspkit import autodiff as ad
+from flat_params import gradient_check
 from tspkit import pretrain as pt
+from tspkit.encoder import ShapeError
+from tspkit.extract import softmax
 
 LN2 = 0.6931471805599453
 LN4 = 1.3862943611198906
 
 
-def weighted_sum(tape, vec, weights):
-    """Scalar sum_j weights[j] * vec[j] of a flat tensor, from kept primitives."""
-    terms = [ref.scale(reshape_slice(vec, j, ()), float(w)) for j, w in enumerate(weights)]
-    total = terms[0]
-    for term in terms[1:]:
-        total = ref.add(total, term)
-    return total
+def dot(x, weights):
+    """The scalar x . weights of a flat tensor as one op; its backward holds ``weights``."""
+    def backward(g, accumulate):
+        accumulate(x, g * weights)
+
+    return x.tape.apply(np.float64(x.data @ weights), (x,), backward)
 
 
 def zeros(tape, n):
     return tape.tensor(np.zeros(n))
+
+
+def leaf_loss(shapes, loss_fn):
+    """A gradient-check ``build(vec) -> (loss, grad)``: one leaf per window of
+    ``vec``, reshaped to each of ``shapes`` in order, handed to ``loss_fn``;
+    the gradient is the leaves' gradients laid end to end."""
+    sizes = [math.prod(shape) for shape in shapes]
+
+    def build(vec):
+        tape = ref.Tape()
+        parts = np.split(vec, np.cumsum(sizes)[:-1])
+        leaves = [tape.tensor(part.reshape(shape), True) for part, shape in zip(parts, shapes)]
+        loss = loss_fn(*leaves)
+        grads = tape.backward(loss)
+        return loss.item(), np.concatenate([grads[leaf.node_id].ravel() for leaf in leaves])
+
+    return build
 
 
 # ---------------------------------------------------------------------------
@@ -33,24 +50,24 @@ def zeros(tape, n):
 
 
 def test_matmul_identity():
-    tape = ad.Tape()
+    tape = ref.Tape()
     m = tape.tensor([[1.0, 2.0], [3.0, 4.0]])
     out = ref.linear_rows(m, tape.tensor(np.eye(2)), zeros(tape, 2))
     assert np.array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_matmul_selector_row():
-    tape = ad.Tape()
+    tape = ref.Tape()
     sel = tape.tensor([[1.0, 0.0]])
     col = tape.tensor([[2.0], [5.0]])
     assert np.array_equal(ref.linear_rows(sel, col, zeros(tape, 1)).data, [[2.0]])
 
 
 def test_matmul_shape_error_names_both_shapes():
-    tape = ad.Tape()
+    tape = ref.Tape()
     a = tape.tensor(np.zeros((3, 4)))
     b = tape.tensor(np.zeros((3, 2)))
-    with pytest.raises(ad.ShapeError, match=r"\(3, 4\).*\(3, 2\)"):
+    with pytest.raises(ShapeError, match=r"\(3, 4\).*\(3, 2\)"):
         ref.linear_rows(a, b, zeros(tape, 2))
 
 
@@ -58,14 +75,8 @@ def test_matmul_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
     vec0 = rng.standard_normal(3 * 4 + 4 * 2 + 2)
 
-    def build(vec):
-        tape = ad.Tape()
-        leaf = tape.tensor(vec, requires_grad=True)
-        a = reshape_slice(leaf, 0, (3, 4))
-        b = reshape_slice(leaf, 12, (4, 2))
-        bias = reshape_slice(leaf, 20, (2,))
-        return ref.cross_entropy_sum(ref.linear_rows(a, b, bias), [1, 0, 1]), leaf
-
+    build = leaf_loss([(3, 4), (4, 2), (2,)], lambda a, b, bias: ref.cross_entropy_sum(
+        ref.linear_rows(a, b, bias), [1, 0, 1]))
     res = gradient_check(build, vec0, coords=vec0.size, h=1e-6)
     assert res.max_rel_err <= 1e-5
 
@@ -81,22 +92,15 @@ def test_composite_graph_gradients():
     total = sum(sizes.values())
     vec0 = rng.standard_normal(total) * 0.7
 
-    def build(vec):
-        tape = ad.Tape()
-        leaf = tape.tensor(vec, requires_grad=True)
-        parts = {}
-        off = 0
-        for name, shape in shapes.items():
-            parts[name] = reshape_slice(leaf, off, shape)
-            off += sizes[name]
-        h = ref.relu(ref.affine_frames(parts["x"], parts["w"], parts["b"]))
-        h = ref.conv1d_same(h, parts["k"], parts["kb"])
-        both = ref.hstack_rows(ref.mean_over_time(h), parts["other"])
+    def loss(w, x, b, k, kb, other, head, hb):
+        h = ref.relu(ref.affine_frames(x, w, b))
+        h = ref.conv1d_same(h, k, kb)
+        both = ref.hstack_rows(ref.mean_over_time(h), other)
         rows = ref.take_rows(both, np.array([1, 0, 1]))
-        logits = ref.linear_rows(rows, parts["head"], parts["hb"])
-        return ref.cross_entropy_sum(logits, [2, 0, 3]), leaf
+        logits = ref.linear_rows(rows, head, hb)
+        return ref.cross_entropy_sum(logits, [2, 0, 3])
 
-    res = gradient_check(build, vec0, coords=total, h=1e-6)
+    res = gradient_check(leaf_loss(list(shapes.values()), loss), vec0, coords=total, h=1e-6)
     assert res.max_rel_err <= 1e-5
 
 
@@ -105,7 +109,7 @@ def test_composite_graph_gradients():
 
 
 def test_conv1d_identity_kernel():
-    tape = ad.Tape()
+    tape = ref.Tape()
     x = tape.tensor(np.arange(8, dtype=float).reshape(1, 2, 4).transpose(0, 2, 1))
     kernel = np.zeros((2, 2, 3))
     kernel[0, 0, 1] = 1.0
@@ -115,7 +119,7 @@ def test_conv1d_identity_kernel():
 
 
 def test_conv1d_ones_hand_case():
-    tape = ad.Tape()
+    tape = ref.Tape()
     x = tape.tensor(np.ones((1, 4, 1)))
     k = tape.tensor(np.ones((1, 1, 3)))
     out = ref.conv1d_same(x, k, zeros(tape, 1))
@@ -123,9 +127,9 @@ def test_conv1d_ones_hand_case():
 
 
 def test_conv1d_rejects_other_widths():
-    tape = ad.Tape()
+    tape = ref.Tape()
     x = tape.tensor(np.ones((1, 4, 1)))
-    with pytest.raises(ad.ShapeError):
+    with pytest.raises(ShapeError):
         ref.conv1d_same(x, tape.tensor(np.ones((1, 1, 5))), zeros(tape, 1))
 
 
@@ -136,17 +140,12 @@ def test_conv1d_gradients_match_finite_differences():
     b0 = rng.standard_normal(2)
     vec0 = np.concatenate([x0.ravel(), k0.ravel(), b0.ravel()])
 
-    def build(vec):
-        tape = ad.Tape()
-        leaf = tape.tensor(vec, requires_grad=True)
-        x = reshape_slice(leaf, 0, (2, 7, 3))
-        k = reshape_slice(leaf, 42, (2, 3, 3))
-        b = reshape_slice(leaf, 60, (2,))
+    def loss(x, k, b):
         # scalar readout: mean over time, then a cross entropy per clip
-        feat = ref.mean_over_time(ref.conv1d_same(x, k, b))
-        return ref.cross_entropy_sum(feat, [0, 1]), leaf
+        return ref.cross_entropy_sum(ref.mean_over_time(ref.conv1d_same(x, k, b)), [0, 1])
 
-    res = gradient_check(build, vec0, coords=vec0.size)
+    res = gradient_check(leaf_loss([(2, 7, 3), (2, 3, 3), (2,)], loss), vec0,
+                         coords=vec0.size)
     assert res.max_rel_err <= 1e-5
 
 
@@ -155,7 +154,7 @@ def test_conv1d_gradients_match_finite_differences():
 
 
 def test_relu_values():
-    tape = ad.Tape()
+    tape = ref.Tape()
     out = ref.relu(tape.tensor([-1.0, 0.0, 2.0]))
     assert np.array_equal(out.data, [0.0, 0.0, 2.0])
 
@@ -165,7 +164,7 @@ def test_elementwise_max_and_mean_two_rows():
     assert np.array_equal(pt.pool_features(rows, "max"), [1.0, 5.0])
     assert np.array_equal(pt.pool_features(rows, "avg"), [0.5, 1.5])
     # the tape's time mean pools the same rows laid out along the time axis
-    tape = ad.Tape()
+    tape = ref.Tape()
     over_time = tape.tensor(np.stack(rows)[None])
     assert np.array_equal(ref.mean_over_time(over_time).data, [[0.5, 1.5]])
 
@@ -182,7 +181,7 @@ def test_pooling_permutation_invariance():
 
 
 def test_empty_pooling_rejected():
-    tape = ad.Tape()
+    tape = ref.Tape()
     with pytest.raises(ValueError):
         ref.mean_over_time(tape.tensor(np.zeros((1, 0, 2))))
 
@@ -191,7 +190,7 @@ def test_concat_then_slice_recovers_inputs():
     rng = np.random.default_rng(2)
     a_np = rng.standard_normal((2, 4))
     b_np = rng.standard_normal((2, 3))
-    tape = ad.Tape()
+    tape = ref.Tape()
     joined = ref.hstack_rows(tape.tensor(a_np), tape.tensor(b_np))
     assert np.array_equal(joined.data[:, :4], a_np)
     assert np.array_equal(joined.data[:, 4:], b_np)
@@ -202,7 +201,7 @@ def test_concat_then_slice_recovers_inputs():
 
 
 def ce(logits, label):
-    tape = ad.Tape()
+    tape = ref.Tape()
     return ref.cross_entropy_sum(tape.tensor([logits]), [label]).item()
 
 
@@ -225,7 +224,7 @@ def test_softmax_probabilities_sum_to_one():
     rng = np.random.default_rng(5)
     for _ in range(100):
         logits = rng.standard_normal(rng.integers(2, 9)) * rng.uniform(0.1, 30)
-        probs = ad.softmax(logits)
+        probs = softmax(logits)
         assert abs(probs.sum() - 1.0) <= 1e-12
         assert ce(logits, int(rng.integers(len(logits)))) >= 0.0
 
@@ -235,27 +234,27 @@ def test_softmax_probabilities_sum_to_one():
 
 
 def test_backward_requires_scalar():
-    tape = ad.Tape()
+    tape = ref.Tape()
     x = tape.tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ValueError):
         tape.backward(ref.relu(x))
 
 
 def test_unreached_leaves_get_exact_zeros():
-    tape = ad.Tape()
+    tape = ref.Tape()
     x = tape.tensor([1.0, 2.0], requires_grad=True)
     unused = tape.tensor(np.ones((2, 3)), requires_grad=True)
-    loss = weighted_sum(tape, x, [1.0, 1.0])
+    loss = dot(x, np.ones(2))
     grads = tape.backward(loss)
     assert np.array_equal(grads[unused.node_id], np.zeros((2, 3)))
 
 
 def test_backward_is_additive_over_shared_inputs():
-    tape = ad.Tape()
+    tape = ref.Tape()
     x = tape.tensor([1.0, -2.0, 3.0], requires_grad=True)
     y = ref.add(x, x)
     weights = [0.5, -1.5, 2.0]
-    loss = weighted_sum(tape, y, weights)  # = 2 w.x -> grad 2w
+    loss = dot(y, np.array(weights))  # = 2 w.x -> grad 2w
     grads = tape.backward(loss)
     assert np.array_equal(grads[x.node_id], 2 * np.array(weights))
 
@@ -268,21 +267,13 @@ def test_gradient_check_linear_model_is_exact():
     rng = np.random.default_rng(1)
     slope = rng.standard_normal(10)
 
-    def build(vec):
-        tape = ad.Tape()
-        leaf = tape.tensor(vec, requires_grad=True)
-        return weighted_sum(tape, leaf, slope), leaf
-
-    res = gradient_check(build, rng.standard_normal(10), coords=10)
+    res = gradient_check(leaf_loss([(10,)], lambda x: dot(x, slope)),
+                         rng.standard_normal(10), coords=10)
     assert res.max_rel_err <= 1e-10
 
 
 def test_gradient_check_echoes_step_size():
-    def build(vec):
-        tape = ad.Tape()
-        leaf = tape.tensor(vec, requires_grad=True)
-        return weighted_sum(tape, leaf, [1.0, -1.0]), leaf
-
+    build = leaf_loss([(2,)], lambda x: dot(x, np.array([1.0, -1.0])))
     res = gradient_check(build, np.array([1.0, 2.0]), coords=2, h=1e-6)
     assert res.h == 1e-6
     assert res.coords_checked == 2

@@ -52,6 +52,33 @@ def test_in_process_call_records_its_own_argv_not_the_hosts(tmp_path, monkeypatc
     assert json.loads(path.read_text())["__invocation__"] == " ".join(argv)
 
 
+def test_main_calls_in_a_row_write_what_each_call_writes_alone(tmp_path, capsys):
+    # the parser is built once per process: a call that fails on its --config
+    # leaves nothing in it that changes the next call's output
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"noise_sigma": -0.5}), encoding="utf-8")
+    out = tmp_path / "corpus.json"
+    calls = (["gen-corpus", "--config", str(config), "--out", str(out)],
+             ["gen-corpus", "--out", str(out), "--train-videos", "2", "--valid-videos", "1",
+              "--classes", "2"])
+
+    def run(argv):
+        code = cli.main(argv)
+        written = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return code, capsys.readouterr(), written
+
+    alone = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        alone.append(run(argv))
+    in_a_row = [run(argv) for argv in calls]
+    assert [code for code, _, _ in alone] == [2, 0]
+    assert alone[1][2] is not None
+    assert in_a_row == alone
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_gen_corpus_refuses_a_manifest_that_could_not_be_loaded(tmp_path, capsys):
     path = tmp_path / "corpus.json"
     assert cli.main(["gen-corpus", "--out", str(path), "--train-videos", "1",
@@ -89,6 +116,9 @@ REJECTED_FLAGS = {
                                          "length_log_sigma inf is not a finite"),
     "gen_corpus_nan_length_mu": (["gen-corpus", "--length-log-mu", "nan"],
                                  "length_log_mu nan is not finite"),
+    "gen_corpus_instances_beyond_shortest_duration": (
+        ["gen-corpus", "--duration-min", "1", "--duration-max", "1.5", "--instances-min", "4",
+         "--instances-max", "4"], "cannot place 4 instances in the shortest duration 1.0s"),
     **{f"pretrain_{flag}_{value}": (["pretrain", "--manifest", "absent.json", f"--{flag}", value],
                                     "encoder_lr, head_lr_grid, momentum and decay_gamma must")
        for flag, value in (("encoder-lr", "-0.5"), ("encoder-lr", "nan"),

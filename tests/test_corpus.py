@@ -207,10 +207,10 @@ def test_instance_lengths_match_lognormal_quantiles():
 
 
 def test_placement_failure_is_reported():
-    cfg = cp.SynthConfig(videos_per_subset=(1, 0, 0), duration_range=(10.0, 12.0),
-                         instances_per_video=(50, 50), length_log_mu=3.8, length_log_sigma=0.9)
-    with pytest.raises(cp.GenerationError, match="duration"):
-        cp.generate_synthetic(cfg, seed=0)
+    # the config is rejected before generation, however long the drawn videos are
+    with pytest.raises(ValueError, match="cannot place 50 instances in the shortest duration"):
+        cp.SynthConfig(videos_per_subset=(1, 0, 0), duration_range=(10.0, 12.0),
+                       instances_per_video=(50, 50), length_log_mu=3.8, length_log_sigma=0.9)
 
 
 @pytest.mark.parametrize("noise", [-0.5, float("nan"), float("inf")])

@@ -9,7 +9,7 @@ from tspkit import corpus as cp
 from tspkit import encoder as enc
 from tspkit import extract as ex
 from tspkit import pretrain as pt
-from tspkit.autodiff import softmax
+from tspkit.extract import softmax
 from tspkit.sampler import ClipSpec, clip_frame_indices, clip_span, load_clip
 
 

@@ -1,10 +1,11 @@
-"""The two fused tape ops against the primitive-op reference, byte for byte.
+"""The two fused ops against the primitive-op reference, byte for byte.
 
-``encoder.forward_batch`` and ``pretrain.batch_loss_tensor`` are one tape op
-each, over one leaf per parameter record; ``reference_tape`` composes the same
-step from primitive ops over one leaf per array. The loss value, every encoder
-and head array's gradient and the inference features must be the same bytes,
-including signed zeros, for any shape the step can take.
+``encoder.forward_batch`` and ``pretrain.batch_loss_tensor`` record one
+backward each, which returns one flat gradient per parameter record;
+``reference_tape`` composes the same step from primitive ops over one leaf
+per array. The loss value, every encoder and head array's gradient and the
+inference features must be the same bytes, including signed zeros, for any
+shape the step can take.
 """
 
 import gc
@@ -25,17 +26,15 @@ def step(enc_params, heads, batch, cfg):
     """(loss bytes, [gradient bytes of each encoder then head array]) of one
     fused step: each array's gradient is its view of its record's flat one."""
     tape = ad.Tape()
-    enc_leaf, head_leaf = (tape.tensor(p.flat, True) for p in (enc_params, heads))
-    loss = pt.batch_loss_tensor(tape, enc_params, enc_leaf, heads, head_leaf, *batch, cfg)
-    grads = tape.backward(loss)
-    arrays = (enc_params.view(grads[enc_leaf.node_id]).arrays()
-              + heads.view(grads[head_leaf.node_id]).arrays())
-    return np.float64(loss.data).tobytes(), [a.tobytes() for a in arrays]
+    loss = pt.batch_loss_tensor(tape, enc_params, heads, *batch, cfg)
+    enc_grad, head_grad = tape.backward()
+    arrays = enc_params.view(enc_grad).arrays() + heads.view(head_grad).arrays()
+    return np.float64(loss).tobytes(), [a.tobytes() for a in arrays]
 
 
 def reference_step(enc_params, heads, batch, cfg):
     """``step`` through the primitive-op reference, one leaf per array."""
-    tape = ad.Tape()
+    tape = ref.Tape()
     enc_leaves, head_leaves = (ref.array_leaves(tape, p) for p in (enc_params, heads))
     loss = ref.batch_loss_tensor(tape, enc_leaves, head_leaves, *batch, cfg)
     grads = tape.backward(loss)
@@ -93,38 +92,49 @@ def test_chunked_validation_features_equal_one_batch(clips, embed_dim):
                           enc.forward_np_batch(params, store[rows]))
 
 
-def dot(tape, x, weights):
-    """The scalar x . weights as one op; its backward holds ``weights``."""
-    def backward(g, accumulate):
-        accumulate(x, g * weights)
-
-    return tape.apply(np.float64(x.data @ weights), (x,), backward)
+def small_step_inputs(seed=0):
+    """A tsp training step's inputs at a small shape: (cfg, store, gvf, batch,
+    groups, velocity, rates) for ``pretrain.train_step``."""
+    rng = np.random.default_rng(seed)
+    cfg = pt.TrainConfig(mode="tsp")
+    enc_params = enc.init_params(enc.EncoderConfig(channels_in=4, embed_dim=6, blocks=1), 0)
+    heads = pt.init_heads(6, 3, "tsp", 0)
+    batch = pt.LabeledBatch(rows=rng.integers(0, 20, (3, 5)), region_labels=np.array([1, 0, 1]),
+                            action_labels=np.array([2, -1, 0]), videos=np.array([0, 1, 0]))
+    groups = (enc_params, heads)
+    return (cfg, rng.standard_normal((20, 4)), rng.standard_normal((2, 6)), batch, groups,
+            tuple(np.zeros_like(p.flat) for p in groups), [0.1, 0.1])
 
 
 def test_second_backward_on_a_tape_is_rejected():
+    cfg, store, gvf, batch, (enc_params, heads), _, _ = small_step_inputs()
     tape = ad.Tape()
-    x = tape.tensor([1.0, -2.0], requires_grad=True)
-    loss = dot(tape, x, np.ones(2))
-    tape.backward(loss)
+    pt.batch_loss_tensor(tape, enc_params, heads, store.take(batch.rows, axis=0),
+                         batch.region_labels, batch.action_labels, batch.global_rows(gvf), cfg)
+    tape.backward()
     with pytest.raises(ValueError, match="already swept"):
-        tape.backward(loss)
+        tape.backward()
     with pytest.raises(ValueError, match="swept"):
-        tape.tensor([1.0])
+        enc.forward_batch(enc_params, store.take(batch.rows, axis=0), tape)
 
 
-def test_backward_frees_the_step_without_the_cycle_collector():
-    # each op's backward holds its inputs, which hold the tape: a cycle the
-    # sweep must break, so a step's activations go when its last name does
+def test_backward_frees_the_step_without_the_cycle_collector(monkeypatch):
+    # a training step's tape and its activations (which hold the step's frames)
+    # go when train_step returns, by reference counting alone
+    probes, batch_loss_tensor = [], pt.batch_loss_tensor
+
+    def probed(tape, enc_params, heads, frames, *rest):
+        probes.extend([weakref.ref(tape), weakref.ref(frames)])
+        return batch_loss_tensor(tape, enc_params, heads, frames, *rest)
+
+    monkeypatch.setattr(pt, "batch_loss_tensor", probed)
+    inputs = small_step_inputs()
+    before = inputs[4][0].flat.copy()
     gc.disable()
     try:
-        tape = ad.Tape()
-        x = tape.tensor(np.ones(3), requires_grad=True)
-        weights = np.arange(3.0)
-        probe = weakref.ref(weights)
-        loss = dot(tape, x, weights)
-        del weights
-        grads = tape.backward(loss)
-        assert np.array_equal(grads[x.node_id], [0.0, 1.0, 2.0])
-        assert probe() is None
+        loss = pt.train_step(*inputs)
+        assert len(probes) == 2
+        assert [probe() for probe in probes] == [None, None]
     finally:
         gc.enable()
+    assert np.isfinite(loss) and not np.array_equal(inputs[4][0].flat, before)

@@ -35,11 +35,9 @@ def clip_losses(frames, region, action, gfeats, cfg, params=None, heads=None):
     heads = heads or zero_heads(SMALL_ENC.feature_dim, 4, cfg.mode)
 
     def loss(rows):
-        tape = ad.Tape()
-        return pt.batch_loss_tensor(
-            tape, params, tape.tensor(params.flat), heads, tape.tensor(heads.flat),
-            frames[rows], region[rows], action[rows],
-            None if gfeats is None else gfeats[rows], cfg).item()
+        return float(pt.batch_loss_tensor(
+            ad.Tape(), params, heads, frames[rows], region[rows], action[rows],
+            None if gfeats is None else gfeats[rows], cfg))
 
     return loss(slice(None)), [loss(slice(i, i + 1)) for i in range(len(frames))]
 
@@ -101,11 +99,9 @@ def test_background_only_batch_has_exactly_zero_action_gradients():
     gfeats = rng.standard_normal((5, 6))
 
     tape = ad.Tape()
-    enc_leaf, head_leaf = (tape.tensor(p.flat, True) for p in (params, heads))
-    loss = pt.batch_loss_tensor(tape, params, enc_leaf, heads, head_leaf, frames,
-                                np.zeros(5, dtype=int), np.full(5, -1), gfeats,
-                                pt.TrainConfig(mode="tsp"))
-    grads = heads.view(tape.backward(loss)[head_leaf.node_id])
+    pt.batch_loss_tensor(tape, params, heads, frames, np.zeros(5, dtype=int), np.full(5, -1),
+                         gfeats, pt.TrainConfig(mode="tsp"))
+    grads = heads.view(tape.backward()[1])
     assert np.array_equal(grads.action_weight, np.zeros_like(heads.action_weight))
     assert np.array_equal(grads.action_bias, np.zeros_like(heads.action_bias))
     # region head does receive gradient
@@ -129,7 +125,7 @@ def test_batched_loss_matches_per_clip_mean():
 
 
 def test_gradient_check_through_batched_loss():
-    # two_head_loss_builder: batch_loss_tensor over reshape_slice views, per mode
+    # two_head_loss_builder: batch_loss_tensor over views of one vector, per mode
     rng = np.random.default_rng(5)
     frames = rng.standard_normal((3, 4, 8)).transpose(0, 2, 1) * 0.5
     gfeats = rng.standard_normal((3, 6)) * 0.5
