@@ -10,7 +10,15 @@ the valid split:
 * ``frames_at``: only the frames the default dense clips read (clip_len 16,
   frame_stride 2, hop 31, about half of them), as ``extract_track`` reads them.
 
-A third case times the gather of one bench-shape training step: the first 32
+Two cases time ``seeding.normal_rows``, the frame-noise draw inside both, on
+its own, with the frame-noise key of each video:
+
+* one valid video's dense-clip rows (the distinct rows ``frames_at`` draws
+  for it, about 470);
+* every row of the valid split, one call per video, as ``split_frames``
+  draws them.
+
+A last case times the gather of one bench-shape training step: the first 32
 clips (L 16) of epoch 0, taken from the filled train store with one
 ``take`` of their ``clip_rows``.
 
@@ -25,6 +33,7 @@ import pytest
 
 from tspkit import corpus as cp
 from tspkit.sampler import build_epoch, clip_frame_indices, clip_rows, clip_span
+from tspkit.seeding import normal_rows
 
 CLIP_LEN, FRAME_STRIDE, BATCH = 16, 2, 32
 
@@ -43,14 +52,16 @@ def test_split_frames_valid_split(benchmark, manifest):
     assert frames > 30_000
 
 
+def dense_clip_indices(video) -> np.ndarray:
+    centers = np.arange(0, video.num_frames, clip_span(CLIP_LEN, FRAME_STRIDE))[:, None]
+    return clip_frame_indices(centers, CLIP_LEN, FRAME_STRIDE, video.num_frames)
+
+
 def gather_valid_dense_clips(manifest) -> int:
     corpus = cp.corpus_from_dict(manifest)
-    hop = clip_span(CLIP_LEN, FRAME_STRIDE)
     frames = 0
     for video in corpus.subset_videos("valid"):
-        centers = np.arange(0, video.num_frames, hop)[:, None]
-        indices = clip_frame_indices(centers, CLIP_LEN, FRAME_STRIDE, video.num_frames)
-        frames += corpus.frames_at(video, indices).shape[0] * CLIP_LEN
+        frames += corpus.frames_at(video, dense_clip_indices(video)).shape[0] * CLIP_LEN
     return frames
 
 
@@ -58,6 +69,27 @@ def test_frames_at_valid_dense_clips(benchmark, manifest):
     frames = benchmark.pedantic(gather_valid_dense_clips, args=(manifest,), rounds=5,
                                 iterations=1)
     assert frames > 15_000
+
+
+def test_normal_rows_one_video_dense_clip_rows(benchmark, manifest):
+    corpus = cp.corpus_from_dict(manifest)
+    video = corpus.subset_videos("valid")[0]
+    rows = np.unique(dense_clip_indices(video))
+    noise = benchmark(normal_rows, video.frame_seed, "frame-noise", rows=rows,
+                      dim=corpus.synth.frame_dim)
+    assert noise.shape == (len(rows), corpus.synth.frame_dim) and len(rows) > 300
+
+
+def draw_valid_split_noise(corpus) -> int:
+    return sum(len(normal_rows(video.frame_seed, "frame-noise", rows=np.arange(video.num_frames),
+                               dim=corpus.synth.frame_dim))
+               for video in corpus.subset_videos("valid"))
+
+
+def test_normal_rows_valid_split_rows(benchmark, manifest):
+    corpus = cp.corpus_from_dict(manifest)
+    rows = benchmark.pedantic(draw_valid_split_noise, args=(corpus,), rounds=5, iterations=1)
+    assert rows == sum(video.num_frames for video in corpus.subset_videos("valid"))
 
 
 def test_take_training_batch_from_train_store(benchmark, manifest):

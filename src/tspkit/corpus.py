@@ -325,8 +325,11 @@ class Corpus:
 
         A video whose split store is filled is gathered from it; otherwise only
         the distinct rows asked for are synthesized, and the store is left unfilled.
+        Indices of a non-integer dtype (a bool mask, floats) are refused either way.
         """
         indices = np.asarray(indices)
+        if indices.dtype.kind not in "iu":
+            raise ValueError(f"frame indices for {video.id!r} are {indices.dtype}, not integers")
         if indices.size and not (0 <= indices.min() and indices.max() < video.num_frames):
             raise ValueError(f"frame indices out of range for {video.id!r} "
                              f"({video.num_frames} frames)")

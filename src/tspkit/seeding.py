@@ -7,12 +7,14 @@ process).
 
 ``normal_rows(*prefix, rows, dim)`` is defined by ``rng_for``: its row ``k``
 is ``rng_for(*prefix, rows[k]).standard_normal(dim)``, bit for bit. It only
-gets there faster, by running numpy's ``SeedSequence`` entropy mixing for all
-indices at once and reseeding one ``PCG64`` per row.
+gets there faster: numpy's ``SeedSequence`` mixing and PCG64's seeding run for
+all indices at once, and each row's state words are written in place into one
+``PCG64``, whose layout is checked by reading the first row's state back.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 
 import numpy as np
@@ -52,7 +54,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _PCG_MULT_128 = 0x2360ED051FC65DA44385DF649FCCF645
 
 
@@ -111,6 +112,25 @@ def _pcg64_seeds(entropy: list[np.ndarray]) -> np.ndarray:
                     axis=1)
 
 
+def _pcg64_state_words(seeds: np.ndarray) -> np.ndarray:
+    """pcg_setseq_128_srandom_r for every row of ``_pcg64_seeds``: ``inc = seq
+    << 1 | 1``, ``state = (inc + seed) * mult + inc`` mod 2**128, as (keys, 4)
+    uint64 ``[state_lo, state_hi, inc_lo, inc_hi]``, 32-bit limbs for the carry."""
+    s_hi, s_lo, i_hi, i_lo = seeds.T
+    one, u32, mask = np.uint64(1), np.uint64(32), np.uint64(_MASK32)
+    inc_lo, inc_hi = i_lo << one | one, i_hi << one | i_lo >> np.uint64(63)
+    a_lo = inc_lo + s_lo
+    a_hi = inc_hi + s_hi + (a_lo < inc_lo)
+    m_lo, m_hi = np.uint64(_PCG_MULT_128 & 2**64 - 1), np.uint64(_PCG_MULT_128 >> 64)
+    a0, a1, m0, m1 = a_lo & mask, a_lo >> u32, m_lo & mask, m_lo >> u32
+    p01, p10 = a0 * m1, a1 * m0
+    carry = ((a0 * m0 >> u32) + (p01 & mask) + (p10 & mask)) >> u32
+    prod_hi = a1 * m1 + (p01 >> u32) + (p10 >> u32) + carry + a_lo * m_hi + a_hi * m_lo
+    state_lo = a_lo * m_lo + inc_lo
+    state_hi = prod_hi + inc_hi + (state_lo < inc_lo)
+    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
+
+
 def normal_rows(*prefix, rows, dim: int) -> np.ndarray:
     """``np.stack([rng_for(*prefix, i).standard_normal(dim) for i in rows])``.
 
@@ -118,6 +138,10 @@ def normal_rows(*prefix, rows, dim: int) -> np.ndarray:
     integer array in any order, repeats allowed, and an empty one gives an
     empty (0, dim) array. Each index must be one 32-bit seed word, so every
     row lies in [0, 2**32).
+
+    One ``PCG64`` draws every row after that row's seeded state words are
+    written in place over its state. If ``PCG64.state`` does not read the
+    first row's words back, the layout differs: ``RuntimeError``, not other bits.
     """
     rows = np.asarray(rows)
     if rows.ndim != 1 or (rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0
@@ -126,19 +150,21 @@ def normal_rows(*prefix, rows, dim: int) -> np.ndarray:
     count = len(rows)
     out = np.empty((count, dim), dtype=np.float64)
     fixed = [w for part in _as_ints(prefix) for w in _uint32_words(part)]
+    if count == 0:
+        return out
     entropy = [np.full(count, w, dtype=np.uint32) for w in fixed] + [rows.astype(np.uint32)]
-    seeds = _pcg64_seeds(entropy).tolist()
+    state_words = _pcg64_state_words(_pcg64_seeds(entropy))
 
     bit_gen = np.random.PCG64(0)
     gen = np.random.Generator(bit_gen)
-    pcg = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for row, (s_hi, s_lo, i_hi, i_lo) in zip(out, seeds):
-        # pcg_setseq_128_srandom_r: inc = seq << 1 | 1, then two LCG steps
-        # from state 0 with the seed added in between
-        inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
-        pcg["inc"] = inc
-        pcg["state"] = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT_128 + inc) & _MASK128
-        bit_gen.state = state
+    # the state address holds a pointer to the generator's pcg64_random_t
+    pcg = ctypes.c_void_p.from_address(bit_gen.ctypes.state_address).value
+    words = np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(pcg))
+    words[:] = state_words[0]
+    s_lo, s_hi, i_lo, i_hi = state_words[0].tolist()
+    if bit_gen.state["state"] != {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}:
+        raise RuntimeError(f"PCG64's state layout differs in numpy {np.__version__}")
+    for row, row_words in zip(out, state_words):
+        words[:] = row_words
         gen.standard_normal(out=row)
     return out

@@ -371,6 +371,21 @@ def test_frames_at_rejects_out_of_range_indices_cold_or_warm():
         corpus.video_frames(video)
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_frames_at_rejects_non_integer_indices_naming_the_video(warm):
+    # a bool array of the video's length would be a mask to a warm gather, and
+    # float rows would reach the noise seeding on a cold one
+    corpus = synth_corpus()
+    video = list(corpus.videos.values())[0]
+    if warm:
+        corpus.video_frames(video)
+    for bad in (np.ones(video.num_frames, dtype=bool), [True, False], [0.0, 1.0],
+                np.array([[2.5]]), []):
+        with pytest.raises(ValueError, match=f"frame indices for {video.id!r} are .*, not integers"):
+            corpus.frames_at(video, bad)
+    assert bool(corpus._stores) == warm
+
+
 # sha256 of save_manifest's bytes for synth_corpus(), taken before the synth block
 # was written with dataclasses.asdict: pins the file layout (key names, nesting,
 # number formatting), which the frame digests above do not see

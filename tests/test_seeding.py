@@ -1,10 +1,13 @@
 """Keyed RNG derivation: ``normal_rows`` is the per-index ``rng_for`` stack."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tspkit import seeding
 from tspkit.seeding import normal_rows, rng_for
 
 
@@ -58,3 +61,18 @@ def test_normal_rows_rejects_bad_count_and_key():
             normal_rows(1, rows=rows, dim=4)
     with pytest.raises(TypeError):
         normal_rows(1.5, rows=np.arange(2), dim=4)
+
+
+def test_normal_rows_refuses_a_pcg64_state_it_cannot_read_back(monkeypatch):
+    # a PCG64 whose state reads back other words than normal_rows wrote, as a
+    # numpy with another pcg64_random_t layout would
+    class OtherLayoutPCG64(np.random.PCG64):
+        @property
+        def state(self):
+            state = super().state
+            pcg = state["state"]
+            return {**state, "state": {"state": pcg["inc"], "inc": pcg["state"]}}
+
+    monkeypatch.setattr(seeding.np.random, "PCG64", OtherLayoutPCG64)
+    with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)}"):
+        normal_rows(5, "frame-noise", rows=np.arange(3), dim=4)
