@@ -6,8 +6,8 @@ instances and 1-100 proposals, half of them jittered copies of a GT so that
 many pairs overlap above the tIoU grid. The decoding cases read a seeded
 detections file of 40 videos x 100 rows with ``load_predictions``, and a
 checkpoint of the study's shape (``bench.default_bench_train_config``: embed
-16, one block; 16 channels, 8 classes, a GVF row for each of 120 videos, 40
-log rows) with ``load_checkpoint``. The test suite does not collect this
+16, one block; 16 channels, 8 classes, 40 log rows; schema version 2, which
+stores no GVF) with ``load_checkpoint``. The test suite does not collect this
 file (it does not match ``test_*.py``); run it from the repository root with
 pytest-benchmark:
 
@@ -97,9 +97,6 @@ def checkpoint_file(tmp_path_factory):
     ckpt = pt.Checkpoint(
         mode="tsp", config=cfg, encoder=encoder,
         heads=pt.init_heads(cfg.embed_dim, 8, "tsp", seed=0), init_encoder=encoder.copy(),
-        global_features=pt.GlobalFeatureTable(
-            {f"video_{k:03d}": rng.standard_normal(cfg.embed_dim) for k in range(120)},
-            cfg.global_pool, "init"),
         selection=pt.SelectionRecord(rows[0].head_lr, 0, rows[0].action_acc, rows), seed=0)
     path = tmp_path_factory.mktemp("decode") / "checkpoint.json"
     pt.save_checkpoint(ckpt, path, invocation="pretrain")

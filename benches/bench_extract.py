@@ -6,8 +6,11 @@ width (``bench.default_bench_train_config``: embed 16, one block) taken at
 its random initialization (no epochs), so the timing covers what every
 ``extract`` call does: loading the manifest and the checkpoint, synthesizing
 the frames each video's clips read from a cold corpus, the forward passes and
-the track files. ``TSPKIT_THREADS`` caps the workers. tspkit is imported before numpy,
-so BLAS runs on one thread per process. The test suite does not collect this
+the track files. The checkpoint is a tsp one, and a checkpoint stores no global
+video feature, so the timing includes computing each video's: the init
+encoder's forward over the clips the track already gathered.
+``TSPKIT_THREADS`` caps the workers. tspkit is imported before numpy, so BLAS
+runs on one thread per process. The test suite does not collect this
 file (it does not match ``test_*.py``); run it from the repository root with
 pytest-benchmark:
 

@@ -39,9 +39,8 @@ from .evalkit import (DetectionPrediction, GroundTruthInstance, LocalizerParams,
                       average_precision, baseline_localize, detad_bucket, detad_report,
                       ground_truth_from_corpus, map_at, tiou)
 from .extract import FeatureTrack, extract_track, read_track, write_track
-from .pretrain import (Checkpoint, GlobalFeatureTable, HeadParams, TrainConfig,
-                       load_checkpoint, lr_at, precompute_global_features, save_checkpoint,
-                       train, validate)
+from .pretrain import (Checkpoint, HeadParams, TrainConfig, load_checkpoint, lr_at,
+                       precompute_global_features, save_checkpoint, train, validate)
 from .sampler import ClipSpec, build_epoch, clip_frame_indices, clip_span, sample_segment_clips
 
 __version__ = "0.1.0"

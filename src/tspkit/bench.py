@@ -2,7 +2,7 @@
 
 For each seed, one classification-only base run provides the shared encoder
 initialization; each requested mode is then trained from it, its checkpoint is
-run over the evaluation split, and the baseline localizer turns the tracks
+run over the valid split, and the baseline localizer turns the tracks
 into detections and proposals. Per-mode metrics are aggregated as mean and
 sample std over seeds. Seeds are independent, so they may run in worker
 processes; results are merged by sorted seed and are identical either way.
@@ -41,7 +41,6 @@ def default_bench_train_config() -> TrainConfig:
 class BenchConfig:
     modes: tuple[str, ...] = ("tsp", "tsp_nogvf", "tac")
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    eval_split: str = "valid"
     hop: int | None = None
     localizer: LocalizerParams = field(default_factory=LocalizerParams)
     train: TrainConfig = field(default_factory=default_bench_train_config)
@@ -57,12 +56,13 @@ class BenchConfig:
 
 
 def evaluate_checkpoint(corpus: Corpus, ckpt, bench_cfg: BenchConfig) -> dict[str, float]:
-    """Localization + similarity metrics of one checkpoint on the eval split."""
+    """Localization + similarity metrics of one checkpoint on the valid split,
+    the split ``train`` selects on."""
     actionness = "max_prob" if ckpt.mode == "tac" else "region"
     detections = []
     proposals = []
     contrasts = []
-    for video in corpus.subset_videos(bench_cfg.eval_split):
+    for video in corpus.subset_videos("valid"):
         track = extract_track(corpus, video, ckpt, hop=bench_cfg.hop)
         dets, props = baseline_localize(track, bench_cfg.localizer, actionness)
         detections.extend(dets)
@@ -70,13 +70,13 @@ def evaluate_checkpoint(corpus: Corpus, ckpt, bench_cfg: BenchConfig) -> dict[st
         contrast = contrast_stats(track, video).contrast
         if contrast is not None:
             contrasts.append(contrast)
-    gts = ground_truth_from_corpus(corpus, bench_cfg.eval_split)
+    gts = ground_truth_from_corpus(corpus, "valid")
     metrics = {
         "average_map": average_map(detections, gts),
         "auc": auc_100(proposals, gts),
         "contrast": float(np.mean(contrasts)) if contrasts else 0.0,
     }
-    accs = validate(ckpt, corpus, bench_cfg.eval_split)
+    accs = validate(ckpt, corpus, "valid")
     if accs["region_acc"] is not None:
         metrics["region_acc"] = accs["region_acc"]
     return metrics

@@ -151,7 +151,6 @@ _FLAG_NAMES = {
 _CHOICES = {"mode": pretrain.MODES, "global_pool": pretrain.POOLS, "init": pretrain.INITS,
             "background_mode": corpus_mod.BACKGROUND_MODES}
 _HELP = {"resample_each_epoch": "reuse one clip subsample for all epochs instead of resampling",
-         "gvf_dense_hop": "pool the global feature over a dense clip grid at this hop",
          "smooth_window": "moving-average width in clips (odd)"}
 
 
@@ -268,7 +267,8 @@ def _cmd_extract(args) -> int:
         raise FileNotFoundError(f"{args.manifest}: split {args.split!r} has no videos")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # each worker synthesizes only the frame rows its own videos' clips read
+    # each worker synthesizes only the frame rows its own videos' clips read and,
+    # for a tsp checkpoint at a hop other than the default, the GVF's clip grid
     fork_map(_extract_video, (corpus, ckpt, args.hop, out_dir, args.flags), videos)
     print(f"wrote {len(videos)} tracks to {out_dir}")
     return 0

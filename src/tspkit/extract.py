@@ -12,6 +12,12 @@ corpus that synthesizes only the frame rows the clips read, not the whole
 video: at the default hop a clip spans 31 frames but reads 16 of them, so
 about half of each video. On a corpus whose split store already holds the
 video (as after training or validation), it gathers from the store.
+
+A tsp track's ``# gvf=`` header is the video's global feature, computed from
+the checkpoint's frozen init encoder over the default-hop grid
+(``pretrain.video_global_feature``); nothing is stored for it. At the default
+hop that grid is the track's own clips, so they are gathered once and run
+through both encoders; another hop gathers the default grid a second time.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ import numpy as np
 from . import encoder as enc
 from .corpus import Corpus, VideoRecord
 from .decode import write_rows
-from .pretrain import Checkpoint, checkpoint_global_feature, head_logits
-from .sampler import clip_frame_indices, clip_span, dense_clip_specs
+from .pretrain import Checkpoint, head_logits, video_global_feature
+from .sampler import clip_span, dense_clips
 
 
 class TrackError(ValueError):
@@ -95,19 +101,17 @@ def extract_track(corpus: Corpus, video: VideoRecord, ckpt: Checkpoint,
     """Tile one video with clips and run the checkpoint over them; the default
     hop tiles it with non-overlapping receptive fields."""
     cfg = ckpt.config
-    if hop is None:
-        hop = clip_span(cfg.clip_len, cfg.frame_stride)
+    span = clip_span(cfg.clip_len, cfg.frame_stride)
+    hop = span if hop is None else hop
     check_frame_shape(corpus, ckpt)
 
-    tsp = ckpt.mode == "tsp"
-    global_feat = checkpoint_global_feature(corpus, video.id, ckpt) if tsp else np.empty(0)
-    centers = np.array([spec.center_frame for spec in
-                        dense_clip_specs(video, cfg.clip_len, cfg.frame_stride, hop)])
-    indices = clip_frame_indices(centers[:, None], cfg.clip_len, cfg.frame_stride,
-                                 video.num_frames)
-    clips = corpus.frames_at(video, indices).reshape(len(centers), cfg.clip_len, -1)
+    centers, clips = dense_clips(corpus, video, cfg.clip_len, cfg.frame_stride, hop)
     feats = enc.forward_np_batch(ckpt.encoder, clips)
-    gfeats = np.broadcast_to(global_feat, feats.shape) if tsp else None
+    global_feat, gfeats = np.empty(0), None
+    if ckpt.mode == "tsp":  # at the default hop the track's clips are the GVF's own grid
+        global_feat = video_global_feature(corpus, video, ckpt.init_encoder, cfg,
+                                           clips if hop == span else None)
+        gfeats = np.broadcast_to(global_feat, feats.shape)
     logits, region = head_logits(feats, gfeats, ckpt.heads, ckpt.mode)
     probs = None if region is None else softmax(region)[:, 1]
     return FeatureTrack(

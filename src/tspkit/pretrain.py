@@ -3,10 +3,19 @@
 Three training modes share one loop:
 
 * ``tsp``        - action head on foreground clips plus a temporal-region head
-                   fed the clip feature concatenated with a frozen, precomputed
-                   global video feature.
+                   fed the clip feature concatenated with a frozen global
+                   video feature (GVF).
 * ``tsp_nogvf``  - same, but the region head sees the clip feature alone.
 * ``tac``        - action head only, trained on foreground clips.
+
+A video's GVF is a function of its frames and the checkpoint's frozen
+``init_encoder`` alone: that encoder's clip features over the video's
+non-overlapping dense clip grid (the grid ``extract`` tiles by default),
+max- or mean-pooled (``video_global_feature``). It reads no annotation, so a
+valid or unseen video gets its GVF as a training video does. A checkpoint
+stores none: ``train`` computes the (videos, F) matrix its steps read
+(``precompute_global_features``), and ``validate`` and
+``extract.extract_track`` compute the rows they read.
 
 The per-clip loss is the weighted sum of the two head cross-entropies for
 foreground clips and the region term alone for background clips. Optimization
@@ -30,6 +39,7 @@ CPU caches and runs slower, with the same features.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
@@ -37,14 +47,13 @@ import numpy as np
 
 from . import autodiff as ad
 from . import encoder as enc
-from .corpus import MAX_VIDEO_FRAMES, Corpus
+from .corpus import MAX_VIDEO_FRAMES, Corpus, VideoRecord
 from .decode import decode, load_json, save_json, write_rows
-from .sampler import (ClipSpec, build_epoch, clip_frame_indices, clip_rows, clip_span,
-                      dense_clip_specs, test_clip_set, video_segment_clips)
+from .sampler import ClipSpec, build_epoch, clip_rows, clip_span, dense_clips, test_clip_set
 from .seeding import rng_for
 from .workers import fork_map
 
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 MODES = ("tsp", "tsp_nogvf", "tac")
 POOLS = ("max", "avg")
 INITS = ("tac", "random")  # "tac": warm-start from a classification-only run
@@ -60,21 +69,6 @@ class HeadParams(enc.ParamRecord):
     action_bias: np.ndarray  # (C,)
     region_weight: np.ndarray  # (2F, 2) or (F, 2) without the global feature
     region_bias: np.ndarray  # (2,)
-
-
-@dataclass
-class GlobalFeatureTable:
-    """Frozen per-video pooled features; never updated by training."""
-
-    features: dict[str, np.ndarray]
-    pool: str  # one of POOLS
-    source: str  # identifier of the encoder initialization that produced it
-
-    def __post_init__(self):
-        if self.features and not np.isfinite(np.concatenate(list(self.features.values()))).all():
-            raise ValueError("global features must be finite")
-        for arr in self.features.values():
-            arr.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -99,7 +93,6 @@ class TrainConfig:
     action_loss_weight: float = 1.0
     region_loss_weight: float = 1.0
     resample_each_epoch: bool = True
-    gvf_dense_hop: int | None = None
 
     def __post_init__(self):
         enc.EncoderConfig(embed_dim=self.embed_dim, blocks=self.blocks)  # the encoder's rules
@@ -125,8 +118,6 @@ class TrainConfig:
                 raise ValueError("warmup_epochs must be < epochs")
             if any(not 0 <= d < self.epochs for d in self.decay_epochs):
                 raise ValueError("decay epochs out of range")
-        if self.gvf_dense_hop is not None and self.gvf_dense_hop < 1:
-            raise ValueError(f"gvf_dense_hop must be positive, not {self.gvf_dense_hop}")
         action, region = self.action_loss_weight, self.region_loss_weight
         if not (0.0 <= action < math.inf and 0.0 <= region < math.inf) or action == region == 0:
             raise ValueError("loss weights must be finite, nonnegative and not both zero")
@@ -158,7 +149,6 @@ class Checkpoint:
     encoder: enc.EncoderParams
     heads: HeadParams
     init_encoder: enc.EncoderParams
-    global_features: GlobalFeatureTable | None
     selection: SelectionRecord
     seed: int
     schema_version: int = CHECKPOINT_SCHEMA_VERSION
@@ -169,7 +159,11 @@ class Checkpoint:
 
     @property
     def checkpoint_id(self) -> str:
-        return params_hash(self.encoder, self.heads, prefix=f"{self.mode}{self.seed}".encode())
+        """Hashes all a track depends on: the mode, the seed, the config (clip
+        geometry and GVF pool among it) and the three parameter records."""
+        config = json.dumps(_to_json(self.config))
+        return params_hash(self.encoder, self.heads, self.init_encoder,
+                           prefix=f"{self.mode}{self.seed}{config}".encode())
 
 
 def params_hash(*records: enc.ParamRecord, prefix: bytes = b"") -> str:
@@ -203,19 +197,7 @@ def init_heads(feature_dim: int, num_classes: int, mode: str, seed: int) -> Head
 # global video features
 
 
-def video_clip_specs(corpus: Corpus, video_id: str, cfg: TrainConfig) -> list[ClipSpec]:
-    """The deterministic clip set a video's global feature pools over: test-mode
-    per-segment clips, or a dense grid at ``cfg.gvf_dense_hop``."""
-    video = corpus.videos[video_id]
-    if cfg.gvf_dense_hop is not None:
-        return dense_clip_specs(video, cfg.clip_len, cfg.frame_stride, cfg.gvf_dense_hop)
-    segments = video_segment_clips(corpus, video, mode="test",
-                                   clips_per_segment=cfg.clips_per_segment,
-                                   clip_len=cfg.clip_len, frame_stride=cfg.frame_stride)
-    return [spec for clips in segments for spec in clips]
-
-
-def pool_features(features: list[np.ndarray], pool: str) -> np.ndarray:
+def pool_features(features: np.ndarray | list[np.ndarray], pool: str) -> np.ndarray:
     """Max or mean over feature rows; exactly order-invariant either way."""
     stacked = np.stack(features)
     if pool == "max":
@@ -225,36 +207,24 @@ def pool_features(features: list[np.ndarray], pool: str) -> np.ndarray:
     raise ValueError(f"unknown pool {pool!r}")
 
 
-def video_global_feature(corpus: Corpus, video_id: str, init_params: enc.EncoderParams,
-                         cfg: TrainConfig) -> np.ndarray:
-    """One video's global feature: encoder features pooled over its clip set,
-    gathered by ``Corpus.frames_at``, so a video outside a filled split store
-    (one missing from a checkpoint's table) fills nothing."""
-    video = corpus.videos[video_id]
-    specs = video_clip_specs(corpus, video_id, cfg)
-    if not specs:
-        raise ValueError(f"video {video_id!r} has no sampleable clips")
-    centers = np.array([[spec.center_frame] for spec in specs])
-    indices = clip_frame_indices(centers, cfg.clip_len, cfg.frame_stride, video.num_frames)
-    frames = corpus.frames_at(video, indices).reshape(len(specs), cfg.clip_len, -1)
-    return pool_features(list(enc.forward_np_batch(init_params, frames)), cfg.global_pool)
+def video_global_feature(corpus: Corpus, video: VideoRecord, init_params: enc.EncoderParams,
+                         cfg: TrainConfig, clips: np.ndarray | None = None) -> np.ndarray:
+    """One video's global feature: the frozen init encoder's features over the
+    video's non-overlapping dense clip grid, the one ``extract`` tiles by
+    default, pooled by ``cfg.global_pool``. It reads the video's frames alone,
+    no annotation. ``clips`` are that grid's frames when the caller has
+    gathered them already; otherwise they are gathered here."""
+    if clips is None:
+        _, clips = dense_clips(corpus, video, cfg.clip_len, cfg.frame_stride,
+                               clip_span(cfg.clip_len, cfg.frame_stride))
+    return pool_features(enc.forward_np_batch(init_params, clips), cfg.global_pool)
 
 
 def precompute_global_features(corpus: Corpus, init_params: enc.EncoderParams,
-                               cfg: TrainConfig) -> GlobalFeatureTable:
-    """Pool encoder features over each video's deterministic clip set."""
-    table = {video_id: video_global_feature(corpus, video_id, init_params, cfg)
-             for video_id in corpus.videos}
-    return GlobalFeatureTable(table, cfg.global_pool, params_hash(init_params))
-
-
-def checkpoint_global_feature(corpus: Corpus, video_id: str, ckpt: "Checkpoint") -> np.ndarray:
-    """A video's global feature under a checkpoint: its table entry, else
-    recomputed from the frozen init encoder (videos outside the training corpus)."""
-    table = ckpt.global_features
-    if table is not None and video_id in table.features:
-        return table.features[video_id]
-    return video_global_feature(corpus, video_id, ckpt.init_encoder, ckpt.config)
+                               cfg: TrainConfig) -> np.ndarray:
+    """The (videos, F) GVF matrix: each video's global feature, in corpus order."""
+    return np.stack([video_global_feature(corpus, video, init_params, cfg)
+                     for video in corpus.videos.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +435,9 @@ def validate(checkpoint: "Checkpoint", corpus: Corpus, split: str) -> dict:
     gvf = None
     if checkpoint.mode == "tsp":  # the rows of the split's videos; no clip reads the rest
         gvf = np.zeros((len(corpus.videos), checkpoint.encoder.config.feature_dim))
-        video_ids = list(corpus.videos)
-        for row in np.unique(clips.videos):
-            gvf[row] = checkpoint_global_feature(corpus, video_ids[row], checkpoint)
+        for video in corpus.subset_videos(split):
+            gvf[corpus.video_index(video.id)] = video_global_feature(
+                corpus, video, checkpoint.init_encoder, checkpoint.config)
     action_acc, region_acc = _accuracy(checkpoint.encoder, checkpoint.heads, checkpoint.mode,
                                        gvf, corpus.split_frames(split), clips)
     return {"action_acc": action_acc, "region_acc": region_acc}
@@ -589,7 +559,7 @@ def train(corpus: Corpus, cfg: TrainConfig,
     for a large-scale pretrained initialization).
 
     The grid cells are independent. Once the frame stores, the epochs, the
-    validation clips and the GVF table are built, the cells run through
+    validation clips and the GVF matrix are built, the cells run through
     ``workers.fork_map`` (whose docstring gives the threading model). Rows are
     concatenated in grid order and the best selection key wins, the first cell
     in grid order on a tie, so the checkpoint and the rows are the same bytes
@@ -607,7 +577,6 @@ def train(corpus: Corpus, cfg: TrainConfig,
         init_enc = base_ckpt.encoder.copy()
 
     train_frames, valid_frames = corpus.split_frames("train"), corpus.split_frames("valid")
-    table = precompute_global_features(corpus, init_enc, cfg) if cfg.mode == "tsp" else None
 
     def build_batches(epoch: int) -> list[LabeledBatch]:
         specs = build_epoch(
@@ -625,7 +594,7 @@ def train(corpus: Corpus, cfg: TrainConfig,
         train_frames=train_frames, valid_frames=valid_frames,
         valid_clips=_eval_clips(corpus, "valid", cfg),
         epochs=[build_batches(epoch) for epoch in range(cfg.epochs)],
-        gvf=None if table is None else np.stack([table.features[v] for v in corpus.videos]))
+        gvf=precompute_global_features(corpus, init_enc, cfg) if cfg.mode == "tsp" else None)
     results = _train_cells(inputs)
 
     rows = [row for cell_rows, _ in results for row in cell_rows]
@@ -639,8 +608,7 @@ def train(corpus: Corpus, cfg: TrainConfig,
     (score, _, _), head_lr, epoch, enc_snap, head_snap = best
     selection = SelectionRecord(head_lr=head_lr, epoch=epoch, score=score, rows=rows)
     ckpt = Checkpoint(mode=cfg.mode, config=cfg, encoder=enc_snap, heads=head_snap,
-                      init_encoder=init_enc, global_features=table, selection=selection,
-                      seed=cfg.seed)
+                      init_encoder=init_enc, selection=selection, seed=cfg.seed)
     return ckpt, rows
 
 
@@ -661,7 +629,6 @@ def _to_json(obj):
 
 
 def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
-    table = ckpt.global_features
     return {
         "schema_version": ckpt.schema_version,
         "mode": ckpt.mode,
@@ -670,11 +637,6 @@ def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
         "encoder": _to_json(ckpt.encoder),
         "heads": _to_json(ckpt.heads),
         "init_encoder": _to_json(ckpt.init_encoder),
-        "global_features": None if table is None else {
-            "pool": table.pool,
-            "source": table.source,
-            "features": {vid: arr.tolist() for vid, arr in sorted(table.features.items())},
-        },
         "selection": _to_json(ckpt.selection),
         "checkpoint_id": ckpt.checkpoint_id,
     }
@@ -696,10 +658,6 @@ def _check_shapes(ckpt: Checkpoint) -> None:
         found = layout(getattr(ckpt, name))
         if found != expected:
             raise ValueError(f"{name} config and shapes {found}, expected {expected}")
-    table = ckpt.global_features
-    for vid, row in ({} if table is None else table.features).items():
-        if row.shape != (feature_dim,):
-            raise ValueError(f"global feature {vid!r} has shape {row.shape}, not ({feature_dim},)")
 
 
 def checkpoint_from_dict(doc: dict) -> Checkpoint:

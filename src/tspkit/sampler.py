@@ -12,8 +12,8 @@ manifest caps a frame side at ``corpus.MAX_FRAME_SIDE`` pixels.
 Training and validation read whole splits many times and hold clips as
 ``clip_rows``, global rows of their split's frame store, so a batch is one
 ``take`` and an epoch holds indices, not frames. Global features and dense
-extraction read one video at a time: they pass ``clip_frame_indices`` to
-``Corpus.frames_at``, which gathers from a filled store and otherwise
+extraction read one video's regular clip grid at a time (``dense_clips``)
+through ``Corpus.frames_at``, which gathers from a filled store and otherwise
 synthesizes only the rows their clips read. ``load_clip`` assembles a single
 clip the plain way and is kept as the reference for both.
 """
@@ -101,25 +101,15 @@ def sample_segment_clips(segment: RegionSegment, video: VideoRecord, *,
     ]
 
 
-def video_segment_clips(corpus: Corpus, video: VideoRecord, *, mode: str,
-                        clips_per_segment: int, clip_len: int, frame_stride: int,
-                        rng: np.random.Generator | None = None) -> list[list[ClipSpec]]:
-    """Each segment's clips, in segment order; empty for sub-frame segments."""
-    return [sample_segment_clips(
-                segment, video, mode=mode, n=clips_per_segment, rng=rng, clip_len=clip_len,
-                frame_stride=frame_stride,
-                class_index=(corpus.class_index(segment.class_label)
-                             if segment.kind == "foreground" else None))
-            for segment in corpus.segments(video.id)]
-
-
-def dense_clip_specs(video: VideoRecord, clip_len: int, frame_stride: int,
-                     hop: int) -> list[ClipSpec]:
-    """A regular grid of clips every ``hop`` frames from frame 0, unlabeled."""
+def dense_clips(corpus: Corpus, video: VideoRecord, clip_len: int, frame_stride: int,
+                hop: int) -> tuple[np.ndarray, np.ndarray]:
+    """A regular grid of clips every ``hop`` frames from frame 0, unlabeled: their
+    (n,) center frames and their (n, L, frame_dim) frames, one ``frames_at`` call."""
     if hop < 1:
         raise ValueError("hop must be positive")
-    return [ClipSpec(video.id, c, clip_len, frame_stride, "background")
-            for c in range(0, video.num_frames, hop)]
+    centers = np.arange(0, video.num_frames, hop)
+    indices = clip_frame_indices(centers[:, None], clip_len, frame_stride, video.num_frames)
+    return centers, corpus.frames_at(video, indices).reshape(len(centers), clip_len, -1)
 
 
 def load_clip(corpus: Corpus, spec: ClipSpec) -> np.ndarray:
@@ -164,13 +154,14 @@ def segment_clip_pool(corpus: Corpus, split: str, *, mode: str,
     pools: dict[str, list[ClipSpec]] = {"foreground": [], "background": []}
     skipped = 0
     for video in corpus.subset_videos(split):
-        for clips in video_segment_clips(corpus, video, mode=mode,
-                                         clips_per_segment=clips_per_segment,
-                                         clip_len=clip_len, frame_stride=frame_stride, rng=rng):
-            if clips:
-                pools[clips[0].kind].extend(clips)
-            else:
-                skipped += 1
+        for segment in corpus.segments(video.id):
+            clips = sample_segment_clips(
+                segment, video, mode=mode, n=clips_per_segment, rng=rng, clip_len=clip_len,
+                frame_stride=frame_stride,
+                class_index=(corpus.class_index(segment.class_label)
+                             if segment.kind == "foreground" else None))
+            pools[segment.kind].extend(clips)
+            skipped += not clips
     if skipped and (split, skipped) not in _warned_splits:
         _warned_splits.add((split, skipped))
         log.warning("skipped %d sub-frame segments in split %r", skipped, split)

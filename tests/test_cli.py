@@ -102,8 +102,6 @@ REJECTED_FLAGS = {
     "bench_repeated_seed": (["bench", "--seeds", "1,1"], "seeds must be distinct"),
     "pretrain_zero_embed_dim": (["pretrain", "--manifest", "absent.json", "--embed-dim", "0"],
                                 "encoder dimensions must be positive"),
-    "pretrain_zero_gvf_hop": (["pretrain", "--manifest", "absent.json", "--gvf-dense-hop", "0"],
-                              "gvf_dense_hop must be positive"),
     "gen_corpus_infinite_duration": (["gen-corpus", "--duration-max", "inf"],
                                      "duration_range * fps gives 480.0 to inf frames"),
     "gen_corpus_too_many_frames": (["gen-corpus", "--duration-max", "300000"],
@@ -494,18 +492,16 @@ def transpose_action_weight(doc):
     doc["heads"]["action_weight"]["shape"].reverse()  # same bytes, so the same id
 
 
-def shorten_first_gvf_row(doc):
-    features = doc["global_features"]["features"]
-    features[sorted(features)[0]].pop()
+def set_init_weight(doc):
+    doc["init_encoder"]["stem_weight"]["data"][0] += 1.0
 
 
 def set_unknown_mode(doc):
     """Mode "bogus", with the id recomputed so that only the mode check can catch it."""
     from tspkit import pretrain
     ckpt = pretrain.checkpoint_from_dict(doc)
-    doc["mode"] = "bogus"
-    doc["checkpoint_id"] = pretrain.params_hash(ckpt.encoder, ckpt.heads,
-                                                prefix=f"bogus{ckpt.seed}".encode())
+    ckpt.mode = "bogus"
+    doc["mode"], doc["checkpoint_id"] = ckpt.mode, ckpt.checkpoint_id
 
 
 def keep_one_class(doc):
@@ -588,12 +584,12 @@ BAD_FILES = [
     ("checkpoint", "no_heads", edit_json(lambda doc: doc.pop("heads"))),
     ("checkpoint", "heads_extra_key", edit_json(add_heads_key)),
     ("checkpoint", "block_not_object", edit_json(replace_block_record)),
-    ("checkpoint", "features_not_object",
-     edit_json(lambda doc: doc["global_features"].update(features=[]))),
+    ("checkpoint", "schema_version_1", edit_json(lambda doc: doc.update(schema_version=1))),
     ("checkpoint", "string_weight", set_bias("x")),
     ("checkpoint", "nan_weight", set_bias(float("nan"))),
     ("checkpoint", "heads_transposed", edit_json(transpose_action_weight)),
-    ("checkpoint", "gvf_short_row", edit_json(shorten_first_gvf_row)),
+    ("checkpoint", "edited_clip_len", set_config(clip_len=4)),
+    ("checkpoint", "edited_init_encoder", edit_json(set_init_weight)),
     ("checkpoint", "bogus_mode", edit_json(set_unknown_mode)),
     ("checkpoint", "string_seed", edit_json(lambda doc: doc.update(seed="0"))),
     ("checkpoint", "null_clip_len", set_config(clip_len=None)),

@@ -10,7 +10,7 @@ from tspkit import encoder as enc
 from tspkit import extract as ex
 from tspkit import pretrain as pt
 from tspkit.extract import softmax
-from tspkit.sampler import ClipSpec, clip_frame_indices, clip_span, load_clip
+from tspkit.sampler import ClipSpec, clip_frame_indices, clip_span, dense_clips, load_clip
 
 
 def make_corpus(duration=77.5, fps=4.0, valid=True):
@@ -191,37 +191,54 @@ def test_gvf_of_another_length_rejected(tmp_path):
 
 
 def test_unknown_video_global_feature_recomputed():
+    # a checkpoint stores no GVF: a video it never saw gets its GVF from the
+    # init encoder, as every video does
     corpus = make_corpus()
     ckpt = make_checkpoint(corpus)
-    # drop the table entry; extraction must fall back to the init encoder
-    full = ckpt.global_features.features
-    trimmed = {vid: arr for vid, arr in full.items() if vid != "va_0"}
-    ckpt.global_features = pt.GlobalFeatureTable(trimmed, ckpt.global_features.pool,
-                                                 ckpt.global_features.source)
-    track = ex.extract_track(corpus, corpus.videos["va_0"], ckpt)
-    assert np.array_equal(track.global_feature, full["va_0"])
-    # as a fresh ``tspkit extract`` meets it: recomputed without filling a store
-    cold = cold_copy(corpus)
-    assert_tracks_equal(ex.extract_track(cold, cold.videos["va_0"], ckpt), track)
+    video = cp.VideoRecord("new_0", "valid", 60.0, 4.0, [cp.AnnotationInstance("b", 5.0, 30.0)],
+                           9)
+    other = cp.Corpus(corpus.classes, {video.id: video}, corpus.synth)
+    other.split_frames("valid")
+    track = ex.extract_track(other, video, ckpt)
+    assert np.array_equal(track.global_feature,
+                          pt.video_global_feature(other, video, ckpt.init_encoder, ckpt.config))
+    # as a fresh ``tspkit extract`` meets it: computed without filling a store
+    cold = cold_copy(other)
+    assert_tracks_equal(ex.extract_track(cold, video, ckpt), track)
     assert not cold._stores
 
 
 @pytest.mark.parametrize("pool", ["max", "avg"])
 def test_dense_global_feature_pools_the_init_encoders_track_at_that_hop(pool):
+    # the init encoder's default-hop track, through the action head alone
     corpus = make_corpus()
-    ckpt = make_checkpoint(corpus, global_pool=pool, gvf_dense_hop=7)
-    init_ckpt = replace(ckpt, encoder=ckpt.init_encoder)
-    for vid, row in ckpt.global_features.features.items():
-        track = ex.extract_track(corpus, corpus.videos[vid], init_ckpt, hop=7)
-        assert np.array_equal(row, pt.pool_features(list(track.features), pool))
+    ckpt = make_checkpoint(corpus, global_pool=pool)
+    init_tac = replace(ckpt, mode="tac", encoder=ckpt.init_encoder)
+    for video in corpus.videos.values():
+        track = ex.extract_track(corpus, video, init_tac)
+        row = pt.video_global_feature(corpus, video, ckpt.init_encoder, ckpt.config)
+        assert np.array_equal(row, pt.pool_features(track.features, pool))
+
+
+@pytest.mark.parametrize("hop", [None, 8])
+def test_a_tracks_gvf_is_the_gvf_computed_alone(hop):
+    # at the default hop extract_track pools the clips it gathered for the
+    # track; at another it gathers the default grid, as the function alone does
+    corpus = make_corpus()
+    ckpt = make_checkpoint(corpus)
+    for video in corpus.videos.values():
+        track = ex.extract_track(cold_copy(corpus), video, ckpt, hop=hop)
+        alone = pt.video_global_feature(cold_copy(corpus), video, ckpt.init_encoder, ckpt.config)
+        assert track.global_feature.tobytes() == alone.tobytes()
 
 
 def test_nonpositive_hop_rejected_for_tracks_and_dense_global_features():
     corpus = make_corpus()
+    video = corpus.videos["va_0"]
     with pytest.raises(ValueError, match="hop must be positive"):
-        ex.extract_track(corpus, corpus.videos["va_0"], make_checkpoint(corpus), hop=0)
+        ex.extract_track(corpus, video, make_checkpoint(corpus), hop=0)
     with pytest.raises(ValueError, match="hop must be positive"):
-        make_checkpoint(corpus, gvf_dense_hop=0)
+        dense_clips(corpus, video, 16, 2, 0)
 
 
 def cold_copy(corpus):
@@ -247,9 +264,10 @@ def test_cold_corpus_gives_the_warm_track(clip_len, frame_stride, hop):
 @pytest.mark.parametrize("hop", [1, None, 40])
 def test_cold_extraction_synthesizes_exactly_the_rows_its_clips_read(monkeypatch, hop):
     corpus = make_corpus()
-    ckpt = make_checkpoint(corpus)  # tsp: the global feature comes from the table
+    ckpt = make_checkpoint(corpus)
     video = corpus.videos["va_0"]
     cfg = ckpt.config
+    span = clip_span(cfg.clip_len, cfg.frame_stride)
     calls, normal_rows = [], cp.normal_rows
 
     def recording_normal_rows(*prefix, rows, dim):
@@ -259,10 +277,11 @@ def test_cold_extraction_synthesizes_exactly_the_rows_its_clips_read(monkeypatch
     monkeypatch.setattr(cp, "normal_rows", recording_normal_rows)
     track = ex.extract_track(cold_copy(corpus), video, ckpt, hop=hop)
     centers = np.round(track.center_times * video.fps).astype(int)
-    read = clip_frame_indices(centers[:, None], cfg.clip_len, cfg.frame_stride,
-                              video.num_frames)
-    assert len(calls) == 1
-    assert calls[0].tolist() == np.unique(read).tolist()
+    # the track's clips; then, at another hop, the GVF's default grid
+    grids = [centers] if hop in (None, span) else [centers, np.arange(0, video.num_frames, span)]
+    assert [c.tolist() for c in calls] == [
+        np.unique(clip_frame_indices(grid[:, None], cfg.clip_len, cfg.frame_stride,
+                                     video.num_frames)).tolist() for grid in grids]
 
 
 def reference_track_rows(track):

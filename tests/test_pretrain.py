@@ -75,21 +75,6 @@ def test_negative_or_all_zero_loss_weights_rejected(action, region):
         pt.TrainConfig(action_loss_weight=action, region_loss_weight=region)
 
 
-@pytest.mark.parametrize("hop", [0, -4])
-def test_nonpositive_gvf_dense_hop_rejected_before_any_training(hop, monkeypatch):
-    pt.TrainConfig(gvf_dense_hop=None)
-    pt.TrainConfig(gvf_dense_hop=1)
-    with pytest.raises(ValueError, match="gvf_dense_hop must be positive"):
-        pt.TrainConfig(gvf_dense_hop=hop)
-
-    def no_training(*args):
-        raise AssertionError("a grid cell trained")
-
-    monkeypatch.setattr(pt, "_train_cells", no_training)
-    with pytest.raises(ValueError, match="gvf_dense_hop must be positive"):
-        pt.train(small_corpus(), tiny_train_cfg(init="tac", gvf_dense_hop=hop))
-
-
 def test_background_only_batch_has_exactly_zero_action_gradients():
     rng = np.random.default_rng(0)
     cfg = enc.EncoderConfig(channels_in=4, embed_dim=6, blocks=1)
@@ -169,40 +154,80 @@ def test_pool_permutation_invariance_exact():
 
 
 def test_single_clip_video_feature_is_that_clips_feature():
-    # a video whose only segment yields exactly one clip
-    video = cp.VideoRecord("v", "train", 10.0, 4.0, [], 7)
+    # 30 frames: the non-overlapping grid (hop 31) holds one clip, at frame 0
+    video = cp.VideoRecord("v", "train", 7.5, 4.0, [], 7)
     corpus = cp.Corpus(["a"], {"v": video},
                        cp.SynthInfo(0, 0.0, "pure", 4, 1, 1))
     cfg = enc.EncoderConfig(channels_in=4, embed_dim=5, blocks=0)
     params = enc.init_params(cfg, seed=0)
-    gvf_cfg = pt.TrainConfig(global_pool="max", clips_per_segment=1)
-    table = pt.precompute_global_features(corpus, params, gvf_cfg)
-    from tspkit.sampler import load_clip
-    [spec] = pt.video_clip_specs(corpus, "v", gvf_cfg)
-    clip = load_clip(corpus, spec)  # (c, L, h, w) -> (c*h*w, L)
+    gvf = pt.precompute_global_features(corpus, params, pt.TrainConfig(global_pool="max"))
+    clip = sampler.load_clip(corpus, sampler.ClipSpec("v", 0, 16, 2, "background"))
     feat = enc.forward_np(params, clip.transpose(0, 2, 3, 1).reshape(-1, 16))
-    assert np.array_equal(table.features["v"], feat)
+    assert gvf.shape == (1, 5)
+    assert np.array_equal(gvf[0], feat)
 
 
-def test_global_feature_table_is_frozen_through_training():
+def record_cell_inputs(monkeypatch) -> list:
+    """The ``_CellInputs`` of every ``train`` call made after this, in call order."""
+    seen, train_cells = [], pt._train_cells
+
+    def recording_train_cells(inputs):
+        seen.append(inputs)
+        return train_cells(inputs)
+
+    monkeypatch.setattr(pt, "_train_cells", recording_train_cells)
+    return seen
+
+
+def test_global_feature_table_is_frozen_through_training(monkeypatch):
+    # the cells train on the init encoder's GVF matrix, which the checkpoint
+    # recomputes bit for bit from its init_encoder after training
     corpus = small_corpus()
     cfg = pt.TrainConfig(mode="tsp", embed_dim=8, blocks=1, epochs=2, warmup_epochs=1,
                          decay_epochs=(), head_lr_grid=(0.004,), seed=0, init="random")
+    seen = record_cell_inputs(monkeypatch)
     ckpt, _ = pt.train(corpus, cfg)
-    before = {vid: arr.copy() for vid, arr in ckpt.global_features.features.items()}
+    [inputs] = seen
+    init = enc.init_params(pt.encoder_config_for(corpus, cfg), cfg.seed)
+    assert ckpt.init_encoder.flat.tobytes() == init.flat.tobytes()
+    assert ckpt.encoder.flat.tobytes() != init.flat.tobytes()
     recomputed = pt.precompute_global_features(corpus, ckpt.init_encoder, ckpt.config)
-    for vid in before:
-        assert np.array_equal(before[vid], ckpt.global_features.features[vid])
-        assert np.array_equal(before[vid], recomputed.features[vid])
-    with pytest.raises(ValueError):
-        ckpt.global_features.features[list(before)[0]][0] = 99.0  # read-only
+    assert inputs.gvf.tobytes() == recomputed.tobytes()
 
 
 def test_table_covers_all_subsets():
     corpus = small_corpus()
     params = enc.init_params(enc.EncoderConfig(channels_in=16, embed_dim=4, blocks=0), 0)
-    table = pt.precompute_global_features(corpus, params, pt.TrainConfig())
-    assert set(table.features) == set(corpus.videos)
+    gvf = pt.precompute_global_features(corpus, params, pt.TrainConfig())
+    assert gvf.shape == (len(corpus.videos), 4)
+    for video in corpus.videos.values():  # one row per video of every subset, in corpus order
+        row = pt.video_global_feature(corpus, video, params, pt.TrainConfig())
+        assert gvf[corpus.video_index(video.id)].tobytes() == row.tobytes()
+
+
+def relabelled(corpus, video_id, annotations):
+    """``corpus`` with one video's annotations replaced and its frames kept: the
+    same video files under an edited manifest. (A synthetic video's frames are
+    rendered from its annotations, so the edited corpus reads the original's.)"""
+    videos = dict(corpus.videos)
+    videos[video_id] = replace(videos[video_id], annotations=list(annotations))
+    edited = cp.Corpus(corpus.classes, videos, corpus.synth)
+    edited.frames_at = corpus.frames_at
+    return edited
+
+
+def test_a_videos_global_feature_does_not_read_its_annotations():
+    corpus = small_corpus()
+    ckpt, _ = pt.train(corpus, tiny_train_cfg(epochs=0, warmup_epochs=0))
+    video = corpus.subset_videos("valid")[0]
+    assert video.annotations
+    gvf = pt.video_global_feature(corpus, video, ckpt.init_encoder, ckpt.config)
+    moved = [replace(a, t_start=a.t_start / 2, t_end=a.t_end / 2) for a in video.annotations]
+    for annotations in ((), moved):
+        edited = relabelled(corpus, video.id, annotations)
+        row = pt.video_global_feature(edited, edited.videos[video.id], ckpt.init_encoder,
+                                      ckpt.config)
+        assert row.tobytes() == gvf.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +311,7 @@ def test_training_is_deterministic_bytewise(threads, tmp_path, monkeypatch):
 def test_cell_inputs_hold_clips_as_integer_rows_of_the_shared_split_stores(monkeypatch):
     corpus = small_corpus()
     cfg = tiny_train_cfg()
-    seen, train_cells = [], pt._train_cells
-
-    def recording_train_cells(inputs):
-        seen.append(inputs)
-        return train_cells(inputs)
-
-    monkeypatch.setattr(pt, "_train_cells", recording_train_cells)
+    seen = record_cell_inputs(monkeypatch)
     pt.train(corpus, cfg)
     [inputs] = seen
     batches = [batch for epoch in inputs.epochs for batch in epoch] + [inputs.valid_clips]
@@ -312,19 +331,14 @@ def test_cell_inputs_hold_clips_as_integer_rows_of_the_shared_split_stores(monke
 
 def test_batch_gvf_rows_are_each_clips_video_feature(monkeypatch):
     corpus = small_corpus()
-    seen, train_cells = [], pt._train_cells
-
-    def recording_train_cells(inputs):
-        seen.append(inputs)
-        return train_cells(inputs)
-
-    monkeypatch.setattr(pt, "_train_cells", recording_train_cells)
+    seen = record_cell_inputs(monkeypatch)
     ckpt, _ = pt.train(corpus, tiny_train_cfg())
     [inputs] = seen
-    video_ids = list(corpus.videos)
+    videos = list(corpus.videos.values())
     for batch in [inputs.valid_clips] + inputs.epochs[0]:
         rows = batch.global_rows(inputs.gvf)
-        expected = np.stack([ckpt.global_features.features[video_ids[v]] for v in batch.videos])
+        expected = np.stack([pt.video_global_feature(corpus, videos[v], ckpt.init_encoder,
+                                                     ckpt.config) for v in batch.videos])
         assert rows.tobytes() == expected.tobytes()
 
 
@@ -366,25 +380,32 @@ def test_every_cell_diverging_is_an_error(threads, monkeypatch):
                  monkeypatch)
 
 
+# the trained bytes, as params_hash(encoder, heads, prefix=mode+seed), the
+# checkpoint id before it also covered the config and the init encoder:
 # computed with per-clip loading, before clips were gathered in batches, on
-# numpy 2.4 with OpenBLAS; a different BLAS may round the products differently
-GOLDEN_CHECKPOINT_IDS = {"tsp": "175d0959ef2b", "tsp_nogvf": "9a373b307944",
+# numpy 2.4 with OpenBLAS (a different BLAS may round the products
+# differently); tsp's since its GVF pools the non-overlapping clip grid
+GOLDEN_TRAINED_HASHES = {"tsp": "2402fa6c14a9", "tsp_nogvf": "9a373b307944",
                          "tac": "b673dc834671"}
+GOLDEN_CHECKPOINT_IDS = {"tsp": "7ddfab6bc9c9", "tsp_nogvf": "a1d95dcf0daa",
+                         "tac": "92b809c73696"}
 
 
 @pytest.mark.parametrize("mode", pt.MODES)
 def test_tiny_training_matches_golden_checkpoint_id(mode):
     ckpt, _ = pt.train(small_corpus(), tiny_train_cfg(mode=mode))
+    trained = pt.params_hash(ckpt.encoder, ckpt.heads, prefix=f"{mode}{ckpt.seed}".encode())
+    assert trained == GOLDEN_TRAINED_HASHES[mode]
     assert ckpt.checkpoint_id == GOLDEN_CHECKPOINT_IDS[mode]
 
 
-# sha256 of save_checkpoint's bytes for the same runs, taken before the records
-# were written with dataclasses.asdict: pins the file layout (key names, nesting,
-# number formatting), which the ids above do not see
+# sha256 of save_checkpoint's bytes for the same runs, taken with schema
+# version 2, which stores no GVF table: pins the file layout (key names,
+# nesting, number formatting), which the ids above do not see
 GOLDEN_CHECKPOINT_FILE_DIGESTS = {
-    "tsp": "b25333f817b793ac58c232815ff1d76daa52d2dee950ba3b6b02a09e9799d895",
-    "tsp_nogvf": "16a5f315552a64a1d49708b6ef0b8450d691e372220621a10f306bf17456c394",
-    "tac": "dea1fcbdf178e68b0d4cbcff6b3a892bee6789404eb810366a5c6a04c03fb0f8",
+    "tsp": "e089c93d2a3023802aa4b482cf14a9519afad7ce898f0228ee6d273a098a468d",
+    "tsp_nogvf": "17caf1f99e12d0af1243550ded0139a6e6a22a014c762dc342ce7f90846080f5",
+    "tac": "458f8e4157daf53340b7c27d391f6a11e3929e7e7407190ec90f025309f0f956",
 }
 
 
@@ -501,12 +522,17 @@ def test_validate_reports_no_region_accuracy_for_tac():
 
 
 def test_validate_recomputes_global_features_missing_from_the_table():
+    # the GVF rows come from the init encoder, on the training corpus and on a
+    # cold copy of it, as the training matrix's rows do
     corpus = small_corpus()
     ckpt, _ = pt.train(corpus, tiny_train_cfg(epochs=0, warmup_epochs=0))
     full = pt.validate(ckpt, corpus, "valid")
-    table = ckpt.global_features
-    ckpt.global_features = pt.GlobalFeatureTable({}, table.pool, table.source)
-    assert pt.validate(ckpt, corpus, "valid") == full
+    cold = cp.Corpus(corpus.classes, corpus.videos, corpus.synth)
+    assert pt.validate(ckpt, cold, "valid") == full
+    gvf = pt.precompute_global_features(corpus, ckpt.init_encoder, ckpt.config)
+    clips = pt._eval_clips(corpus, "valid", ckpt.config)
+    assert pt._accuracy(ckpt.encoder, ckpt.heads, "tsp", gvf, corpus.split_frames("valid"),
+                        clips) == (full["action_acc"], full["region_acc"])
 
 
 def test_region_accuracy_hits_95_on_separable_noiseless_corpus():
@@ -555,9 +581,7 @@ def test_checkpoint_round_trip_is_value_exact(tmp_path):
     for a, b in zip(ckpt.encoder.arrays() + ckpt.heads.arrays(),
                     loaded.encoder.arrays() + loaded.heads.arrays()):
         assert np.array_equal(a, b)
-    for vid in ckpt.global_features.features:
-        assert np.array_equal(ckpt.global_features.features[vid],
-                              loaded.global_features.features[vid])
+    assert loaded.init_encoder.flat.tobytes() == ckpt.init_encoder.flat.tobytes()
     assert loaded.config == ckpt.config
     # and a second save is byte-identical
     path2 = tmp_path / "ckpt2.json"
