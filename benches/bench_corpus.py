@@ -18,9 +18,14 @@ its own, with the frame-noise key of each video:
 * every row of the valid split, one call per video, as ``split_frames``
   draws them.
 
-A last case times the gather of one bench-shape training step: the first 32
-clips (L 16) of epoch 0, taken from the filled train store with one
-``take`` of their ``clip_rows``.
+Two cases time training's clip sampling and batch gather:
+
+* ``build_epoch``: epoch 0 of the default corpus's train split (jittered
+  centers, the balancing subsample and the epoch order), as ``train`` builds
+  each epoch before its grid cells run;
+* the gather of one bench-shape training step: the first 32 clips (L 16) of
+  epoch 0, a slice of its ``ClipSet``, taken from the filled train store with
+  one ``take`` of their rows.
 
 The test suite does not collect this file (it does not match ``test_*.py``);
 run it from the repository root with pytest-benchmark:
@@ -32,7 +37,7 @@ import numpy as np
 import pytest
 
 from tspkit import corpus as cp
-from tspkit.sampler import build_epoch, clip_frame_indices, clip_rows, clip_span
+from tspkit.sampler import build_epoch, clip_frame_indices, clip_span
 from tspkit.seeding import normal_rows
 
 CLIP_LEN, FRAME_STRIDE, BATCH = 16, 2, 32
@@ -92,11 +97,17 @@ def test_normal_rows_valid_split_rows(benchmark, manifest):
     assert rows == sum(video.num_frames for video in corpus.subset_videos("valid"))
 
 
+def test_build_epoch_train_split(benchmark, manifest):
+    corpus = cp.corpus_from_dict(manifest)
+    epoch = benchmark(build_epoch, corpus, "train", 0, seed=0, clip_len=CLIP_LEN,
+                      frame_stride=FRAME_STRIDE)
+    assert len(epoch) > 1_000 and 2 * epoch.region_labels.sum() == len(epoch)
+
+
 def test_take_training_batch_from_train_store(benchmark, manifest):
     corpus = cp.corpus_from_dict(manifest)
     store = corpus.split_frames("train")
-    specs = build_epoch(corpus, "train", 0, seed=0, clip_len=CLIP_LEN,
+    batch = build_epoch(corpus, "train", 0, seed=0, clip_len=CLIP_LEN,
                         frame_stride=FRAME_STRIDE)[:BATCH]
-    rows = clip_rows(corpus, specs)
-    frames = benchmark(store.take, rows, axis=0)
+    frames = benchmark(store.take, batch.rows, axis=0)
     assert frames.shape == (BATCH, CLIP_LEN, corpus.synth.frame_dim)

@@ -33,6 +33,7 @@ from tspkit import bench
 from tspkit import corpus as cp
 from tspkit import encoder as enc
 from tspkit import pretrain as pt
+from tspkit.sampler import ClipSet
 
 
 CLIP_LEN = 16
@@ -48,7 +49,7 @@ def test_training_step(benchmark):
     store = np.abs(rng.standard_normal((TRAIN_FRAMES, FRAME_DIM)))
     gvf = rng.standard_normal((VIDEOS, cfg.embed_dim))
     region = np.arange(cfg.batch_size) % 2
-    batch = pt.LabeledBatch(
+    batch = ClipSet(
         rows=rng.integers(0, TRAIN_FRAMES, (cfg.batch_size, CLIP_LEN)), region_labels=region,
         action_labels=np.where(region == 1, rng.integers(0, NUM_CLASSES, cfg.batch_size), -1),
         videos=rng.integers(0, VIDEOS, cfg.batch_size))

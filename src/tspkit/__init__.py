@@ -41,6 +41,6 @@ from .evalkit import (DetectionPrediction, GroundTruthInstance, LocalizerParams,
 from .extract import FeatureTrack, extract_track, read_track, write_track
 from .pretrain import (Checkpoint, HeadParams, TrainConfig, load_checkpoint, lr_at,
                        precompute_global_features, save_checkpoint, train, validate)
-from .sampler import ClipSpec, build_epoch, clip_frame_indices, clip_span, sample_segment_clips
+from .sampler import ClipSet, build_epoch, clip_frame_indices, clip_span, sample_segment_clips
 
 __version__ = "0.1.0"

@@ -50,6 +50,8 @@ class BenchConfig:
             raise ValueError("seeds must be distinct and nonempty")
         if not self.modes:
             raise ValueError("at least one mode required")
+        if self.hop is not None and self.hop < 1:
+            raise ValueError("hop must be positive")
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}")
@@ -62,8 +64,10 @@ def evaluate_checkpoint(corpus: Corpus, ckpt, bench_cfg: BenchConfig) -> dict[st
     detections = []
     proposals = []
     contrasts = []
+    global_features = {}  # a tsp track's GVF, so validate does not compute it again
     for video in corpus.subset_videos("valid"):
         track = extract_track(corpus, video, ckpt, hop=bench_cfg.hop)
+        global_features[video.id] = track.global_feature
         dets, props = baseline_localize(track, bench_cfg.localizer, actionness)
         detections.extend(dets)
         proposals.extend(props)
@@ -76,7 +80,7 @@ def evaluate_checkpoint(corpus: Corpus, ckpt, bench_cfg: BenchConfig) -> dict[st
         "auc": auc_100(proposals, gts),
         "contrast": float(np.mean(contrasts)) if contrasts else 0.0,
     }
-    accs = validate(ckpt, corpus, "valid")
+    accs = validate(ckpt, corpus, "valid", global_features)
     if accs["region_acc"] is not None:
         metrics["region_acc"] = accs["region_acc"]
     return metrics

@@ -10,8 +10,8 @@ parameters are an ``EncoderParams`` record, whose arrays are views of one
 flat buffer. Given a tape, it records its backward, the first of a training
 step's two ops (the second is ``pretrain.batch_loss_tensor``'s two-head
 loss); inference passes none and keeps no activation. Clips are time-major,
-(B, L, frame_dim): one flattened frame per row, as a ``take`` of
-``sampler.clip_rows`` from a split's frame store gathers them.
+(B, L, frame_dim): one flattened frame per row, as a ``take`` of a
+``sampler.ClipSet``'s rows from a split's frame store gathers them.
 
 Each layer is one matmul over all the batch's frames; a temporal conv
 multiplies a window matrix holding each frame's previous, own and next

@@ -14,8 +14,9 @@ non-overlapping dense clip grid (the grid ``extract`` tiles by default),
 max- or mean-pooled (``video_global_feature``). It reads no annotation, so a
 valid or unseen video gets its GVF as a training video does. A checkpoint
 stores none: ``train`` computes the (videos, F) matrix its steps read
-(``precompute_global_features``), and ``validate`` and
-``extract.extract_track`` compute the rows they read.
+(``precompute_global_features``), and ``extract.extract_track`` and
+``validate`` compute the rows they read; ``validate`` also takes the rows a
+caller computed already, as ``bench`` takes its tracks'.
 
 The per-clip loss is the weighted sum of the two head cross-entropies for
 foreground clips and the region term alone for background clips. Optimization
@@ -29,9 +30,10 @@ entropies. Its backward sweep returns one flat gradient per parameter record,
 the encoder's and the heads', bitwise those of the primitive-op composition
 kept in ``tests/reference_tape.py``. The two records are the two
 learning-rate groups, so the momentum update is three vector ops per record.
-Clips are rows of their split's frame store, and each clip's video is a row
-of one (videos, F) GVF matrix: a step takes its batch and its GVF rows with
-one ``take`` each, and validation takes and runs chunks of at most
+An epoch is one ``sampler.ClipSet``: its clips are rows of the train split's
+frame store, and each clip's video is a row of one (videos, F) GVF matrix. A
+step's batch is a slice of the epoch, whose frames and GVF rows are one
+``take`` each. Validation takes and runs chunks of at most
 ``VALIDATION_CHUNK`` clips: one batch of a whole split does not fit in the
 CPU caches and runs slower, with the same features.
 """
@@ -49,7 +51,7 @@ from . import autodiff as ad
 from . import encoder as enc
 from .corpus import MAX_VIDEO_FRAMES, Corpus, VideoRecord
 from .decode import decode, load_json, save_json, write_rows
-from .sampler import ClipSpec, build_epoch, clip_rows, clip_span, dense_clips, test_clip_set
+from .sampler import ClipSet, build_epoch, clip_span, dense_clips, test_clip_set
 from .seeding import rng_for
 from .workers import fork_map
 
@@ -252,8 +254,8 @@ def head_logits(feats: np.ndarray, global_feats: np.ndarray | None, heads: HeadP
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.float64, np.ndarray]:
     """Sum of the rows' softmax cross entropies for (B, K) logits, and its gradient.
 
-    ``labels`` are B indices below K; ``labeled_batch`` checks them where a
-    batch is built, so a step does not."""
+    ``labels`` are B indices below K: the sampler labels a foreground clip with
+    ``Corpus.class_index`` of a class the manifest decoder checked."""
     rows = np.arange(logits.shape[0])
     shifted = logits - logits.max(axis=1, keepdims=True)
     exps = np.exp(shifted)
@@ -354,43 +356,15 @@ def lr_at(step: int, steps_per_epoch: int, cfg: TrainConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# labeled batches and validation
+# validation
 
 
-@dataclass(frozen=True)
-class LabeledBatch:
-    """Clips as rows of one split's frame store, with their labels, in clip order."""
-
-    rows: np.ndarray  # (B, L); store.take(rows, axis=0) is the (B, L, frame_dim) input
-    region_labels: np.ndarray  # (B,), 1 on foreground rows, else 0
-    action_labels: np.ndarray  # (B,), a class index on foreground rows, -1 elsewhere
-    videos: np.ndarray  # (B,), each clip's ``Corpus.video_index``: its row of a GVF matrix
-
-    def global_rows(self, gvf: np.ndarray | None) -> np.ndarray | None:
-        """(B, F) rows of a (videos, F) global-feature matrix aligned with the
-        clips; None without one."""
-        return None if gvf is None else gvf.take(self.videos, axis=0)
-
-
-def labeled_batch(corpus: Corpus, specs: list[ClipSpec]) -> LabeledBatch:
-    """Clips of one split as one batch of store rows, labeled by kind and class
-    index. The labels are checked here, once per batch, for the loss's cross
-    entropies: a foreground clip needs a class index below the class count."""
-    region = np.array([int(spec.kind == "foreground") for spec in specs])
-    action = np.array([-1 if spec.class_index is None else spec.class_index for spec in specs])
-    fg_action = action[region == 1]
-    if fg_action.size and not 0 <= fg_action.min() <= fg_action.max() < len(corpus.classes):
-        raise ValueError(f"foreground clips need class indices below {len(corpus.classes)}")
-    return LabeledBatch(clip_rows(corpus, specs), region, action,
-                        np.array([corpus.video_index(spec.video_id) for spec in specs]))
-
-
-def _eval_clips(corpus: Corpus, split: str, cfg: TrainConfig) -> LabeledBatch:
-    specs = test_clip_set(corpus, split, clips_per_segment=cfg.clips_per_segment,
+def _eval_clips(corpus: Corpus, split: str, cfg: TrainConfig) -> ClipSet:
+    clips = test_clip_set(corpus, split, clips_per_segment=cfg.clips_per_segment,
                           clip_len=cfg.clip_len, frame_stride=cfg.frame_stride)
-    if not specs:
+    if not len(clips):
         raise ValueError(f"split {split!r} has no clips")
-    return labeled_batch(corpus, specs)
+    return clips
 
 
 # Clips per validation forward and per take from the split's store. A whole
@@ -413,7 +387,7 @@ def clip_features(enc_params: enc.EncoderParams, store: np.ndarray,
 
 def _accuracy(enc_params: enc.EncoderParams, head_params: HeadParams, mode: str,
               gvf: np.ndarray | None, store: np.ndarray,
-              clips: LabeledBatch) -> tuple[float, float | None]:
+              clips: ClipSet) -> tuple[float, float | None]:
     feats = clip_features(enc_params, store, clips.rows)
     action_logits, region_logits = head_logits(feats, clips.global_rows(gvf),
                                                head_params, mode)
@@ -429,15 +403,21 @@ def _accuracy(enc_params: enc.EncoderParams, head_params: HeadParams, mode: str,
     return action_acc, region_acc
 
 
-def validate(checkpoint: "Checkpoint", corpus: Corpus, split: str) -> dict:
-    """Clip accuracies of a checkpoint on a split; region_acc is None for tac."""
+def validate(checkpoint: "Checkpoint", corpus: Corpus, split: str,
+             global_features: dict[str, np.ndarray] | None = None) -> dict:
+    """Clip accuracies of a checkpoint on a split; region_acc is None for tac.
+
+    ``global_features`` maps each video id of the split to its global feature
+    when the caller has computed them (a tsp track's ``global_feature``);
+    without it a tsp checkpoint's are computed here."""
     clips = _eval_clips(corpus, split, checkpoint.config)
     gvf = None
     if checkpoint.mode == "tsp":  # the rows of the split's videos; no clip reads the rest
         gvf = np.zeros((len(corpus.videos), checkpoint.encoder.config.feature_dim))
         for video in corpus.subset_videos(split):
-            gvf[corpus.video_index(video.id)] = video_global_feature(
-                corpus, video, checkpoint.init_encoder, checkpoint.config)
+            gvf[corpus.video_index(video.id)] = (
+                video_global_feature(corpus, video, checkpoint.init_encoder, checkpoint.config)
+                if global_features is None else global_features[video.id])
     action_acc, region_acc = _accuracy(checkpoint.encoder, checkpoint.heads, checkpoint.mode,
                                        gvf, corpus.split_frames(split), clips)
     return {"action_acc": action_acc, "region_acc": region_acc}
@@ -462,13 +442,13 @@ class _CellInputs:
     init_heads: HeadParams
     train_frames: np.ndarray
     valid_frames: np.ndarray
-    epochs: list[list[LabeledBatch]]
-    valid_clips: LabeledBatch
+    epochs: list[ClipSet]  # one per epoch, in training order
+    valid_clips: ClipSet
     gvf: np.ndarray | None  # (videos, F), rows in corpus order; tsp mode only
 
 
 def train_step(cfg: TrainConfig, store: np.ndarray, gvf: np.ndarray | None,
-               batch: LabeledBatch, groups: tuple[enc.EncoderParams, HeadParams],
+               batch: ClipSet, groups: tuple[enc.EncoderParams, HeadParams],
                velocity: tuple[np.ndarray, np.ndarray], rates: list[float]) -> float:
     """One SGD step with momentum on ``batch``, in place; returns the batch loss.
 
@@ -522,13 +502,14 @@ def _train_cell(inputs: _CellInputs, head_lr: float) -> tuple[list[TrainLogRow],
         return rows, best
 
     step = 0
-    steps_per_epoch = len(epochs[0])
-    for epoch, batches in enumerate(epochs):
+    steps_per_epoch = -(-len(epochs[0]) // cfg.batch_size)
+    for epoch, clips in enumerate(epochs):
         epoch_losses = []
         mult = 1.0
-        for batch in batches:
+        for start in range(0, len(clips), cfg.batch_size):
             mult = lr_at(step, steps_per_epoch, cfg)
-            loss_value = train_step(cfg, inputs.train_frames, gvf, batch, groups, velocity,
+            loss_value = train_step(cfg, inputs.train_frames, gvf,
+                                    clips[start:start + cfg.batch_size], groups, velocity,
                                     [lr * mult for lr in group_lrs])
             if not math.isfinite(loss_value):
                 rows.append(TrainLogRow(epoch, head_lr, float("nan"), float("nan"),
@@ -578,22 +559,17 @@ def train(corpus: Corpus, cfg: TrainConfig,
 
     train_frames, valid_frames = corpus.split_frames("train"), corpus.split_frames("valid")
 
-    def build_batches(epoch: int) -> list[LabeledBatch]:
-        specs = build_epoch(
-            corpus, "train", epoch, cfg.seed,
-            clips_per_segment=cfg.clips_per_segment, clip_len=cfg.clip_len,
-            frame_stride=cfg.frame_stride, fg_only=(cfg.mode == "tac"),
-            resample_each_epoch=cfg.resample_each_epoch)
-        return [labeled_batch(corpus, specs[start:start + cfg.batch_size])
-                for start in range(0, len(specs), cfg.batch_size)]
-
     # every grid cell trains on the same epochs (same seed), so build them once
     inputs = _CellInputs(
         cfg=cfg, init_encoder=init_enc,
         init_heads=init_heads(enc_cfg.feature_dim, len(corpus.classes), cfg.mode, cfg.seed),
         train_frames=train_frames, valid_frames=valid_frames,
         valid_clips=_eval_clips(corpus, "valid", cfg),
-        epochs=[build_batches(epoch) for epoch in range(cfg.epochs)],
+        epochs=[build_epoch(corpus, "train", epoch, cfg.seed,
+                            clips_per_segment=cfg.clips_per_segment, clip_len=cfg.clip_len,
+                            frame_stride=cfg.frame_stride, fg_only=(cfg.mode == "tac"),
+                            resample_each_epoch=cfg.resample_each_epoch)
+                for epoch in range(cfg.epochs)],
         gvf=precompute_global_features(corpus, init_enc, cfg) if cfg.mode == "tsp" else None)
     results = _train_cells(inputs)
 
@@ -629,17 +605,7 @@ def _to_json(obj):
 
 
 def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
-    return {
-        "schema_version": ckpt.schema_version,
-        "mode": ckpt.mode,
-        "seed": ckpt.seed,
-        "config": _to_json(ckpt.config),
-        "encoder": _to_json(ckpt.encoder),
-        "heads": _to_json(ckpt.heads),
-        "init_encoder": _to_json(ckpt.init_encoder),
-        "selection": _to_json(ckpt.selection),
-        "checkpoint_id": ckpt.checkpoint_id,
-    }
+    return {**_to_json(ckpt), "checkpoint_id": ckpt.checkpoint_id}
 
 
 def _check_shapes(ckpt: Checkpoint) -> None:

@@ -9,13 +9,15 @@ background for the region head, and the action class of a foreground clip.
 Frames are used as the corpus stores them, with no resize or crop: the
 manifest caps a frame side at ``corpus.MAX_FRAME_SIDE`` pixels.
 
-Training and validation read whole splits many times and hold clips as
-``clip_rows``, global rows of their split's frame store, so a batch is one
-``take`` and an epoch holds indices, not frames. Global features and dense
-extraction read one video's regular clip grid at a time (``dense_clips``)
-through ``Corpus.frames_at``, which gathers from a filled store and otherwise
-synthesizes only the rows their clips read. ``load_clip`` assembles a single
-clip the plain way and is kept as the reference for both.
+Training and validation read whole splits many times and hold their clips as
+one ``ClipSet``: global rows of the split's frame store, labels and video
+indices, one array each. A batch is a slice of an epoch's ``ClipSet`` and one
+``take`` from the store; an epoch holds indices, not frames. Global features
+and dense extraction read one video's regular clip grid at a time
+(``dense_clips``) through ``Corpus.frames_at``, which gathers from a filled
+store and otherwise synthesizes only the rows their clips read.
+``load_clip`` assembles a single clip the plain way and is kept as the
+reference for both.
 """
 
 from __future__ import annotations
@@ -38,13 +40,26 @@ class EpochError(ValueError):
 
 
 @dataclass(frozen=True)
-class ClipSpec:
-    video_id: str
-    center_frame: int
-    clip_len: int
-    frame_stride: int
-    kind: str  # "foreground" | "background"
-    class_index: int | None = None
+class ClipSet:
+    """Clips of one split as rows of its frame store, with their labels, in clip order."""
+
+    rows: np.ndarray  # (n, L); store.take(rows, axis=0) is the (n, L, frame_dim) input
+    region_labels: np.ndarray  # (n,), 1 on foreground clips, else 0
+    action_labels: np.ndarray  # (n,), a foreground clip's class index, -1 on background
+    videos: np.ndarray  # (n,), each clip's ``Corpus.video_index``: its row of a GVF matrix
+
+    def __len__(self) -> int:
+        return len(self.videos)
+
+    def __getitem__(self, index) -> ClipSet:
+        """The clips at a slice or an index array, in that order."""
+        return ClipSet(self.rows[index], self.region_labels[index], self.action_labels[index],
+                       self.videos[index])
+
+    def global_rows(self, gvf: np.ndarray | None) -> np.ndarray | None:
+        """(n, F) rows of a (videos, F) global-feature matrix aligned with the
+        clips; None without one."""
+        return None if gvf is None else gvf.take(self.videos, axis=0)
 
 
 def clip_span(clip_len: int, frame_stride: int) -> int:
@@ -76,29 +91,19 @@ def segment_frame_range(segment: RegionSegment, fps: float,
 
 
 def sample_segment_clips(segment: RegionSegment, video: VideoRecord, *,
-                         mode: str, n: int, rng: np.random.Generator | None,
-                         clip_len: int, frame_stride: int,
-                         class_index: int | None) -> list[ClipSpec]:
-    """n clip centers inside a segment: uniform draws (train) or the midpoints
-    of n equal slices (test). Degenerate segments yield no clips."""
+                         mode: str, n: int, rng: np.random.Generator | None) -> np.ndarray:
+    """The (n,) center frames of n clips inside a segment: uniform draws (train)
+    or the midpoints of n equal slices (test). Degenerate segments yield none."""
     frame_range = segment_frame_range(segment, video.fps, video.num_frames)
     if frame_range is None:
-        return []
+        return np.zeros(0, np.int64)
     first, last = frame_range
     if mode == "train":
-        centers = rng.integers(first, last + 1, size=n)
-    elif mode == "test":
-        span = segment.t_end - segment.t_start
-        centers = []
-        for k in range(n):
-            t = segment.t_start + (k + 0.5) / n * span
-            centers.append(min(max(int(math.floor(t * video.fps + 0.5)), first), last))
-    else:
-        raise ValueError(f"unknown sampling mode {mode!r}")
-    return [
-        ClipSpec(video.id, int(c), clip_len, frame_stride, segment.kind, class_index)
-        for c in centers
-    ]
+        return rng.integers(first, last + 1, size=n)
+    if mode == "test":
+        t = segment.t_start + (np.arange(n) + 0.5) / n * (segment.t_end - segment.t_start)
+        return np.clip(np.floor(t * video.fps + 0.5).astype(np.int64), first, last)
+    raise ValueError(f"unknown sampling mode {mode!r}")
 
 
 def dense_clips(corpus: Corpus, video: VideoRecord, clip_len: int, frame_stride: int,
@@ -112,67 +117,52 @@ def dense_clips(corpus: Corpus, video: VideoRecord, clip_len: int, frame_stride:
     return centers, corpus.frames_at(video, indices).reshape(len(centers), clip_len, -1)
 
 
-def load_clip(corpus: Corpus, spec: ClipSpec) -> np.ndarray:
+def load_clip(corpus: Corpus, video: VideoRecord, center_frame: int, clip_len: int,
+              frame_stride: int) -> np.ndarray:
     """One clip tensor (c, L, h, w), assembled on its own.
 
-    The reference for ``clip_rows``, which tests compare against; the
-    benchmark's tracer also wraps this name. No pipeline path calls it.
+    The reference that tests compare ``ClipSet`` rows and dense clips against;
+    the benchmark's tracer also wraps this name. No pipeline path calls it.
     """
-    video = corpus.videos[spec.video_id]
-    indices = clip_frame_indices(spec.center_frame, spec.clip_len, spec.frame_stride,
-                                 video.num_frames)
+    indices = clip_frame_indices(center_frame, clip_len, frame_stride, video.num_frames)
     frames = corpus.video_frames(video)[indices]  # (L, c, h, w)
     return np.ascontiguousarray(frames.transpose(1, 0, 2, 3))
 
 
-def clip_rows(corpus: Corpus, specs: list[ClipSpec]) -> np.ndarray:
-    """The (B, L) global rows of the clips' frames in their split's frame store.
-
-    Their ``take`` from ``corpus.split_frames(split)`` is time-major encoder
-    input (B, L, frame_dim): clip b holds ``load_clip(corpus, specs[b])`` with
-    its (c, h, w) axes flattened and time first, bit for bit.
-    """
-    if not specs:
-        raise ValueError("no clips to gather")
-    clip_len, stride = specs[0].clip_len, specs[0].frame_stride
-    if any((s.clip_len, s.frame_stride) != (clip_len, stride) for s in specs):
-        raise ValueError("clips in one batch must share clip_len and frame_stride")
-    videos = [corpus.videos[s.video_id] for s in specs]
-    if any(v.subset != videos[0].subset for v in videos):
-        raise ValueError("clips in one batch must come from one split")
-    centers = np.array([[s.center_frame] for s in specs])
-    num_frames = np.array([[v.num_frames] for v in videos])
-    starts = np.array([[corpus.frame_offset(v)] for v in videos])
-    return starts + clip_frame_indices(centers, clip_len, stride, num_frames)
-
-
 def segment_clip_pool(corpus: Corpus, split: str, *, mode: str,
                       clips_per_segment: int, clip_len: int, frame_stride: int,
-                      rng: np.random.Generator | None = None
-                      ) -> tuple[list[ClipSpec], list[ClipSpec]]:
-    """Per-segment clips over a split, separated into (foreground, background)."""
-    pools: dict[str, list[ClipSpec]] = {"foreground": [], "background": []}
+                      rng: np.random.Generator | None = None) -> ClipSet:
+    """Per-segment clips over a split: every foreground clip, then every background clip."""
+    # per segment: its centers, and its (video index, frame count, store offset,
+    # region label, action label), which each of its clips shares
+    kinds: dict[str, list] = {"foreground": [], "background": []}
     skipped = 0
     for video in corpus.subset_videos(split):
         for segment in corpus.segments(video.id):
-            clips = sample_segment_clips(
-                segment, video, mode=mode, n=clips_per_segment, rng=rng, clip_len=clip_len,
-                frame_stride=frame_stride,
-                class_index=(corpus.class_index(segment.class_label)
-                             if segment.kind == "foreground" else None))
-            pools[segment.kind].extend(clips)
-            skipped += not clips
+            centers = sample_segment_clips(segment, video, mode=mode, n=clips_per_segment,
+                                           rng=rng)
+            fg = segment.kind == "foreground"
+            kinds[segment.kind].append((centers, (
+                corpus.video_index(video.id), video.num_frames, corpus.frame_offset(video),
+                int(fg), corpus.class_index(segment.class_label) if fg else -1)))
+            skipped += not len(centers)
     if skipped and (split, skipped) not in _warned_splits:
         _warned_splits.add((split, skipped))
         log.warning("skipped %d sub-frame segments in split %r", skipped, split)
-    return pools["foreground"], pools["background"]
+    segments = kinds["foreground"] + kinds["background"]
+    centers = np.concatenate([np.zeros(0, np.int64)] + [c for c, _ in segments])
+    columns = np.array([cols for _, cols in segments], np.int64).reshape(-1, 5)
+    video, num_frames, start, region, action = np.repeat(
+        columns.T, [len(c) for c, _ in segments], axis=1)
+    rows = start[:, None] + clip_frame_indices(centers[:, None], clip_len, frame_stride,
+                                               num_frames[:, None])
+    return ClipSet(rows, region, action, video)
 
 
 def build_epoch(corpus: Corpus, split: str, epoch_index: int, seed: int, *,
                 clips_per_segment: int = 5, clip_len: int = 16, frame_stride: int = 2,
-                fg_only: bool = False, resample_each_epoch: bool = True
-                ) -> list[ClipSpec]:
-    """One training epoch of clips.
+                fg_only: bool = False, resample_each_epoch: bool = True) -> ClipSet:
+    """One training epoch of clips, in training order.
 
     Jittered centers and the majority-pool subsample are keyed by
     (seed, epoch_index), or by (seed, 0) when resampling is disabled; the
@@ -181,33 +171,29 @@ def build_epoch(corpus: Corpus, split: str, epoch_index: int, seed: int, *,
     """
     pool_key = epoch_index if resample_each_epoch else 0
     rng = rng_for(seed, "epoch", pool_key, split)
-    fg, bg = segment_clip_pool(corpus, split, mode="train",
-                               clips_per_segment=clips_per_segment,
-                               clip_len=clip_len, frame_stride=frame_stride, rng=rng)
+    pool = segment_clip_pool(corpus, split, mode="train", clips_per_segment=clips_per_segment,
+                             clip_len=clip_len, frame_stride=frame_stride, rng=rng)
+    fg, bg = np.flatnonzero(pool.region_labels == 1), np.flatnonzero(pool.region_labels == 0)
     if fg_only:
-        epoch = list(fg)
-        if not epoch:
+        if not len(fg):
             raise EpochError(f"split {split!r} has no foreground clips")
+        keep = fg
     else:
-        if not fg or not bg:
+        if not len(fg) or not len(bg):
             raise EpochError(f"split {split!r} needs both foreground and background clips "
                              f"(got {len(fg)} fg / {len(bg)} bg)")
         m = min(len(fg), len(bg))
         if len(fg) > m:
-            keep = rng.permutation(len(fg))[:m]
-            fg = [fg[i] for i in sorted(keep)]
+            fg = fg[np.sort(rng.permutation(len(fg))[:m])]
         if len(bg) > m:
-            keep = rng.permutation(len(bg))[:m]
-            bg = [bg[i] for i in sorted(keep)]
-        epoch = fg + bg
-    order = rng_for(seed, "epoch-order", epoch_index, split).permutation(len(epoch))
-    return [epoch[i] for i in order]
+            bg = bg[np.sort(rng.permutation(len(bg))[:m])]
+        keep = np.concatenate([fg, bg])
+    order = rng_for(seed, "epoch-order", epoch_index, split).permutation(len(keep))
+    return pool[keep[order]]
 
 
 def test_clip_set(corpus: Corpus, split: str, *, clips_per_segment: int = 5,
-                  clip_len: int = 16, frame_stride: int = 2) -> list[ClipSpec]:
+                  clip_len: int = 16, frame_stride: int = 2) -> ClipSet:
     """Deterministic evaluation clips: uniform per-segment centers, no rng."""
-    fg, bg = segment_clip_pool(corpus, split, mode="test",
-                               clips_per_segment=clips_per_segment,
-                               clip_len=clip_len, frame_stride=frame_stride)
-    return fg + bg
+    return segment_clip_pool(corpus, split, mode="test", clips_per_segment=clips_per_segment,
+                             clip_len=clip_len, frame_stride=frame_stride)

@@ -33,7 +33,10 @@ def worker_count(num_tasks: int) -> int:
         return 1
     raw = os.environ.get("TSPKIT_THREADS", "").strip()
     if raw:
-        cap = max(1, int(raw))
+        try:
+            cap = max(1, int(raw))
+        except ValueError:
+            raise ValueError(f"TSPKIT_THREADS must be an integer, not {raw!r}") from None
     elif hasattr(os, "sched_getaffinity"):
         cap = len(os.sched_getaffinity(0))
     else:

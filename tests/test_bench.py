@@ -11,6 +11,7 @@ import pytest
 import tspkit
 from tspkit import bench
 from tspkit import corpus as cp
+from tspkit import extract as ex
 from tspkit import pretrain as pt
 from tspkit import workers
 
@@ -93,6 +94,34 @@ def test_bench_tables_do_not_depend_on_worker_count(seeds, head_lr_grid, tmp_pat
     pooled = write_tables("2", tmp_path / "pooled", monkeypatch, seeds, head_lr_grid)
     assert sorted(serial) == ["bench_table.tsv", *(f"cell_seed{s}.tsv" for s in seeds)]
     assert serial == pooled
+
+
+@pytest.mark.parametrize("hop", [0, -31])
+def test_bench_config_rejects_a_hop_below_one(hop):
+    with pytest.raises(ValueError, match="hop must be positive"):
+        bench.BenchConfig(hop=hop)
+
+
+@pytest.mark.parametrize("hop", [None, 8])
+def test_evaluate_checkpoint_computes_each_valid_videos_gvf_once(hop, monkeypatch):
+    corpus = cp.generate_synthetic(cp.SynthConfig(videos_per_subset=(2, 3, 0),
+                                                  duration_range=(30.0, 60.0),
+                                                  num_classes=3), seed=0)
+    cfg = pt.TrainConfig(mode="tsp", epochs=0, warmup_epochs=0, head_lr_grid=(0.004,),
+                         embed_dim=8, blocks=1, init="random")
+    ckpt, _ = pt.train(corpus, cfg)
+    calls, gvf = [], pt.video_global_feature
+
+    def counted(corpus, video, *rest):
+        calls.append(video.id)
+        return gvf(corpus, video, *rest)
+
+    monkeypatch.setattr(pt, "video_global_feature", counted)
+    monkeypatch.setattr(ex, "video_global_feature", counted)
+    metrics = bench.evaluate_checkpoint(corpus, ckpt, bench.BenchConfig(hop=hop, train=cfg))
+    assert sorted(calls) == sorted(video.id for video in corpus.subset_videos("valid"))
+    monkeypatch.undo()
+    assert metrics["region_acc"] == pt.validate(ckpt, corpus, "valid")["region_acc"]
 
 
 def test_worker_count_is_one_inside_a_forked_worker(monkeypatch):

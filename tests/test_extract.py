@@ -10,7 +10,7 @@ from tspkit import encoder as enc
 from tspkit import extract as ex
 from tspkit import pretrain as pt
 from tspkit.extract import softmax
-from tspkit.sampler import ClipSpec, clip_frame_indices, clip_span, dense_clips, load_clip
+from tspkit.sampler import clip_frame_indices, clip_span, dense_clips, load_clip
 
 
 def make_corpus(duration=77.5, fps=4.0, valid=True):
@@ -70,8 +70,8 @@ def test_rows_equal_per_clip_reference(mode):
     centers = range(0, video.num_frames, track.hop_frames)
     assert len(track) == len(centers)
     for i, center in enumerate(centers):
-        spec = ClipSpec(video.id, center, cfg.clip_len, cfg.frame_stride, "background")
-        clip = load_clip(corpus, spec)  # (c, L, h, w) -> (c*h*w, L)
+        clip = load_clip(corpus, video, center, cfg.clip_len, cfg.frame_stride)
+        # (c, L, h, w) -> (c*h*w, L)
         feat = enc.forward_np(ckpt.encoder, clip.transpose(0, 2, 3, 1).reshape(-1, cfg.clip_len))
         assert np.array_equal(track.features[i], feat)
         assert np.array_equal(track.action_logits[i],

@@ -20,6 +20,7 @@ import reference_tape as ref
 from tspkit import autodiff as ad
 from tspkit import encoder as enc
 from tspkit import pretrain as pt
+from tspkit.sampler import ClipSet
 
 
 def step(enc_params, heads, batch, cfg):
@@ -99,8 +100,8 @@ def small_step_inputs(seed=0):
     cfg = pt.TrainConfig(mode="tsp")
     enc_params = enc.init_params(enc.EncoderConfig(channels_in=4, embed_dim=6, blocks=1), 0)
     heads = pt.init_heads(6, 3, "tsp", 0)
-    batch = pt.LabeledBatch(rows=rng.integers(0, 20, (3, 5)), region_labels=np.array([1, 0, 1]),
-                            action_labels=np.array([2, -1, 0]), videos=np.array([0, 1, 0]))
+    batch = ClipSet(rows=rng.integers(0, 20, (3, 5)), region_labels=np.array([1, 0, 1]),
+                    action_labels=np.array([2, -1, 0]), videos=np.array([0, 1, 0]))
     groups = (enc_params, heads)
     return (cfg, rng.standard_normal((20, 4)), rng.standard_normal((2, 6)), batch, groups,
             tuple(np.zeros_like(p.flat) for p in groups), [0.1, 0.1])

@@ -143,7 +143,9 @@ def test_train_cell_update_is_bytewise_the_per_array_reference(monkeypatch):
     groups = (encoder.arrays(), heads.arrays())
     velocity = [[np.zeros_like(a) for a in group] for group in groups]
     expected, step = [], 0
-    for batches in inputs.epochs:
+    size = cfg.batch_size
+    for clips in inputs.epochs:
+        batches = [clips[start:start + size] for start in range(0, len(clips), size)]
         for batch in batches:
             tape = ref.Tape()
             leaves = [ref.array_leaves(tape, encoder), ref.array_leaves(tape, heads)]
@@ -152,7 +154,7 @@ def test_train_cell_update_is_bytewise_the_per_array_reference(monkeypatch):
                                          batch.region_labels, batch.action_labels,
                                          batch.global_rows(inputs.gvf), cfg)
             grads = tape.backward(loss)
-            mult = pt.lr_at(step, len(inputs.epochs[0]), cfg)
+            mult = pt.lr_at(step, len(batches), cfg)
             for arrays, group_leaves, vels, lr in zip(groups, leaves, velocity,
                                                       (cfg.encoder_lr, 0.05)):
                 ref.momentum_step(arrays, [grads[t.node_id] for t in group_leaves], vels,

@@ -161,7 +161,7 @@ def test_single_clip_video_feature_is_that_clips_feature():
     cfg = enc.EncoderConfig(channels_in=4, embed_dim=5, blocks=0)
     params = enc.init_params(cfg, seed=0)
     gvf = pt.precompute_global_features(corpus, params, pt.TrainConfig(global_pool="max"))
-    clip = sampler.load_clip(corpus, sampler.ClipSpec("v", 0, 16, 2, "background"))
+    clip = sampler.load_clip(corpus, video, 0, 16, 2)
     feat = enc.forward_np(params, clip.transpose(0, 2, 3, 1).reshape(-1, 16))
     assert gvf.shape == (1, 5)
     assert np.array_equal(gvf[0], feat)
@@ -314,18 +314,16 @@ def test_cell_inputs_hold_clips_as_integer_rows_of_the_shared_split_stores(monke
     seen = record_cell_inputs(monkeypatch)
     pt.train(corpus, cfg)
     [inputs] = seen
-    batches = [batch for epoch in inputs.epochs for batch in epoch] + [inputs.valid_clips]
-    for batch in batches:
-        arrays = [value for value in vars(batch).values() if isinstance(value, np.ndarray)]
+    for clips in inputs.epochs + [inputs.valid_clips]:
+        arrays = [value for value in vars(clips).values() if isinstance(value, np.ndarray)]
         assert [a.dtype.kind for a in arrays] == ["i"] * 4  # rows, two labels, GVF rows
-        assert batch.rows.shape == (len(batch.videos), cfg.clip_len)
+        assert clips.rows.shape == (len(clips), cfg.clip_len)
     frame_dim = corpus.synth.frame_dim
     for split, store in (("train", inputs.train_frames), ("valid", inputs.valid_frames)):
         frames = sum(video.num_frames for video in corpus.subset_videos(split))
         assert store.shape == (frames, frame_dim) and not store.flags.writeable
         assert np.shares_memory(store, corpus.split_frames(split))
-    assert all(batch.rows.max() < len(inputs.train_frames)
-               for epoch in inputs.epochs for batch in epoch)
+    assert all(epoch.rows.max() < len(inputs.train_frames) for epoch in inputs.epochs)
     assert inputs.valid_clips.rows.max() < len(inputs.valid_frames)
 
 
@@ -335,25 +333,11 @@ def test_batch_gvf_rows_are_each_clips_video_feature(monkeypatch):
     ckpt, _ = pt.train(corpus, tiny_train_cfg())
     [inputs] = seen
     videos = list(corpus.videos.values())
-    for batch in [inputs.valid_clips] + inputs.epochs[0]:
-        rows = batch.global_rows(inputs.gvf)
+    for clips in (inputs.valid_clips, inputs.epochs[0]):
+        rows = clips.global_rows(inputs.gvf)
         expected = np.stack([pt.video_global_feature(corpus, videos[v], ckpt.init_encoder,
-                                                     ckpt.config) for v in batch.videos])
+                                                     ckpt.config) for v in clips.videos])
         assert rows.tobytes() == expected.tobytes()
-
-
-def test_labeled_batch_checks_foreground_class_indices():
-    corpus = small_corpus()
-    specs = sampler.test_clip_set(corpus, "valid", clips_per_segment=5, clip_len=16,
-                                  frame_stride=2)
-    fg = next(i for i, spec in enumerate(specs) if spec.kind == "foreground")
-    for bad in (len(corpus.classes), -1, None):
-        broken = specs[:fg] + [replace(specs[fg], class_index=bad)] + specs[fg + 1:]
-        with pytest.raises(ValueError, match="class indices below 3"):
-            pt.labeled_batch(corpus, broken)
-    bg = next(i for i, spec in enumerate(specs) if spec.kind == "background")
-    batch = pt.labeled_batch(corpus, specs[bg:bg + 1])  # background needs no class
-    assert list(batch.action_labels) == [-1] and list(batch.region_labels) == [0]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -450,9 +434,8 @@ def test_epoch_balance_holds_across_seeds_and_epochs():
     from tspkit.sampler import build_epoch
     for seed in range(5):
         for epoch in range(8):
-            specs = build_epoch(corpus, "train", epoch, seed)
-            fg = sum(1 for spec in specs if spec.kind == "foreground")
-            assert 2 * fg == len(specs)
+            clips = build_epoch(corpus, "train", epoch, seed)
+            assert 2 * np.count_nonzero(clips.region_labels) == len(clips)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Clip geometry, jittering, clips as frame-store rows, and balanced epochs."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,42 +38,39 @@ def make_video(duration=40.0, fps=1.0, annotations=(("a", 10.0, 20.0),)):
 def test_test_mode_centers_at_slice_midpoints():
     video = make_video()
     segment = cp.RegionSegment(10.0, 20.0, "foreground", "a")
-    clips = sp.sample_segment_clips(segment, video, mode="test", n=5, rng=None,
-                                    clip_len=16, frame_stride=2, class_index=0)
-    assert [c.center_frame for c in clips] == [11, 13, 15, 17, 19]
+    centers = sp.sample_segment_clips(segment, video, mode="test", n=5, rng=None)
+    assert centers.tolist() == [11, 13, 15, 17, 19]
+    # midpoints 46.7, 60 and 73.3 frames round to the nearest frame
+    centers = sp.sample_segment_clips(segment, make_video(fps=4.0), mode="test", n=3, rng=None)
+    assert centers.tolist() == [47, 60, 73]
 
 
 def test_single_test_clip_sits_at_midpoint():
     video = make_video()
     segment = cp.RegionSegment(10.0, 20.0, "foreground", "a")
-    clips = sp.sample_segment_clips(segment, video, mode="test", n=1, rng=None,
-                                    clip_len=16, frame_stride=2, class_index=0)
-    assert [c.center_frame for c in clips] == [15]
+    centers = sp.sample_segment_clips(segment, video, mode="test", n=1, rng=None)
+    assert centers.tolist() == [15]
 
 
 def test_train_mode_is_reproducible_and_inside_segment():
     video = make_video(duration=100.0, fps=4.0)
     segment = cp.RegionSegment(10.0, 20.0, "foreground", "a")
-    a = sp.sample_segment_clips(segment, video, mode="train", n=5, rng=rng_for(1),
-                                clip_len=16, frame_stride=2, class_index=0)
-    b = sp.sample_segment_clips(segment, video, mode="train", n=5, rng=rng_for(1),
-                                clip_len=16, frame_stride=2, class_index=0)
-    assert [c.center_frame for c in a] == [c.center_frame for c in b]
+    a = sp.sample_segment_clips(segment, video, mode="train", n=5, rng=rng_for(1))
+    b = sp.sample_segment_clips(segment, video, mode="train", n=5, rng=rng_for(1))
+    assert a.tolist() == b.tolist()
     first, last = sp.segment_frame_range(segment, video.fps, video.num_frames)
-    for c in a:
-        assert first <= c.center_frame <= last
+    assert ((first <= a) & (a <= last)).all()
 
 
 def test_degenerate_segment_yields_no_clips():
     video = make_video(duration=40.0, fps=1.0)
     segment = cp.RegionSegment(10.2, 10.9, "background")  # contains no frame timestamp
-    clips = sp.sample_segment_clips(segment, video, mode="test", n=5, rng=None,
-                                    clip_len=16, frame_stride=2, class_index=None)
-    assert clips == []
+    centers = sp.sample_segment_clips(segment, video, mode="test", n=5, rng=None)
+    assert centers.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
-# clips as rows of a split's frame store
+# clip sets: clips as rows of a split's frame store
 
 
 def gather_corpus(channels, height, width):
@@ -91,40 +90,47 @@ def gather_corpus(channels, height, width):
 SMALL_FRAMES = gather_corpus(3, 2, 3)  # (c, h, w) distinct, so axis order matters
 
 
-@st.composite
-def clip_specs(draw, corpus):
-    """Mixed-video specs of one split sharing one geometry; centers reach past both ends."""
-    split = draw(st.sampled_from(["train", "valid"]))
-    clip_len = draw(st.sampled_from([1, 2, 5, 16]))
-    stride = draw(st.sampled_from([1, 2, 3]))
-    specs = []
-    for _ in range(draw(st.integers(1, 9))):
-        video = draw(st.sampled_from(corpus.subset_videos(split)))
-        last = video.num_frames - 1
-        center = draw(st.sampled_from([0, 1, last - 1, last]) | st.integers(-2, last + 2))
-        specs.append(sp.ClipSpec(video.id, center, clip_len, stride, "foreground", 0))
-    return split, specs
-
-
-def reference_batch(corpus, specs):
-    """``load_clip`` per spec, each (c, L, h, w) clip flattened to (L, c*h*w)."""
-    return np.stack([sp.load_clip(corpus, s).transpose(1, 0, 2, 3).reshape(s.clip_len, -1)
-                     for s in specs])
+def reference_clips(corpus, split, mode, n, rng):
+    """(video, center, region label, action label) of each clip a pool holds, one
+    segment at a time, every foreground clip first."""
+    kinds = {"foreground": [], "background": []}
+    for video in corpus.subset_videos(split):
+        for segment in corpus.segments(video.id):
+            fg = segment.kind == "foreground"
+            action = corpus.class_index(segment.class_label) if fg else -1
+            kinds[segment.kind] += [
+                (video, int(center), int(fg), action)
+                for center in sp.sample_segment_clips(segment, video, mode=mode, n=n, rng=rng)]
+    return kinds["foreground"] + kinds["background"]
 
 
 @settings(max_examples=80, deadline=None)
-@given(clip_specs(SMALL_FRAMES), st.integers(1, 10))
-def test_store_take_of_clip_rows_equals_stacked_load_clip(split_specs, batch_size):
-    split, specs = split_specs
+@given(st.sampled_from(["train", "valid"]), st.sampled_from(["train", "test"]),
+       st.integers(1, 4), st.sampled_from([1, 2, 5, 16]), st.sampled_from([1, 2, 3]),
+       st.integers(0, 3), st.integers(1, 10))
+def test_store_take_of_clip_rows_equals_stacked_load_clip(split, mode, n, clip_len, stride,
+                                                          seed, batch_size):
+    # short videos: most clips reach past one end of their video, or both
+    clips = sp.segment_clip_pool(SMALL_FRAMES, split, mode=mode, clips_per_segment=n,
+                                 clip_len=clip_len, frame_stride=stride, rng=rng_for(seed))
+    expected = reference_clips(SMALL_FRAMES, split, mode, n, rng_for(seed))
+    assert len(clips) == len(expected) > 0
+    assert clips.region_labels.tolist() == [region for _, _, region, _ in expected]
+    assert clips.action_labels.tolist() == [action for _, _, _, action in expected]
+    assert clips.videos.tolist() == [SMALL_FRAMES.video_index(video.id)
+                                     for video, _, _, _ in expected]
     store = SMALL_FRAMES.split_frames(split)
-    for start in range(0, len(specs), batch_size):
-        batch = specs[start:start + batch_size]
-        rows = sp.clip_rows(SMALL_FRAMES, batch)
-        assert rows.shape == (len(batch), batch[0].clip_len)
-        got = store.take(rows, axis=0)
-        assert got.shape == (len(batch), batch[0].clip_len, 18)
+    for start in range(0, len(clips), batch_size):
+        batch = clips[start:start + batch_size]
+        got = store.take(batch.rows, axis=0)
+        assert got.shape == (len(batch), clip_len, 18)
         assert got.flags.c_contiguous
-        assert got.tobytes() == reference_batch(SMALL_FRAMES, batch).tobytes()
+        # each (c, L, h, w) clip flattened to (L, c*h*w)
+        reference = np.stack([
+            sp.load_clip(SMALL_FRAMES, video, center, clip_len, stride)
+            .transpose(1, 0, 2, 3).reshape(clip_len, -1)
+            for video, center, _, _ in expected[start:start + batch_size]])
+        assert got.tobytes() == reference.tobytes()
 
 
 def test_split_store_rows_are_the_videos_frames_at_their_offsets():
@@ -142,19 +148,6 @@ def test_split_store_rows_are_the_videos_frames_at_their_offsets():
     assert len(store) == sum(v.num_frames for v in corpus.subset_videos("valid"))
 
 
-def test_clip_rows_rejects_empty_mixed_geometry_and_mixed_splits():
-    with pytest.raises(ValueError, match="no clips"):
-        sp.clip_rows(SMALL_FRAMES, [])
-    specs = [sp.ClipSpec("v0_train", 2, 4, 2, "background"),
-             sp.ClipSpec("v1_train", 2, 4, 1, "background")]
-    with pytest.raises(ValueError, match="share"):
-        sp.clip_rows(SMALL_FRAMES, specs)
-    specs = [sp.ClipSpec("v0_train", 2, 4, 2, "background"),
-             sp.ClipSpec("v0_valid", 2, 4, 2, "background")]
-    with pytest.raises(ValueError, match="one split"):
-        sp.clip_rows(SMALL_FRAMES, specs)
-
-
 # ---------------------------------------------------------------------------
 # epochs
 
@@ -165,11 +158,27 @@ def study_corpus(seed=0):
     return cp.generate_synthetic(cfg, seed=seed)
 
 
+# sha256 of build_epoch's four arrays, as int64 bytes, on study_corpus() at seed 0,
+# epoch 0 then epoch 1: it pins the jitter and subsample draws, their order and the labels
+GOLDEN_EPOCH_DIGESTS = {False: "992555fd002b9ba0", True: "5cabdc50f3566547"}
+
+
+@pytest.mark.parametrize("fg_only", [False, True])
+def test_epochs_match_golden_digest(fg_only):
+    corpus = study_corpus()
+    digest = hashlib.sha256()
+    for epoch_index in (0, 1):
+        epoch = sp.build_epoch(corpus, "train", epoch_index, 0, fg_only=fg_only)
+        for array in (epoch.rows, epoch.region_labels, epoch.action_labels, epoch.videos):
+            digest.update(np.asarray(array, np.int64).tobytes())
+    assert digest.hexdigest()[:16] == GOLDEN_EPOCH_DIGESTS[fg_only]
+
+
 def test_epoch_is_exactly_balanced():
     corpus = study_corpus()
     epoch = sp.build_epoch(corpus, "train", epoch_index=0, seed=0)
-    fg = sum(1 for spec in epoch if spec.kind == "foreground")
-    bg = sum(1 for spec in epoch if spec.kind == "background")
+    fg = np.count_nonzero(epoch.region_labels == 1)
+    bg = np.count_nonzero(epoch.region_labels == 0)
     assert fg == bg
     assert fg > 0
 
@@ -177,36 +186,38 @@ def test_epoch_is_exactly_balanced():
 def test_labels_follow_owning_segment():
     corpus = study_corpus()
     epoch = sp.build_epoch(corpus, "train", epoch_index=0, seed=0)
-    for spec in epoch:
-        video = corpus.videos[spec.video_id]
-        t = spec.center_frame / video.fps
-        seg = next(s for s in corpus.segments(spec.video_id)
-                   if s.t_start <= t < s.t_end or s is corpus.segments(spec.video_id)[-1])
-        assert seg.kind == spec.kind
-        assert spec.class_index == (corpus.class_index(seg.class_label)
-                                    if seg.kind == "foreground" else None)
+    videos = list(corpus.videos.values())
+    left = (16 - 1) // 2  # the center's row: a sampled center lies inside its video
+    for rows, region, action, v in zip(epoch.rows, epoch.region_labels, epoch.action_labels,
+                                       epoch.videos):
+        video = videos[v]
+        t = (rows[left] - corpus.frame_offset(video)) / video.fps
+        seg = next(s for s in corpus.segments(video.id)
+                   if s.t_start <= t < s.t_end or s is corpus.segments(video.id)[-1])
+        assert region == (seg.kind == "foreground")
+        assert action == (corpus.class_index(seg.class_label)
+                          if seg.kind == "foreground" else -1)
 
 
 def test_forced_pool_sizes():
     corpus = study_corpus()
-    fg, bg = sp.segment_clip_pool(corpus, "train", mode="train", clips_per_segment=5,
-                                  clip_len=16, frame_stride=2, rng=rng_for(0))
+    pool = sp.segment_clip_pool(corpus, "train", mode="train", clips_per_segment=5,
+                                clip_len=16, frame_stride=2, rng=rng_for(0))
+    fg = np.count_nonzero(pool.region_labels)
+    assert pool.region_labels[:fg].all() and not pool.region_labels[fg:].any()
     epoch = sp.build_epoch(corpus, "train", epoch_index=0, seed=0)
-    assert len(epoch) == 2 * min(len(fg), len(bg))
+    assert len(epoch) == 2 * min(fg, len(pool) - fg)
 
 
 def test_different_epochs_resample_the_larger_pool():
     corpus = study_corpus()
     e0 = sp.build_epoch(corpus, "train", epoch_index=0, seed=0)
     e1 = sp.build_epoch(corpus, "train", epoch_index=1, seed=0)
-    c0 = sorted((s.video_id, s.center_frame) for s in e0)
-    c1 = sorted((s.video_id, s.center_frame) for s in e1)
-    assert c0 != c1
+    assert sorted(e0.rows.tolist()) != sorted(e1.rows.tolist())
     # disabling resampling pins the pool to the epoch-0 subsample
     f0 = sp.build_epoch(corpus, "train", 0, 0, resample_each_epoch=False)
     f1 = sp.build_epoch(corpus, "train", 1, 0, resample_each_epoch=False)
-    assert (sorted((s.video_id, s.center_frame) for s in f0)
-            == sorted((s.video_id, s.center_frame) for s in f1))
+    assert sorted(f0.rows.tolist()) == sorted(f1.rows.tolist())
 
 
 def test_epoch_requires_both_kinds():
@@ -220,12 +231,12 @@ def test_epoch_requires_both_kinds():
 def test_fg_only_epoch_for_classification_mode():
     corpus = study_corpus()
     epoch = sp.build_epoch(corpus, "train", 0, 0, fg_only=True)
-    assert epoch
-    assert all(spec.kind == "foreground" for spec in epoch)
+    assert len(epoch)
+    assert (epoch.region_labels == 1).all() and (epoch.action_labels >= 0).all()
 
 
 def test_test_clip_set_is_deterministic():
     corpus = study_corpus()
     a = sp.test_clip_set(corpus, "valid")
     b = sp.test_clip_set(corpus, "valid")
-    assert a == b
+    assert all(np.array_equal(x, y) for x, y in zip(vars(a).values(), vars(b).values()))

@@ -6,9 +6,12 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tspkit
+from tspkit import cli
+from tspkit.extract import FeatureTrack, write_track
 from tspkit.workers import fork_map
 
 
@@ -77,3 +80,17 @@ def test_a_killed_worker_raises_instead_of_hanging():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.strip() == "BrokenProcessPool"
+
+
+def test_a_thread_cap_that_is_not_an_integer_fails_in_one_line_naming_it(monkeypatch, tmp_path,
+                                                                          capsys):
+    monkeypatch.setenv("TSPKIT_THREADS", "abc")
+    with pytest.raises(ValueError, match=r"^TSPKIT_THREADS must be an integer, not 'abc'$"):
+        fork_map(slow_echo, "job", range(2))
+    track = tmp_path / "v.csv"
+    write_track(FeatureTrack("v", 16, 2, 31, 4.0, 40, "id", np.zeros(0), np.array([1.0]),
+                             np.zeros((1, 2)), np.array([0.5]), np.zeros((1, 3))), track)
+    out = [str(tmp_path / name) for name in ("det.json", "prop.json")]
+    assert cli.main(["localize", "--tracks", str(track), "--detections-out", out[0],
+                     "--proposals-out", out[1]]) == 1
+    assert capsys.readouterr().err == "error: TSPKIT_THREADS must be an integer, not 'abc'\n"
