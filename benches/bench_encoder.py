@@ -4,16 +4,18 @@ The encoder is the study's width (``bench.default_bench_train_config``:
 embed 16, one block) on the default corpus's 16-channel frames and 16-frame
 clips. One training step is a tsp-mode forward and backward of a 32-clip
 batch through the two-head loss: ``batch_loss_tensor`` records the encoder's
-and the loss's backward, and ``Tape.backward`` sweeps them. One validation pass is
-``pretrain.clip_features`` over 1,180 clips, about the size of the default
-corpus's valid clip set (1,205 clips at corpus seed 0): the inference forward
-that ``_accuracy`` runs, in chunks of at most ``VALIDATION_CHUNK`` clips, each
-taken from a frame store the size of the valid split (about 37k frames).
-Inputs are seeded normals, in the encoder's time-major (B, L, frame_dim)
-layout or as rows of such a store. tspkit is imported before numpy, so BLAS
-runs on one thread as it does in the study's workers. The test suite does not collect this
-file (it does not match ``test_*.py``); run it from the repository root with
-pytest-benchmark:
+and the loss's backward, and ``Tape.backward`` sweeps them. The encoder
+backward alone is the sweep of a tape holding only ``encoder.forward_batch``
+of the same batch, from a seeded features' gradient; each round records its
+taped forward untimed. One validation pass is ``pretrain.clip_features`` over
+1,180 clips, about the size of the default corpus's valid clip set (1,205
+clips at corpus seed 0): the inference forward that ``_accuracy`` runs, in
+chunks of at most ``VALIDATION_CHUNK`` clips, each taken from a frame store
+the size of the valid split (about 37k frames). Inputs are seeded normals, in
+the encoder's time-major (B, L, frame_dim) layout or as rows of such a store.
+tspkit is imported before numpy, so BLAS runs on one thread as it does in the
+study's workers. The test suite does not collect this file (it does not match
+``test_*.py``); run it from the repository root with pytest-benchmark:
 
     PYTHONPATH=src python -m pytest benches/bench_encoder.py -o python_files='bench_*.py'
 """
@@ -51,15 +53,34 @@ def train_step(enc_params, heads, frames, region, action, gfeats):
     return tape.backward()
 
 
+def batch_frames(rng):
+    batch = bench.default_bench_train_config().batch_size
+    return np.abs(rng.standard_normal((batch, CLIP_LEN, FRAME_DIM)))
+
+
 def test_training_step_batch_32(benchmark, params):
     rng = np.random.default_rng(0)
-    batch = bench.default_bench_train_config().batch_size
-    frames = np.abs(rng.standard_normal((batch, CLIP_LEN, FRAME_DIM)))
+    frames = batch_frames(rng)
+    batch = len(frames)
     region = np.arange(batch) % 2
     action = np.where(region == 1, rng.integers(0, NUM_CLASSES, batch), -1)
     gfeats = rng.standard_normal((batch, params[0].config.feature_dim))
     grads = benchmark(train_step, *params, frames, region, action, gfeats)
     assert [g.size for g in grads] == [params[0].flat.size, params[1].flat.size]
+
+
+def test_encoder_backward_batch_32(benchmark, params):
+    rng = np.random.default_rng(2)
+    frames = batch_frames(rng)
+    g = rng.standard_normal((len(frames), params[0].config.feature_dim))
+
+    def taped_forward():
+        tape = ad.Tape()
+        enc.forward_batch(params[0], frames, tape)
+        return (tape, g), {}
+
+    grads = benchmark.pedantic(ad.Tape.backward, setup=taped_forward, rounds=2000)
+    assert [grad.size for grad in grads] == [params[0].flat.size]
 
 
 def test_validation_forward_1180_clips(benchmark, params):

@@ -13,13 +13,15 @@ loss); inference passes none and keeps no activation. Clips are time-major,
 (B, L, frame_dim): one flattened frame per row, as a ``take`` of a
 ``sampler.ClipSet``'s rows from a split's frame store gathers them.
 
-Each layer is one matmul over all the batch's frames; a temporal conv
-multiplies a window matrix holding each frame's previous, own and next
-frame. The hand-derived backward repeats the numpy operations of the
-primitive ops it replaced (affine, conv, ReLU, residual add, time mean), on
-the same operand layouts, and writes each array's gradient into its view of
-one flat gradient, so features and gradients are bitwise those of the
-primitive composition in ``tests/reference_tape.py``.
+Each forward product is stacked per clip, (B, L, K) @ (K, d), so a clip's
+feature is the same bits in any batch. A temporal conv multiplies a window
+matrix (each frame's previous, own and next frame) by the kernel's stacked
+taps. The backward multiplies over all B·L frames at once: a weight gradient
+is one product of a layer's inputs and output gradient, a bias gradient
+``ones(B·L) @`` the latter, and a conv's input gradient its output gradient's
+window matrix times the taps in reverse order. Features and gradients are
+bitwise those of ``tests/reference_tape.py``, whose primitive ops use the
+same numpy operations.
 """
 
 from __future__ import annotations
@@ -167,15 +169,8 @@ def param_count(config: EncoderConfig) -> int:
     return stem + config.blocks * per_block
 
 
-# Bias and time sums reduce a contiguous (B, d, L) copy, and weight gradients
-# multiply a contiguous (d, B·L) gradient copy: the operands the channel-major
-# encoder gave numpy, so both round as the golden digests in the tests pin.
-def _channel_major(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a.transpose(0, 2, 1))
-
-
 def _windows(x: np.ndarray) -> np.ndarray:
-    """(B, L, d) -> (B·L, 3d): each frame's previous, own and next frame, zero past the ends."""
+    """(B, L, d) -> (B, L, 3d): each frame's previous, own and next frame, zero past the ends."""
     batch, length, d = x.shape
     windows = np.empty((batch, length, 3 * d))
     windows[:, :1, :d] = 0.0
@@ -183,95 +178,92 @@ def _windows(x: np.ndarray) -> np.ndarray:
     windows[:, :, d:2 * d] = x
     windows[:, :-1, 2 * d:] = x[:, 1:]
     windows[:, -1:, 2 * d:] = 0.0
-    return windows.reshape(batch * length, 3 * d)
+    return windows
 
 
-def _unwindow(g_windows: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
-    """The (B, L, d) gradient of ``_windows``' input, summed from zero in window order."""
-    batch, length, d = shape
-    g_windows = g_windows.reshape(batch, length, 3 * d)
-    gx = np.zeros(shape)
-    gx[:, :-1] += g_windows[:, 1:, :d]
-    gx += g_windows[:, :, d:2 * d]
-    gx[:, 1:] += g_windows[:, :-1, 2 * d:]
-    return gx
+def _taps(kernel: np.ndarray) -> np.ndarray:
+    """(d_out, d_in, 3) -> (3·d_in, d_out): the previous, own and next taps,
+    each transposed, matching ``_windows``' column order. The kernel's
+    gradient is the same stack, written back through ``kernel.T``."""
+    return kernel.T.reshape(-1, kernel.shape[0])
 
 
-def _flat_kernel(kernel: np.ndarray) -> np.ndarray:
-    """(d_out, d_in, 3) -> (d_out, 3·d_in), matching ``_windows``' column order."""
-    d_out, d_in, _ = kernel.shape
-    return kernel.transpose(0, 2, 1).reshape(d_out, 3 * d_in)
-
-
-def _kernel_grad(g2d: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    d_out = g2d.shape[1]
-    gk = np.ascontiguousarray(g2d.T) @ windows
-    return gk.reshape(d_out, 3, -1).transpose(0, 2, 1)
+def _reversed_taps(kernel: np.ndarray) -> np.ndarray:
+    """(d_out, d_in, 3) -> (3·d_out, d_in): the next, own and previous taps. A
+    frame's input gradient gathers the output gradients of the frames before,
+    at and after it, so ``_windows(g) @ _reversed_taps(kernel)`` is it."""
+    return kernel[:, :, ::-1].transpose(2, 0, 1).reshape(-1, kernel.shape[1])
 
 
 def forward_batch(params: EncoderParams, frames: np.ndarray,
                   tape: ad.Tape | None = None) -> np.ndarray:
     """Forward pass: frames (B, L, frame_dim) -> (B, F) features.
 
-    With a ``tape``, it records a backward from the features' gradient to
-    ``(None, the gradient of params.flat)``. Each ReLU overwrites its input,
-    and its output's sign gives the backward mask the input's would. The
-    backward runs the primitive ops' numpy operations in reverse order and
-    writes each array's gradient into its view of one flat gradient buffer.
+    Each product is a stacked (B, L, K) @ (K, d) matmul, one product per clip,
+    so a clip's feature is the same bits in any batch. With a ``tape``, it
+    records a backward from the features' gradient to ``(None, the gradient
+    of params.flat)``. Each ReLU overwrites its input, and its output's sign
+    gives the backward mask the input's would. The backward writes each
+    array's gradient into its view of one flat gradient buffer.
     """
     config = params.config
     if frames.ndim != 3 or frames.shape[2] != config.frame_dim:
         raise ShapeError(f"encoder expects (B, L, {config.frame_dim}) frames, "
                          f"got {frames.shape}")
     batch, length, _ = frames.shape
-    shape = (batch, length, config.embed_dim)
-    x2d = np.asarray(frames, dtype=np.float64).reshape(batch * length, -1)
-    h = x2d @ params.stem_weight.T
+    frames = np.ascontiguousarray(frames, dtype=np.float64)
+    h = frames @ np.ascontiguousarray(params.stem_weight.T)
     h += params.stem_bias
-    np.maximum(h, 0.0, out=h)
-    stem_out = h = h.reshape(shape)
-    saved = []  # per block, for a backward: both window matrices and flat kernels, both ReLU outputs
+    stem_out = h = np.maximum(h, 0.0, out=h)
+    saved = []  # per block, for a backward: both window matrices, both ReLU outputs
     for blk in params.blocks:
-        windows1, kernel1 = _windows(h), _flat_kernel(blk.conv1_kernel)
-        inner = windows1 @ kernel1.T
+        windows1 = _windows(h)
+        inner = windows1 @ _taps(blk.conv1_kernel)
         if tape is None:  # inference frees it before the next window matrix
             windows1 = None
         inner += blk.conv1_bias
         np.maximum(inner, 0.0, out=inner)
-        inner = inner.reshape(shape)
-        windows2, kernel2 = _windows(inner), _flat_kernel(blk.conv2_kernel)
-        out = windows2 @ kernel2.T
+        windows2 = _windows(inner)
+        out = windows2 @ _taps(blk.conv2_kernel)
         out += blk.conv2_bias
-        out = out.reshape(shape)
         out += h
         np.maximum(out, 0.0, out=out)
         if tape is not None:
-            saved.append((windows1, kernel1, inner, windows2, kernel2, out))
+            saved.append((windows1, inner, windows2, out))
         h = out
 
     def backward(g):
         grad = params.view(np.empty_like(params.flat))  # every view is written below
-        gh = g[:, None, :] / length  # (B, 1, d): the products below broadcast it over time
-        for blk, (windows1, kernel1, inner, windows2, kernel2, out) in zip(
-                reversed(grad.blocks), reversed(saved)):
+        rows, d = batch * length, config.embed_dim
+        ones = np.ones(rows)  # each bias gradient is one (B·L) @ (B·L, d) product
+
+        def conv_grads(g_out, windows, kernel, grad_kernel, grad_bias):
+            """Write a conv's kernel and bias gradients; return its input's."""
+            g2d = g_out.reshape(rows, d)
+            grad_kernel.T[...] = (windows.reshape(rows, -1).T @ g2d).reshape(3, d, d)
+            grad_bias[...] = ones @ g2d
+            g_in = _windows(g_out).reshape(rows, -1) @ _reversed_taps(kernel)
+            return g_in.reshape(g_out.shape)
+
+        gh = g[:, None, :] / length  # (B, 1, d): the mask below broadcasts it over time
+        for blk, grad_blk, (windows1, inner, windows2, out) in zip(
+                reversed(params.blocks), reversed(grad.blocks), reversed(saved)):
             g_sum = gh * (out > 0.0)
-            g2d = g_sum.reshape(batch * length, -1)
-            blk.conv2_kernel[...] = _kernel_grad(g2d, windows2)
-            blk.conv2_bias[...] = _channel_major(g_sum).sum(axis=(0, 2))
-            g_inner = _unwindow(g2d @ kernel2, shape) * (inner > 0.0)
-            g2d = g_inner.reshape(batch * length, -1)
-            blk.conv1_kernel[...] = _kernel_grad(g2d, windows1)
-            blk.conv1_bias[...] = _channel_major(g_inner).sum(axis=(0, 2))
-            gh = g_sum + _unwindow(g2d @ kernel1, shape)  # residual path plus conv path
-        g_stem = gh * (stem_out > 0.0)
-        g2d = g_stem.reshape(batch * length, -1)
-        grad.stem_weight[...] = np.ascontiguousarray(g2d.T) @ x2d
-        grad.stem_bias[...] = _channel_major(g_stem).sum(axis=(0, 2))
+            g_inner = conv_grads(g_sum, windows2, blk.conv2_kernel, grad_blk.conv2_kernel,
+                                 grad_blk.conv2_bias)
+            g_inner *= inner > 0.0
+            gh = g_sum + conv_grads(g_inner, windows1, blk.conv1_kernel,
+                                    grad_blk.conv1_kernel, grad_blk.conv1_bias)
+        g2d = (gh * (stem_out > 0.0)).reshape(rows, d)
+        grad.stem_weight[...] = g2d.T @ frames.reshape(rows, -1)
+        grad.stem_bias[...] = ones @ g2d
         return None, grad.flat
 
     if tape is not None:
         tape.record(backward)
-    return _channel_major(h).mean(axis=2)
+    # the mean reduces a contiguous (B, d, L) copy, which numpy sums pairwise, so
+    # a time-constant 16-frame clip's feature is its frames' activation exactly
+    return np.ascontiguousarray(h.transpose(0, 2, 1)).mean(axis=2)
 
 
 def forward_np_batch(params: EncoderParams, frames: np.ndarray) -> np.ndarray:

@@ -240,7 +240,8 @@ def head_logits(feats: np.ndarray, global_feats: np.ndarray | None, heads: HeadP
 
     Each row goes through its own contiguous (1, F) product, so a clip's logits
     are the bits of ``feat @ W + b`` for that clip alone, whatever batch (or
-    memory layout) it comes in.
+    memory layout) it comes in. The encoder's features are per clip as well
+    (``encoder.forward_batch``), so neither depends on the batch a clip is in.
     """
     feats = np.ascontiguousarray(feats)
     action = (feats[:, None, :] @ heads.action_weight)[:, 0] + heads.action_bias
@@ -369,8 +370,8 @@ def _eval_clips(corpus: Corpus, split: str, cfg: TrainConfig) -> ClipSet:
 
 # Clips per validation forward and per take from the split's store. A whole
 # split's clips at once (19,280 frames on the default corpus) make activations
-# far larger than the CPU caches: at the bench shapes, 1,180 clips took 8.3 ms
-# in one batch and 4.3 ms in chunks of this size (benches/bench_encoder.py,
+# far larger than the CPU caches: at the bench shapes, 1,180 clips took 4.7 ms
+# in one batch and 3.4 ms in chunks of this size (benches/bench_encoder.py,
 # 2-core x86). A split is cut into equal chunks of at most this many clips, so
 # no chunk is a small tail.
 VALIDATION_CHUNK = 128

@@ -20,9 +20,11 @@ reference keeps one leaf per array (``array_leaves``), so its gradients are
 per array and in ``arrays()`` order: laid end to end they are the flat
 gradient the library's ops write.
 
-Activations are time-major, (B, L, d), so each layer is one 2-D matmul over
-all B·L frames. Weight gradients multiply a contiguous (d, B·L) gradient
-copy, and bias and time sums reduce a contiguous (B, d, L) copy.
+Activations are time-major, (B, L, d). Each forward product is a stacked
+(B, L, K) @ (K, d) matmul, one product per clip. A weight gradient is one
+product of the (B·L, d) gradient and the (B·L, K) inputs, one of them a
+transposed view; a bias gradient is ``ones(B·L) @`` the gradient; the time
+mean reduces a contiguous (B, d, L) copy.
 """
 
 import numpy as np
@@ -163,10 +165,6 @@ def scale(x, factor):
     return x.tape.apply(x.data * factor, (x,), backward)
 
 
-def _channel_major(a):
-    return np.ascontiguousarray(a.transpose(0, 2, 1))
-
-
 def affine_frames(x, w, bias):
     """Per-frame affine over a batch: x (B,L,K) @ w (d,K).T + bias (d,) -> (B,L,d)."""
     if x.data.ndim != 3 or w.data.ndim != 2 or w.data.shape[1] != x.data.shape[2]:
@@ -174,28 +172,39 @@ def affine_frames(x, w, bias):
     if bias.data.shape != (w.data.shape[0],):
         raise ShapeError(f"affine_frames: bias {bias.data.shape} vs d={w.data.shape[0]}")
     batch, length, k = x.data.shape
-    x2d = x.data.reshape(batch * length, k)
 
     def backward(g, accumulate):
         g2d = g.reshape(batch * length, -1)
         if w.requires_grad:
-            accumulate(w, np.ascontiguousarray(g2d.T) @ x2d)
+            accumulate(w, g2d.T @ x.data.reshape(batch * length, k))
         if x.requires_grad:
-            accumulate(x, (g2d @ w.data).reshape(x.data.shape))
+            accumulate(x, g @ w.data)
         if bias.requires_grad:
-            accumulate(bias, _channel_major(g).sum(axis=(0, 2)))
+            accumulate(bias, np.ones(batch * length) @ g2d)
 
-    return x.tape.apply((x2d @ w.data.T + bias.data).reshape(batch, length, -1),
-                        (x, w, bias), backward)
+    return x.tape.apply(x.data @ np.ascontiguousarray(w.data.T) + bias.data, (x, w, bias),
+                        backward)
+
+
+def _windows(x):
+    """(B, L, d) -> (B, L, 3d): each frame's previous, own and next frame, zeros past the ends."""
+    batch, length, d = x.shape
+    windows = np.zeros((batch, length, 3 * d))
+    windows[:, 1:, :d] = x[:, :-1]
+    windows[:, :, d:2 * d] = x
+    windows[:, :-1, 2 * d:] = x[:, 1:]
+    return windows
 
 
 def conv1d_same(x, kernel, bias):
     """Width-3 temporal convolution with zero padding 1; length is preserved.
 
     x is (B, L, d_in), kernel (d_out, d_in, 3), bias (d_out,); out (B, L, d_out).
-    Each frame's row of the (B·L, 3·d_in) window matrix holds its previous,
+    Each frame's row of the (B, L, 3·d_in) window matrix holds its previous,
     own and next frame (zeros past the clip ends), so the convolution is one
-    product with the flattened kernel.
+    product with the three taps stacked as (3·d_in, d_out). The input
+    gradient is the output gradient's window matrix times the taps in
+    reverse order, stacked as (3·d_out, d_in).
     """
     if kernel.data.ndim != 3 or kernel.data.shape[2] != 3:
         raise ShapeError(f"conv1d_same: kernel must be (d_out,d_in,3), got "
@@ -204,30 +213,22 @@ def conv1d_same(x, kernel, bias):
     if x.data.ndim != 3 or x.data.shape[2] != d_in:
         raise ShapeError(f"conv1d_same: input {x.data.shape} vs kernel {kernel.data.shape}")
     batch, length, _ = x.data.shape
-    windows = np.zeros((batch, length, 3 * d_in))
-    windows[:, 1:, :d_in] = x.data[:, :-1]
-    windows[:, :, d_in:2 * d_in] = x.data
-    windows[:, :-1, 2 * d_in:] = x.data[:, 1:]
-    windows = windows.reshape(batch * length, 3 * d_in)
-    kernel_flat = kernel.data.transpose(0, 2, 1).reshape(d_out, 3 * d_in)
+    windows = _windows(x.data)
+    taps = kernel.data.transpose(2, 1, 0).reshape(3 * d_in, d_out)
 
     def backward(g, accumulate):
         g2d = g.reshape(batch * length, d_out)
         if kernel.requires_grad:
-            gk = np.ascontiguousarray(g2d.T) @ windows
-            accumulate(kernel, gk.reshape(d_out, 3, d_in).transpose(0, 2, 1))
+            gk = windows.reshape(batch * length, 3 * d_in).T @ g2d  # (3·d_in, d_out)
+            accumulate(kernel, gk.reshape(3, d_in, d_out).T)
         if bias.requires_grad:
-            accumulate(bias, _channel_major(g).sum(axis=(0, 2)))
+            accumulate(bias, np.ones(batch * length) @ g2d)
         if x.requires_grad:
-            g_windows = (g2d @ kernel_flat).reshape(batch, length, 3 * d_in)
-            gx = np.zeros_like(x.data)  # summed in window order, from zero
-            gx[:, :-1] += g_windows[:, 1:, :d_in]
-            gx += g_windows[:, :, d_in:2 * d_in]
-            gx[:, 1:] += g_windows[:, :-1, 2 * d_in:]
-            accumulate(x, gx)
+            reversed_taps = kernel.data[:, :, ::-1].transpose(2, 0, 1).reshape(3 * d_out, d_in)
+            g_windows = _windows(g).reshape(batch * length, 3 * d_out)
+            accumulate(x, (g_windows @ reversed_taps).reshape(x.data.shape))
 
-    return x.tape.apply((windows @ kernel_flat.T + bias.data).reshape(batch, length, d_out),
-                        (x, kernel, bias), backward)
+    return x.tape.apply(windows @ taps + bias.data, (x, kernel, bias), backward)
 
 
 def mean_over_time(x):
@@ -239,7 +240,8 @@ def mean_over_time(x):
     def backward(g, accumulate):
         accumulate(x, np.repeat(g[:, None, :] / length, length, axis=1))
 
-    return x.tape.apply(_channel_major(x.data).mean(axis=2), (x,), backward)
+    return x.tape.apply(np.ascontiguousarray(x.data.transpose(0, 2, 1)).mean(axis=2), (x,),
+                        backward)
 
 
 def hstack_rows(a, b):

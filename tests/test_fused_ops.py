@@ -5,7 +5,8 @@ backward each, which returns one flat gradient per parameter record;
 ``reference_tape`` composes the same step from primitive ops over one leaf
 per array. The loss value, every encoder and head array's gradient and the
 inference features must be the same bytes, including signed zeros, for any
-shape the step can take.
+shape the step can take. A clip's feature must also be the same bytes in any
+batch, so extraction, validation chunks and a clip run alone agree.
 """
 
 import gc
@@ -18,9 +19,11 @@ from hypothesis import strategies as st
 
 import reference_tape as ref
 from tspkit import autodiff as ad
+from tspkit import corpus as cp
 from tspkit import encoder as enc
+from tspkit import extract as ex
 from tspkit import pretrain as pt
-from tspkit.sampler import ClipSet
+from tspkit.sampler import ClipSet, clip_frame_indices
 
 
 def step(enc_params, heads, batch, cfg):
@@ -91,6 +94,46 @@ def test_chunked_validation_features_equal_one_batch(clips, embed_dim):
     rows = rng.integers(0, len(store), (clips, 16))
     assert np.array_equal(pt.clip_features(params, store, rows),
                           enc.forward_np_batch(params, store[rows]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(embed_dim=st.integers(4, 64), blocks=st.integers(0, 2), length=st.integers(1, 16),
+       batch=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_a_clips_feature_is_the_same_bytes_in_any_batch(embed_dim, blocks, length, batch,
+                                                       seed):
+    rng = np.random.default_rng(seed)
+    cfg = enc.EncoderConfig(channels_in=int(rng.integers(1, 17)), embed_dim=embed_dim,
+                            blocks=blocks)
+    params = enc.init_params(cfg, seed=int(rng.integers(1000)))
+    frames = rng.standard_normal((batch, length, cfg.frame_dim))
+    feats = enc.forward_np_batch(params, frames)
+    for i in range(batch):
+        assert feats[i].tobytes() == enc.forward_np_batch(params, frames[i:i + 1])[0].tobytes()
+
+
+def test_extracted_features_equal_clip_features_of_the_same_clips():
+    # extraction runs the video's 155 clips (hop 2) as one batch; clip_features
+    # takes them from the split's store in two chunks, or one at a time
+    videos = {
+        "tr_0": cp.VideoRecord("tr_0", "train", 100.0, 4.0,
+                               [cp.AnnotationInstance("a", 10.0, 40.0)], 5),
+        "va_0": cp.VideoRecord("va_0", "valid", 77.5, 4.0,
+                               [cp.AnnotationInstance("a", 20.0, 50.0)], 6),
+    }
+    corpus = cp.Corpus(["a", "b"], videos, cp.SynthInfo(1, 0.3, "pure", 16, 1, 1))
+    cfg = pt.TrainConfig(mode="tac", epochs=0, warmup_epochs=0, head_lr_grid=(0.004,),
+                         embed_dim=16, blocks=1, seed=0, init="random")
+    ckpt, _ = pt.train(corpus, cfg)
+    video = corpus.videos["va_0"]
+    track = ex.extract_track(corpus, video, ckpt, hop=2)
+    centers = np.arange(0, video.num_frames, 2)
+    rows = corpus.frame_offset(video) + clip_frame_indices(
+        centers[:, None], cfg.clip_len, cfg.frame_stride, video.num_frames)
+    store = corpus.split_frames("valid")
+    assert len(rows) > pt.VALIDATION_CHUNK
+    assert pt.clip_features(ckpt.encoder, store, rows).tobytes() == track.features.tobytes()
+    alone = [pt.clip_features(ckpt.encoder, store, rows[i:i + 1]) for i in range(len(rows))]
+    assert np.concatenate(alone).tobytes() == track.features.tobytes()
 
 
 def small_step_inputs(seed=0):

@@ -369,10 +369,10 @@ def test_every_cell_diverging_is_an_error(threads, monkeypatch):
 # computed with per-clip loading, before clips were gathered in batches, on
 # numpy 2.4 with OpenBLAS (a different BLAS may round the products
 # differently); tsp's since its GVF pools the non-overlapping clip grid
-GOLDEN_TRAINED_HASHES = {"tsp": "2402fa6c14a9", "tsp_nogvf": "9a373b307944",
-                         "tac": "b673dc834671"}
-GOLDEN_CHECKPOINT_IDS = {"tsp": "7ddfab6bc9c9", "tsp_nogvf": "a1d95dcf0daa",
-                         "tac": "92b809c73696"}
+GOLDEN_TRAINED_HASHES = {"tsp": "ef28f8b1d22d", "tsp_nogvf": "b23538d80dd4",
+                         "tac": "07b39fa016da"}
+GOLDEN_CHECKPOINT_IDS = {"tsp": "fcd6169ffff7", "tsp_nogvf": "50337099154e",
+                         "tac": "f965e356e10f"}
 
 
 @pytest.mark.parametrize("mode", pt.MODES)
@@ -387,9 +387,9 @@ def test_tiny_training_matches_golden_checkpoint_id(mode):
 # version 2, which stores no GVF table: pins the file layout (key names,
 # nesting, number formatting), which the ids above do not see
 GOLDEN_CHECKPOINT_FILE_DIGESTS = {
-    "tsp": "e089c93d2a3023802aa4b482cf14a9519afad7ce898f0228ee6d273a098a468d",
-    "tsp_nogvf": "17caf1f99e12d0af1243550ded0139a6e6a22a014c762dc342ce7f90846080f5",
-    "tac": "458f8e4157daf53340b7c27d391f6a11e3929e7e7407190ec90f025309f0f956",
+    "tsp": "9670930b669b4b9b1d6db9e9c5f686dd515765039f681981e0dfd6d331af7ba8",
+    "tsp_nogvf": "b7f975e6eb6ecaa4b086e8ae366a3f65a7caf6534028e5b4e1bed95b293fd07d",
+    "tac": "e6ae5966e82b8118064dd22760114d1cda6165f8af0e08c607be7f3e60005d8a",
 }
 
 

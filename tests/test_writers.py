@@ -31,12 +31,12 @@ PIPELINE = [
 # the pipeline trains a tsp checkpoint, so all but the two bench tables were
 # retaken when its GVF came to pool the non-overlapping clip grid
 GOLDEN_DIGESTS = {
-    "train_log.tsv": "df92796256ab31813ccd483ad6b5ef624ef267fef13bfc9e3932c0b817ea21bc",
-    "detections.json": "89051d4b852a3dc0173b5d24d2cd59220c69c1a8f019c32427ce6dcdb021f57b",
-    "proposals.json": "561d2fdf7ebbdd73175739d617530c09b52aa4b79d5b93787c90b314fea20d26",
+    "train_log.tsv": "251ccffe54bd7296e987ae25af0c49e1b8322f02324961bd964f2b7896de616d",
+    "detections.json": "a57468027c3533eb6682e64ac0d35de18912d730319e4dfad025cc267f023ba4",
+    "proposals.json": "5c8b9f3ee8fc7b5dbaafd327bec7be4103ca822bec2e7307b4a244c3f4694207",
     "det.tsv": "7a5940010baace0aada185f51aa9b6e96cae6d05d9ee0bb128b324f887fcb667",
     "prop.tsv": "6a855119bc5811485c8db3d859bdd8cf3e4502f0318ab55848f12e3cf40b1a9a",
-    "sim.csv": "ec4e080d0e1e5e752af2ff4d0a399a6246f4e728731d150000bc6c3e0ec68dd4",
+    "sim.csv": "85ff989d2f565ae74ef0fb182f613830fd0e3259fed590178363bac3aee7957f",
     "sim_contrast.tsv": "1c01b30de57c53b82b77270cbf34560050a6be838c306f0d2354835e0e56b088",
     "bench_table.tsv": "1beaf23d01dde89d645dd4a2cd227fbebc5a7840834b6afd80cd0580e9343fd5",
     "cell_seed3.tsv": "095ba98ec9d2fec236fafb073a8b29c4f31e82d8707fb12baaad55bc56b4b90c",
