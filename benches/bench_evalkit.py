@@ -4,10 +4,12 @@ evaluation reads, at the scale of one evaluated checkpoint.
 The AR instance is fixed and seeded: 40 videos, each with 1-4 ground-truth
 instances and 1-100 proposals, half of them jittered copies of a GT so that
 many pairs overlap above the tIoU grid. The decoding cases read a seeded
-detections file of 40 videos x 100 rows with ``load_predictions``, and a
-checkpoint of the study's shape (``bench.default_bench_train_config``: embed
-16, one block; 16 channels, 8 classes, 40 log rows; schema version 2, which
-stores no GVF) with ``load_checkpoint``. The test suite does not collect this
+detections file of 40 videos x 100 rows with ``load_predictions``, and with
+``load_checkpoint`` two checkpoints of 16 channels and 8 classes, 40 log
+rows each: one of the study's shape (``bench.default_bench_train_config``:
+embed 16, one block) and one of the default width (``TrainConfig()``, what
+``tspkit pretrain`` trains by default: embed 64, two blocks), the larger
+encoder whose shapes the loader checks. The test suite does not collect this
 file (it does not match ``test_*.py``); run it from the repository root with
 pytest-benchmark:
 
@@ -86,24 +88,29 @@ def test_load_predictions_4000_detections(benchmark, detections_file):
     assert len(preds) == 4000
 
 
-@pytest.fixture(scope="module")
-def checkpoint_file(tmp_path_factory):
+def checkpoint_file(tmp_path_factory, cfg: pt.TrainConfig):
+    """A tsp checkpoint of ``cfg``'s shape, with as many log rows as it trains."""
     rng = np.random.default_rng(0)
-    cfg = bench.default_bench_train_config()
     encoder = enc.init_params(enc.EncoderConfig(16, 1, 1, cfg.embed_dim, cfg.blocks), seed=0)
     rows = [pt.TrainLogRow(epoch, lr, float(rng.random()), float(rng.random()),
                            float(rng.random()), 1.0)
             for lr in cfg.head_lr_grid for epoch in range(cfg.epochs)]
     ckpt = pt.Checkpoint(
-        mode="tsp", config=cfg, encoder=encoder,
-        heads=pt.init_heads(cfg.embed_dim, 8, "tsp", seed=0), init_encoder=encoder.copy(),
-        selection=pt.SelectionRecord(rows[0].head_lr, 0, rows[0].action_acc, rows), seed=0)
+        config=cfg, encoder=encoder, heads=pt.init_heads(cfg.embed_dim, 8, "tsp", seed=0),
+        init_encoder=encoder.copy(),
+        selection=pt.SelectionRecord(rows[0].head_lr, 0, rows[0].action_acc, rows))
     path = tmp_path_factory.mktemp("decode") / "checkpoint.json"
     pt.save_checkpoint(ckpt, path, invocation="pretrain")
     return path, ckpt.checkpoint_id
 
 
-def test_load_checkpoint_bench_shape(benchmark, checkpoint_file):
-    path, checkpoint_id = checkpoint_file
+def test_load_checkpoint_bench_shape(benchmark, tmp_path_factory):
+    path, checkpoint_id = checkpoint_file(tmp_path_factory, bench.default_bench_train_config())
+    ckpt = benchmark(pt.load_checkpoint, path)
+    assert ckpt.checkpoint_id == checkpoint_id
+
+
+def test_load_checkpoint_default_width(benchmark, tmp_path_factory):
+    path, checkpoint_id = checkpoint_file(tmp_path_factory, pt.TrainConfig())
     ckpt = benchmark(pt.load_checkpoint, path)
     assert ckpt.checkpoint_id == checkpoint_id

@@ -59,12 +59,13 @@ def cosine_matrix(track: FeatureTrack) -> SimilarityMatrix:
 
 
 def row_region_labels(track: FeatureTrack, video: VideoRecord) -> np.ndarray:
-    """True where a clip center falls inside a merged foreground interval."""
-    fg = [(s.t_start, s.t_end) for s in derive_segments(video) if s.kind == "foreground"]
-    labels = np.zeros(len(track), dtype=bool)
-    for i, t in enumerate(track.center_times):
-        labels[i] = any(t0 <= t < t1 for t0, t1 in fg)
-    return labels
+    """True where a clip center falls inside a merged foreground interval
+    [t0, t1). The merged intervals are disjoint and in order, so their ends
+    are one sorted list, and a center is inside one iff an odd number of
+    ends are at or before it."""
+    ends = np.array([t for s in derive_segments(video) if s.kind == "foreground"
+                     for t in (s.t_start, s.t_end)], dtype=np.float64)
+    return np.searchsorted(ends, track.center_times, side="right") % 2 == 1
 
 
 def contrast_stats(track: FeatureTrack, video: VideoRecord) -> ContrastStats:

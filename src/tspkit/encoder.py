@@ -7,11 +7,13 @@ clip, and mean pooling over time yields the clip feature.
 
 There is one forward pass, ``forward_batch``, over a batch of clips. Its
 parameters are an ``EncoderParams`` record, whose arrays are views of one
-flat buffer. Given a tape, it records its backward, the first of a training
-step's two ops (the second is ``pretrain.batch_loss_tensor``'s two-head
-loss); inference passes none and keeps no activation. Clips are time-major,
-(B, L, frame_dim): one flattened frame per row, as a ``take`` of a
-``sampler.ClipSet``'s rows from a split's frame store gathers them.
+flat buffer: the stem's weight and bias, then each conv's kernel and bias
+with every block's stacked on a leading axis, so a record has the same six
+arrays at any depth. Given a tape, it records its backward, the first of a
+training step's two ops (the second is ``pretrain.batch_loss_tensor``'s
+two-head loss); inference passes none and keeps no activation. Clips are
+time-major, (B, L, frame_dim): one flattened frame per row, as a ``take`` of
+a ``sampler.ClipSet``'s rows from a split's frame store gathers them.
 
 Each forward product is stacked per clip, (B, L, K) @ (K, d), so a clip's
 feature is the same bits in any batch. A temporal conv multiplies a window
@@ -27,7 +29,7 @@ same numpy operations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,9 +67,9 @@ class EncoderConfig:
 class ParamRecord:
     """A dataclass of parameter arrays laid end to end in one float64 buffer.
 
-    ``flat`` is the buffer and each array field is a view into it, in
-    ``arrays()`` order: the record's own arrays in field order, then those of
-    its sub-records. Constructing a record copies its arrays into a new
+    Its array fields are the fields annotated ``np.ndarray``. ``flat`` is the
+    buffer and each array field is a view into it, in field order, which is
+    ``arrays()`` order. Constructing a record copies its arrays into a new
     buffer; ``view(buffer)`` lays the same shapes over another one without a
     copy, so ``copy()`` is one ``np.copy`` and a gradient or an update is one
     vector over the whole record. A training step's sweep returns one flat
@@ -75,30 +77,26 @@ class ParamRecord:
     """
 
     def __post_init__(self):
-        layout, offset = [], 0  # (name, start, stop, shape) of each own array, in order
-        for name in self._array_fields():
-            shape = np.shape(getattr(self, name))
-            size = math.prod(shape)
-            layout.append((name, offset, offset + size, shape))
-            offset += size
+        layout, offset = [], 0  # (name, start, stop, shape) of each array, in order
+        for f in fields(self):
+            if f.type in ("np.ndarray", np.ndarray):
+                shape = np.shape(getattr(self, f.name))
+                size = math.prod(shape)
+                layout.append((f.name, offset, offset + size, shape))
+                offset += size
         self._layout = tuple(layout)
         self._bind(np.concatenate([np.asarray(a, dtype=np.float64).ravel()
                                    for a in self.arrays()]))
 
-    def _array_fields(self) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(self))
-
-    def _bind(self, flat: np.ndarray) -> int:
-        """Make each array a view of ``flat`` at its place; the entries used."""
+    def _bind(self, flat: np.ndarray) -> None:
+        """Make each array a view of ``flat`` at its place."""
         self.flat = flat
-        stop = 0
         for name, start, stop, shape in self._layout:
             view = flat[start:stop]
             setattr(self, name, view if len(shape) == 1 else view.reshape(shape))
-        return stop
 
     def arrays(self) -> list[np.ndarray]:
-        return [getattr(self, name) for name in self._array_fields()]
+        return [getattr(self, name) for name, *_ in self._layout]
 
     def view(self, flat: np.ndarray):
         """A record of this one's shapes whose arrays are views of ``flat``."""
@@ -115,58 +113,39 @@ class ParamRecord:
 
 
 @dataclass
-class BlockParams(ParamRecord):
-    conv1_kernel: np.ndarray  # (d, d, 3)
-    conv1_bias: np.ndarray  # (d,)
-    conv2_kernel: np.ndarray
-    conv2_bias: np.ndarray
-
-
-@dataclass
 class EncoderParams(ParamRecord):
+    """The stem, then each conv array of every block stacked on a leading
+    block axis; row ``i`` of a stacked array is block ``i``'s."""
     config: EncoderConfig
     stem_weight: np.ndarray  # (d, frame_dim)
     stem_bias: np.ndarray  # (d,)
-    blocks: list[BlockParams] = field(default_factory=list)
+    conv1_kernel: np.ndarray  # (blocks, d, d, 3)
+    conv1_bias: np.ndarray  # (blocks, d)
+    conv2_kernel: np.ndarray  # (blocks, d, d, 3)
+    conv2_bias: np.ndarray  # (blocks, d)
 
-    def _array_fields(self) -> tuple[str, ...]:
-        return ("stem_weight", "stem_bias")
 
-    def _bind(self, flat: np.ndarray) -> int:
-        offset = super()._bind(flat)
-        blocks = []
-        for blk in self.blocks:
-            blocks.append(blk.view(flat[offset:offset + blk.flat.size]))
-            offset += blk.flat.size
-        self.blocks = blocks
-        return offset
-
-    def arrays(self) -> list[np.ndarray]:
-        return super().arrays() + [a for blk in self.blocks for a in blk.arrays()]
+def param_shapes(config: EncoderConfig) -> list[tuple[int, ...]]:
+    """The shape of each ``EncoderParams`` array under ``config``, in ``arrays()`` order."""
+    d, blocks = config.embed_dim, config.blocks
+    return [(d, config.frame_dim), (d,), (blocks, d, d, 3), (blocks, d),
+            (blocks, d, d, 3), (blocks, d)]
 
 
 def init_params(config: EncoderConfig, seed: int) -> EncoderParams:
-    """He-scaled normal weights, zero biases, deterministic per seed."""
+    """He-scaled normal weights, zero biases, deterministic per seed. The
+    kernels are drawn block by block, each block's conv1 before its conv2."""
     d = config.embed_dim
     rng = rng_for(seed, "encoder-init")
     stem_w = rng.standard_normal((d, config.frame_dim)) * np.sqrt(2.0 / config.frame_dim)
-    blocks = []
-    conv_std = np.sqrt(2.0 / (d * 3))
-    for _ in range(config.blocks):
-        blocks.append(BlockParams(
-            conv1_kernel=rng.standard_normal((d, d, 3)) * conv_std,
-            conv1_bias=np.zeros(d),
-            conv2_kernel=rng.standard_normal((d, d, 3)) * conv_std,
-            conv2_bias=np.zeros(d),
-        ))
-    return EncoderParams(config, stem_w, np.zeros(d), blocks)
+    kernels = rng.standard_normal((config.blocks, 2, d, d, 3)) * np.sqrt(2.0 / (d * 3))
+    biases = np.zeros((config.blocks, d))
+    return EncoderParams(config, stem_w, np.zeros(d), kernels[:, 0], biases,
+                         kernels[:, 1], biases)
 
 
 def param_count(config: EncoderConfig) -> int:
-    d = config.embed_dim
-    stem = d * config.frame_dim + d
-    per_block = 2 * (d * d * 3 + d)
-    return stem + config.blocks * per_block
+    return sum(math.prod(shape) for shape in param_shapes(config))
 
 
 def _windows(x: np.ndarray) -> np.ndarray:
@@ -216,16 +195,17 @@ def forward_batch(params: EncoderParams, frames: np.ndarray,
     h += params.stem_bias
     stem_out = h = np.maximum(h, 0.0, out=h)
     saved = []  # per block, for a backward: both window matrices, both ReLU outputs
-    for blk in params.blocks:
+    for kernel1, bias1, kernel2, bias2 in zip(params.conv1_kernel, params.conv1_bias,
+                                              params.conv2_kernel, params.conv2_bias):
         windows1 = _windows(h)
-        inner = windows1 @ _taps(blk.conv1_kernel)
+        inner = windows1 @ _taps(kernel1)
         if tape is None:  # inference frees it before the next window matrix
             windows1 = None
-        inner += blk.conv1_bias
+        inner += bias1
         np.maximum(inner, 0.0, out=inner)
         windows2 = _windows(inner)
-        out = windows2 @ _taps(blk.conv2_kernel)
-        out += blk.conv2_bias
+        out = windows2 @ _taps(kernel2)
+        out += bias2
         out += h
         np.maximum(out, 0.0, out=out)
         if tape is not None:
@@ -246,14 +226,14 @@ def forward_batch(params: EncoderParams, frames: np.ndarray,
             return g_in.reshape(g_out.shape)
 
         gh = g[:, None, :] / length  # (B, 1, d): the mask below broadcasts it over time
-        for blk, grad_blk, (windows1, inner, windows2, out) in zip(
-                reversed(params.blocks), reversed(grad.blocks), reversed(saved)):
+        for i in reversed(range(len(saved))):  # row i of each stacked array is block i's
+            windows1, inner, windows2, out = saved[i]
             g_sum = gh * (out > 0.0)
-            g_inner = conv_grads(g_sum, windows2, blk.conv2_kernel, grad_blk.conv2_kernel,
-                                 grad_blk.conv2_bias)
+            g_inner = conv_grads(g_sum, windows2, params.conv2_kernel[i], grad.conv2_kernel[i],
+                                 grad.conv2_bias[i])
             g_inner *= inner > 0.0
-            gh = g_sum + conv_grads(g_inner, windows1, blk.conv1_kernel,
-                                    grad_blk.conv1_kernel, grad_blk.conv1_bias)
+            gh = g_sum + conv_grads(g_inner, windows1, params.conv1_kernel[i],
+                                    grad.conv1_kernel[i], grad.conv1_bias[i])
         g2d = (gh * (stem_out > 0.0)).reshape(rows, d)
         grad.stem_weight[...] = g2d.T @ frames.reshape(rows, -1)
         grad.stem_bias[...] = ones @ g2d

@@ -377,6 +377,13 @@ def actionness_scores(track: FeatureTrack, source: str) -> np.ndarray:
     raise ValueError(f"unknown actionness source {source!r}")
 
 
+def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each maximal run of True in a 1-D bool mask, in order:
+    the edges where the mask, padded with False at both ends, changes."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
+
+
 def baseline_localize(track: FeatureTrack, params: LocalizerParams,
                       actionness: str = "region"
                       ) -> tuple[list[DetectionPrediction], list[ProposalPrediction]]:
@@ -388,23 +395,13 @@ def baseline_localize(track: FeatureTrack, params: LocalizerParams,
 
     raw: list[tuple[float, float, float, int, float]] = []  # t0, t1, prop score, label, class prob
     for thr in params.thresholds:
-        above = scores >= thr
-        i = 0
-        while i < len(above):
-            if not above[i]:
-                i += 1
-                continue
-            j = i
-            while j + 1 < len(above) and above[j + 1]:
-                j += 1
-            t0 = _clip_extent_sec(track, i)[0]
-            t1 = _clip_extent_sec(track, j)[1]
-            prop_score = float(scores[i:j + 1].mean())
-            mean_logits = track.action_logits[i:j + 1].mean(axis=0)
-            probs = softmax(mean_logits)
+        for start, stop in _runs(scores >= thr):
+            t0 = _clip_extent_sec(track, start)[0]
+            t1 = _clip_extent_sec(track, stop - 1)[1]
+            prop_score = float(scores[start:stop].mean())
+            probs = softmax(track.action_logits[start:stop].mean(axis=0))
             label = int(np.argmax(probs))
             raw.append((t0, t1, prop_score, label, float(probs[label])))
-            i = j + 1
 
     detections = [DetectionPrediction(track.video_id, label, t0, t1, score * prob)
                   for t0, t1, score, label, prob in raw]

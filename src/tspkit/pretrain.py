@@ -55,7 +55,7 @@ from .sampler import ClipSet, build_epoch, clip_span, dense_clips, test_clip_set
 from .seeding import rng_for
 from .workers import fork_map
 
-CHECKPOINT_SCHEMA_VERSION = 2
+CHECKPOINT_SCHEMA_VERSION = 3
 MODES = ("tsp", "tsp_nogvf", "tac")
 POOLS = ("max", "avg")
 INITS = ("tac", "random")  # "tac": warm-start from a classification-only run
@@ -146,23 +146,25 @@ class SelectionRecord:
 
 @dataclass
 class Checkpoint:
-    mode: str
     config: TrainConfig
     encoder: enc.EncoderParams
     heads: HeadParams
     init_encoder: enc.EncoderParams
     selection: SelectionRecord
-    seed: int
-    schema_version: int = CHECKPOINT_SCHEMA_VERSION
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+    @property
+    def mode(self) -> str:
+        return self.config.mode
+
+    @property
+    def seed(self) -> int:
+        return self.config.seed
 
     @property
     def checkpoint_id(self) -> str:
-        """Hashes all a track depends on: the mode, the seed, the config (clip
-        geometry and GVF pool among it) and the three parameter records."""
+        """Hashes all a track depends on: the mode and the seed, then the whole
+        config (clip geometry and GVF pool among it; the mode and the seed
+        again), then the three parameter records' buffers."""
         config = json.dumps(_to_json(self.config))
         return params_hash(self.encoder, self.heads, self.init_encoder,
                            prefix=f"{self.mode}{self.seed}{config}".encode())
@@ -584,8 +586,8 @@ def train(corpus: Corpus, cfg: TrainConfig,
 
     (score, _, _), head_lr, epoch, enc_snap, head_snap = best
     selection = SelectionRecord(head_lr=head_lr, epoch=epoch, score=score, rows=rows)
-    ckpt = Checkpoint(mode=cfg.mode, config=cfg, encoder=enc_snap, heads=head_snap,
-                      init_encoder=init_enc, selection=selection, seed=cfg.seed)
+    ckpt = Checkpoint(config=cfg, encoder=enc_snap, heads=head_snap, init_encoder=init_enc,
+                      selection=selection)
     return ckpt, rows
 
 
@@ -606,21 +608,23 @@ def _to_json(obj):
 
 
 def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
-    return {**_to_json(ckpt), "checkpoint_id": ckpt.checkpoint_id}
+    return {"schema_version": CHECKPOINT_SCHEMA_VERSION, **_to_json(ckpt),
+            "checkpoint_id": ckpt.checkpoint_id}
 
 
 def _check_shapes(ckpt: Checkpoint) -> None:
-    """Raise ValueError unless each array has the shape its config, mode and class count imply."""
-    cfg, feature_dim = ckpt.encoder.config, ckpt.encoder.config.feature_dim
-    # init_params allocates what the config asks for, so first bound it by the file
-    if (len(ckpt.encoder.blocks), ckpt.encoder.stem_weight.shape) != (
-            cfg.blocks, (cfg.embed_dim, cfg.frame_dim)):
-        raise ValueError(f"encoder blocks and stem do not match its config {cfg}")
+    """Raise ValueError unless both encoders have the width and depth the
+    config names, and each array the shape its record's config, the mode and
+    the class count imply."""
+    enc_cfg, cfg = ckpt.encoder.config, ckpt.config
+    if (enc_cfg.embed_dim, enc_cfg.blocks) != (cfg.embed_dim, cfg.blocks):
+        raise ValueError(f"encoder.config has embed_dim {enc_cfg.embed_dim} and blocks "
+                         f"{enc_cfg.blocks}, config {cfg.embed_dim} and {cfg.blocks}")
     def layout(record):
         return getattr(record, "config", None), [a.shape for a in record.arrays()]
 
-    encoder = layout(enc.init_params(cfg, 0))
-    heads = layout(init_heads(feature_dim, ckpt.heads.action_bias.size, ckpt.mode, 0))
+    encoder = (enc_cfg, enc.param_shapes(enc_cfg))
+    heads = layout(init_heads(enc_cfg.feature_dim, ckpt.heads.action_bias.size, ckpt.mode, 0))
     for name, expected in (("encoder", encoder), ("init_encoder", encoder), ("heads", heads)):
         found = layout(getattr(ckpt, name))
         if found != expected:
@@ -633,9 +637,9 @@ def checkpoint_from_dict(doc: dict) -> Checkpoint:
     if doc.get("schema_version") != CHECKPOINT_SCHEMA_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint schema_version {doc.get('schema_version')!r}")
-    try:  # other top-level keys, "checkpoint_id" among them, are not fields
-        ckpt = decode({f.name: doc[f.name] for f in fields(Checkpoint) if f.name in doc},
-                      Checkpoint)
+    try:  # every other key is a field, so no fact can be stored twice
+        ckpt = decode({key: value for key, value in doc.items()
+                       if key not in ("schema_version", "checkpoint_id")}, Checkpoint)
         _check_shapes(ckpt)
     except ValueError as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc

@@ -16,9 +16,10 @@ byte for byte, and the finite-difference checks in ``test_autodiff`` pin the
 ops themselves.
 
 The library's backward returns one flat gradient per parameter record; the
-reference keeps one leaf per array (``array_leaves``), so its gradients are
-per array and in ``arrays()`` order: laid end to end they are the flat
-gradient the library's ops write.
+reference keeps one leaf per array (``array_leaves``), and one per block row
+of each of the encoder's stacked block arrays (``leaf_arrays``), so its
+gradients are in the record's buffer order: laid end to end they are the
+flat gradient the library's ops write.
 
 Activations are time-major, (B, L, d). Each forward product is a stacked
 (B, L, K) @ (K, d) matmul, one product per clip. A weight gradient is one
@@ -311,20 +312,32 @@ def cross_entropy_sum(logits, labels):
     return logits.tape.apply(np.float64(values.sum()), (logits,), backward)
 
 
+def leaf_arrays(record):
+    """A parameter record's arrays in ``arrays()`` order, each of the
+    encoder's stacked block arrays split into its block rows: views that,
+    laid end to end, are the record's buffer."""
+    if not isinstance(record, enc.EncoderParams):
+        return record.arrays()
+    stem_weight, stem_bias, *stacked = record.arrays()
+    return [stem_weight, stem_bias, *(row for array in stacked for row in array)]
+
+
 def array_leaves(tape, record, requires_grad=True):
-    """One leaf per array of a parameter record, in its ``arrays()`` order."""
-    return [tape.tensor(a, requires_grad) for a in record.arrays()]
+    """One leaf per array of ``leaf_arrays(record)``, in its order."""
+    return [tape.tensor(a, requires_grad) for a in leaf_arrays(record)]
 
 
 def forward_batch(tape, enc_leaves, frames):
     """``encoder.forward_batch`` as a composition of primitive ops, over the
-    encoder's ``array_leaves``: the stem's weight and bias, then each block's
-    four arrays."""
+    encoder's ``array_leaves``: the stem's weight and bias, then the block
+    rows of the conv1 kernel, the conv1 bias, the conv2 kernel and the conv2
+    bias."""
     x = tape.tensor(frames)
-    stem_weight, stem_bias, *blocks = enc_leaves
+    stem_weight, stem_bias, *stacked = enc_leaves
+    blocks = len(stacked) // 4
+    per_array = [stacked[i * blocks:(i + 1) * blocks] for i in range(4)]
     h = relu(affine_frames(x, stem_weight, stem_bias))
-    for start in range(0, len(blocks), 4):
-        conv1_kernel, conv1_bias, conv2_kernel, conv2_bias = blocks[start:start + 4]
+    for conv1_kernel, conv1_bias, conv2_kernel, conv2_bias in zip(*per_array):
         inner = relu(conv1d_same(h, conv1_kernel, conv1_bias))
         inner = conv1d_same(inner, conv2_kernel, conv2_bias)
         h = relu(add(inner, h))

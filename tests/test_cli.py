@@ -484,8 +484,9 @@ def add_heads_key(doc):
     doc["heads"]["extra"] = doc["heads"]["action_bias"]
 
 
-def replace_block_record(doc):
-    doc["encoder"]["blocks"][0] = [1.0, 2.0]
+def replace_block_array(doc):
+    """A stacked block array as two bare numbers, not its shaped object."""
+    doc["encoder"]["conv1_kernel"] = [1.0, 2.0]
 
 
 def transpose_action_weight(doc):
@@ -500,8 +501,18 @@ def set_unknown_mode(doc):
     """Mode "bogus", with the id recomputed so that only the mode check can catch it."""
     from tspkit import pretrain
     ckpt = pretrain.checkpoint_from_dict(doc)
-    ckpt.mode = "bogus"
-    doc["mode"], doc["checkpoint_id"] = ckpt.mode, ckpt.checkpoint_id
+    object.__setattr__(ckpt.config, "mode", "bogus")  # past TrainConfig's own check
+    doc["config"]["mode"], doc["checkpoint_id"] = ckpt.mode, ckpt.checkpoint_id
+
+
+def set_config_keeping_id(**fields):
+    """``config`` edited, with the id recomputed so that only the shape check can catch it."""
+    def change(doc):
+        ckpt = pretrain.checkpoint_from_dict(doc)
+        ckpt.config = replace(ckpt.config, **fields)
+        doc["config"].update(fields)
+        doc["checkpoint_id"] = ckpt.checkpoint_id
+    return edit_json(change)
 
 
 def keep_one_class(doc):
@@ -583,7 +594,7 @@ BAD_FILES = [
                                          WRONG_VERSION)],
     ("checkpoint", "no_heads", edit_json(lambda doc: doc.pop("heads"))),
     ("checkpoint", "heads_extra_key", edit_json(add_heads_key)),
-    ("checkpoint", "block_not_object", edit_json(replace_block_record)),
+    ("checkpoint", "block_not_object", edit_json(replace_block_array)),
     ("checkpoint", "schema_version_1", edit_json(lambda doc: doc.update(schema_version=1))),
     ("checkpoint", "string_weight", set_bias("x")),
     ("checkpoint", "nan_weight", set_bias(float("nan"))),
@@ -591,7 +602,8 @@ BAD_FILES = [
     ("checkpoint", "edited_clip_len", set_config(clip_len=4)),
     ("checkpoint", "edited_init_encoder", edit_json(set_init_weight)),
     ("checkpoint", "bogus_mode", edit_json(set_unknown_mode)),
-    ("checkpoint", "string_seed", edit_json(lambda doc: doc.update(seed="0"))),
+    ("checkpoint", "string_seed", set_config(seed="0")),
+    ("checkpoint", "top_level_mode", edit_json(lambda doc: doc.update(mode="tsp"))),
     ("checkpoint", "null_clip_len", set_config(clip_len=None)),
     ("checkpoint", "zero_clip_len", set_config(clip_len=0)),
     ("checkpoint", "string_frame_stride", set_config(frame_stride="x")),
@@ -646,6 +658,25 @@ def test_malformed_input_file_exits_1_with_one_error_line_naming_it(
     assert code == 1, err
     assert err.startswith(f"error: {bad}: ")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (edit_json(lambda doc: doc.update(schema_version=2)),
+     "unsupported checkpoint schema_version 2"),
+    (set_config_keeping_id(embed_dim=64),
+     "malformed checkpoint: encoder.config has embed_dim 4 and blocks 1, config 64 and 1"),
+    (set_config_keeping_id(blocks=2),
+     "malformed checkpoint: encoder.config has embed_dim 4 and blocks 1, config 4 and 2"),
+], ids=["schema_version_2", "config_embed_dim", "config_blocks"])
+def test_extract_names_why_it_refuses_a_checkpoint(mutate, message, good_files, tmp_path,
+                                                   capsys):
+    capsys.readouterr()
+    bad = tmp_path / "bad_checkpoint"
+    bad.write_text(mutate(good_files["checkpoint"].read_text(encoding="utf-8")),
+                   encoding="utf-8")
+    code, out = run_with_bad_file("checkpoint", bad, good_files, tmp_path)
+    assert (code, capsys.readouterr().err) == (1, f"error: {bad}: {message}\n")
     assert not out.exists()
 
 

@@ -553,6 +553,22 @@ def test_nms_keeps_one_of_identical_candidates():
     assert len(dets) == 1
 
 
+def brute_force_runs(mask):
+    """Every maximal run of True as (start, stop), by checking each pair."""
+    n = len(mask)
+    return [(i, j) for i in range(n) for j in range(i + 1, n + 1)
+            if all(mask[i:j]) and (i == 0 or not mask[i - 1]) and (j == n or not mask[j])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask=st.lists(st.booleans(), max_size=24), first=st.booleans(), last=st.booleans())
+def test_runs_are_the_brute_force_maximal_runs(mask, first, last):
+    # first and last put a run at each end of the mask as often as not
+    mask = [first, *mask, last]
+    assert ev._runs(np.array(mask, dtype=bool)) == brute_force_runs(mask)
+    assert ev._runs(np.zeros(0, dtype=bool)) == []
+
+
 @settings(max_examples=60, deadline=None)
 @given(instance=detection_instances(), thr=st.sampled_from([0.25, 0.5, 0.8, 1.0]))
 def test_nms_equals_the_scalar_greedy_loop_exactly(instance, thr):

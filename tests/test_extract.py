@@ -213,7 +213,7 @@ def test_dense_global_feature_pools_the_init_encoders_track_at_that_hop(pool):
     # the init encoder's default-hop track, through the action head alone
     corpus = make_corpus()
     ckpt = make_checkpoint(corpus, global_pool=pool)
-    init_tac = replace(ckpt, mode="tac", encoder=ckpt.init_encoder)
+    init_tac = replace(ckpt, config=replace(ckpt.config, mode="tac"), encoder=ckpt.init_encoder)
     for video in corpus.videos.values():
         track = ex.extract_track(corpus, video, init_tac)
         row = pt.video_global_feature(corpus, video, ckpt.init_encoder, ckpt.config)

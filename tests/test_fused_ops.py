@@ -27,17 +27,17 @@ from tspkit.sampler import ClipSet, clip_frame_indices
 
 
 def step(enc_params, heads, batch, cfg):
-    """(loss bytes, [gradient bytes of each encoder then head array]) of one
-    fused step: each array's gradient is its view of its record's flat one."""
+    """(loss bytes, [gradient bytes of each encoder then head leaf array]) of
+    one fused step: each array's gradient is its view of its record's flat one."""
     tape = ad.Tape()
     loss = pt.batch_loss_tensor(tape, enc_params, heads, *batch, cfg)
     enc_grad, head_grad = tape.backward()
-    arrays = enc_params.view(enc_grad).arrays() + heads.view(head_grad).arrays()
+    arrays = ref.leaf_arrays(enc_params.view(enc_grad)) + heads.view(head_grad).arrays()
     return np.float64(loss).tobytes(), [a.tobytes() for a in arrays]
 
 
 def reference_step(enc_params, heads, batch, cfg):
-    """``step`` through the primitive-op reference, one leaf per array."""
+    """``step`` through the primitive-op reference, one leaf per ``leaf_arrays`` entry."""
     tape = ref.Tape()
     enc_leaves, head_leaves = (ref.array_leaves(tape, p) for p in (enc_params, heads))
     loss = ref.batch_loss_tensor(tape, enc_leaves, head_leaves, *batch, cfg)
@@ -59,9 +59,10 @@ def test_fused_step_is_bytewise_the_reference_composition(mode, embed_dim, block
     enc_cfg = enc.EncoderConfig(channels_in=int(rng.integers(1, 17)), embed_dim=embed_dim,
                                 blocks=blocks)
     enc_params = enc.init_params(enc_cfg, seed=int(rng.integers(1000)))
-    for blk in enc_params.blocks:  # nonzero biases, so ReLUs cut on both sides
-        blk.conv1_bias[:] = rng.standard_normal(embed_dim) * 0.3
-        blk.conv2_bias[:] = rng.standard_normal(embed_dim) * 0.3
+    # nonzero biases, so ReLUs cut on both sides; a bias array's row i is block i's
+    for conv1_bias, conv2_bias in zip(enc_params.conv1_bias, enc_params.conv2_bias):
+        conv1_bias[:] = rng.standard_normal(embed_dim) * 0.3
+        conv2_bias[:] = rng.standard_normal(embed_dim) * 0.3
     enc_params.stem_bias[:] = rng.standard_normal(embed_dim) * 0.3
     heads = pt.init_heads(embed_dim, num_classes, mode, seed=int(rng.integers(1000)))
     frames = rng.standard_normal((batch, length, enc_cfg.frame_dim))

@@ -10,6 +10,7 @@ import hashlib
 import pickle
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,36 +37,39 @@ def assert_views_in_order(record):
     offset = 0
     for arr in record.arrays():
         assert arr.dtype == np.float64 and arr.flags.c_contiguous
-        assert arr.__array_interface__["data"][0] - base == offset * flat.itemsize
-        assert arr.size == 0 or np.shares_memory(arr, flat)
+        if arr.size:  # an empty block array (no blocks) holds no bytes to place
+            assert arr.__array_interface__["data"][0] - base == offset * flat.itemsize
+            assert np.shares_memory(arr, flat)
         offset += arr.size
     assert offset == flat.size
 
 
-records = st.builds(
-    lambda channels, side, embed_dim, blocks, classes, mode, seed: (
-        enc.init_params(enc.EncoderConfig(channels_in=channels, height=side, width=side,
-                                          embed_dim=embed_dim, blocks=blocks), seed),
-        pt.init_heads(embed_dim, classes, mode, seed)),
-    st.integers(1, 8), st.integers(1, 2), st.integers(1, 12), st.integers(0, 3),
-    st.integers(1, 6), st.sampled_from(pt.MODES), st.integers(0, 2**16))
+shapes = st.tuples(st.integers(1, 8), st.integers(1, 2), st.integers(1, 12), st.integers(1, 6),
+                   st.sampled_from(pt.MODES), st.integers(0, 2**16))
 
 
-@settings(max_examples=40, deadline=None)
-@given(records=records, seed=st.integers(0, 2**32 - 1))
-def test_records_are_views_of_one_buffer_copied_and_hashed_as_per_array(records, seed):
-    encoder, heads = records
+@settings(max_examples=20, deadline=None)
+@given(shape=shapes, seed=st.integers(0, 2**32 - 1))
+def test_records_are_views_of_one_buffer_copied_and_hashed_as_per_array(shape, seed):
+    for blocks in range(4):
+        check_records(*shape, blocks, seed)
+
+
+def check_records(channels, side, embed_dim, classes, mode, init_seed, blocks, seed):
+    encoder = enc.init_params(enc.EncoderConfig(channels_in=channels, height=side, width=side,
+                                                embed_dim=embed_dim, blocks=blocks), init_seed)
+    heads = pt.init_heads(embed_dim, classes, mode, init_seed)
     rng = np.random.default_rng(seed)
-    for record in (encoder, heads, *encoder.blocks):
+    for record in (encoder, heads):
         assert_views_in_order(record)
         # the values survive packing: the buffer is the arrays laid end to end
         assert np.array_equal(record.flat,
                               np.concatenate([a.ravel() for a in record.arrays()]))
-    for blk in encoder.blocks:  # a block's buffer is its window of the encoder's
-        assert np.shares_memory(blk.flat, encoder.flat)
+    # the same six arrays at any depth, each stacked one with a row per block
+    assert [a.shape for a in encoder.arrays()] == enc.param_shapes(encoder.config)
     encoder.flat[:] = rng.standard_normal(encoder.flat.size)  # writes reach every view
-    assert np.array_equal(encoder.blocks[-1].conv2_bias if encoder.blocks else
-                          encoder.stem_bias, encoder.flat[-encoder.config.embed_dim:])
+    assert np.array_equal(encoder.conv2_bias[-1] if blocks else encoder.stem_bias,
+                          encoder.flat[-encoder.config.embed_dim:])
 
     for record in (encoder, heads):
         before = record.flat.copy()
@@ -86,6 +90,25 @@ def test_records_are_views_of_one_buffer_copied_and_hashed_as_per_array(records,
     assert pt.params_hash(encoder, heads, prefix=prefix) == per_array_hash(
         encoder, heads, prefix=prefix)
     assert pt.params_hash(encoder) == per_array_hash(encoder)
+
+
+@pytest.mark.parametrize("blocks", range(4))
+def test_stacked_blocks_reorder_the_per_block_buffer_only_past_one_block(blocks):
+    # the buffer a per-block record laid out: the stem, then each block's
+    # conv1 kernel, conv1 bias, conv2 kernel and conv2 bias
+    encoder = enc.init_params(enc.EncoderConfig(channels_in=3, embed_dim=5, blocks=blocks), 7)
+    encoder.flat[:] = np.arange(encoder.flat.size)
+    per_block = np.concatenate([encoder.stem_weight.ravel(), encoder.stem_bias, *(
+        array[i].ravel() for i in range(blocks)
+        for array in (encoder.conv1_kernel, encoder.conv1_bias,
+                      encoder.conv2_kernel, encoder.conv2_bias))])
+    assert sorted(per_block) == list(encoder.flat)
+    assert (per_block.tobytes() == encoder.flat.tobytes()) == (blocks <= 1)
+    # a block row is a view into the buffer, and the leaf arrays are its order
+    for row in ref.leaf_arrays(encoder)[2:]:
+        assert np.shares_memory(row, encoder.flat)
+    assert np.concatenate([a.ravel() for a in ref.leaf_arrays(encoder)]).tobytes() == (
+        encoder.flat.tobytes())
 
 
 def test_a_record_built_from_arrays_copies_them_into_its_buffer():
@@ -132,7 +155,8 @@ def test_train_cell_update_is_bytewise_the_per_array_reference(monkeypatch):
     snapshots, accuracy = [], pt._accuracy
 
     def record_accuracy(enc_params, head_params, *rest):
-        snapshots.append([a.tobytes() for a in enc_params.arrays() + head_params.arrays()])
+        arrays = ref.leaf_arrays(enc_params) + head_params.arrays()
+        snapshots.append([a.tobytes() for a in arrays])
         return accuracy(enc_params, head_params, *rest)
 
     monkeypatch.setattr(pt, "_accuracy", record_accuracy)
@@ -140,7 +164,7 @@ def test_train_cell_update_is_bytewise_the_per_array_reference(monkeypatch):
     assert not any(row.diverged for row in rows)
 
     encoder, heads = inputs.init_encoder.copy(), inputs.init_heads.copy()
-    groups = (encoder.arrays(), heads.arrays())
+    groups = (ref.leaf_arrays(encoder), heads.arrays())
     velocity = [[np.zeros_like(a) for a in group] for group in groups]
     expected, step = [], 0
     size = cfg.batch_size
