@@ -67,9 +67,10 @@ class EncoderConfig:
 class ParamRecord:
     """A dataclass of parameter arrays laid end to end in one float64 buffer.
 
-    Its array fields are the fields annotated ``np.ndarray``. ``flat`` is the
-    buffer and each array field is a view into it, in field order, which is
-    ``arrays()`` order. Constructing a record copies its arrays into a new
+    Its array fields are the fields whose annotation is the string
+    ``"np.ndarray"``, as it is in a module with ``from __future__ import
+    annotations``. ``flat`` is the buffer and each array field is a view into
+    it, in field order, which is ``arrays()`` order. Constructing a record copies its arrays into a new
     buffer; ``view(buffer)`` lays the same shapes over another one without a
     copy, so ``copy()`` is one ``np.copy`` and a gradient or an update is one
     vector over the whole record. A training step's sweep returns one flat
@@ -79,7 +80,7 @@ class ParamRecord:
     def __post_init__(self):
         layout, offset = [], 0  # (name, start, stop, shape) of each array, in order
         for f in fields(self):
-            if f.type in ("np.ndarray", np.ndarray):
+            if f.type == "np.ndarray":
                 shape = np.shape(getattr(self, f.name))
                 size = math.prod(shape)
                 layout.append((f.name, offset, offset + size, shape))

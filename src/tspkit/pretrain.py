@@ -186,14 +186,20 @@ def encoder_config_for(corpus: Corpus, cfg: TrainConfig) -> enc.EncoderConfig:
                              width=corpus.synth.width, embed_dim=cfg.embed_dim, blocks=cfg.blocks)
 
 
-def init_heads(feature_dim: int, num_classes: int, mode: str, seed: int) -> HeadParams:
+def head_shapes(feature_dim: int, num_classes: int, mode: str) -> list[tuple[int, ...]]:
+    """The shape of each ``HeadParams`` array, in ``arrays()`` order."""
     region_in = feature_dim if mode == "tsp_nogvf" else 2 * feature_dim
+    return [(feature_dim, num_classes), (num_classes,), (region_in, 2), (2,)]
+
+
+def init_heads(feature_dim: int, num_classes: int, mode: str, seed: int) -> HeadParams:
+    action, action_bias, region, region_bias = head_shapes(feature_dim, num_classes, mode)
     rng = rng_for(seed, "head-init", mode)
     return HeadParams(
-        action_weight=rng.standard_normal((feature_dim, num_classes)) / math.sqrt(feature_dim),
-        action_bias=np.zeros(num_classes),
-        region_weight=rng.standard_normal((region_in, 2)) / math.sqrt(region_in),
-        region_bias=np.zeros(2),
+        action_weight=rng.standard_normal(action) / math.sqrt(action[0]),
+        action_bias=np.zeros(action_bias),
+        region_weight=rng.standard_normal(region) / math.sqrt(region[0]),
+        region_bias=np.zeros(region_bias),
     )
 
 
@@ -615,7 +621,8 @@ def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
 def _check_shapes(ckpt: Checkpoint) -> None:
     """Raise ValueError unless both encoders have the width and depth the
     config names, and each array the shape its record's config, the mode and
-    the class count imply."""
+    the class count imply. The expected shapes are computed, not drawn, so a
+    file's config cannot make this allocate anything."""
     enc_cfg, cfg = ckpt.encoder.config, ckpt.config
     if (enc_cfg.embed_dim, enc_cfg.blocks) != (cfg.embed_dim, cfg.blocks):
         raise ValueError(f"encoder.config has embed_dim {enc_cfg.embed_dim} and blocks "
@@ -624,7 +631,7 @@ def _check_shapes(ckpt: Checkpoint) -> None:
         return getattr(record, "config", None), [a.shape for a in record.arrays()]
 
     encoder = (enc_cfg, enc.param_shapes(enc_cfg))
-    heads = layout(init_heads(enc_cfg.feature_dim, ckpt.heads.action_bias.size, ckpt.mode, 0))
+    heads = (None, head_shapes(enc_cfg.feature_dim, ckpt.heads.action_bias.size, ckpt.mode))
     for name, expected in (("encoder", encoder), ("init_encoder", encoder), ("heads", heads)):
         found = layout(getattr(ckpt, name))
         if found != expected:

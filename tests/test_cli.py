@@ -515,6 +515,20 @@ def set_config_keeping_id(**fields):
     return edit_json(change)
 
 
+def set_embed_dim_everywhere_keeping_id(embed_dim):
+    """Every config's ``embed_dim`` edited, with the id recomputed; the arrays keep their shapes."""
+    def change(doc):
+        ckpt = pretrain.checkpoint_from_dict(doc)
+        ckpt.config = replace(ckpt.config, embed_dim=embed_dim)
+        for name in ("encoder", "init_encoder"):
+            record = getattr(ckpt, name)
+            record.config = replace(record.config, embed_dim=embed_dim)
+            doc[name]["config"]["embed_dim"] = embed_dim
+        doc["config"]["embed_dim"] = embed_dim
+        doc["checkpoint_id"] = ckpt.checkpoint_id
+    return edit_json(change)
+
+
 def keep_one_class(doc):
     """One class, every annotation relabelled to it, hard background."""
     doc["classes"] = doc["classes"][:1]
@@ -677,6 +691,23 @@ def test_extract_names_why_it_refuses_a_checkpoint(mutate, message, good_files, 
                    encoding="utf-8")
     code, out = run_with_bad_file("checkpoint", bad, good_files, tmp_path)
     assert (code, capsys.readouterr().err) == (1, f"error: {bad}: {message}\n")
+    assert not out.exists()
+
+
+def test_extract_refuses_a_huge_width_in_every_config_without_allocating_it(
+        good_files, tmp_path, capsys):
+    # 2**50 wide heads would need more bytes than an address space holds, so
+    # drawing them before the shapes are compared fails with MemoryError
+    capsys.readouterr()
+    bad = tmp_path / "bad_checkpoint"
+    mutate = set_embed_dim_everywhere_keeping_id(2 ** 50)
+    bad.write_text(mutate(good_files["checkpoint"].read_text(encoding="utf-8")),
+                   encoding="utf-8")
+    code, out = run_with_bad_file("checkpoint", bad, good_files, tmp_path)
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert err.startswith(f"error: {bad}: malformed checkpoint: encoder config and shapes ")
+    assert err.count("\n") == 1
     assert not out.exists()
 
 
