@@ -64,7 +64,7 @@ def test_training_step_batch_32(benchmark, params):
     batch = len(frames)
     region = np.arange(batch) % 2
     action = np.where(region == 1, rng.integers(0, NUM_CLASSES, batch), -1)
-    gfeats = rng.standard_normal((batch, params[0].config.feature_dim))
+    gfeats = rng.standard_normal((batch, params[0].stem_bias.size))
     grads = benchmark(train_step, *params, frames, region, action, gfeats)
     assert [g.size for g in grads] == [params[0].flat.size, params[1].flat.size]
 
@@ -72,7 +72,7 @@ def test_training_step_batch_32(benchmark, params):
 def test_encoder_backward_batch_32(benchmark, params):
     rng = np.random.default_rng(2)
     frames = batch_frames(rng)
-    g = rng.standard_normal((len(frames), params[0].config.feature_dim))
+    g = rng.standard_normal((len(frames), params[0].stem_bias.size))
 
     def taped_forward():
         tape = ad.Tape()
@@ -88,4 +88,4 @@ def test_validation_forward_1180_clips(benchmark, params):
     store = np.abs(rng.standard_normal((VALID_FRAMES, FRAME_DIM)))
     rows = rng.integers(0, VALID_FRAMES, (VALID_CLIPS, CLIP_LEN))
     feats = benchmark(pt.clip_features, params[0], store, rows)
-    assert feats.shape == (VALID_CLIPS, params[0].config.feature_dim)
+    assert feats.shape == (VALID_CLIPS, params[0].stem_bias.size)

@@ -96,8 +96,8 @@ def checkpoint_file(tmp_path_factory, cfg: pt.TrainConfig):
                            float(rng.random()), 1.0)
             for lr in cfg.head_lr_grid for epoch in range(cfg.epochs)]
     ckpt = pt.Checkpoint(
-        config=cfg, encoder=encoder, heads=pt.init_heads(cfg.embed_dim, 8, "tsp", seed=0),
-        init_encoder=encoder.copy(),
+        config=cfg, frame_shape=(16, 1, 1), encoder=encoder,
+        heads=pt.init_heads(cfg.embed_dim, 8, "tsp", seed=0), init_encoder=encoder.copy(),
         selection=pt.SelectionRecord(rows[0].head_lr, 0, rows[0].action_acc, rows))
     path = tmp_path_factory.mktemp("decode") / "checkpoint.json"
     pt.save_checkpoint(ckpt, path, invocation="pretrain")

@@ -74,7 +74,7 @@ def test_train_five_cells(benchmark, corpus, workers, monkeypatch):
     monkeypatch.setenv("TSPKIT_THREADS", workers)
     cfg = replace(bench.default_bench_train_config(), epochs=2, warmup_epochs=1,
                   decay_epochs=())
-    init = enc.init_params(pt.encoder_config_for(corpus, cfg), cfg.seed)
+    init = enc.init_params(pt.encoder_config_for(corpus.synth.frame_shape, cfg), cfg.seed)
     ckpt, rows = benchmark.pedantic(pt.train, args=(corpus, cfg, init), rounds=3,
                                     iterations=1)
     assert len(rows) == len(cfg.head_lr_grid) * cfg.epochs

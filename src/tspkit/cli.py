@@ -174,10 +174,10 @@ def _flag_table(record_type) -> tuple[tuple[str, tuple[str, ...], tuple[str, ...
     return tuple(table)
 
 
-def _add_record_flags(p, record, skip=(), only=None) -> None:
-    """The flags of ``record``'s fields but those in ``skip`` or not in ``only``."""
+def _add_record_flags(p, record, skip=()) -> None:
+    """The flags of ``record``'s fields but those in ``skip``."""
     for name, flags, dests, kwargs in _flag_table(type(record)):
-        if name not in skip and (only is None or name in only):
+        if name not in skip:
             value = getattr(record, name)
             for flag, dest, default in zip(flags, dests, value if len(flags) > 1 else (value,)):
                 p.add_argument(flag, dest=dest, default=default, **kwargs)
@@ -216,10 +216,9 @@ def _add_pretrain(sub) -> None:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="checkpoint JSON path")
     p.add_argument("--log", help="training log TSV path (default: <out>.log.tsv)")
-    _add_record_flags(p, pretrain.TrainConfig(), only={"seed"})
     p.add_argument("--init-checkpoint",
                    help="reuse the encoder of this checkpoint as the initialization")
-    _add_record_flags(p, pretrain.TrainConfig(), skip={"seed"})
+    _add_record_flags(p, pretrain.TrainConfig())
 
 
 def _cmd_pretrain(args) -> int:
@@ -314,9 +313,12 @@ def _localize_track(job, path) -> tuple[str, list, list]:
 def _cmd_localize(args) -> int:
     job = (_record(_from_flags, args, evalkit.LocalizerParams()),
            args.actionness.replace("-", "_"))
-    results = fork_map(_localize_track, job, _track_paths(args.tracks))
-    dets_by_video = {video_id: dets for video_id, dets, _ in results}
-    props_by_video = {video_id: props for video_id, _, props in results}
+    paths = _track_paths(args.tracks)
+    dets_by_video, props_by_video, first_path = {}, {}, {}
+    for path, (video_id, dets, props) in zip(paths, fork_map(_localize_track, job, paths)):
+        if first_path.setdefault(video_id, path) != path:  # keeping one would drop the other
+            raise ValueError(f"video {video_id} has two tracks: {first_path[video_id]} and {path}")
+        dets_by_video[video_id], props_by_video[video_id] = dets, props
     evalkit.save_predictions(dets_by_video, args.detections_out, invocation=args.flags)
     evalkit.save_predictions(props_by_video, args.proposals_out, invocation=args.flags)
     total = sum(len(v) for v in dets_by_video.values())

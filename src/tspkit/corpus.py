@@ -137,6 +137,10 @@ class SynthInfo:
     def frame_dim(self) -> int:
         return self.channels * self.height * self.width
 
+    @property
+    def frame_shape(self) -> tuple[int, int, int]:
+        return self.channels, self.height, self.width
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -245,7 +249,7 @@ class Corpus:
 
     # -- procedural frames ------------------------------------------------
 
-    def _require_synth(self) -> SynthInfo:
+    def require_synth(self) -> SynthInfo:
         if self.synth is None:
             raise ManifestError("corpus has no synthesis block; frames are unavailable")
         return self.synth
@@ -254,7 +258,7 @@ class Corpus:
     def prototypes(self) -> np.ndarray:
         """(num_classes, frame_dim) unit-normal class prototypes."""
         if self._prototypes is None:
-            info = self._require_synth()
+            info = self.require_synth()
             protos = np.stack([
                 rng_for(info.master_seed, "class-prototype", c).standard_normal(info.frame_dim)
                 for c in range(len(self.classes))
@@ -266,7 +270,7 @@ class Corpus:
     def background_prototype(self, video: VideoRecord) -> np.ndarray:
         proto = self._bg_prototypes.get(video.id)
         if proto is None:
-            info = self._require_synth()
+            info = self.require_synth()
             if video.frame_seed is None:
                 raise ManifestError(f"video {video.id!r} has no frame_seed")
             if info.background_mode == "pure":
@@ -301,7 +305,7 @@ class Corpus:
         store = self._stores.get(split)
         if store is None:
             videos = self.subset_videos(split)
-            store = np.empty((sum(v.num_frames for v in videos), self._require_synth().frame_dim))
+            store = np.empty((sum(v.num_frames for v in videos), self.require_synth().frame_dim))
             for video in videos:
                 start = self._offsets[video.id]
                 store[start:start + video.num_frames] = self._synthesize_rows(
@@ -313,7 +317,7 @@ class Corpus:
     def video_frames(self, video: VideoRecord) -> np.ndarray:
         """All frames of a video, shape (num_frames, channels, height, width): a
         read-only view of its rows of the split's frame store."""
-        info = self._require_synth()
+        info = self.require_synth()
         start = self._offsets[video.id]
         return self.split_frames(video.subset)[start:start + video.num_frames].reshape(
             -1, info.channels, info.height, info.width)
@@ -340,7 +344,7 @@ class Corpus:
 
     def _synthesize_rows(self, video: VideoRecord, rows: np.ndarray) -> np.ndarray:
         """Frames ``rows`` (a 1-D index array) of a video, shape (len(rows), c, h, w)."""
-        info = self._require_synth()
+        info = self.require_synth()
         segs = self.segments(video.id)
         # segments partition [0, duration]; membership is half-open, and
         # a time past the last end falls in the last segment

@@ -9,8 +9,9 @@ There is one forward pass, ``forward_batch``, over a batch of clips. Its
 parameters are an ``EncoderParams`` record, whose arrays are views of one
 flat buffer: the stem's weight and bias, then each conv's kernel and bias
 with every block's stacked on a leading axis, so a record has the same six
-arrays at any depth. Given a tape, it records its backward, the first of a
-training step's two ops (the second is ``pretrain.batch_loss_tensor``'s
+arrays at any depth and nothing else: their shapes give the width, the
+frame size and the depth. Given a tape, it records its backward, the first of
+a training step's two ops (the second is ``pretrain.batch_loss_tensor``'s
 two-head loss); inference passes none and keeps no activation. Clips are
 time-major, (B, L, frame_dim): one flattened frame per row, as a ``take`` of
 a ``sampler.ClipSet``'s rows from a split's frame store gathers them.
@@ -53,10 +54,6 @@ class EncoderConfig:
     def frame_dim(self) -> int:
         return self.channels_in * self.height * self.width
 
-    @property
-    def feature_dim(self) -> int:
-        return self.embed_dim
-
     def __post_init__(self):
         if min(self.channels_in, self.height, self.width, self.embed_dim) < 1:
             raise ValueError("encoder dimensions must be positive")
@@ -67,24 +64,22 @@ class EncoderConfig:
 class ParamRecord:
     """A dataclass of parameter arrays laid end to end in one float64 buffer.
 
-    Its array fields are the fields whose annotation is the string
-    ``"np.ndarray"``, as it is in a module with ``from __future__ import
-    annotations``. ``flat`` is the buffer and each array field is a view into
-    it, in field order, which is ``arrays()`` order. Constructing a record copies its arrays into a new
-    buffer; ``view(buffer)`` lays the same shapes over another one without a
-    copy, so ``copy()`` is one ``np.copy`` and a gradient or an update is one
-    vector over the whole record. A training step's sweep returns one flat
-    gradient per record, and a checkpoint stores the views by field name.
+    Every field is an array. ``flat`` is the buffer and each field is a view
+    into it, in field order, which is ``arrays()`` order. Constructing a
+    record copies its arrays into a new buffer; ``view(buffer)`` lays the same
+    shapes over another one without a copy, so ``copy()`` is one ``np.copy``
+    and a gradient or an update is one vector over the whole record. A
+    training step's sweep returns one flat gradient per record, and a
+    checkpoint stores the views by field name.
     """
 
     def __post_init__(self):
         layout, offset = [], 0  # (name, start, stop, shape) of each array, in order
         for f in fields(self):
-            if f.type == "np.ndarray":
-                shape = np.shape(getattr(self, f.name))
-                size = math.prod(shape)
-                layout.append((f.name, offset, offset + size, shape))
-                offset += size
+            shape = np.shape(getattr(self, f.name))
+            size = math.prod(shape)
+            layout.append((f.name, offset, offset + size, shape))
+            offset += size
         self._layout = tuple(layout)
         self._bind(np.concatenate([np.asarray(a, dtype=np.float64).ravel()
                                    for a in self.arrays()]))
@@ -116,8 +111,7 @@ class ParamRecord:
 @dataclass
 class EncoderParams(ParamRecord):
     """The stem, then each conv array of every block stacked on a leading
-    block axis; row ``i`` of a stacked array is block ``i``'s."""
-    config: EncoderConfig
+    block axis (row ``i`` is block ``i``'s), and no field but these arrays."""
     stem_weight: np.ndarray  # (d, frame_dim)
     stem_bias: np.ndarray  # (d,)
     conv1_kernel: np.ndarray  # (blocks, d, d, 3)
@@ -141,7 +135,7 @@ def init_params(config: EncoderConfig, seed: int) -> EncoderParams:
     stem_w = rng.standard_normal((d, config.frame_dim)) * np.sqrt(2.0 / config.frame_dim)
     kernels = rng.standard_normal((config.blocks, 2, d, d, 3)) * np.sqrt(2.0 / (d * 3))
     biases = np.zeros((config.blocks, d))
-    return EncoderParams(config, stem_w, np.zeros(d), kernels[:, 0], biases,
+    return EncoderParams(stem_w, np.zeros(d), kernels[:, 0], biases,
                          kernels[:, 1], biases)
 
 
@@ -186,9 +180,9 @@ def forward_batch(params: EncoderParams, frames: np.ndarray,
     gives the backward mask the input's would. The backward writes each
     array's gradient into its view of one flat gradient buffer.
     """
-    config = params.config
-    if frames.ndim != 3 or frames.shape[2] != config.frame_dim:
-        raise ShapeError(f"encoder expects (B, L, {config.frame_dim}) frames, "
+    d, frame_dim = params.stem_weight.shape
+    if frames.ndim != 3 or frames.shape[2] != frame_dim:
+        raise ShapeError(f"encoder expects (B, L, {frame_dim}) frames, "
                          f"got {frames.shape}")
     batch, length, _ = frames.shape
     frames = np.ascontiguousarray(frames, dtype=np.float64)
@@ -215,7 +209,7 @@ def forward_batch(params: EncoderParams, frames: np.ndarray,
 
     def backward(g):
         grad = params.view(np.empty_like(params.flat))  # every view is written below
-        rows, d = batch * length, config.embed_dim
+        rows = batch * length
         ones = np.ones(rows)  # each bias gradient is one (B·L) @ (B·L, d) product
 
         def conv_grads(g_out, windows, kernel, grad_kernel, grad_bias):

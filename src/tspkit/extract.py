@@ -69,6 +69,8 @@ class FeatureTrack:
         if min(counts) < 1 or self.num_frames < min(n, 1):
             raise ValueError("clip_len, frame_stride, hop_frames and, unless there are no clips, "
                              "num_frames must be positive")
+        if self.action_logits.shape[1] < 1:
+            raise ValueError("a track needs at least one action-logit column")
         if self.global_feature.shape[0] not in (0, dim):
             raise ValueError(f"gvf length {self.global_feature.shape[0]} is neither 0 nor "
                              f"feature_dim {dim}")
@@ -89,9 +91,8 @@ class FeatureTrack:
 def check_frame_shape(corpus: Corpus, ckpt: Checkpoint, corpus_name: str = "corpus",
                       ckpt_name: str = "checkpoint") -> None:
     """Raise TrackError unless the checkpoint's encoder reads the corpus's frames."""
-    enc_cfg, synth = ckpt.encoder.config, corpus.synth
-    want = f"{enc_cfg.channels_in}x{enc_cfg.height}x{enc_cfg.width}"
-    have = want if synth is None else f"{synth.channels}x{synth.height}x{synth.width}"
+    want = "x".join(map(str, ckpt.frame_shape))
+    have = want if corpus.synth is None else "x".join(map(str, corpus.synth.frame_shape))
     if want != have:
         raise TrackError(f"{ckpt_name} expects {want} frames, {corpus_name} has {have}")
 

@@ -55,7 +55,7 @@ from .sampler import ClipSet, build_epoch, clip_span, dense_clips, test_clip_set
 from .seeding import rng_for
 from .workers import fork_map
 
-CHECKPOINT_SCHEMA_VERSION = 3
+CHECKPOINT_SCHEMA_VERSION = 4
 MODES = ("tsp", "tsp_nogvf", "tac")
 POOLS = ("max", "avg")
 INITS = ("tac", "random")  # "tac": warm-start from a classification-only run
@@ -146,7 +146,10 @@ class SelectionRecord:
 
 @dataclass
 class Checkpoint:
+    """A trained run. Its encoders read (channels, height, width) frames of
+    ``frame_shape``, at the width and the depth ``config`` names."""
     config: TrainConfig
+    frame_shape: tuple[int, int, int]
     encoder: enc.EncoderParams
     heads: HeadParams
     init_encoder: enc.EncoderParams
@@ -164,7 +167,8 @@ class Checkpoint:
     def checkpoint_id(self) -> str:
         """Hashes all a track depends on: the mode and the seed, then the whole
         config (clip geometry and GVF pool among it; the mode and the seed
-        again), then the three parameter records' buffers."""
+        again), then the three parameter records' buffers. Not the frame
+        shape: no output byte depends on the geometry of a flattened frame."""
         config = json.dumps(_to_json(self.config))
         return params_hash(self.encoder, self.heads, self.init_encoder,
                            prefix=f"{self.mode}{self.seed}{config}".encode())
@@ -179,15 +183,16 @@ def params_hash(*records: enc.ParamRecord, prefix: bytes = b"") -> str:
     return digest.hexdigest()[:12]
 
 
-def encoder_config_for(corpus: Corpus, cfg: TrainConfig) -> enc.EncoderConfig:
-    if corpus.synth is None:
-        raise ValueError("training needs a corpus with procedural frames")
-    return enc.EncoderConfig(channels_in=corpus.synth.channels, height=corpus.synth.height,
-                             width=corpus.synth.width, embed_dim=cfg.embed_dim, blocks=cfg.blocks)
+def encoder_config_for(frame_shape: tuple[int, int, int], cfg: TrainConfig) -> enc.EncoderConfig:
+    channels, height, width = frame_shape
+    return enc.EncoderConfig(channels_in=channels, height=height, width=width,
+                             embed_dim=cfg.embed_dim, blocks=cfg.blocks)
 
 
 def head_shapes(feature_dim: int, num_classes: int, mode: str) -> list[tuple[int, ...]]:
     """The shape of each ``HeadParams`` array, in ``arrays()`` order."""
+    if num_classes < 1:
+        raise ValueError(f"heads need at least one class, got {num_classes}")
     region_in = feature_dim if mode == "tsp_nogvf" else 2 * feature_dim
     return [(feature_dim, num_classes), (num_classes,), (region_in, 2), (2,)]
 
@@ -422,7 +427,7 @@ def validate(checkpoint: "Checkpoint", corpus: Corpus, split: str,
     clips = _eval_clips(corpus, split, checkpoint.config)
     gvf = None
     if checkpoint.mode == "tsp":  # the rows of the split's videos; no clip reads the rest
-        gvf = np.zeros((len(corpus.videos), checkpoint.encoder.config.feature_dim))
+        gvf = np.zeros((len(corpus.videos), checkpoint.config.embed_dim))
         for video in corpus.subset_videos(split):
             gvf[corpus.video_index(video.id)] = (
                 video_global_feature(corpus, video, checkpoint.init_encoder, checkpoint.config)
@@ -555,7 +560,7 @@ def train(corpus: Corpus, cfg: TrainConfig,
     in grid order on a tie, so the checkpoint and the rows are the same bytes
     at any worker count.
     """
-    enc_cfg = encoder_config_for(corpus, cfg)
+    enc_cfg = encoder_config_for(corpus.require_synth().frame_shape, cfg)
 
     if init_encoder is not None:
         init_enc = init_encoder.copy()
@@ -571,7 +576,7 @@ def train(corpus: Corpus, cfg: TrainConfig,
     # every grid cell trains on the same epochs (same seed), so build them once
     inputs = _CellInputs(
         cfg=cfg, init_encoder=init_enc,
-        init_heads=init_heads(enc_cfg.feature_dim, len(corpus.classes), cfg.mode, cfg.seed),
+        init_heads=init_heads(cfg.embed_dim, len(corpus.classes), cfg.mode, cfg.seed),
         train_frames=train_frames, valid_frames=valid_frames,
         valid_clips=_eval_clips(corpus, "valid", cfg),
         epochs=[build_epoch(corpus, "train", epoch, cfg.seed,
@@ -592,8 +597,8 @@ def train(corpus: Corpus, cfg: TrainConfig,
 
     (score, _, _), head_lr, epoch, enc_snap, head_snap = best
     selection = SelectionRecord(head_lr=head_lr, epoch=epoch, score=score, rows=rows)
-    ckpt = Checkpoint(config=cfg, encoder=enc_snap, heads=head_snap, init_encoder=init_enc,
-                      selection=selection)
+    ckpt = Checkpoint(config=cfg, frame_shape=corpus.synth.frame_shape, encoder=enc_snap,
+                      heads=head_snap, init_encoder=init_enc, selection=selection)
     return ckpt, rows
 
 
@@ -619,23 +624,15 @@ def checkpoint_to_dict(ckpt: Checkpoint) -> dict:
 
 
 def _check_shapes(ckpt: Checkpoint) -> None:
-    """Raise ValueError unless both encoders have the width and depth the
-    config names, and each array the shape its record's config, the mode and
-    the class count imply. The expected shapes are computed, not drawn, so a
-    file's config cannot make this allocate anything."""
-    enc_cfg, cfg = ckpt.encoder.config, ckpt.config
-    if (enc_cfg.embed_dim, enc_cfg.blocks) != (cfg.embed_dim, cfg.blocks):
-        raise ValueError(f"encoder.config has embed_dim {enc_cfg.embed_dim} and blocks "
-                         f"{enc_cfg.blocks}, config {cfg.embed_dim} and {cfg.blocks}")
-    def layout(record):
-        return getattr(record, "config", None), [a.shape for a in record.arrays()]
-
-    encoder = (enc_cfg, enc.param_shapes(enc_cfg))
-    heads = (None, head_shapes(enc_cfg.feature_dim, ckpt.heads.action_bias.size, ckpt.mode))
+    """Raise ValueError unless each array has the shape that the frame shape,
+    the config, the mode and the class count imply. The shapes are computed,
+    not drawn, so no file can make this allocate anything."""
+    encoder = enc.param_shapes(encoder_config_for(ckpt.frame_shape, ckpt.config))
+    heads = head_shapes(ckpt.config.embed_dim, ckpt.heads.action_bias.size, ckpt.mode)
     for name, expected in (("encoder", encoder), ("init_encoder", encoder), ("heads", heads)):
-        found = layout(getattr(ckpt, name))
+        found = [a.shape for a in getattr(ckpt, name).arrays()]
         if found != expected:
-            raise ValueError(f"{name} config and shapes {found}, expected {expected}")
+            raise ValueError(f"{name} shapes {found}, expected {expected}")
 
 
 def checkpoint_from_dict(doc: dict) -> Checkpoint:

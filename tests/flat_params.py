@@ -81,7 +81,7 @@ def two_head_loss_builder(enc_cfg: enc.EncoderConfig, num_classes: int, mode: st
     """
     cfg = pt.TrainConfig(mode=mode)
     enc_template = enc.init_params(enc_cfg, seed=0)
-    head_template = pt.init_heads(enc_cfg.feature_dim, num_classes, mode, seed=0)
+    head_template = pt.init_heads(enc_cfg.embed_dim, num_classes, mode, seed=0)
     enc_size, head_size = enc_template.flat.size, head_template.flat.size
 
     def build(vec: np.ndarray):

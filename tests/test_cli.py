@@ -515,18 +515,18 @@ def set_config_keeping_id(**fields):
     return edit_json(change)
 
 
-def set_embed_dim_everywhere_keeping_id(embed_dim):
-    """Every config's ``embed_dim`` edited, with the id recomputed; the arrays keep their shapes."""
-    def change(doc):
-        ckpt = pretrain.checkpoint_from_dict(doc)
-        ckpt.config = replace(ckpt.config, embed_dim=embed_dim)
-        for name in ("encoder", "init_encoder"):
-            record = getattr(ckpt, name)
-            record.config = replace(record.config, embed_dim=embed_dim)
-            doc[name]["config"]["embed_dim"] = embed_dim
-        doc["config"]["embed_dim"] = embed_dim
-        doc["checkpoint_id"] = ckpt.checkpoint_id
-    return edit_json(change)
+def keep_no_class_keeping_id(doc):
+    """Heads of zero classes, with the id recomputed so that only the class check can catch it."""
+    ckpt = pretrain.checkpoint_from_dict(doc)
+    heads = ckpt.heads
+    ckpt.heads = pretrain.HeadParams(heads.action_weight[:, :0], heads.action_bias[:0],
+                                     heads.region_weight, heads.region_bias)
+    edited = pretrain.checkpoint_to_dict(ckpt)
+    doc["heads"], doc["checkpoint_id"] = edited["heads"], edited["checkpoint_id"]
+
+
+def set_frame_shape(*frame_shape):
+    return edit_json(lambda doc: doc.update(frame_shape=list(frame_shape)))
 
 
 def keep_one_class(doc):
@@ -566,6 +566,15 @@ def set_first_row_field(column, value):
         lines[head + 1] = ",".join(fields) + "\n"
         return "".join(lines)
     return mutate
+
+
+def drop_action_columns(text):
+    """No ``a_*`` column and ``num_classes=0``, as extract writes from zero-class heads."""
+    lines = set_header("num_classes", "0")(text).splitlines(keepends=True)
+    head = next(i for i, line in enumerate(lines) if line.startswith("t_center,"))
+    width = lines[head].split(",").index("a_0")
+    return "".join(lines[:head]) + "".join(",".join(line.split(",")[:width]) + "\n"
+                                           for line in lines[head:])
 
 
 def replace_first_field(text):
@@ -610,6 +619,7 @@ BAD_FILES = [
     ("checkpoint", "heads_extra_key", edit_json(add_heads_key)),
     ("checkpoint", "block_not_object", edit_json(replace_block_array)),
     ("checkpoint", "schema_version_1", edit_json(lambda doc: doc.update(schema_version=1))),
+    ("checkpoint", "schema_version_3", edit_json(lambda doc: doc.update(schema_version=3))),
     ("checkpoint", "string_weight", set_bias("x")),
     ("checkpoint", "nan_weight", set_bias(float("nan"))),
     ("checkpoint", "heads_transposed", edit_json(transpose_action_weight)),
@@ -621,8 +631,11 @@ BAD_FILES = [
     ("checkpoint", "null_clip_len", set_config(clip_len=None)),
     ("checkpoint", "zero_clip_len", set_config(clip_len=0)),
     ("checkpoint", "string_frame_stride", set_config(frame_stride="x")),
-    ("checkpoint", "huge_embed_dim",
-     edit_json(lambda doc: doc["encoder"]["config"].update(embed_dim=2**40))),
+    ("checkpoint", "huge_embed_dim", set_config(embed_dim=2**40)),
+    ("checkpoint", "frame_shape_too_tall", set_frame_shape(16, 2, 1)),
+    ("checkpoint", "zero_frame_channels", set_frame_shape(0, 1, 1)),
+    ("checkpoint", "float_frame_channels", set_frame_shape(16.0, 1, 1)),
+    ("checkpoint", "zero_classes", edit_json(keep_no_class_keeping_id)),
     ("track", "truncated", lambda text: text[:text.index("# feature_dim")]),
     ("track", "not_utf8", NOT_UTF8[1]),
     ("track", "renamed_column", lambda text: text.replace(",f_0,", ",g_0,")),
@@ -641,6 +654,7 @@ BAD_FILES = [
     ("track", "nan_t_center", set_first_row_field("t_center", "nan")),
     ("track", "p_fg_above_one", set_first_row_field("p_fg", "7.5")),
     ("track", "one_empty_p_fg", set_first_row_field("p_fg", "")),
+    ("track", "zero_classes", drop_action_columns),
 ]
 
 
@@ -678,11 +692,7 @@ def test_malformed_input_file_exits_1_with_one_error_line_naming_it(
 @pytest.mark.parametrize("mutate,message", [
     (edit_json(lambda doc: doc.update(schema_version=2)),
      "unsupported checkpoint schema_version 2"),
-    (set_config_keeping_id(embed_dim=64),
-     "malformed checkpoint: encoder.config has embed_dim 4 and blocks 1, config 64 and 1"),
-    (set_config_keeping_id(blocks=2),
-     "malformed checkpoint: encoder.config has embed_dim 4 and blocks 1, config 4 and 2"),
-], ids=["schema_version_2", "config_embed_dim", "config_blocks"])
+], ids=["schema_version_2"])
 def test_extract_names_why_it_refuses_a_checkpoint(mutate, message, good_files, tmp_path,
                                                    capsys):
     capsys.readouterr()
@@ -700,15 +710,36 @@ def test_extract_refuses_a_huge_width_in_every_config_without_allocating_it(
     # drawing them before the shapes are compared fails with MemoryError
     capsys.readouterr()
     bad = tmp_path / "bad_checkpoint"
-    mutate = set_embed_dim_everywhere_keeping_id(2 ** 50)
+    mutate = set_config_keeping_id(embed_dim=2 ** 50)
     bad.write_text(mutate(good_files["checkpoint"].read_text(encoding="utf-8")),
                    encoding="utf-8")
     code, out = run_with_bad_file("checkpoint", bad, good_files, tmp_path)
     err = capsys.readouterr().err
     assert code == 1, err
-    assert err.startswith(f"error: {bad}: malformed checkpoint: encoder config and shapes ")
+    assert err.startswith(f"error: {bad}: malformed checkpoint: encoder shapes ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_localize_refuses_two_tracks_of_one_video_before_writing_either_output(
+        good_files, tmp_path, capsys):
+    # a track at another hop would hold other predictions; keeping either would
+    # drop the other's without a word
+    from tspkit import extract
+
+    tracks = tmp_path / "tracks"
+    tracks.mkdir()
+    first, second = tracks / "a.csv", tracks / "b.csv"
+    for path in (first, second):
+        path.write_bytes(good_files["track"].read_bytes())
+    video_id = extract.read_track(first).video_id
+    capsys.readouterr()
+    dets, props = tmp_path / "dets.json", tmp_path / "props.json"
+    code = cli.main(["localize", "--tracks", str(tracks), "--detections-out", str(dets),
+                     "--proposals-out", str(props)])
+    assert (code, capsys.readouterr().err) == (
+        1, f"error: video {video_id} has two tracks: {first} and {second}\n")
+    assert not dets.exists() and not props.exists()
 
 
 @pytest.mark.parametrize("use_config", [False, True], ids=["flag", "config"])

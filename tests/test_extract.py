@@ -92,6 +92,18 @@ def test_frame_geometry_must_match_the_checkpoint():
         ex.extract_track(taller, taller.videos["va_0"], ckpt)
 
 
+def test_a_frame_shape_of_the_same_size_loads_but_reads_no_other_geometry():
+    # the id does not hash the frame shape and the stem sees only its size, so
+    # a 4x2x2 file loads; the corpus check still refuses its 16x1x1 frames
+    base = make_corpus()
+    corpus = cp.Corpus(base.classes, base.videos, replace(base.synth, channels=16))
+    doc = pt.checkpoint_to_dict(make_checkpoint(corpus))
+    ckpt = pt.checkpoint_from_dict({**doc, "frame_shape": [4, 2, 2]})
+    assert ckpt.frame_shape == (4, 2, 2)
+    with pytest.raises(ex.TrackError, match="checkpoint expects 4x2x2 frames, corpus has 16x1x1"):
+        ex.check_frame_shape(corpus, ckpt)
+
+
 def test_extraction_is_deterministic(tmp_path):
     corpus = make_corpus()
     ckpt = make_checkpoint(corpus)

@@ -8,6 +8,7 @@ element those of the per-array ones.
 
 import hashlib
 import pickle
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -56,8 +57,9 @@ def test_records_are_views_of_one_buffer_copied_and_hashed_as_per_array(shape, s
 
 
 def check_records(channels, side, embed_dim, classes, mode, init_seed, blocks, seed):
-    encoder = enc.init_params(enc.EncoderConfig(channels_in=channels, height=side, width=side,
-                                                embed_dim=embed_dim, blocks=blocks), init_seed)
+    config = enc.EncoderConfig(channels_in=channels, height=side, width=side,
+                               embed_dim=embed_dim, blocks=blocks)
+    encoder = enc.init_params(config, init_seed)
     heads = pt.init_heads(embed_dim, classes, mode, init_seed)
     rng = np.random.default_rng(seed)
     for record in (encoder, heads):
@@ -65,11 +67,13 @@ def check_records(channels, side, embed_dim, classes, mode, init_seed, blocks, s
         # the values survive packing: the buffer is the arrays laid end to end
         assert np.array_equal(record.flat,
                               np.concatenate([a.ravel() for a in record.arrays()]))
-    # the same six arrays at any depth, each stacked one with a row per block
-    assert [a.shape for a in encoder.arrays()] == enc.param_shapes(encoder.config)
+    # the same six arrays at any depth, each stacked one with a row per block,
+    # and no field besides them
+    assert [a.shape for a in encoder.arrays()] == enc.param_shapes(config)
+    assert len(fields(encoder)) == len(encoder.arrays()) == 6
     encoder.flat[:] = rng.standard_normal(encoder.flat.size)  # writes reach every view
     assert np.array_equal(encoder.conv2_bias[-1] if blocks else encoder.stem_bias,
-                          encoder.flat[-encoder.config.embed_dim:])
+                          encoder.flat[-embed_dim:])
 
     for record in (encoder, heads):
         before = record.flat.copy()

@@ -32,7 +32,7 @@ SMALL_ENC = enc.EncoderConfig(channels_in=4, embed_dim=6, blocks=1)
 def clip_losses(frames, region, action, gfeats, cfg, params=None, heads=None):
     """(batch loss, [loss of each clip as a batch of one]) via batch_loss_tensor."""
     params = params or enc.init_params(SMALL_ENC, seed=0)
-    heads = heads or zero_heads(SMALL_ENC.feature_dim, 4, cfg.mode)
+    heads = heads or zero_heads(SMALL_ENC.embed_dim, 4, cfg.mode)
 
     def loss(rows):
         return float(pt.batch_loss_tensor(
@@ -46,7 +46,7 @@ def loss_value(region, action, mode="tsp", **weights):
     """Loss of one random clip with zeroed heads (C=4), a batch of one."""
     rng = np.random.default_rng(0)
     frames = rng.standard_normal((1, SMALL_ENC.frame_dim, 16)).transpose(0, 2, 1)
-    gfeats = rng.standard_normal((1, SMALL_ENC.feature_dim)) if mode == "tsp" else None
+    gfeats = rng.standard_normal((1, SMALL_ENC.embed_dim)) if mode == "tsp" else None
     batch, _ = clip_losses(frames, np.array([region]), np.array([action]), gfeats,
                            pt.TrainConfig(mode=mode, **weights))
     return batch
@@ -188,7 +188,7 @@ def test_global_feature_table_is_frozen_through_training(monkeypatch):
     seen = record_cell_inputs(monkeypatch)
     ckpt, _ = pt.train(corpus, cfg)
     [inputs] = seen
-    init = enc.init_params(pt.encoder_config_for(corpus, cfg), cfg.seed)
+    init = enc.init_params(pt.encoder_config_for(corpus.synth.frame_shape, cfg), cfg.seed)
     assert ckpt.init_encoder.flat.tobytes() == init.flat.tobytes()
     assert ckpt.encoder.flat.tobytes() != init.flat.tobytes()
     recomputed = pt.precompute_global_features(corpus, ckpt.init_encoder, ckpt.config)
@@ -284,7 +284,7 @@ def test_zero_epochs_returns_initialization_smallest_lr():
     assert rows == []
     assert ckpt.selection.head_lr == 0.002
     assert ckpt.selection.epoch == -1
-    init = enc.init_params(pt.encoder_config_for(corpus, cfg), cfg.seed)
+    init = enc.init_params(pt.encoder_config_for(corpus.synth.frame_shape, cfg), cfg.seed)
     assert all(np.array_equal(a, b) for a, b in zip(ckpt.encoder.arrays(), init.arrays()))
 
 
@@ -386,13 +386,13 @@ def test_tiny_training_matches_golden_checkpoint_id(mode):
 
 
 # sha256 of save_checkpoint's bytes for the same runs, taken with schema
-# version 3, which stores the mode and the seed only in the config and the
-# encoder's block arrays stacked: pins the file layout (key names, nesting,
+# version 4, which states the width and the depth only in the config and the
+# frame shape once beside it: pins the file layout (key names, nesting,
 # number formatting), which the ids above do not see
 GOLDEN_CHECKPOINT_FILE_DIGESTS = {
-    "tsp": "8342bc609f2d28301ac13eef5f952fb48986fafeebac0dfbead7a203edbc8763",
-    "tsp_nogvf": "3335f72a9b3a1fcaa93a8dbf2e5cd9488e6670af3124c0885b880434cb53cd5a",
-    "tac": "dcdb52954394d93856187bc08fd0a7b0e0e598b81d6ab81d97a36f5c62cd15b1",
+    "tsp": "7f1ea04192e65bb354b6242f48a6d8a913747bef41730cf7357a1d88d40a26eb",
+    "tsp_nogvf": "614868995731da6fb6d57e83ff21101c4aeb282c4d05f6a06fe590cf48191577",
+    "tac": "65b7d23e1a02ef6354bb6fd113f5ba1ab4b800a608efe8d115dfc0fd05d7f969",
 }
 
 
@@ -575,6 +575,23 @@ def test_checkpoint_round_trip_is_value_exact(tmp_path):
         path2 = tmp_path / f"ckpt{blocks}_again.json"
         pt.save_checkpoint(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+
+def test_a_checkpoint_states_width_depth_and_frame_shape_once():
+    counts = {}
+
+    def walk(value):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                counts[key] = counts.get(key, 0) + 1
+                walk(item)
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                walk(item)
+
+    ckpt, _ = pt.train(small_corpus(), tiny_train_cfg())
+    walk(pt.checkpoint_to_dict(ckpt))
+    assert [counts.get(key) for key in ("embed_dim", "blocks", "frame_shape")] == [1, 1, 1]
 
 
 def test_checkpoint_dict_decodes_without_a_json_round_trip():
