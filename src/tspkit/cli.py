@@ -226,7 +226,10 @@ def _cmd_pretrain(args) -> int:
     corpus = corpus_mod.load_manifest(args.manifest)
     init_encoder = None
     if args.init_checkpoint:
-        init_encoder = pretrain.load_checkpoint(args.init_checkpoint).encoder
+        init = pretrain.load_checkpoint(args.init_checkpoint)
+        extract_mod.check_frame_shape(corpus, init, f"manifest {args.manifest}",
+                                      f"checkpoint {args.init_checkpoint}")
+        init_encoder = init.encoder
     ckpt, rows = pretrain.train(corpus, cfg, init_encoder=init_encoder)
     pretrain.save_checkpoint(ckpt, args.out, invocation=args.flags)
     log_path = args.log or f"{args.out}.log.tsv"

@@ -551,7 +551,9 @@ def train(corpus: Corpus, cfg: TrainConfig,
 
     ``init_encoder`` short-circuits the warm-start stage so several runs can
     share one base encoder (the classification-only pretraining that stands in
-    for a large-scale pretrained initialization).
+    for a large-scale pretrained initialization). Its array shapes must be the
+    ones the corpus's frame shape, ``cfg.embed_dim`` and ``cfg.blocks`` give,
+    or a ValueError is raised before any input is built.
 
     The grid cells are independent. Once the frame stores, the epochs, the
     validation clips and the GVF matrix are built, the cells run through
@@ -563,6 +565,7 @@ def train(corpus: Corpus, cfg: TrainConfig,
     enc_cfg = encoder_config_for(corpus.require_synth().frame_shape, cfg)
 
     if init_encoder is not None:
+        _check_record_shapes("init_encoder", init_encoder, enc.param_shapes(enc_cfg))
         init_enc = init_encoder.copy()
     elif cfg.init == "random":
         init_enc = enc.init_params(enc_cfg, cfg.seed)
@@ -630,9 +633,14 @@ def _check_shapes(ckpt: Checkpoint) -> None:
     encoder = enc.param_shapes(encoder_config_for(ckpt.frame_shape, ckpt.config))
     heads = head_shapes(ckpt.config.embed_dim, ckpt.heads.action_bias.size, ckpt.mode)
     for name, expected in (("encoder", encoder), ("init_encoder", encoder), ("heads", heads)):
-        found = [a.shape for a in getattr(ckpt, name).arrays()]
-        if found != expected:
-            raise ValueError(f"{name} shapes {found}, expected {expected}")
+        _check_record_shapes(name, getattr(ckpt, name), expected)
+
+
+def _check_record_shapes(name: str, record: enc.ParamRecord,
+                         expected: list[tuple[int, ...]]) -> None:
+    found = [a.shape for a in record.arrays()]
+    if found != expected:
+        raise ValueError(f"{name} shapes {found}, expected {expected}")
 
 
 def checkpoint_from_dict(doc: dict) -> Checkpoint:

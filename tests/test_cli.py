@@ -833,6 +833,26 @@ def test_a_frame_geometry_mismatch_fails_extract_before_its_output_directory(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flags, error", [
+    (["--height", "2"], "error: checkpoint {ckpt} expects 16x1x1 frames, manifest {manifest} "
+                        "has 16x2x1\n"),
+    ([], "error: init_encoder shapes [(4, 16), (4,), (1, 4, 4, 3), (1, 4), (1, 4, 4, 3), "
+         "(1, 4)], expected [(8, 16), (8,), (1, 8, 8, 3), (1, 8), (1, 8, 8, 3), (1, 8)]\n")],
+    ids=["frame_shape", "embed_dim"])
+def test_pretrain_refuses_an_init_checkpoint_of_another_shape_before_training(
+        flags, error, four_videos, tmp_path, capsys):
+    manifest, out = tmp_path / "corpus.json", tmp_path / "ckpt.json"
+    assert cli.main(["gen-corpus", "--out", str(manifest), "--train-videos", "1",
+                     "--valid-videos", "1", "--classes", "2", *flags]) == 0
+    capsys.readouterr()
+    assert cli.main(["pretrain", "--manifest", str(manifest), "--out", str(out),
+                     "--init-checkpoint", str(four_videos["tsp"]), "--embed-dim", "8",
+                     "--blocks", "1", "--epochs", "0", "--warmup-epochs", "0",
+                     "--head-lr-grid", "0.004"]) == 1
+    assert capsys.readouterr().err == error.format(ckpt=four_videos["tsp"], manifest=manifest)
+    assert not out.exists()
+
+
 def test_region_actionness_on_tac_tracks_names_the_first_track_through_the_pool(
         four_videos, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("TSPKIT_THREADS", "2")
