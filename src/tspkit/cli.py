@@ -3,9 +3,9 @@
 Subcommands: gen-corpus, pretrain, extract, localize, eval-det, eval-prop,
 analyze-sim, bench. Every subcommand is a pure function of its inputs and
 flags. Each output file records the invoked argv, ``args.flags``: every file
-is written through ``decode.save_json`` (an "__invocation__" key) or
-``decode.write_rows`` (a "# flags=" first line); the PGM image alone has no
-room for it. Exit codes: 0 success, 1 runtime failure (a malformed input file
+is written through ``decode.save_json`` or ``decode.save_prediction_rows``
+(an "__invocation__" key) or ``decode.write_rows`` (a "# flags=" first line);
+the PGM image alone has no room for it. Exit codes: 0 success, 1 runtime failure (a malformed input file
 among them, with one line naming it), 2 usage or configuration error. A flag
 value that argparse or a configuration record (``SynthConfig``,
 ``TrainConfig``, ``LocalizerParams``, ``BenchConfig``) rejects exits 2 before
@@ -229,6 +229,11 @@ def _cmd_pretrain(args) -> int:
         init = pretrain.load_checkpoint(args.init_checkpoint)
         extract_mod.check_frame_shape(corpus, init, f"manifest {args.manifest}",
                                       f"checkpoint {args.init_checkpoint}")
+        for name in ("embed_dim", "blocks"):
+            have, want = getattr(init.config, name), getattr(cfg, name)
+            if have != want:
+                raise ValueError(f"checkpoint {args.init_checkpoint} has {name} {have}, "
+                                 f"the run has {want}")
         init_encoder = init.encoder
     ckpt, rows = pretrain.train(corpus, cfg, init_encoder=init_encoder)
     pretrain.save_checkpoint(ckpt, args.out, invocation=args.flags)

@@ -14,11 +14,13 @@ than element by element. Each type's decoding function is built once and
 cached, so a value costs no type inspection; ``decoder(tp)`` returns it, for
 a reader that decodes many values of one type to bind once.
 
-Every text output goes through ``save_json`` (key-sorted JSON) or
-``write_rows`` (a table of already-formatted fields). Both take the producing
-invocation, and one rule decides its line: unless it is None, JSON gets the
-reserved ``"__invocation__"`` key, which the decoder skips, and a table
-starts with a ``# flags=`` line.
+Every text output goes through ``save_json`` (key-sorted JSON),
+``save_prediction_rows`` (the bytes ``save_json`` writes for a predictions
+document, rendered from a row template) or ``write_rows`` (a table of
+already-formatted fields). Each takes the producing invocation, and one rule
+decides its line: unless it is None, JSON gets the reserved
+``"__invocation__"`` key, which the decoder skips, and a table starts with a
+``# flags=`` line.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import functools
 import json
 import types
 import typing
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -54,9 +57,42 @@ def save_json(doc: dict, path, invocation: str | None, indent: int = 1) -> None:
     """``doc`` as key-sorted JSON, with ``invocation``, unless None, under "__invocation__"."""
     if invocation is not None:
         doc = {**doc, "__invocation__": invocation}
+    text = json.dumps(doc, indent=indent, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=indent, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+# one predictions row as ``save_json`` lays it out two levels deep (indent 1,
+# sorted keys), by its number of fields: a proposal's, then a detection's
+_ROW_TEMPLATES = {
+    3: '  {\n   "score": %s,\n   "segment": [\n    %s,\n    %s\n   ]\n  }',
+    4: '  {\n   "label": %s,\n   "score": %s,\n   "segment": [\n    %s,\n    %s\n   ]\n  }',
+}
+
+
+def _json_rows(rows: list[tuple]) -> str:
+    if not rows:
+        return "[]"
+    # one C-encoded list formats every number as the indenting encoder would;
+    # a number's text holds no ", "
+    numbers = json.dumps([value for row in rows for value in row])[1:-1].split(", ")
+    return "[\n" + ",\n".join(_ROW_TEMPLATES[len(row)] for row in rows) % tuple(numbers) + "\n ]"
+
+
+def save_prediction_rows(rows_by_key: dict[str, list[tuple]], path,
+                         invocation: str | None) -> None:
+    """What ``save_json`` writes for the document that maps each key to its
+    rows, each row a ``{"label", "score", "segment"}`` object: a row is
+    ``(score, t_start, t_end)``, or ``(label, score, t_start, t_end)`` with a
+    label. Each row is filled into a template, not laid out by json's
+    pure-Python indenting encoder."""
+    doc = {key: _json_rows(rows) for key, rows in rows_by_key.items()}
+    if invocation is not None:
+        doc["__invocation__"] = encode_basestring_ascii(invocation)
+    items = [f"{encode_basestring_ascii(key)}: {text}" for key, text in sorted(doc.items())]
+    text = "{\n " + ",\n ".join(items) + "\n}" if items else "{}"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
 def write_rows(path, flags: str | None, rows, sep: str = "\t") -> None:

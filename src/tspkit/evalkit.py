@@ -6,6 +6,19 @@ a tIoU threshold, and AP integrates the monotone precision envelope over all
 recall steps. Proposal quality is average recall over a threshold grid for a
 per-video proposal budget, summarized as the area under the AR-vs-budget
 curve up to 100 proposals.
+
+Every threshold shares one pass. AP sorts a class's candidate (prediction,
+GT) pairs once, at the lowest threshold; each threshold's greedy matching
+walks the pairs that reach it, in that order. Precision, recall, the envelope
+and the AP of every threshold are then rows of one (thresholds, predictions)
+array. ``cumsum`` and ``accumulate`` add along each row one element after
+another, as they would on that row alone, so each AP has the bits of a
+threshold scored on its own. AR sorts a video's (proposal, GT) pairs by
+overlap once: the pairs that reach a threshold are a prefix of that order, so
+one greedy pass over the pairs a budget admits gives every threshold's match
+count, read where its prefix ends. Budgets that admit the same proposals
+share a pass. The counts are integers, so every recall is exact. The
+localizer takes every threshold's runs from one (thresholds, clips) mask.
 """
 
 from __future__ import annotations
@@ -16,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Corpus
-from .decode import integer, load_json, number, save_json
+from .decode import integer, load_json, number, save_prediction_rows
 from .extract import FeatureTrack, softmax
 
 # tIoU grid 0.5:0.05:0.95 built from exact vulgar fractions so threshold
@@ -118,29 +131,33 @@ def _ap_curve(class_preds: list[DetectionPrediction], class_gts: list[GroundTrut
     same_video = (np.array([p.video_id for p in class_preds])[:, None]
                   == np.array([g.video_id for g in class_gts]))
     gt_starts = np.array([g.t_start for g in class_gts])
-    curve = []
-    for thr in thresholds:
-        pred_idx, gt_idx = np.nonzero(same_video & (overlap >= thr))
-        # per prediction, its candidate GTs in the order it prefers them
-        order = np.lexsort((gt_idx, gt_starts[gt_idx], -overlap[pred_idx, gt_idx], pred_idx))
-        matched = np.zeros(len(class_gts), dtype=bool)
-        hits = np.zeros(len(class_preds))
-        for i, j in zip(pred_idx[order].tolist(), gt_idx[order].tolist()):
-            if not hits[i] and not matched[j]:
-                matched[j] = True
-                hits[i] = 1.0
-        tp = np.cumsum(hits)
-        fp = np.cumsum(1.0 - hits)
-        precision = tp / (tp + fp)
-        recall = tp / len(class_gts)
-        # monotone envelope, all-points summation; accumulate adds the
-        # recall steps one after another, in recall order
-        envelope = np.maximum.accumulate(precision[::-1])[::-1]
-        steps = recall.copy()
-        steps[1:] -= recall[:-1]
-        steps *= envelope
-        curve.append(float(np.add.accumulate(steps)[-1]))
-    return curve
+    pred_idx, gt_idx = np.nonzero(same_video & (overlap >= min(thresholds)))
+    pair_overlap = overlap[pred_idx, gt_idx]
+    # per prediction, its candidate GTs in the order it prefers them; a
+    # threshold keeps a subsequence of this order
+    order = np.lexsort((gt_idx, gt_starts[gt_idx], -pair_overlap, pred_idx))
+    pairs = list(zip(pred_idx[order].tolist(), gt_idx[order].tolist(),
+                     pair_overlap[order].tolist()))
+    hits = np.zeros((len(thresholds), len(class_preds)))
+    for row, thr in zip(hits, thresholds):
+        hit = [False] * len(class_preds)
+        matched = [False] * len(class_gts)
+        for i, j, o in pairs:
+            if o >= thr and not hit[i] and not matched[j]:
+                hit[i] = matched[j] = True
+        row[hit] = 1.0
+    # one row per threshold; cumsum and accumulate run along each row in turn
+    tp = np.cumsum(hits, axis=1)
+    fp = np.cumsum(1.0 - hits, axis=1)
+    precision = tp / (tp + fp)
+    recall = tp / len(class_gts)
+    # monotone envelope, all-points summation; accumulate adds the recall
+    # steps one after another, in recall order
+    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    steps = recall.copy()
+    steps[:, 1:] -= recall[:, :-1]
+    steps *= envelope
+    return np.add.accumulate(steps, axis=1)[:, -1].tolist()
 
 
 def average_precision(preds: list[DetectionPrediction], gts: list[GroundTruthInstance],
@@ -197,17 +214,6 @@ def _segment_iou(props: np.ndarray, gts: np.ndarray) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0.0)
 
 
-def _greedy_match_count(prop_ranks: list[int], gt_indices: list[int]) -> int:
-    """Size of the greedy 1:1 matching over pairs given in priority order."""
-    used_p: set[int] = set()
-    used_g: set[int] = set()
-    for pi, gi in zip(prop_ranks, gt_indices):
-        if pi not in used_p and gi not in used_g:
-            used_p.add(pi)
-            used_g.add(gi)
-    return len(used_p)
-
-
 def _proposals_by_video(proposals: list[ProposalPrediction]
                         ) -> dict[str, list[ProposalPrediction]]:
     by_video: dict[str, list[ProposalPrediction]] = {}
@@ -247,21 +253,32 @@ def ar_at_an(proposals: list[ProposalPrediction], gts: list[GroundTruthInstance]
         pair_overlap = overlap[ranks, gt_idx]
         order = np.lexsort((gt_idx, ranks, -pair_overlap))
         ranks, gt_idx, pair_overlap = ranks[order], gt_idx[order], pair_overlap[order]
-        for t, thr in enumerate(TIOU_GRID):
-            # overlaps descend, so the pairs that qualify at thr are a prefix
-            n = int(np.count_nonzero(pair_overlap >= thr))
-            thr_ranks, thr_gts = ranks[:n], gt_idx[:n]
-            # budgets that admit the same pairs share one matching
-            admitted = np.searchsorted(np.sort(thr_ranks), an_values).tolist()
-            counts: dict[int, int] = {}
-            for budget, k in zip(an_values, admitted):
-                if k not in counts:
-                    keep = thr_ranks < budget
-                    counts[k] = _greedy_match_count(thr_ranks[keep].tolist(),
-                                                    thr_gts[keep].tolist())
-            matched[:, t] += [counts[k] for k in admitted]
-    recall = matched / len(gts)
-    return [(budget, float(np.mean(row))) for budget, row in zip(an_values, recall)]
+        # overlaps descend, so the pairs that qualify at each threshold are a
+        # prefix, and a greedy pass has matched that prefix when it gets there
+        prefixes = len(pair_overlap) - np.searchsorted(pair_overlap[::-1], TIOU_GRID)
+        # a budget admits the pairs of the ranks below it, so budgets between
+        # two ranks that occur admit the same pairs: level k admits the k
+        # lowest such ranks, and each level a budget reaches gets one pass
+        levels = np.unique(ranks)
+        budget_levels = np.searchsorted(levels, an_values)
+        pairs = list(zip(ranks.tolist(), gt_idx.tolist()))
+        counts = np.zeros((len(levels) + 1, len(TIOU_GRID)), dtype=np.int64)
+        for k in np.unique(budget_levels[budget_levels > 0]).tolist():
+            top_rank, most = int(levels[k - 1]), min(k, len(video_gts))
+            used_p: set[int] = set()
+            used_g: set[int] = set()
+            match_ends: list[int] = []  # pairs passed when each match was made
+            for end, (pi, gi) in enumerate(pairs, 1):
+                if pi <= top_rank and pi not in used_p and gi not in used_g:
+                    used_p.add(pi)
+                    used_g.add(gi)
+                    match_ends.append(end)
+                    if len(match_ends) == most:
+                        break
+            counts[k] = np.searchsorted(match_ends, prefixes, side="right")
+        matched += counts[budget_levels]
+    # each row's mean is summed as a row on its own would be
+    return list(zip(an_values, (matched / len(gts)).mean(axis=1).tolist()))
 
 
 def auc_of_curve(curve: list[tuple[int, float]]) -> float:
@@ -354,15 +371,6 @@ def _smooth(values: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
-def _clip_extent_sec(track: FeatureTrack, row: int) -> tuple[float, float]:
-    center = int(round(track.center_times[row] * track.fps))
-    left = (track.clip_len - 1) // 2 * track.frame_stride
-    right = track.clip_len // 2 * track.frame_stride
-    start = max(0, center - left)
-    end = min(track.num_frames, center + right + 1)
-    return start / track.fps, end / track.fps
-
-
 def actionness_scores(track: FeatureTrack, source: str) -> np.ndarray:
     """Per-clip foreground evidence: region-head probability, or the top
     softmax class probability for tracks without a region head."""
@@ -378,9 +386,11 @@ def actionness_scores(track: FeatureTrack, source: str) -> np.ndarray:
 
 
 def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """(start, stop) of each maximal run of True in a 1-D bool mask, in order:
-    the edges where the mask, padded with False at both ends, changes."""
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
+    """(start, stop) of each maximal run of True along the last axis of a bool
+    mask, in order, row after row for a 2-D mask: the edges where each row,
+    padded with False at both ends, changes."""
+    pad = np.zeros((*mask.shape[:-1], 1), dtype=bool)
+    edges = np.nonzero(np.diff(np.concatenate((pad, mask, pad), axis=-1)))[-1]
     return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
 
 
@@ -388,25 +398,51 @@ def baseline_localize(track: FeatureTrack, params: LocalizerParams,
                       actionness: str = "region"
                       ) -> tuple[list[DetectionPrediction], list[ProposalPrediction]]:
     """Threshold smoothed actionness into runs; each run becomes a proposal
-    and a classified detection. Class-wise NMS prunes near-duplicates."""
+    and a classified detection. Class-wise NMS prunes near-duplicates.
+
+    The runs come threshold by threshold from one (thresholds, clips) mask;
+    a run found at several thresholds is scored once. A run's score and
+    class probabilities come from the mean of its clips' actionness and
+    logits, each summed as one slice, so that its bits do not depend on the
+    other runs.
+    """
     if len(track) == 0:
         return [], []
     scores = _smooth(actionness_scores(track, actionness), params.smooth_window)
+    runs = _runs(scores >= np.array(params.thresholds)[:, None])
+    if not runs:
+        return [], []
+    spans = list(dict.fromkeys(runs))
+    # a run's first and last clips' frame extents, clipped to the video, as
+    # seconds; Python ints, so a track file's huge clip_len or num_frames
+    # cannot overflow
+    times, fps = track.center_times.tolist(), track.fps
+    left = (track.clip_len - 1) // 2 * track.frame_stride
+    right = track.clip_len // 2 * track.frame_stride
+    t0 = [max(0, round(times[a] * fps) - left) / fps for a, _ in spans]
+    t1 = [min(track.num_frames, round(times[b - 1] * fps) + right + 1) / fps for _, b in spans]
+    starts, stops = np.array(spans).T
+    lengths = stops - starts
+    prop_scores = np.array([np.add.reduce(scores[a:b]) for a, b in spans]) / lengths
+    probs = softmax(np.array([np.add.reduce(track.action_logits[a:b])
+                              for a, b in spans]) / lengths[:, None])
+    labels = probs.argmax(axis=1)
+    det_scores = prop_scores * probs[np.arange(len(spans)), labels]
 
-    raw: list[tuple[float, float, float, int, float]] = []  # t0, t1, prop score, label, class prob
-    for thr in params.thresholds:
-        for start, stop in _runs(scores >= thr):
-            t0 = _clip_extent_sec(track, start)[0]
-            t1 = _clip_extent_sec(track, stop - 1)[1]
-            prop_score = float(scores[start:stop].mean())
-            probs = softmax(track.action_logits[start:stop].mean(axis=0))
-            label = int(np.argmax(probs))
-            raw.append((t0, t1, prop_score, label, float(probs[label])))
-
-    detections = [DetectionPrediction(track.video_id, label, t0, t1, score * prob)
-                  for t0, t1, score, label, prob in raw]
-    proposals = [ProposalPrediction(track.video_id, t0, t1, score)
-                 for t0, t1, score, _, _ in raw]
+    video_id = track.video_id
+    span_dets = [DetectionPrediction(video_id, *row) for row in
+                 zip(labels.tolist(), t0, t1, det_scores.tolist())]
+    span_props = [ProposalPrediction(video_id, *row) for row in
+                  zip(t0, t1, prop_scores.tolist())]
+    index = {span: k for k, span in enumerate(spans)}
+    detections, proposals, seen = [], [], set()
+    for run in runs:
+        k = index[run]
+        if k in seen and t1[k] > t0[k]:
+            continue  # NMS would drop it for its first copy, which it overlaps fully
+        seen.add(k)
+        detections.append(span_dets[k])
+        proposals.append(span_props[k])
 
     detections = _nms(detections, [d.class_index for d in detections],
                       params.nms_tiou)[:params.max_predictions]
@@ -439,17 +475,12 @@ def _nms(preds: list, labels: list[int], thr: float) -> list:
 
 
 def save_predictions(preds_by_video: dict[str, list], path, invocation: str | None = None) -> None:
-    """Top level maps video id to its predictions; labels are class indices."""
-    doc: dict = {}
-    for video_id, items in sorted(preds_by_video.items()):
-        rows = []
-        for p in items:
-            row = {"segment": [p.t_start, p.t_end], "score": p.score}
-            if isinstance(p, DetectionPrediction):
-                row["label"] = p.class_index
-            rows.append(row)
-        doc[video_id] = rows
-    save_json(doc, path, invocation)
+    """Top level maps video id to its predictions, each an object of its
+    ``segment`` and ``score`` and, for a detection, its class index as ``label``."""
+    save_prediction_rows({video_id: [
+        (p.class_index, p.score, p.t_start, p.t_end) if isinstance(p, DetectionPrediction)
+        else (p.score, p.t_start, p.t_end) for p in items]
+        for video_id, items in preds_by_video.items()}, path, invocation)
 
 
 def load_predictions(path, kind: str = "detections"):

@@ -833,14 +833,16 @@ def test_a_frame_geometry_mismatch_fails_extract_before_its_output_directory(
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("flags, error", [
-    (["--height", "2"], "error: checkpoint {ckpt} expects 16x1x1 frames, manifest {manifest} "
-                        "has 16x2x1\n"),
-    ([], "error: init_encoder shapes [(4, 16), (4,), (1, 4, 4, 3), (1, 4), (1, 4, 4, 3), "
-         "(1, 4)], expected [(8, 16), (8,), (1, 8, 8, 3), (1, 8), (1, 8, 8, 3), (1, 8)]\n")],
-    ids=["frame_shape", "embed_dim"])
+@pytest.mark.parametrize("flags, run_flags, error", [
+    (["--height", "2"], [], "error: checkpoint {ckpt} expects 16x1x1 frames, manifest "
+                            "{manifest} has 16x2x1\n"),
+    ([], [], "error: checkpoint {ckpt} has embed_dim 4, the run has 8\n"),
+    ([], ["--embed-dim", "4", "--blocks", "2"],
+     "error: checkpoint {ckpt} has blocks 1, the run has 2\n")],
+    ids=["frame_shape", "embed_dim", "blocks"])
 def test_pretrain_refuses_an_init_checkpoint_of_another_shape_before_training(
-        flags, error, four_videos, tmp_path, capsys):
+        flags, run_flags, error, four_videos, tmp_path, capsys):
+    # the checkpoint is 4 wide with one block; a later flag overrides an earlier one
     manifest, out = tmp_path / "corpus.json", tmp_path / "ckpt.json"
     assert cli.main(["gen-corpus", "--out", str(manifest), "--train-videos", "1",
                      "--valid-videos", "1", "--classes", "2", *flags]) == 0
@@ -848,7 +850,7 @@ def test_pretrain_refuses_an_init_checkpoint_of_another_shape_before_training(
     assert cli.main(["pretrain", "--manifest", str(manifest), "--out", str(out),
                      "--init-checkpoint", str(four_videos["tsp"]), "--embed-dim", "8",
                      "--blocks", "1", "--epochs", "0", "--warmup-epochs", "0",
-                     "--head-lr-grid", "0.004"]) == 1
+                     "--head-lr-grid", "0.004", *run_flags]) == 1
     assert capsys.readouterr().err == error.format(ckpt=four_videos["tsp"], manifest=manifest)
     assert not out.exists()
 

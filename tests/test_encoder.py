@@ -158,7 +158,8 @@ def test_gradient_check_at_the_bench_width_on_short_clips(length, blocks):
 # sha256 of the float64 bytes, on numpy 2.4 with OpenBLAS; a different BLAS may
 # round the products differently. The forward digests were taken with the
 # channel-major (B, frame_dim, L) encoder; the time-major layout, the per-clip
-# forward products and the stacked block arrays give the same bytes. The
+# forward products, the stacked block arrays and the parameter record without
+# a config (the width read off the stem) give the same bytes. The
 # gradient digest was retaken when the backward's conv input gradients became
 # products with the reversed taps, a declared rounding change; at one block the
 # stacked layout is the same buffer.
