@@ -8,15 +8,17 @@ the valid split:
 * ``split_frames``: the valid split's whole frame store (40 videos, about
   37k frames), as training, validation and global features fill it;
 * ``frames_at``: only the frames the default dense clips read (clip_len 16,
-  frame_stride 2, hop 31, about half of them), as ``extract_track`` reads them.
+  frame_stride 2, hop 31, about half of them), as ``extract_track`` reads them;
+  each video's noise is still drawn up to the last row its clips read.
 
-Two cases time ``seeding.normal_rows``, the frame-noise draw inside both, on
-its own, with the frame-noise key of each video:
+Two cases time the frame-noise draw inside both on its own: each video's
+``rng_for(frame_seed, "frame-noise")`` stream, drawn as one
+``standard_normal((rows, frame_dim))`` call:
 
-* one valid video's dense-clip rows (the distinct rows ``frames_at`` draws
-  for it, about 470);
-* every row of the valid split, one call per video, as ``split_frames``
-  draws them.
+* one valid video, up to the last row its dense clips read, as a cold
+  ``frames_at`` draws it;
+* every valid video whole, one draw per video, as ``split_frames`` draws
+  them.
 
 Two cases time training's clip sampling and batch gather:
 
@@ -38,7 +40,7 @@ import pytest
 
 from tspkit import corpus as cp
 from tspkit.sampler import build_epoch, clip_frame_indices, clip_span
-from tspkit.seeding import normal_rows
+from tspkit.seeding import rng_for
 
 CLIP_LEN, FRAME_STRIDE, BATCH = 16, 2, 32
 
@@ -76,22 +78,24 @@ def test_frames_at_valid_dense_clips(benchmark, manifest):
     assert frames > 15_000
 
 
-def test_normal_rows_one_video_dense_clip_rows(benchmark, manifest):
+def draw_noise(video, rows: int, dim: int) -> np.ndarray:
+    return rng_for(video.frame_seed, "frame-noise").standard_normal((rows, dim))
+
+
+def test_noise_stream_one_video_dense_clip_rows(benchmark, manifest):
     corpus = cp.corpus_from_dict(manifest)
     video = corpus.subset_videos("valid")[0]
-    rows = np.unique(dense_clip_indices(video))
-    noise = benchmark(normal_rows, video.frame_seed, "frame-noise", rows=rows,
-                      dim=corpus.synth.frame_dim)
-    assert noise.shape == (len(rows), corpus.synth.frame_dim) and len(rows) > 300
+    rows = int(dense_clip_indices(video).max()) + 1
+    noise = benchmark(draw_noise, video, rows, corpus.synth.frame_dim)
+    assert noise.shape == (rows, corpus.synth.frame_dim) and rows > 300
 
 
 def draw_valid_split_noise(corpus) -> int:
-    return sum(len(normal_rows(video.frame_seed, "frame-noise", rows=np.arange(video.num_frames),
-                               dim=corpus.synth.frame_dim))
+    return sum(len(draw_noise(video, video.num_frames, corpus.synth.frame_dim))
                for video in corpus.subset_videos("valid"))
 
 
-def test_normal_rows_valid_split_rows(benchmark, manifest):
+def test_noise_stream_valid_split_rows(benchmark, manifest):
     corpus = cp.corpus_from_dict(manifest)
     rows = benchmark.pedantic(draw_valid_split_noise, args=(corpus,), rounds=5, iterations=1)
     assert rows == sum(video.num_frames for video in corpus.subset_videos("valid"))

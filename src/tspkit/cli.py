@@ -274,8 +274,9 @@ def _cmd_extract(args) -> int:
         raise FileNotFoundError(f"{args.manifest}: split {args.split!r} has no videos")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # each worker synthesizes only the frame rows its own videos' clips read and,
-    # for a tsp checkpoint at a hop other than the default, the GVF's clip grid
+    # each worker synthesizes its own videos' frames on a cold corpus: one
+    # noise-stream draw per video, up to the last row its clips (and, for a tsp
+    # checkpoint at a hop other than the default, the GVF's grid) read
     fork_map(_extract_video, (corpus, ckpt, args.hop, out_dir, args.flags), videos)
     print(f"wrote {len(videos)} tracks to {out_dir}")
     return 0

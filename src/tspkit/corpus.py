@@ -7,13 +7,15 @@ parameters needed to synthesize frames procedurally: every frame is a class
 hours of "video" stays a few kilobytes on disk and is reproducible bit for
 bit from the manifest alone.
 
-The noise of frame ``i`` of a video is keyed per frame, as part of the
-manifest contract: it is ``rng_for(frame_seed, "frame-noise",
-i).standard_normal(frame_dim)``, scaled by ``noise_sigma``. Because each
-frame's noise depends on its own index only, a reader can synthesize any
-subset of a video's rows and get the same bits as the whole video:
-``video_frames`` and ``frames_at`` both draw the noise of the rows they need
-at once with ``seeding.normal_rows``.
+A video's frame noise is one keyed stream, as part of the manifest contract
+(schema 2): frame ``i``'s noise is row ``i`` of ``rng_for(frame_seed,
+"frame-noise").standard_normal((n, frame_dim))``, scaled by ``noise_sigma``.
+A ``standard_normal`` draw fills rows in order, so a k-row draw is the first
+k rows of any longer one. A reader can thus synthesize any subset of a
+video's rows and get the same bits as the whole video: ``split_frames`` draws
+each video's stream whole, and a cold ``frames_at`` draws it up to the
+largest row it needs. Schema 1 keyed each frame's noise on its own and is
+refused, since the same manifest now gives other frames.
 
 A frame side of at most ``MAX_FRAME_SIDE`` (112) pixels is part of the
 contract too: frames reach the encoder as stored, with no resize or crop, so
@@ -37,9 +39,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .decode import decode, decoder, load_json, number, save_json
-from .seeding import normal_rows, rng_for
+from .seeding import rng_for
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 SUBSETS = ("train", "valid", "test")
 BACKGROUND_MODES = ("pure", "hard")
 MAX_FRAME_SIDE = 112
@@ -209,8 +211,9 @@ class Corpus:
     The frame cache is one ``(frames, frame_dim)`` store per split, filled
     whole on first use by ``split_frames``; training and validation take clips
     from it by global rows, and ``video_frames`` is a view of it. ``frames_at``
-    reads a filled store and otherwise synthesizes just the rows asked for
-    without filling anything, which is what a single pass over a video needs.
+    reads a filled store and otherwise synthesizes just the rows asked for, from
+    one draw of the video's noise stream, without filling anything: what a
+    single pass over a video needs.
     """
 
     def __init__(self, classes: list[str], videos: dict[str, VideoRecord],
@@ -327,8 +330,9 @@ class Corpus:
         ``indices.shape + (channels, height, width)``; equal to
         ``video_frames(video)[indices]`` bit for bit.
 
-        A video whose split store is filled is gathered from it; otherwise only
-        the distinct rows asked for are synthesized, and the store is left unfilled.
+        A video whose split store is filled is gathered from it; otherwise the
+        distinct rows asked for are synthesized, from the video's noise stream
+        drawn up to the largest of them, and the store is left unfilled.
         Indices of a non-integer dtype (a bool mask, floats) are refused either way.
         """
         indices = np.asarray(indices)
@@ -355,8 +359,10 @@ class Corpus:
         frames = np.array([self._segment_prototype(video, segs[j]) for j in used]
                           ).reshape(-1, info.frame_dim)[inverse]
         if info.noise_sigma > 0.0:
-            frames += info.noise_sigma * normal_rows(
-                video.frame_seed, "frame-noise", rows=rows, dim=info.frame_dim)
+            # the video's noise stream up to the largest row asked for
+            noise = rng_for(video.frame_seed, "frame-noise").standard_normal(
+                (int(rows.max(initial=-1)) + 1, info.frame_dim))
+            frames += info.noise_sigma * noise[rows]
         return frames.reshape(-1, info.channels, info.height, info.width)
 
 
@@ -401,6 +407,10 @@ _text, _segment, _objects, _seed = (decoder(tp) for tp in (
 def corpus_from_dict(doc: dict) -> Corpus:
     if not isinstance(doc, dict):
         raise ManifestError("manifest root must be an object")
+    if doc.get("schema_version") == 1:
+        raise ManifestError("schema_version 1 keyed each frame's noise on its own; frame "
+                            "noise is now one stream per video, so regenerate the manifest "
+                            "with tspkit gen-corpus")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ManifestError(f"unsupported schema_version {doc.get('schema_version')!r}")
     try:

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import Corpus
 from .decode import integer, load_json, number, save_prediction_rows
@@ -360,14 +361,16 @@ def detad_report(preds: list[DetectionPrediction], gts: list[GroundTruthInstance
 
 
 def _smooth(values: np.ndarray, window: int) -> np.ndarray:
+    """Each clip's mean over its centered window of odd width, cut short at the
+    track's edges; only the edge clips are averaged one at a time."""
     if window == 1:
         return values.astype(np.float64)
-    half = window // 2
-    out = np.empty(len(values))
-    for i in range(len(values)):
-        lo = max(0, i - half)
-        hi = min(len(values), i + half + 1)
-        out[i] = values[lo:hi].mean()
+    half, n = window // 2, len(values)
+    out = np.empty(n)
+    if n >= window:
+        out[half:n - half] = sliding_window_view(values, window).mean(axis=-1)
+    for i in (*range(min(half, n)), *range(max(half, n - half), n)):
+        out[i] = values[max(0, i - half):i + half + 1].mean()
     return out
 
 

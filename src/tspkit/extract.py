@@ -8,16 +8,18 @@ stay greppable and diffable; floats round-trip exactly via shortest-decimal
 serialization.
 
 A video's clips are gathered with one ``Corpus.frames_at`` call. On a cold
-corpus that synthesizes only the frame rows the clips read, not the whole
-video: at the default hop a clip spans 31 frames but reads 16 of them, so
-about half of each video. On a corpus whose split store already holds the
-video (as after training or validation), it gathers from the store.
+corpus that draws the video's frame-noise stream once, up to the last row
+the clips read (at the default hop, nearly the whole video, although a clip
+spanning 31 frames reads 16 of them), and builds only the rows the clips
+read. On a corpus whose split store already holds the video (as after
+training or validation), it gathers from the store.
 
 A tsp track's ``# gvf=`` header is the video's global feature, computed from
 the checkpoint's frozen init encoder over the default-hop grid
 (``pretrain.video_global_feature``); nothing is stored for it. At the default
-hop that grid is the track's own clips, so they are gathered once and run
-through both encoders; another hop gathers the default grid a second time.
+hop that grid is the track's own clips, so they run through both encoders;
+at another hop the same ``frames_at`` call gathers the default grid after
+the track's clips.
 """
 
 from __future__ import annotations
@@ -106,12 +108,16 @@ def extract_track(corpus: Corpus, video: VideoRecord, ckpt: Checkpoint,
     hop = span if hop is None else hop
     check_frame_shape(corpus, ckpt)
 
-    centers, clips = dense_clips(corpus, video, cfg.clip_len, cfg.frame_stride, hop)
+    # a tsp track at another hop also reads the GVF's default grid, after its own clips
+    hops = (hop, span) if ckpt.mode == "tsp" and hop != span else (hop,)
+    centers, clips = dense_clips(corpus, video, cfg.clip_len, cfg.frame_stride, *hops)
+    count = len(range(0, video.num_frames, hop))
+    gvf_clips = clips[count:] if len(hops) > 1 else clips
+    centers, clips = centers[:count], clips[:count]
     feats = enc.forward_np_batch(ckpt.encoder, clips)
     global_feat, gfeats = np.empty(0), None
-    if ckpt.mode == "tsp":  # at the default hop the track's clips are the GVF's own grid
-        global_feat = video_global_feature(corpus, video, ckpt.init_encoder, cfg,
-                                           clips if hop == span else None)
+    if ckpt.mode == "tsp":
+        global_feat = video_global_feature(corpus, video, ckpt.init_encoder, cfg, gvf_clips)
         gfeats = np.broadcast_to(global_feat, feats.shape)
     logits, region = head_logits(feats, gfeats, ckpt.heads, ckpt.mode)
     probs = None if region is None else softmax(region)[:, 1]

@@ -107,12 +107,13 @@ def sample_segment_clips(segment: RegionSegment, video: VideoRecord, *,
 
 
 def dense_clips(corpus: Corpus, video: VideoRecord, clip_len: int, frame_stride: int,
-                hop: int) -> tuple[np.ndarray, np.ndarray]:
-    """A regular grid of clips every ``hop`` frames from frame 0, unlabeled: their
-    (n,) center frames and their (n, L, frame_dim) frames, one ``frames_at`` call."""
-    if hop < 1:
+                *hops: int) -> tuple[np.ndarray, np.ndarray]:
+    """Regular grids of clips, one every ``hop`` frames from frame 0 for each
+    hop in turn, unlabeled: their (n,) center frames and their (n, L,
+    frame_dim) frames, grid after grid, from one ``frames_at`` call."""
+    if min(hops) < 1:
         raise ValueError("hop must be positive")
-    centers = np.arange(0, video.num_frames, hop)
+    centers = np.concatenate([np.arange(0, video.num_frames, hop) for hop in hops])
     indices = clip_frame_indices(centers[:, None], clip_len, frame_stride, video.num_frames)
     return centers, corpus.frames_at(video, indices).reshape(len(centers), clip_len, -1)
 

@@ -7,8 +7,9 @@ threshold, taking each run's clip extents, means and softmax one run at a
 time. ``evalkit._ap_curve``, ``evalkit.ar_at_an`` and
 ``evalkit.baseline_localize`` share one pass between their thresholds and
 must return the same floats and the same predictions, in the same order.
-The smoothing, actionness, NMS and overlap helpers are evalkit's own, whose
-tests pin them.
+``smooth`` averages each clip's window one clip at a time, where
+``evalkit._smooth`` takes the interior windows as one strided view. The
+actionness, NMS and overlap helpers are evalkit's own, whose tests pin them.
 """
 
 import numpy as np
@@ -103,6 +104,18 @@ def clip_extent_sec(track, row):
     return start / track.fps, end / track.fps
 
 
+def smooth(values, window):
+    if window == 1:
+        return values.astype(np.float64)
+    half = window // 2
+    out = np.empty(len(values))
+    for i in range(len(values)):
+        lo = max(0, i - half)
+        hi = min(len(values), i + half + 1)
+        out[i] = values[lo:hi].mean()
+    return out
+
+
 def runs(mask):
     edges = np.flatnonzero(np.diff(np.concatenate(([False], mask, [False]))))
     return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
@@ -112,7 +125,7 @@ def baseline_localize(track, params, actionness="region"):
     """Each threshold's runs, one run at a time, then class-wise NMS."""
     if len(track) == 0:
         return [], []
-    scores = ev._smooth(ev.actionness_scores(track, actionness), params.smooth_window)
+    scores = smooth(ev.actionness_scores(track, actionness), params.smooth_window)
     raw = []
     for thr in params.thresholds:
         for start, stop in runs(scores >= thr):

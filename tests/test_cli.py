@@ -593,6 +593,7 @@ WRONG_VERSION = ("wrong_schema_version", edit_json(lambda doc: doc.update(schema
 BAD_FILES = [
     *[("manifest", *case) for case in (TRUNCATED, NOT_JSON, NOT_UTF8, ROOT_LIST,
                                        WRONG_VERSION)],
+    ("manifest", "schema_version_1", edit_json(lambda doc: doc.update(schema_version=1))),
     ("manifest", "video_not_object", edit_json(replace_video_record)),
     ("manifest", "no_subset", edit_json(lambda doc: first_video(doc).pop("subset"))),
     ("manifest", "string_duration", set_video(duration_sec="abc")),
@@ -701,6 +702,19 @@ def test_extract_names_why_it_refuses_a_checkpoint(mutate, message, good_files, 
                    encoding="utf-8")
     code, out = run_with_bad_file("checkpoint", bad, good_files, tmp_path)
     assert (code, capsys.readouterr().err) == (1, f"error: {bad}: {message}\n")
+    assert not out.exists()
+
+
+def test_extract_names_why_it_refuses_a_schema_1_manifest(good_files, tmp_path, capsys):
+    # the same schema-1 manifest would now give other frames
+    capsys.readouterr()
+    bad = tmp_path / "bad_manifest"
+    bad.write_text(edit_json(lambda doc: doc.update(schema_version=1))(
+        good_files["manifest"].read_text(encoding="utf-8")), encoding="utf-8")
+    code, out = run_with_bad_file("manifest", bad, good_files, tmp_path)
+    assert (code, capsys.readouterr().err) == (
+        1, f"error: {bad}: schema_version 1 keyed each frame's noise on its own; frame noise "
+           f"is now one stream per video, so regenerate the manifest with tspkit gen-corpus\n")
     assert not out.exists()
 
 

@@ -92,7 +92,7 @@ def test_segment_count_matches_sweep_line_oracle():
 
 def minimal_manifest(tmp_path):
     doc = {
-        "schema_version": 1,
+        "schema_version": 2,
         "classes": ["a"],
         "videos": {
             "v1": {"subset": "train", "duration_sec": 20.0, "fps": 4.0,
@@ -112,7 +112,7 @@ def test_load_minimal_manifest(tmp_path):
 
 def test_annotation_past_duration_rejected(tmp_path):
     doc = {
-        "schema_version": 1,
+        "schema_version": 2,
         "classes": ["a"],
         "videos": {"v1": {"subset": "train", "duration_sec": 10.0, "fps": 4.0,
                           "annotations": [{"label": "a", "segment": [2.0, 11.0]}]}},
@@ -142,7 +142,7 @@ def test_one_class_manifest_loads_only_with_pure_background(background_mode):
 
 def test_parse_error_reports_line(tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text('{\n  "schema_version": 1,\n  oops\n}\n')
+    path.write_text('{\n  "schema_version": 2,\n  oops\n}\n')
     with pytest.raises(cp.ManifestError, match="line 3"):
         cp.load_manifest(path)
 
@@ -224,7 +224,7 @@ def synth_manifest(**synth):
     """A one-video manifest document whose synth block takes ``synth``'s values."""
     block = {"master_seed": 0, "noise_sigma": 0.5, "background_mode": "pure",
              "channels": 1, "height": 1, "width": 1, **synth}
-    return {"schema_version": 1, "classes": ["a"], "synth": block,
+    return {"schema_version": 2, "classes": ["a"], "synth": block,
             "videos": {"v1": {"subset": "train", "duration_sec": 10.0, "fps": 4.0,
                               "frame_seed": 1, "annotations": []}}}
 
@@ -318,12 +318,13 @@ def test_frame_is_a_writable_copy_of_its_video_row():
 
 
 # sha256 of every video's frame shape and float64 bytes, in video order, for the
-# small corpus of synth_corpus(noise, mode, seed=3). The frame noise is keyed per
-# frame, rng_for(frame_seed, "frame-noise", i), as the manifest contract says;
-# these digests were taken from the per-frame implementation.
+# small corpus of synth_corpus(noise, mode, seed=3). The frame noise is one
+# stream per video, row i of rng_for(frame_seed, "frame-noise").standard_normal(
+# (n, frame_dim)), as the schema-2 manifest contract says; the noisy digests
+# were retaken when it replaced per-frame keys, the noiseless ones held.
 FRAME_DIGESTS = {
-    (0.5, "hard"): "4a26105b4e4819bfcadbfe65fa2a5a8c48c620bfe131c38998ae795c00ac3555",
-    (0.5, "pure"): "16ca85d8cb47e0b63a6ddcba8715ab3c96aa91851d3426a86cd2ac856cd528a3",
+    (0.5, "hard"): "75273b67861972924e4f33ef1cd4879acf94462b945d7e162f0de7af4c208bea",
+    (0.5, "pure"): "a5e2fcfd1ae3c6d171a601b9a82d382f40008e5bd95481dea2936a1dc9aa1a33",
     (0.0, "hard"): "dcbd94ff3c106908b268e27f62153cde8aceca96c94754da1eeceb1349b2029a",
     (0.0, "pure"): "0d2cb5db4e74807ba7b19df5339e9fd95fdcc49669114ede242355646eaa3726",
 }
@@ -386,10 +387,10 @@ def test_frames_at_rejects_non_integer_indices_naming_the_video(warm):
     assert bool(corpus._stores) == warm
 
 
-# sha256 of save_manifest's bytes for synth_corpus(), taken before the synth block
-# was written with dataclasses.asdict: pins the file layout (key names, nesting,
-# number formatting), which the frame digests above do not see
-GOLDEN_MANIFEST_DIGEST = "d13d60eda4c2166b0102ad1780efaadf434d42b4d6c59baa462350971490abeb"
+# sha256 of save_manifest's bytes for synth_corpus(), retaken when the schema
+# version went to 2: pins the file layout (key names, nesting, number
+# formatting), which the frame digests above do not see
+GOLDEN_MANIFEST_DIGEST = "11df107d80d5b3976c3eaf7e8ffac456434c3728dc66d50e7d4f4bcb0bb0452c"
 
 
 def test_saved_manifest_matches_golden_digest(tmp_path):

@@ -158,6 +158,15 @@ def test_baseline_localize_equals_one_run_at_a_time(problem):
         track, params, source)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 3, 5, 7, 9, 21, 41]),
+       st.lists(st.floats(-1e6, 1e6), max_size=60))
+def test_smooth_equals_the_clip_at_a_time_loop(window, values):
+    # tracks shorter than the window, as long as it, and longer
+    values = np.array(values, dtype=np.float64)
+    assert ev._smooth(values, window).tobytes() == ref.smooth(values, window).tobytes()
+
+
 def test_clip_extents_of_huge_track_integers_equal_the_reference():
     # a track file may give any integer; the extents must not overflow
     for clip_len, stride, num_frames in [(2**70, 1, 24), (4, 2**70, 24), (4, 1, 2**70),

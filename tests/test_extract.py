@@ -235,7 +235,7 @@ def test_dense_global_feature_pools_the_init_encoders_track_at_that_hop(pool):
 @pytest.mark.parametrize("hop", [None, 8])
 def test_a_tracks_gvf_is_the_gvf_computed_alone(hop):
     # at the default hop extract_track pools the clips it gathered for the
-    # track; at another it gathers the default grid, as the function alone does
+    # track; at another it gathers the default grid after them in one call
     corpus = make_corpus()
     ckpt = make_checkpoint(corpus)
     for video in corpus.videos.values():
@@ -274,26 +274,39 @@ def test_cold_corpus_gives_the_warm_track(clip_len, frame_stride, hop):
 
 
 @pytest.mark.parametrize("hop", [1, None, 40])
-def test_cold_extraction_synthesizes_exactly_the_rows_its_clips_read(monkeypatch, hop):
+def test_cold_extraction_draws_the_video_noise_stream_once(monkeypatch, hop):
+    # a tsp checkpoint: at hops 1 and 40 the GVF's default grid is read too
     corpus = make_corpus()
     ckpt = make_checkpoint(corpus)
     video = corpus.videos["va_0"]
     cfg = ckpt.config
     span = clip_span(cfg.clip_len, cfg.frame_stride)
-    calls, normal_rows = [], cp.normal_rows
+    draws, rng_for = [], cp.rng_for
 
-    def recording_normal_rows(*prefix, rows, dim):
-        calls.append(np.array(rows))
-        return normal_rows(*prefix, rows=rows, dim=dim)
+    class RecordingStream:
+        def __init__(self, rng):
+            self.rng = rng
 
-    monkeypatch.setattr(cp, "normal_rows", recording_normal_rows)
-    track = ex.extract_track(cold_copy(corpus), video, ckpt, hop=hop)
+        def standard_normal(self, size):
+            draws.append(size)
+            return self.rng.standard_normal(size)
+
+    def recording_rng_for(*parts):
+        if "frame-noise" not in parts:
+            return rng_for(*parts)
+        draws.append(parts)
+        return RecordingStream(rng_for(*parts))
+
+    monkeypatch.setattr(cp, "rng_for", recording_rng_for)
+    cold = cold_copy(corpus)
+    track = ex.extract_track(cold, video, ckpt, hop=hop)
     centers = np.round(track.center_times * video.fps).astype(int)
-    # the track's clips; then, at another hop, the GVF's default grid
-    grids = [centers] if hop in (None, span) else [centers, np.arange(0, video.num_frames, span)]
-    assert [c.tolist() for c in calls] == [
-        np.unique(clip_frame_indices(grid[:, None], cfg.clip_len, cfg.frame_stride,
-                                     video.num_frames)).tolist() for grid in grids]
+    grid = np.concatenate([centers, np.arange(0, video.num_frames, span)])
+    last = clip_frame_indices(grid[:, None], cfg.clip_len, cfg.frame_stride,
+                              video.num_frames).max()
+    # one draw, up to the last row the clips read
+    assert draws == [(video.frame_seed, "frame-noise"), (last + 1, cold.synth.frame_dim)]
+    assert not cold._stores
 
 
 def reference_track_rows(track):

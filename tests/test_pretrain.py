@@ -367,15 +367,12 @@ def test_every_cell_diverging_is_an_error(threads, monkeypatch):
 # the trained bytes, as params_hash(encoder, heads, prefix=mode+seed), the
 # checkpoint id before it also covered the config and the init encoder, and
 # the checkpoint ids: on numpy 2.4 with OpenBLAS (a different BLAS may round
-# the products differently), retaken when the encoder backward's conv input
-# gradients became products with the reversed taps, a declared rounding
-# change. The runs have one block, where the stacked block arrays are the
-# same buffer as per-block records were; schema 4, which stores the width,
-# depth and frame shape once, left both unchanged.
-GOLDEN_TRAINED_HASHES = {"tsp": "ef28f8b1d22d", "tsp_nogvf": "b23538d80dd4",
-                         "tac": "07b39fa016da"}
-GOLDEN_CHECKPOINT_IDS = {"tsp": "fcd6169ffff7", "tsp_nogvf": "50337099154e",
-                         "tac": "f965e356e10f"}
+# the products differently), retaken when a video's frame noise became one
+# stream per video, which changes every noisy frame the runs train on.
+GOLDEN_TRAINED_HASHES = {"tsp": "ce9ed8b40a34", "tsp_nogvf": "4d2c45f5e411",
+                         "tac": "6ea5f963a24a"}
+GOLDEN_CHECKPOINT_IDS = {"tsp": "70e648a6822c", "tsp_nogvf": "0c962fd736e6",
+                         "tac": "69267c82abca"}
 
 
 @pytest.mark.parametrize("mode", pt.MODES)
@@ -386,14 +383,14 @@ def test_tiny_training_matches_golden_checkpoint_id(mode):
     assert ckpt.checkpoint_id == GOLDEN_CHECKPOINT_IDS[mode]
 
 
-# sha256 of save_checkpoint's bytes for the same runs, taken with schema
-# version 4, which states the width and the depth only in the config and the
-# frame shape once beside it: pins the file layout (key names, nesting,
-# number formatting), which the ids above do not see
+# sha256 of save_checkpoint's bytes for the same runs, with schema version 4,
+# which states the width and the depth only in the config and the frame shape
+# once beside it, retaken with the ids above: pins the file layout (key names,
+# nesting, number formatting), which the ids do not see
 GOLDEN_CHECKPOINT_FILE_DIGESTS = {
-    "tsp": "7f1ea04192e65bb354b6242f48a6d8a913747bef41730cf7357a1d88d40a26eb",
-    "tsp_nogvf": "614868995731da6fb6d57e83ff21101c4aeb282c4d05f6a06fe590cf48191577",
-    "tac": "65b7d23e1a02ef6354bb6fd113f5ba1ab4b800a608efe8d115dfc0fd05d7f969",
+    "tsp": "19b78512048d848f35431ca443a8af1f64aff68ce76bc3aea35b900afe524ddd",
+    "tsp_nogvf": "bed62d47affbfb634afbb9df181b1e2d8b5476d10180edcc362e56084eb279f8",
+    "tac": "8930352cffbaf81a52cd230f74fe22c5dcfc3305cfd3b904a6c2f795886e4faf",
 }
 
 

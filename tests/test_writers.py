@@ -28,16 +28,16 @@ PIPELINE = [
 ]
 
 # sha256 of each file's bytes, taken before the writers moved into ``decode``;
-# the pipeline trains a tsp checkpoint, so all but the two bench tables were
-# retaken when its GVF came to pool the non-overlapping clip grid
+# the pipeline synthesizes noisy frames, so all but the two bench tables were
+# retaken when a video's frame noise became one stream per video
 GOLDEN_DIGESTS = {
-    "train_log.tsv": "251ccffe54bd7296e987ae25af0c49e1b8322f02324961bd964f2b7896de616d",
-    "detections.json": "a57468027c3533eb6682e64ac0d35de18912d730319e4dfad025cc267f023ba4",
-    "proposals.json": "5c8b9f3ee8fc7b5dbaafd327bec7be4103ca822bec2e7307b4a244c3f4694207",
-    "det.tsv": "7a5940010baace0aada185f51aa9b6e96cae6d05d9ee0bb128b324f887fcb667",
-    "prop.tsv": "6a855119bc5811485c8db3d859bdd8cf3e4502f0318ab55848f12e3cf40b1a9a",
-    "sim.csv": "85ff989d2f565ae74ef0fb182f613830fd0e3259fed590178363bac3aee7957f",
-    "sim_contrast.tsv": "1c01b30de57c53b82b77270cbf34560050a6be838c306f0d2354835e0e56b088",
+    "train_log.tsv": "0095f1555fd19a7e1bc7754b60b3179b7bc63d443dd943c27b7c66d1bab7a652",
+    "detections.json": "afac2ca41a56e640fe2461a1555a6425345c4cf40dab3fc7d19b83bd25ef033d",
+    "proposals.json": "f80dc9e584cb29c2a193ead355d6c190ca6e54a9c1f20d81a8a318c734006ba9",
+    "det.tsv": "5352385c88fa3066e9e7b3a64d42367b92147d37a38f04a76912f18e59c64c8d",
+    "prop.tsv": "e3b02af8bf5279d6c2367061b6bf3152a8c01dbbec2ce56e6c8d4da5222981b5",
+    "sim.csv": "71e8dd77c0673bb5a4abcbd6770da13c6201a6103562f015b51459133eeb78b3",
+    "sim_contrast.tsv": "b8839397a073992a7ee3b4a2d3ae820791695993a0b4212a3235b71c170b23ce",
     "bench_table.tsv": "1beaf23d01dde89d645dd4a2cd227fbebc5a7840834b6afd80cd0580e9343fd5",
     "cell_seed3.tsv": "095ba98ec9d2fec236fafb073a8b29c4f31e82d8707fb12baaad55bc56b4b90c",
 }
